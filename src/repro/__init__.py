@@ -112,13 +112,7 @@ from .report import (
     render_tree,
 )
 from .runners import BatchRunner, Job, ReplayJob, ReplayRunner, RunResult
-from .sharding import (
-    BoundaryBroker,
-    ShardedDriver,
-    ShardedLedger,
-    ShardPlan,
-    ShardPlanner,
-)
+from .sharding import ShardPlan, ShardPlanner, StreamedShardedDriver
 from .workloads import TREE_TOPOLOGIES, make_tree, random_line_problem, random_tree_problem
 
 __version__ = "1.0.0"
@@ -149,11 +143,9 @@ __all__ = [
     "LineNetwork",
     "LineProblem",
     "RunResult",
-    "BoundaryBroker",
     "ShardPlan",
     "ShardPlanner",
-    "ShardedDriver",
-    "ShardedLedger",
+    "StreamedShardedDriver",
     "Solution",
     "TreeDecomposition",
     "TreeDemandInstance",

@@ -11,7 +11,7 @@ python -m repro replay    trace.json --shards 4 --shard-by subtree
 python -m repro serve     --trace trace.json --policy dual-gated --journal j.log
 python -m repro serve     --trace trace.json --journal j.bin --format binary \
                           --sync-window 64 --checkpoint-every 5000
-python -m repro serve     --trace trace.json --port 7777 --async \
+python -m repro serve     --trace trace.json --port 7777 \
                           --obs --metrics-port 9100
 python -m repro resume    --journal j.log -o metrics.json
 python -m repro compact   --journal j.log
@@ -30,18 +30,18 @@ path; ``replay`` streams an event trace through an online admission
 policy (generating and optionally saving the trace on the fly), and
 with ``--shards N`` fans it across the sharded admission engine;
 ``serve`` runs the long-lived admission service — JSON-lines requests
-on stdin (or one TCP client with ``--port``), a write-ahead admission
+on stdin (or TCP clients with ``--port``) and a write-ahead admission
 journal (JSON-lines or binary, group-committed, optionally
-checkpointed), and an optional sharded-coordinator backend —
-``resume`` warm-restarts a killed service from its journal (seeking to
-the last checkpoint and replaying only the tail) and finishes the
-trace, and ``compact`` rewrites a journal as header + one checkpoint;
-``sweep-preemption`` grids preemption factor × penalty over saved
-traces and reports where preemption stops paying; ``decompose`` prints
-the Section 4 decomposition table; ``top`` is a live optimality
-dashboard over a serving TCP service (polls ``{"op": "stats"}``) and
-``trace`` pulls the service's flight-recorder ring as Chrome
-``trace_event`` JSON (load in Perfetto / ``about:tracing``).
+checkpointed) — ``resume`` warm-restarts a killed service from its
+journal (seeking to the last checkpoint and replaying only the tail)
+and finishes the trace, and ``compact`` rewrites a journal as header +
+one checkpoint; ``sweep-preemption`` grids preemption factor × penalty
+over saved traces and reports where preemption stops paying;
+``decompose`` prints the Section 4 decomposition table; ``top`` is a
+live optimality dashboard over a serving TCP service (polls
+``{"op": "stats"}``) and ``trace`` pulls the service's flight-recorder
+ring as Chrome ``trace_event`` JSON (load in Perfetto /
+``about:tracing``).
 
 Algorithm names are resolved through the solver registry
 (:mod:`repro.algorithms.registry`); ``--algorithm help`` or the epilog of
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "decomposition layers (default: subtree)")
     rep.add_argument("--processes", type=_int_arg("processes", minimum=0),
                      default=None,
-                     help="shard worker pool size (default: min(shards, "
+                     help="shard worker processes (default: min(shards, "
                           "CPU count); 0 or 1 = inline)")
     rep.add_argument("--save-trace", default=None,
                      help="write the (generated) trace JSON here")
@@ -389,25 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--journal", default=None,
                      help="append-only admission journal (enables "
                           "warm restart via `repro resume`)")
-    srv.add_argument("--shards", type=_int_arg("shards", minimum=1),
-                     default=1,
-                     help="run the sharded coordinator backend with "
-                          "this many per-shard ledgers (default: 1)")
-    srv.add_argument("--shard-by", default="subtree",
-                     choices=SHARD_STRATEGIES)
     srv.add_argument("--port", type=_int_arg("port", minimum=0),
                      default=None,
                      help="serve TCP clients on this port (0 = "
-                          "ephemeral) instead of stdin/stdout; "
-                          "sequential reconnects unless --async")
-    srv.add_argument("--async", action="store_true", dest="async_server",
-                     help="with --port: multiplex many concurrent "
-                          "clients on one event loop (per-connection "
-                          "backpressure, fair round-robin dispatch, "
-                          "request-id echo)")
+                          "ephemeral) instead of stdin/stdout: one "
+                          "event loop multiplexing concurrent clients "
+                          "(per-connection backpressure, fair "
+                          "round-robin dispatch, request-id echo)")
     srv.add_argument("--max-clients",
                      type=_int_arg("max-clients", minimum=1), default=128,
-                     help="with --async: concurrent-connection cap "
+                     help="with --port: concurrent-connection cap "
                           "(default: 128)")
     srv.add_argument("--max-line-bytes",
                      type=_int_arg("max-line-bytes", minimum=2),
@@ -455,12 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
                      default=None,
                      help="with --serve: serve TCP clients on this "
                           "port instead of stdin")
-    res.add_argument("--async", action="store_true", dest="async_server",
-                     help="with --serve --port: the concurrent "
-                          "multi-client event loop")
     res.add_argument("--max-clients",
                      type=_int_arg("max-clients", minimum=1), default=128,
-                     help="with --async: concurrent-connection cap "
+                     help="with --port: concurrent-connection cap "
                           "(default: 128)")
     res.add_argument("--max-line-bytes",
                      type=_int_arg("max-line-bytes", minimum=2),
@@ -819,10 +807,10 @@ def _replay_sharded(args, trace, policy_kwargs: dict) -> int:
     """The ``replay --shards N`` branch: plan, fan out, merge, render."""
     from .online import with_offline
     from .report import render_sharded_replay
-    from .sharding import ShardedDriver
+    from .sharding import StreamedShardedDriver
 
-    driver = ShardedDriver(args.shards, shard_by=args.shard_by,
-                           processes=args.processes)
+    driver = StreamedShardedDriver(args.shards, shard_by=args.shard_by,
+                                   processes=args.processes)
     result = driver.run(trace, args.policy, policy_kwargs)
     merged = result.merged
     if args.offline:
@@ -871,7 +859,7 @@ def _serve(args) -> int:
         service = AdmissionService(
             trace, args.policy, policy_kwargs,
             journal_path=args.journal,
-            shards=args.shards, shard_by=args.shard_by, sync=args.sync,
+            sync=args.sync,
             fmt=args.journal_format, sync_window=args.sync_window,
             sync_interval_ms=args.sync_interval_ms,
             checkpoint_every=args.checkpoint_every,
@@ -881,8 +869,7 @@ def _serve(args) -> int:
     # Banners go to stderr: stdout is the response channel.
     print(f"serving {os.path.basename(args.trace)} "
           f"({trace.num_arrivals} demands) with {args.policy}"
-          + (f", journal {args.journal}" if args.journal else "")
-          + (f", {args.shards} shards" if args.shards > 1 else ""),
+          + (f", journal {args.journal}" if args.journal else ""),
           file=sys.stderr)
     _start_metrics(args, service)
     _run_transport(service, args)
@@ -894,30 +881,23 @@ def _run_transport(service, args) -> None:
     ``serve`` and ``resume --serve``)."""
     import sys
 
-    from .service import serve_async, serve_socket, serve_stdio
+    from .service import serve_async, serve_stdio
 
     if args.port is None:
-        if args.async_server:
-            raise SystemExit("serve: --async requires --port")
         serve_stdio(service, max_line_bytes=args.max_line_bytes)
         return
 
     def announce(addr):
-        print(f"listening on {addr[0]}:{addr[1]}"
-              + (" (async, max-clients "
-                 f"{args.max_clients})" if args.async_server else ""),
+        print(f"listening on {addr[0]}:{addr[1]} "
+              f"(max-clients {args.max_clients})",
               file=sys.stderr, flush=True)
 
-    if args.async_server:
-        serve_async(service, port=args.port,
-                    max_clients=args.max_clients,
-                    max_line_bytes=args.max_line_bytes,
-                    announce=announce,
-                    log=lambda msg: print(f"serve: {msg}",
-                                          file=sys.stderr, flush=True))
-    else:
-        serve_socket(service, port=args.port, announce=announce,
-                     max_line_bytes=args.max_line_bytes)
+    serve_async(service, port=args.port,
+                max_clients=args.max_clients,
+                max_line_bytes=args.max_line_bytes,
+                announce=announce,
+                log=lambda msg: print(f"serve: {msg}",
+                                      file=sys.stderr, flush=True))
 
 
 def _resume(args) -> int:

@@ -95,14 +95,6 @@ def render_dashboard(cur: dict, prev: dict | None, dt: float) -> str:
         f"  requests        {_fmt(server.get('requests_total'), '>12')}"
         f"    queue      {_fmt(server.get('dispatch_queue_depth'), '>10')}",
     ]
-    shards = cur.get("shards")
-    if shards:
-        lines.append("")
-        for row in shards:
-            lines.append(
-                f"  shard {row['shard']:>3}  admitted {row['admitted']:>8}"
-                f"  utilization {row['utilization']:.4f}"
-            )
     return "\n".join(lines)
 
 

@@ -11,7 +11,7 @@ decision bit:
   arrays resolved **once** per ledger against the shared
   :class:`~repro.core.conflict.ConflictIndex` (cached on the ledger, so
   every session over the same ledger — including the sharded boundary
-  broker — reuses one build);
+  pass — reuses one build);
 * :class:`TraceArrays` — a columnar view of one event batch (kinds,
   demand ids, per-event conflict footprints);
 * :func:`conflict_free_runs` — splits consecutive events into *maximal*
@@ -224,7 +224,7 @@ def geometry_of(ledger) -> DemandGeometry:
     """The ledger's cached :class:`DemandGeometry` (built on first use).
 
     Cached on the ledger itself so every session attached to it — the
-    replay driver, the service, the sharded boundary broker — shares one
+    replay driver, the service, the sharded boundary pass — shares one
     build.  Route geometry never changes, so the cache never
     invalidates.
     """

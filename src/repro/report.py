@@ -259,12 +259,12 @@ def render_replay(metrics: Sequence) -> str:
 def render_sharded_replay(result, merged=None) -> str:
     """Plan summary plus the per-shard / boundary / merged replay table.
 
-    ``result`` is a :class:`~repro.sharding.driver.ShardedReplayResult`;
+    ``result`` is a :class:`~repro.sharding.StreamedReplayResult`;
     ``merged`` optionally overrides the merged metrics row (e.g. after
     :func:`~repro.online.metrics.with_offline` filled in the benchmark
     columns).  Rows are labelled ``shard-N`` / ``boundary`` / ``merged``
     in the policy column; the merged row's throughput is single-host
-    wall clock, with the deployment (critical-path) rate appended below.
+    wall clock, with the modeled critical-path rate appended below.
     """
     plan = result.plan
     lines = [

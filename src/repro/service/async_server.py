@@ -476,7 +476,7 @@ def serve_async(service: AdmissionService, host: str = "127.0.0.1",
                 max_line_bytes: int = 1 << 20,
                 announce=None, log=None) -> dict | None:
     """Run an :class:`AsyncLineServer` to completion (the ``repro serve
-    --async`` entry point).  Returns the ``close`` response, if any."""
+    --port`` entry point).  Returns the ``close`` response, if any."""
     server = AsyncLineServer(service, host, port,
                              max_clients=max_clients,
                              max_line_bytes=max_line_bytes,

@@ -1,21 +1,16 @@
 """Transport loops for :class:`~repro.service.AdmissionService`.
 
-One request per line, one response per line — JSON both ways.  Three
+One request per line, one response per line — JSON both ways.  Two
 transports:
 
 * :func:`serve_stdio` — requests on stdin, responses on stdout (the
   ``repro serve`` default; trivially driveable from a shell pipe or a
   subprocess harness);
-* :func:`serve_socket` — a **sequential** TCP loop (``repro serve
-  --port``): one client at a time, but when a client disconnects the
-  server goes back to accepting, so clients can reconnect in sequence
-  until a ``close`` request or a SIGTERM/SIGINT ends the service;
-* :class:`~repro.service.async_server.AsyncLineServer` — the
-  **concurrent** path (``repro serve --port --async``): a
-  single-threaded selectors loop multiplexing many simultaneous
-  clients with per-connection buffers, backpressure and fair
-  round-robin dispatch.  Use it whenever more than one client may be
-  connected at once.
+* :class:`~repro.service.async_server.AsyncLineServer` — TCP (``repro
+  serve --port``): a single-threaded selectors loop multiplexing any
+  number of clients, simultaneous or reconnecting one after another,
+  with per-connection buffers, backpressure and fair round-robin
+  dispatch.
 
 All transports drain requests until the stream ends or a successful
 ``close`` request arrives; they never raise on malformed input — bad
@@ -23,8 +18,8 @@ JSON and domain errors come back as ``{"ok": false, ...}`` response
 lines, so one broken client request cannot take the service (and its
 journal) down with it.  A request line longer than ``max_line_bytes``
 is answered with a friendly ``{"ok": false}`` over-limit response
-instead of being parsed.  On SIGTERM/SIGINT the socket transports
-flush the journal's group-commit window before returning, so every
+instead of being parsed.  On SIGTERM/SIGINT the socket transport
+flushes the journal's group-commit window before returning, so every
 acknowledged event is on disk and ``repro resume`` picks up exactly
 where the stream stopped.
 
@@ -38,14 +33,11 @@ window cover the whole batch (see
 from __future__ import annotations
 
 import json
-import signal
-import socket
 import sys
-import threading
 
 from .service import AdmissionService
 
-__all__ = ["serve_lines", "serve_socket", "serve_stdio"]
+__all__ = ["serve_lines", "serve_stdio"]
 
 #: Default request-line byte cap (also the async server's default).
 MAX_LINE_BYTES = 1 << 20
@@ -104,103 +96,3 @@ def serve_stdio(service: AdmissionService, infile=None, outfile=None, *,
 
     return serve_lines(service, infile, emit,
                        max_line_bytes=max_line_bytes)
-
-
-def serve_socket(service: AdmissionService, host: str = "127.0.0.1",
-                 port: int = 0, *, announce=None,
-                 max_line_bytes: int = MAX_LINE_BYTES) -> dict | None:
-    """Serve TCP clients sequentially with the line protocol.
-
-    One client is served at a time; when it disconnects the server
-    accepts the next, so a harness can reconnect repeatedly against the
-    same journaled session.  The loop ends on a successful ``close``
-    request or on SIGTERM/SIGINT — either way the journal's
-    group-commit window is flushed before returning, so everything
-    acknowledged is durable and ``repro resume`` continues from the
-    exact stream position.  For *simultaneous* clients use ``repro
-    serve --async`` (:class:`~repro.service.async_server.
-    AsyncLineServer`) instead.
-
-    ``port=0`` binds an ephemeral port; ``announce`` (a callable given
-    the bound ``(host, port)``) runs before the first accept, so
-    harnesses can discover where to connect.
-    """
-    stop = threading.Event()
-    restore: list[tuple[int, object]] = []
-    if threading.current_thread() is threading.main_thread():
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                restore.append((sig, signal.signal(
-                    sig, lambda *_: stop.set())))
-            except (ValueError, OSError):
-                pass
-    try:
-        with socket.create_server((host, port)) as server:
-            if announce is not None:
-                announce(server.getsockname()[:2])
-            server.settimeout(0.2)  # poll the stop flag between accepts
-            while not stop.is_set():
-                try:
-                    conn, _addr = server.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                with conn:
-                    def emit(doc: dict) -> None:
-                        conn.sendall((json.dumps(doc) + "\n").encode())
-
-                    try:
-                        resp = serve_lines(
-                            service,
-                            _socket_lines(conn, stop, max_line_bytes, emit),
-                            emit, max_line_bytes=max_line_bytes)
-                    except OSError:
-                        resp = None  # client vanished mid-request
-                    if resp is not None:
-                        return resp
-            # Signalled (or listener died): make everything acknowledged
-            # durable before handing control back.
-            if service.journal is not None and not service.session.closed:
-                service.journal.commit()
-            return None
-    finally:
-        for sig, old in restore:
-            signal.signal(sig, old)
-
-
-def _socket_lines(conn, stop, max_line_bytes, emit):
-    """Yield request lines from ``conn``, polling ``stop`` so a signal
-    interrupts a blocked read, and discarding (with an ``{"ok": false}``
-    response) any line that outgrows ``max_line_bytes`` before its
-    newline arrives."""
-    conn.settimeout(0.2)
-    buf = bytearray()
-    overflow = False
-    while True:
-        nl = buf.find(b"\n")
-        if nl >= 0:
-            line = bytes(buf[:nl])
-            del buf[:nl + 1]
-            if overflow:
-                overflow = False  # the newline ends the oversized line
-                continue
-            yield line.decode("utf-8", "replace")
-            continue
-        if overflow:
-            buf.clear()
-        elif len(buf) > max_line_bytes:
-            overflow = True
-            buf.clear()
-            emit(_overlimit_response(max_line_bytes))
-        if stop.is_set():
-            return
-        try:
-            chunk = conn.recv(65536)
-        except socket.timeout:
-            continue
-        except OSError:
-            return
-        if not chunk:
-            return
-        buf += chunk

@@ -25,10 +25,10 @@ feed      a batch of raw events: ``{"op": "feed", "events": [...]}`` —
           one decode/validate/journal-commit amortized over the batch
 query     one demand's admission status
 stats     live counters (events, accepted, profit, utilization, ...),
-          the transport's ``server`` section (same keys on every
-          transport; nulls outside the async server), the live dual
-          upper bound, and the metrics registry (dict + Prometheus
-          text)
+          the fast-path counters, the transport's ``server`` section
+          (same keys on every transport; nulls outside the async
+          server), the live dual upper bound, and the metrics registry
+          (Prometheus text is served on ``--metrics-port``)
 snapshot  the currently-admitted set as a solution document
 close     final flush + verify; responds with the full metrics record
 trace     the flight-recorder ring as Chrome ``trace_event`` JSON
@@ -48,15 +48,10 @@ amortized durability cost.
 serialized session state to the journal, so :meth:`resume` restores the
 last checkpoint and replays only the tail — restart cost proportional
 to the post-checkpoint suffix, not total history.  :meth:`compact`
-rewrites a journal as header + one checkpoint.
-
-With ``shards > 1`` the service runs the **sharded coordinator
-backend**: the policy is bound to the exact global coordinator view of
-a :class:`~repro.sharding.ledger.ShardedLedger` (so every registered
-policy works unmodified, priced against true global load), and every
-admission / eviction / release of a cut-interior demand is mirrored
-into its shard's ledger — the per-shard occupancy views the sharded
-deployment story needs, verified alongside the coordinator at close.
+rewrites a journal as header + one checkpoint.  Journals written with a
+``shards``/``shard_by`` header (the retired sharded backend) resume
+onto the single ledger: that backend's checkpoints stored only the
+coordinator, which is exactly this service's ledger state.
 """
 
 from __future__ import annotations
@@ -101,8 +96,6 @@ class AdmissionService:
     journal_path:
         Write-ahead journal location; ``None`` disables journaling
         (no warm restart, useful for benchmarks).
-    shards / shard_by:
-        ``shards > 1`` selects the sharded coordinator backend.
     sync:
         ``fsync`` the journal at every commit (power-loss durability;
         plain flushing already survives a process kill).
@@ -121,7 +114,6 @@ class AdmissionService:
     def __init__(self, trace: EventTrace, policy: str = "greedy-threshold",
                  params: dict | None = None, *,
                  journal_path: str | None = None,
-                 shards: int = 1, shard_by: str = "subtree",
                  sync: bool = False, fmt: str = "jsonl",
                  sync_window: int = 1,
                  sync_interval_ms: float | None = None,
@@ -129,27 +121,12 @@ class AdmissionService:
         self.trace = trace
         self.policy_name = policy
         self.params = dict(params or {})
-        self.shards = int(shards)
-        self.shard_by = shard_by
         self.checkpoint_every = int(checkpoint_every)
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        policy_obj = make_policy(policy, **self.params)
-        self.sharded = None
-        self._local_iids: dict[int, dict[int, int]] = {}
-        if self.shards > 1:
-            from ..sharding.ledger import ShardedLedger
-            from ..sharding.planner import ShardPlanner
-
-            plan = ShardPlanner(shard_by).plan(trace.problem, self.shards)
-            self.sharded = ShardedLedger(trace.problem, plan)
-            self.session = AdmissionSession(
-                trace.problem, policy_obj,
-                ledger=self.sharded.coordinator, trace_meta=trace.meta,
-            )
-        else:
-            self.session = AdmissionSession(trace.problem, policy_obj,
-                                            trace_meta=trace.meta)
+        self.session = AdmissionSession(
+            trace.problem, make_policy(policy, **self.params),
+            trace_meta=trace.meta)
         #: Events applied so far (== journal event count when journaling).
         self.position = 0
         # Stream-validity bookkeeping, mirroring EventTrace's invariants:
@@ -185,8 +162,6 @@ class AdmissionService:
         return {
             "policy": self.policy_name,
             "params": dict(self.params),
-            "shards": self.shards,
-            "shard_by": self.shard_by,
             "checkpoint_every": self.checkpoint_every,
             "trace": trace_to_dict(self.trace),
         }
@@ -255,27 +230,22 @@ class AdmissionService:
             for ev in evs:
                 journal.append(ev)
         adm0 = len(self.session.ledger.admission_log)
-        if self.sharded is None:
-            # No mirroring to drive, so skip Decision assembly entirely.
-            # feed_many engages the columnar batch-decision fast path
-            # when the policy advertises a kernel (decisions and journal
-            # bytes are identical either way — the journal was written
-            # above, before any state changed).
-            self.session.feed_many(evs)
-            arrived, departed = self._arrived, self._departed
-            last = self._last_time
-            for ev in evs:
-                if isinstance(ev, Arrival):
-                    arrived.add(ev.demand_id)
-                elif isinstance(ev, Departure):
-                    departed.add(ev.demand_id)
-                if ev.time > last:
-                    last = ev.time
-            self._last_time = last
-            self.position += len(evs)
-        else:
-            for ev in evs:
-                self._apply(ev)
+        # No Decision assembly: feed_many engages the columnar
+        # batch-decision fast path when the policy advertises a kernel
+        # (decisions and journal bytes are identical either way — the
+        # journal was written above, before any state changed).
+        self.session.feed_many(evs)
+        arrived, departed = self._arrived, self._departed
+        last = self._last_time
+        for ev in evs:
+            if isinstance(ev, Arrival):
+                arrived.add(ev.demand_id)
+            elif isinstance(ev, Departure):
+                departed.add(ev.demand_id)
+            if ev.time > last:
+                last = ev.time
+        self._last_time = last
+        self.position += len(evs)
         self._maybe_checkpoint()
         doc = {
             "applied": len(evs),
@@ -295,7 +265,6 @@ class AdmissionService:
         elif isinstance(ev, Departure):
             self._departed.add(ev.demand_id)
         self._last_time = max(self._last_time, ev.time)
-        self._mirror(decision)
         self.position += 1
         return decision
 
@@ -328,8 +297,7 @@ class AdmissionService:
         verbatim and the policy exports everything its decisions depend
         on, so restore + tail replay equals uninterrupted replay (the
         warm-restart equivalence tests quantify this over every policy
-        and kill point).  Sharded services store the coordinator only;
-        the per-shard mirrors are derived views, rebuilt on restore.
+        and kill point).
         """
         return {
             "position": self.position,
@@ -351,67 +319,6 @@ class AdmissionService:
         self.session.ledger.restore_state(state["ledger"])
         self.session.policy.restore_state(state["policy"])
         self._next_checkpoint = self.position + (self.checkpoint_every or 0)
-        if self.sharded is not None:
-            self._rebuild_shard_mirrors()
-
-    def _rebuild_shard_mirrors(self) -> None:
-        """Re-admit the current interior admitted set into the shard
-        ledgers.  Checkpoints store the coordinator only: the mirrors
-        are pure occupancy views derived from it, so rebuilding them
-        from the admitted set reproduces exactly what incremental
-        mirroring would show for the demands still in the system."""
-        plan = self.sharded.plan
-        for d, gid in self.session.ledger.admitted_items():
-            if plan.is_boundary(d):
-                continue
-            s = plan.shard_of(d)
-            self.sharded.shard_ledger(s).admit(self._local_iid(s, gid))
-
-    # ------------------------------------------------------------------
-    # Sharded-backend mirroring
-    # ------------------------------------------------------------------
-
-    def _local_iid(self, s: int, gid: int) -> int:
-        """Shard ``s``'s local instance id of global instance ``gid``."""
-        if s not in self._local_iids:
-            self._local_iids[s] = {
-                g: l for l, g in enumerate(self.sharded.plan.instance_map(s))
-            }
-        return self._local_iids[s][gid]
-
-    def _mirror(self, decision: Decision) -> None:
-        """Mirror coordinator mutations into the per-shard ledgers.
-
-        The coordinator decided; shard ledgers only track their local
-        occupancy.  Shard loads are always ≤ the coordinator's on the
-        same edges, so every mirrored admission is feasible by
-        construction.  Evictions precede admissions (a preemption frees
-        the route before the newcomer lands).
-        """
-        if self.sharded is None:
-            return
-        plan = self.sharded.plan
-        for d, _gid in decision.evicted:
-            if plan.is_boundary(d):
-                continue
-            s = plan.shard_of(d)
-            led = self.sharded.shard_ledger(s)
-            local = self.sharded.local_demand_id(s, d)
-            if led.is_admitted(local):
-                led.evict(local)
-        for d, gid in decision.admitted:
-            if plan.is_boundary(d):
-                continue
-            s = plan.shard_of(d)
-            self.sharded.shard_ledger(s).admit(self._local_iid(s, gid))
-        if decision.kind == "departure" and decision.demand_id is not None:
-            d = decision.demand_id
-            if not plan.is_boundary(d):
-                s = plan.shard_of(d)
-                led = self.sharded.shard_ledger(s)
-                local = self.sharded.local_demand_id(s, d)
-                if led.is_admitted(local):
-                    led.release(local)
 
     # ------------------------------------------------------------------
     # The request/response API
@@ -475,12 +382,7 @@ class AdmissionService:
                 return {"ok": True, "op": op,
                         **self.query(int(req["demand"]))}
             if op == "stats":
-                doc = self.stats()
-                # The fast-path counters ride along top-level too, so a
-                # dashboard polling for batching health needs no
-                # deep-path knowledge of the stats document.
-                return {"ok": True, "op": op, "stats": doc,
-                        "fastpath": doc["fastpath"]}
+                return {"ok": True, "op": op, "stats": self.stats()}
             if op == "snapshot":
                 return {"ok": True, "op": op,
                         "solution": solution_to_dict(self.session.solution())}
@@ -580,7 +482,7 @@ class AdmissionService:
         }
 
     def stats(self) -> dict:
-        """Live counters, plus per-shard occupancy in sharded mode."""
+        """Live counters, fast-path health and the metrics registry."""
         doc = self.session.snapshot()
         doc["position"] = self.position
         doc["policy"] = self.policy_name
@@ -601,30 +503,11 @@ class AdmissionService:
         doc["dual_upper_bound"] = cert["upper_bound"] if cert else None
         self._sync_metrics()
         doc["metrics"] = self.registry.export()
-        doc["metrics_text"] = self.registry.render_prometheus()
-        if self.sharded is not None:
-            rows = []
-            for s in range(self.sharded.plan.n_shards):
-                led = self.sharded.shard_ledger(s)
-                rows.append({
-                    "shard": s,
-                    "admitted": led.num_admitted,
-                    "utilization": led.utilization(),
-                })
-            doc["shards"] = rows
-            doc["boundary_admitted"] = sum(
-                1 for d, _ in self.session.ledger.admitted_items()
-                if self.sharded.plan.is_boundary(d)
-            )
         return doc
 
     def close(self, *, verify: bool = True) -> ReplayResult:
         """Final flush + verification; commits and closes the journal."""
         self.result = self.session.close(verify=verify)
-        if verify and self.sharded is not None:
-            for led in self.sharded._shard_ledgers:
-                if led is not None:
-                    led.verify()
         if self.journal is not None:
             self.journal.close()
         return self.result
@@ -649,8 +532,6 @@ class AdmissionService:
         svc = cls(
             trace, header["policy"], header.get("params") or {},
             journal_path=None,
-            shards=int(header.get("shards", 1)),
-            shard_by=header.get("shard_by", "subtree"),
             checkpoint_every=(int(header.get("checkpoint_every", 0))
                               if checkpoint_every is None
                               else checkpoint_every),

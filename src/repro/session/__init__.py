@@ -4,7 +4,7 @@
 policy + metrics accumulation — behind ``submit(event) -> Decision``,
 ``snapshot()`` and ``close() -> ReplayResult``, so the in-process replay
 drivers (:func:`~repro.online.driver.replay`, the sharded per-shard
-workers, the boundary broker) and the long-lived
+workers, the boundary pass) and the long-lived
 :class:`~repro.service.AdmissionService` all run the *same* loop with
 byte-identical decisions.
 """

@@ -30,9 +30,8 @@ Two construction modes:
   loop over this) and the sharded driver's per-shard workers;
 * :meth:`AdmissionSession.over_ledger` attaches to an *existing* ledger
   and captures a baseline of its counters, so the result reports
-  **deltas** — the :class:`~repro.sharding.ledger.BoundaryBroker` runs
-  its serialized boundary phase this way over the coordinator's absorbed
-  state.
+  **deltas** — the sharded driver runs its serialized boundary phase
+  this way over the coordinator's absorbed state.
 
 Admission decisions are deterministic given (event sequence, policy
 configuration): the only nondeterminism in the result is wall-clock
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ..core.instance import LineProblem, TreeProblem
 
@@ -146,8 +145,8 @@ def assemble_result(ledger: CapacityLedger, policy: AdmissionPolicy, *,
     ``baseline`` holds counter and log offsets captured before the loop
     ran (``accepted`` / ``evicted`` log lengths, ``realized`` /
     ``forfeited`` / ``penalty`` counters) — a delta-mode session (the
-    sharded :class:`~repro.sharding.ledger.BoundaryBroker`) reports
-    *deltas* over absorbed state; ``None`` means a fresh ledger.
+    sharded driver's boundary phase) reports *deltas* over absorbed
+    state; ``None`` means a fresh ledger.
     """
     base = baseline or {}
     base_accepted = base.get("accepted", 0)
@@ -285,7 +284,7 @@ class AdmissionSession:
     def over_ledger(cls, ledger: CapacityLedger, policy: AdmissionPolicy,
                     trace_meta: dict | None = None) -> "AdmissionSession":
         """A delta-mode session over an existing (possibly pre-admitted)
-        ledger — the boundary broker's construction."""
+        ledger — the sharded boundary pass's construction."""
         return cls(ledger.problem, policy, ledger=ledger,
                    trace_meta=trace_meta, delta_baseline=True)
 
@@ -324,49 +323,23 @@ class AdmissionSession:
         construction are measurable at benchmark event rates)."""
         self._dispatch(event)
 
-    def feed_many(self, events: Iterable[Arrival | Departure | Tick], *,
-                  progress_hook: Callable[[int], None] | None = None,
-                  progress_every: int = 1) -> None:
+    def feed_many(self,
+                  events: Iterable[Arrival | Departure | Tick]) -> None:
         """:meth:`feed` a whole batch in one call.
 
         The batched hot path the replay drivers and the service's
         ``feed`` op use: one method call (and, upstream, one request
         decode and one journal commit) amortized over the batch.
-
-        ``progress_hook(done)`` — when given — is called after every
-        ``progress_every`` events (and once more at the end if the batch
-        size is not a multiple) with the number of events applied so
-        far.  The streamed sharded driver uses it as its watermark
-        feed: a shard worker reports how far its stream has advanced so
-        the boundary broker can decide cut-crossing demands whose
-        arrival time every shard has passed.  The hook runs outside the
-        per-event latency window but inside the batch, so it must be
-        cheap; ``None`` keeps the historical zero-overhead loop.
         """
-        dispatch = self._dispatch
-        if progress_hook is None:
-            if self._fast is not None:
-                # The columnar fast path: conflict-free runs decided by
-                # the policy's batch kernel, byte-identical to the
-                # scalar loop below.  Per-event progress hooks are
-                # incompatible with batching, so the hooked path stays
-                # scalar.
-                self._fast.feed(events)
-                return
-            for event in events:
-                dispatch(event)
+        if self._fast is not None:
+            # The columnar fast path: conflict-free runs decided by the
+            # policy's batch kernel, byte-identical to the scalar loop
+            # below.
+            self._fast.feed(events)
             return
-        if progress_every < 1:
-            raise ValueError(
-                f"progress_every must be >= 1, got {progress_every}")
-        done = 0
+        dispatch = self._dispatch
         for event in events:
             dispatch(event)
-            done += 1
-            if done % progress_every == 0:
-                progress_hook(done)
-        if done % progress_every:
-            progress_hook(done)
 
     # ------------------------------------------------------------------
     # Checkpointing

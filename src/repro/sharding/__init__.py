@@ -7,37 +7,23 @@ Layering (bottom-up):
   decomposition cut lines (balancer subtrees or depth layers; timeline
   blocks on lines), classify demands as shard-local or cut-crossing,
   and materialize per-shard sub-problems and sub-traces;
-* :mod:`~repro.sharding.ledger` — :class:`ShardedLedger` (one
-  :class:`~repro.online.state.CapacityLedger` per shard plus the exact
-  global coordinator view) and :class:`BoundaryBroker` (the only code
-  path that serializes cut-crossing demands);
-* :mod:`~repro.sharding.driver` — :class:`ShardedDriver`: phase-A
-  process-pool replay of the local sub-traces through unmodified
-  policies, phase-B serialized boundary replay, merged + verified
-  metrics;
-* :mod:`~repro.sharding.streaming` — :class:`StreamedShardedDriver`:
-  one shared conflict-index build serving every shard
-  (:class:`SharedGeometry` + sliced views), fork workers streaming
-  per-event deltas and watermarks over queues, and an optional eager
-  boundary mode that decides cut-crossers as soon as every shard's
-  watermark passes their arrival time.
+* :mod:`~repro.sharding.streaming` — :class:`StreamedShardedDriver`,
+  the one sharded driver: one shared conflict-index build serving every
+  shard (:class:`SharedGeometry` + sliced views), phase-A shard replays
+  inline or in fork workers, then the absorb hand-off and the
+  serialized boundary pass on the coordinator, merged and verified into
+  a :class:`StreamedReplayResult`.
 """
 
-from .driver import ShardedDriver, ShardedReplayResult
-from .ledger import BoundaryBroker, ShardedLedger
 from .planner import SHARD_STRATEGIES, ShardPlan, ShardPlanner
 from .streaming import (SharedGeometry, StreamedReplayResult,
                         StreamedShardedDriver)
 
 __all__ = [
     "SHARD_STRATEGIES",
-    "BoundaryBroker",
     "ShardPlan",
     "ShardPlanner",
     "SharedGeometry",
-    "ShardedDriver",
-    "ShardedLedger",
-    "ShardedReplayResult",
     "StreamedReplayResult",
     "StreamedShardedDriver",
 ]

@@ -13,7 +13,7 @@ instances' routes touch:
   other shard;
 * a **boundary** demand crosses a cut: its route touches edges of two or
   more shards, so it must be serialized through the coordinator (the
-  :class:`~repro.sharding.ledger.BoundaryBroker`).
+  boundary pass of :class:`~repro.sharding.StreamedShardedDriver`).
 
 Two strategies:
 

@@ -1,70 +1,51 @@
-"""Streamed sharded replay: phase-A workers feeding the boundary broker.
+"""Sharded replay: shard workers over one shared geometry, then a
+serialized boundary pass.
 
-The two-phase :class:`~repro.sharding.driver.ShardedDriver` serializes
-its boundary pass *after* every shard finishes, and every shard worker
-rebuilds the instance geometry (routes, Euler tours, conflict CSR) from
-scratch.  :class:`StreamedShardedDriver` removes both costs:
+:class:`StreamedShardedDriver` replays one event trace across ``N``
+shards of a :class:`~repro.sharding.planner.ShardPlan`:
 
 * **Shared geometry** — one full-problem
   :class:`~repro.core.conflict.ConflictIndex` is built once
   (:class:`SharedGeometry`); the coordinator ledger uses it directly and
   every shard ledger gets a relabeled :meth:`ConflictIndex.sliced` view
-  that shares its interned arrays, frozensets and Euler tours.  On a
-  single host this is where the wall-clock win comes from: the
-  per-shard rebuild work was strictly redundant.
-* **Streamed demands + watermarks** — shard workers run over
-  ``multiprocessing`` fork workers (or inline when ``processes <= 1``)
-  and emit per-event deltas (admissions / evictions / releases) plus a
-  *watermark* — the global index of the next event the shard has not
-  yet processed — through a queue as they go, batched every
-  ``emit_every`` events.  The watermark feed rides the session kernel's
-  ``feed_many(progress_hook=...)``.
+  that shares its interned arrays, frozensets and Euler tours, so no
+  shard rebuilds routes or conflict structure.
+* **Phase A** — every shard's local stream (cut-interior demands only,
+  plus ticks) is replayed through its own
+  :class:`~repro.session.AdmissionSession` with a fresh policy instance.
+  With ``processes > 1`` each shard runs in a ``multiprocessing`` fork
+  worker that inherits its ledger copy-on-write and sends back exactly
+  one message, its final :class:`~repro.session.kernel.ReplayResult`;
+  otherwise the shards run inline.  Shard edge sets are disjoint, so
+  the workers never contend, and fork and inline decide identically.
+* **Phase B** — every shard's final admitted set is absorbed into the
+  coordinator, and the cut-crossing demands are serialized through one
+  more unmodified policy instance bound to that exact global view.  The
+  coordinator then re-verifies the merged admitted set from first
+  principles.
 
-Two boundary modes:
-
-* ``boundary="two-phase"`` (default) — the streamed transport carries
-  the same data, but boundary demands are still decided after every
-  shard's final set is absorbed.  The result is **byte-identical** to
-  :class:`~repro.sharding.driver.ShardedDriver` (same admissions,
-  evictions, metrics modulo timing, merged solution and certificates) —
-  property-tested — while the shared geometry makes the wall clock
-  beat the two-phase driver's.
-* ``boundary="eager"`` — the broker decides each cut-crossing demand as
-  soon as every shard's watermark passes its arrival time, interleaving
-  phase B with phase A.  Shard deltas are mirrored into the coordinator
-  in **global event order** (the demand-id handshake: a delta carries
-  its global event index, and a boundary event at index ``i`` is
-  dispatched only once every shard's watermark exceeds ``i``), so the
-  outcome is deterministic — independent of message timing, and
-  identical between inline and forked transports.  Eager decisions are
-  priced against the *live* absorbed state rather than the final one,
-  so they can differ from the two-phase result; a mirror admission the
-  coordinator refuses (a boundary holder got there first) is counted as
-  a **withdrawal** — the shard keeps it locally, the merged metrics
-  subtract it — the same conservative two-phase-commit rule the live
-  :class:`~repro.sharding.ledger.ShardedLedger` applies.
-
-With ``shards=1`` every demand is local and both modes reduce to the
-unsharded replay, event for event.
+With ``shards=1`` every demand is local, the single shard stream is the
+original trace, and phase B is empty: the run is event-for-event
+identical to the single-ledger :func:`~repro.online.driver.replay`.
 """
 
 from __future__ import annotations
 
 import math
+import queue as _queue
 import time
 from dataclasses import dataclass, field, replace as dc_replace
 
 from ..core.conflict import ConflictIndex
 from ..core.demand import TreeDemandInstance
 from ..core.instance import TreeProblem
+from ..core.solution import Solution
 from ..obs import tracing as _tracing
 from ..online.events import Arrival, Departure, EventTrace, Tick
-from ..online.metrics import ReplayMetrics, latency_percentiles
+from ..online.metrics import ReplayMetrics
 from ..online.policies import make_policy
 from ..online.state import CapacityLedger
-from ..session.kernel import (AdmissionSession, ReplayResult,
-                              certificate_of)
-from .driver import ShardedDriver, ShardedReplayResult
+from ..session.kernel import AdmissionSession, ReplayResult
 from .planner import ShardPlanner
 
 __all__ = ["SharedGeometry", "StreamedShardedDriver",
@@ -154,14 +135,14 @@ class SharedGeometry:
 
 
 # ----------------------------------------------------------------------
-# Stream splitting: one pass, global event indices attached
+# Stream splitting: one pass over the trace
 # ----------------------------------------------------------------------
 
 
 def _split_streams(plan, trace: EventTrace):
-    """Route the trace once: per-shard local streams (densified ids),
-    the boundary stream (global ids), each event paired with its global
-    index.  Event-for-event identical to ``plan.subtrace(s, trace)`` /
+    """Route the trace once into per-shard local streams (densified
+    ids) and the boundary stream (global ids).  Event-for-event
+    identical to ``plan.subtrace(s, trace)`` /
     ``plan.boundary_events(trace)`` — asserted in the test suite."""
     n = plan.n_shards
     locals_of: dict[int, tuple[int, int]] = {}
@@ -169,29 +150,23 @@ def _split_streams(plan, trace: EventTrace):
         for k, d in enumerate(ids):
             locals_of[d] = (s, k)
     shard_events: list[list] = [[] for _ in range(n)]
-    shard_gidx: list[list[int]] = [[] for _ in range(n)]
     boundary_events: list = []
-    boundary_gidx: list[int] = []
     has_boundary = bool(plan.boundary_demands)
-    for i, ev in enumerate(trace.events):
+    for ev in trace.events:
         if isinstance(ev, Tick):
-            for s in range(n):
-                shard_events[s].append(ev)
-                shard_gidx[s].append(i)
+            for events in shard_events:
+                events.append(ev)
             if has_boundary:
                 boundary_events.append(ev)
-                boundary_gidx.append(i)
         else:
             info = locals_of.get(ev.demand_id)
             if info is None:
                 boundary_events.append(ev)
-                boundary_gidx.append(i)
             else:
                 s, local = info
                 cls = Arrival if isinstance(ev, Arrival) else Departure
                 shard_events[s].append(cls(ev.time, local))
-                shard_gidx[s].append(i)
-    return shard_events, shard_gidx, boundary_events, boundary_gidx, locals_of
+    return shard_events, boundary_events
 
 
 def _shard_meta(plan, trace: EventTrace, s: int) -> dict:
@@ -202,18 +177,119 @@ def _shard_meta(plan, trace: EventTrace, s: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Phase-A hand-off: absorb replication on the bare coordinator
+# Phase A: one shard's replay, inline or in a fork worker
+# ----------------------------------------------------------------------
+
+
+def _replay_shard(s, events, ledger, meta, policy_name, params,
+                  verify) -> ReplayResult:
+    """Replay shard ``s``'s local stream over its sliced-view ledger."""
+    with _tracing.span("shard.phaseA", shard=s):
+        session = AdmissionSession(ledger.problem,
+                                   make_policy(policy_name, **params),
+                                   ledger=ledger, trace_meta=meta)
+        session.feed_many(events)
+        return session.close(verify=verify)
+
+
+def _stream_worker(s, events, ledger, meta, policy_name, params, verify,
+                   queue):
+    """One fork worker: replay shard ``s`` and send back one message.
+
+    The ledger (with its sliced index) is built pre-fork in the parent
+    and inherited copy-on-write; only the final result crosses the pipe,
+    together with the shard's span ring (``None`` when tracing is off).
+    """
+    try:
+        recording = _tracing.RECORDER.enabled
+        if recording:
+            # The fork inherited the parent's ring copy-on-write; this
+            # shard's recorder must start empty so the spans it ships
+            # back are exactly its own phase-A work.
+            _tracing.RECORDER.clear()
+        result = _replay_shard(s, events, ledger, meta, policy_name,
+                               params, verify)
+        spans = _tracing.RECORDER.drain() if recording else None
+        queue.put(("done", s, result, spans))
+    except BaseException as exc:  # surfaced in the parent
+        import traceback
+
+        queue.put(("error", s, f"{exc!r}\n{traceback.format_exc()}"))
+        raise
+
+
+def _run_forked(views, shard_events, metas, policy, params,
+                verify) -> list[ReplayResult]:
+    """Phase A over one fork worker per shard; results in shard order."""
+    import multiprocessing as mp
+
+    ctx = mp.get_context("fork")
+    queue = ctx.Queue()
+    n = len(views)
+    procs = [
+        ctx.Process(target=_stream_worker,
+                    args=(s, shard_events[s], views[s], metas[s], policy,
+                          params, verify, queue),
+                    daemon=True)
+        for s in range(n)
+    ]
+    for p in procs:
+        p.start()
+    shard_results: list = [None] * n
+    worker_spans: list = [None] * n
+    remaining = n
+    empties_after_death = 0
+    while remaining:
+        try:
+            msg = queue.get(timeout=1.0)
+        except _queue.Empty:  # poll worker liveness
+            dead = [s for s, p in enumerate(procs)
+                    if not p.is_alive() and shard_results[s] is None]
+            if dead:
+                # A feeder thread may still be flushing: give the queue
+                # one more beat before declaring the loss.
+                empties_after_death += 1
+                if empties_after_death >= 2:
+                    for p in procs:
+                        p.terminate()
+                    raise RuntimeError(
+                        f"shard worker(s) {dead} exited without a "
+                        "result") from None
+            continue
+        empties_after_death = 0
+        if msg[0] == "error":
+            _, s, detail = msg
+            for p in procs:
+                p.terminate()
+            raise RuntimeError(f"shard worker {s} failed:\n{detail}")
+        _, s, result, spans = msg
+        shard_results[s] = result
+        worker_spans[s] = spans
+        remaining -= 1
+    for p in procs:
+        p.join()
+    if _tracing.RECORDER.enabled:
+        # Merge the shipped per-shard rings in shard order, before the
+        # serialized phase B records its own spans, so the sequence
+        # matches what the inline transport records.
+        for spans in worker_spans:
+            if spans:
+                _tracing.RECORDER.extend(spans)
+    return shard_results
+
+
+# ----------------------------------------------------------------------
+# Phase B hand-off and the merge
 # ----------------------------------------------------------------------
 
 
 def _absorb_results(coordinator: CapacityLedger, plan,
                     shard_results) -> tuple[int, float]:
-    """Pre-admit every shard's final set into the coordinator.
+    """Pre-admit every shard's final set into the coordinator (shard
+    order, snapshot order within a shard).
 
-    The exact :meth:`~repro.sharding.ledger.BoundaryBroker.absorb` op
-    sequence (shard order, snapshot order within a shard), replicated on
-    a bare coordinator ledger so the streamed path never builds the
-    :class:`~repro.sharding.ledger.ShardedLedger` mirror machinery.
+    The union over shards is feasible by construction: shard edge sets
+    are disjoint and each final set is verified per shard.
     """
     tree = isinstance(plan.problem, TreeProblem)
     lut = plan._lookup()
@@ -231,292 +307,85 @@ def _absorb_results(coordinator: CapacityLedger, plan,
     return count, math.fsum(profits)
 
 
-# ----------------------------------------------------------------------
-# Eager mode: the coordinator mirror and the interleaved boundary loop
-# ----------------------------------------------------------------------
+def _merge(trace: EventTrace, shard_results: list[ReplayResult],
+           boundary_result: ReplayResult | None, wall: float,
+           coordinator_cert: dict | None = None) -> ReplayMetrics:
+    """Merged metrics: trace-level counts + summed outcome counters.
 
-
-class _CoordinatorMirror:
-    """Applies shard deltas to the coordinator, in global event order.
-
-    A mirrored admission the coordinator refuses (a boundary demand
-    holds part of the route) becomes a *withdrawal*: the shard keeps the
-    demand locally, the coordinator never sees it, and the merged
-    metrics subtract its profit/acceptance.  A boundary-phase eviction
-    of an already-mirrored local is tracked so a later shard-side
-    eviction of the same demand is not forfeited twice.
-
-    Within one event the kernel orders ledger work release -> evictions
-    -> admission (departures release before the policy runs; preemptive
-    policies evict victims before admitting), and the mirror replays
-    deltas in that order.
+    Boundary metrics are already deltas over the absorbed baseline, so
+    a plain sum never double counts; latency percentiles cannot be
+    merged exactly without raw samples, so the merged tail is the
+    conservative maximum across shard and boundary rows.
     """
-
-    def __init__(self, coordinator: CapacityLedger, plan):
-        self.coord = coordinator
-        self.plan = plan
-        self.instances = plan.problem.instances()
-        #: global demand -> profit, pending merged-metrics subtraction.
-        self.withdrawn: dict[int, float] = {}
-        self.withdrawn_count = 0
-        #: locals the boundary policy evicted off the coordinator.
-        self.boundary_evicted: set[int] = set()
-        #: demand -> profit forfeited on both sides (added back once in
-        #: the merge); a dict so the total is an order-free fsum.
-        self._double_forfeited: dict[int, float] = {}
-
-    def apply(self, s: int, admits, evicts, released) -> None:
-        plan, coord = self.plan, self.coord
-        ids = plan.shard_demands[s]
-        if released is not None:
-            g = ids[released]
-            if coord.is_admitted(g):
-                coord.release(g)
-        if evicts:
-            for local_d, _liid in evicts:
-                g = ids[local_d]
-                if coord.is_admitted(g):
-                    coord.evict(g)
-                elif g in self.withdrawn:
-                    # The shard forfeited a refused admission itself; its
-                    # own row already subtracts the profit.
-                    del self.withdrawn[g]
-                elif g in self.boundary_evicted:
-                    self._double_forfeited[g] = float(
-                        self.plan.problem.demands[g].profit)
-        if admits:
-            imap = plan.instance_map(s)
-            for local_d, liid in admits:
-                g = ids[local_d]
-                gi = imap[liid]
-                if bool(coord.feasible([gi])[0]):
-                    coord.admit(gi)
-                else:
-                    self.withdrawn[g] = float(self.instances[gi].profit)
-                    self.withdrawn_count += 1
-
-    @property
-    def withdrawn_profit(self) -> float:
-        return math.fsum(self.withdrawn.values())
-
-    @property
-    def double_forfeited(self) -> float:
-        return math.fsum(self._double_forfeited.values())
+    with _tracing.span("boundary.merge", shards=len(shard_results)):
+        return _merge_rows(trace, shard_results, boundary_result, wall,
+                           coordinator_cert)
 
 
-class _EagerBoundary:
-    """The boundary phase as an incremental loop over the coordinator.
-
-    The kernel's :class:`~repro.session.kernel.AdmissionSession` cannot
-    run delta-mode here — shard mirror ops interleave with boundary
-    events on the same ledger, so a single close-time baseline diff
-    would swallow mirrored state.  This loop keeps the kernel's exact
-    per-event semantics (release outside the latency window, the policy
-    call timed, ``finish()`` as one extra sample) but accumulates the
-    counter deltas *per event*, so mirrored admissions between boundary
-    events never leak into the boundary row.
-    """
-
-    def __init__(self, coordinator: CapacityLedger, policy, trace_meta,
-                 boundary_demands, mirror: _CoordinatorMirror):
-        self.ledger = coordinator
-        self.policy = policy
-        policy.bind(coordinator)
-        self.trace_meta = dict(trace_meta or {})
-        self._boundary = set(boundary_demands)
-        self._mirror = mirror
-        self.events = 0
-        self.arrivals = 0
-        self.departures = 0
-        self.ticks = 0
-        self.latencies: list[float] = []
-        self.admission_log: list = []
-        self.eviction_log: list = []
-        self.d_realized = 0.0
-        self.d_forfeited = 0.0
-        self.d_penalty = 0.0
-        self.certificate: dict | None = None
-        self._t0 = time.perf_counter()
-
-    def _snap(self):
-        led = self.ledger
-        return (len(led.admission_log), len(led.eviction_log),
-                led.realized_profit, led.forfeited_profit, led.penalty_paid)
-
-    def _accumulate(self, snap) -> None:
-        led = self.ledger
-        a0, e0, r0, f0, p0 = snap
-        self.admission_log.extend(led.admission_log[a0:])
-        ev_slice = led.eviction_log[e0:]
-        self.eviction_log.extend(ev_slice)
-        for d, _iid in ev_slice:
-            if d not in self._boundary:
-                self._mirror.boundary_evicted.add(d)
-        self.d_realized += led.realized_profit - r0
-        self.d_forfeited += led.forfeited_profit - f0
-        self.d_penalty += led.penalty_paid - p0
-
-    def feed(self, event) -> None:
-        led, policy = self.ledger, self.policy
-        snap = self._snap()
-        if isinstance(event, Arrival):
-            self.arrivals += 1
-            t0 = time.perf_counter()
-            policy.on_arrival(event.demand_id)
-            self.latencies.append(time.perf_counter() - t0)
-        elif isinstance(event, Departure):
-            self.departures += 1
-            if led.is_admitted(event.demand_id):
-                led.release(event.demand_id)
-            t0 = time.perf_counter()
-            policy.on_departure(event.demand_id)
-            self.latencies.append(time.perf_counter() - t0)
-        elif isinstance(event, Tick):
-            self.ticks += 1
-            t0 = time.perf_counter()
-            policy.on_tick(event.time)
-            self.latencies.append(time.perf_counter() - t0)
-        else:
-            raise TypeError(f"unknown event type {type(event).__name__}")
-        self.events += 1
-        self._accumulate(snap)
-
-    def close(self, *, verify: bool = True) -> ReplayResult | None:
-        snap = self._snap()
-        t0 = time.perf_counter()
-        self.policy.finish()
-        self.latencies.append(time.perf_counter() - t0)
-        self._accumulate(snap)
-        elapsed = time.perf_counter() - self._t0
-        if verify:
-            self.ledger.verify()
-        self.certificate = certificate_of(self.policy)
-        if not self.events:
-            return None
-        accepted = len(self.admission_log)
-        pct = latency_percentiles(self.latencies)
-        metrics = ReplayMetrics(
-            policy=self.policy.name,
-            events=self.events,
-            arrivals=self.arrivals,
-            departures=self.departures,
-            ticks=self.ticks,
-            accepted=accepted,
-            rejected=self.arrivals - accepted,
-            acceptance_ratio=(accepted / self.arrivals
-                              if self.arrivals else 0.0),
-            realized_profit=self.d_realized,
-            evictions=len(self.eviction_log),
-            forfeited_profit=self.d_forfeited,
-            penalty_paid=self.d_penalty,
-            penalty_adjusted_profit=self.d_realized - self.d_penalty,
-            elapsed_s=elapsed,
-            events_per_sec=self.events / elapsed if elapsed > 0 else 0.0,
-            latency_p50_us=pct["p50_us"],
-            latency_p90_us=pct["p90_us"],
-            latency_p99_us=pct["p99_us"],
-            latency_mean_us=pct["mean_us"],
-            dual_upper_bound=(self.certificate["upper_bound"]
-                              if self.certificate else None),
-            dual_upper_bound_peak=(self.certificate.get("peak_upper_bound")
-                                   if self.certificate else None),
-        )
-        policy_stats = dict(self.policy.stats)
-        if self.certificate:
-            policy_stats["dual_certificate"] = self.certificate
-        return ReplayResult(
-            metrics=metrics,
-            admission_log=list(self.admission_log),
-            eviction_log=list(self.eviction_log),
-            final_solution=None,
-            policy_stats=policy_stats,
-            trace_meta=self.trace_meta,
-        )
-
-
-# ----------------------------------------------------------------------
-# The forked shard worker
-# ----------------------------------------------------------------------
-
-
-def _stream_worker(s, events, ledger, subproblem, meta, policy_name,
-                   params, verify, emit_every, queue, eager=True):
-    """One shard worker: feed the local stream, streaming deltas +
-    watermarks through ``queue`` every ``emit_every`` events.
-
-    The ledger (with its sliced index) is built pre-fork in the parent
-    and inherited copy-on-write; only the delta messages and the final
-    :class:`~repro.session.kernel.ReplayResult` cross the pipe.
-
-    Only the eager merge consumes delta *contents* (the two-phase
-    parent reads nothing but the final watermark), so with
-    ``eager=False`` the worker skips the per-event progress hook
-    entirely and feeds the whole stream through ``feed_many`` — which
-    lets the session engage the columnar batch-decision fast path —
-    then ships one final watermark.  Decisions are identical either
-    way; only the message traffic differs.
-    """
-    try:
-        recording = _tracing.RECORDER.enabled
-        if recording:
-            # The fork inherited the parent's ring copy-on-write; this
-            # shard's recorder must start empty so the spans it ships
-            # back are exactly its own phase-A work.
-            _tracing.RECORDER.clear()
-        policy = make_policy(policy_name, **params)
-        session = AdmissionSession(subproblem, policy, ledger=ledger,
-                                   trace_meta=meta)
-        led = session.ledger
-        if not eager:
-            with _tracing.span("shard.phaseA", shard=s):
-                session.feed_many(events)
-                queue.put(("delta", s, len(events), []))
-                result = session.close(verify=verify)
-            spans = _tracing.RECORDER.drain() if recording else None
-            # The two-phase parent never reads the tail logs (it works
-            # from the absorbed shard results), so ship empty tails in
-            # the same message shape.
-            queue.put(("done", s, result, [], [], spans))
-            return
-        state = {"a": 0, "e": 0, "buf": []}
-
-        def hook(done: int) -> None:
-            k = done - 1
-            ev = events[k]
-            admits = led.admission_log[state["a"]:]
-            evicts = led.eviction_log[state["e"]:]
-            state["a"] = len(led.admission_log)
-            state["e"] = len(led.eviction_log)
-            released = None
-            if (isinstance(ev, Departure) and led.was_admitted(ev.demand_id)
-                    and not led.was_evicted(ev.demand_id)):
-                released = ev.demand_id
-            if admits or evicts or released is not None:
-                state["buf"].append((k, list(admits), list(evicts), released))
-            if done % emit_every == 0:
-                queue.put(("delta", s, done, state["buf"]))
-                state["buf"] = []
-
-        with _tracing.span("shard.phaseA", shard=s):
-            session.feed_many(events, progress_hook=hook, progress_every=1)
-            queue.put(("delta", s, len(events), state["buf"]))
-            state["buf"] = []
-            a0, e0 = state["a"], state["e"]
-            result = session.close(verify=verify)
-        # finish() may flush tail admissions (batching policies): ship
-        # them as the post-stream delta the eager merge applies after
-        # the last event, before the boundary close.  The shard's span
-        # ring rides the same message (None when tracing is off) and is
-        # merged into the parent recorder at the final barrier.
-        spans = _tracing.RECORDER.drain() if recording else None
-        queue.put(("done", s, result,
-                   list(led.admission_log[a0:]), list(led.eviction_log[e0:]),
-                   spans))
-    except BaseException as exc:  # surfaced in the parent
-        import traceback
-
-        queue.put(("error", s, f"{exc!r}\n{traceback.format_exc()}"))
-        raise
+def _merge_rows(trace: EventTrace, shard_results: list[ReplayResult],
+                boundary_result: ReplayResult | None, wall: float,
+                coordinator_cert: dict | None = None) -> ReplayMetrics:
+    rows = [r.metrics for r in shard_results]
+    if boundary_result is not None:
+        rows.append(boundary_result.metrics)
+    # The peak-based companion column (history-mode certificates)
+    # merges only where the tightened bound is a single row's: the
+    # multi-shard sum mixes tightened and peak semantics.
+    if boundary_result is not None:
+        peak = boundary_result.metrics.dual_upper_bound_peak
+    elif len(shard_results) == 1:
+        peak = shard_results[0].metrics.dual_upper_bound_peak
+    else:
+        peak = None
+    arrivals = trace.num_arrivals
+    accepted = sum(m.accepted for m in rows)
+    # Money columns merge with fsum: the merged totals must not
+    # depend on shard enumeration order.
+    realized = math.fsum(m.realized_profit for m in rows)
+    penalty = math.fsum(m.penalty_paid for m in rows)
+    if boundary_result is not None:
+        # The boundary pass's certificate is computed on the coordinator
+        # over the full population — a valid global upper bound.
+        cert = boundary_result.metrics.dual_upper_bound
+    elif len(shard_results) == 1:
+        # One shard, nothing crossing: the run *is* the unsharded
+        # replay, certificate included (event-for-event identity).
+        cert = shard_results[0].metrics.dual_upper_bound
+    else:
+        # No demand crosses a cut: the LP separates across shards, so
+        # the per-shard certificates sum to a global bound; the boundary
+        # pass still priced the coordinator over the absorbed state, which is
+        # an independent valid bound — report the tighter of the two.
+        shard_certs = [r.metrics.dual_upper_bound for r in shard_results]
+        candidates = []
+        if all(c is not None for c in shard_certs):
+            candidates.append(math.fsum(shard_certs))
+        if coordinator_cert is not None:
+            candidates.append(coordinator_cert["upper_bound"])
+        cert = min(candidates) if candidates else None
+    return ReplayMetrics(
+        policy=rows[0].policy,
+        events=len(trace.events),
+        arrivals=arrivals,
+        departures=trace.num_departures,
+        ticks=len(trace.events) - arrivals - trace.num_departures,
+        accepted=accepted,
+        rejected=arrivals - accepted,
+        acceptance_ratio=accepted / arrivals if arrivals else 0.0,
+        realized_profit=realized,
+        evictions=sum(m.evictions for m in rows),
+        forfeited_profit=math.fsum(m.forfeited_profit for m in rows),
+        penalty_paid=penalty,
+        penalty_adjusted_profit=realized - penalty,
+        elapsed_s=wall,
+        events_per_sec=len(trace.events) / wall if wall > 0 else 0.0,
+        latency_p50_us=max(m.latency_p50_us for m in rows),
+        latency_p90_us=max(m.latency_p90_us for m in rows),
+        latency_p99_us=max(m.latency_p99_us for m in rows),
+        latency_mean_us=max(m.latency_mean_us for m in rows),
+        dual_upper_bound=cert,
+        dual_upper_bound_peak=peak,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -525,131 +394,157 @@ def _stream_worker(s, events, ledger, subproblem, meta, policy_name,
 
 
 @dataclass
-class StreamedReplayResult(ShardedReplayResult):
-    """A :class:`~repro.sharding.driver.ShardedReplayResult` plus the
-    streaming run's own accounting.
+class StreamedReplayResult:
+    """Everything one sharded replay produced.
 
     Attributes
     ----------
-    mode:
-        ``"two-phase"`` or ``"eager"``.
-    streaming:
-        Transport + handshake stats: ``transport`` (``inline`` /
-        ``fork``), ``emit_every``, ``messages``, ``deltas``, per-shard
-        final ``watermarks``, and for eager mode the conflict tallies
-        (``withdrawn`` count/profit, ``boundary_evictions_of_locals``,
-        ``double_forfeited_profit``) plus ``boundary_decided_early`` —
-        boundary events dispatched before every shard had finished.
+    plan:
+        The :class:`~repro.sharding.planner.ShardPlan` summary dict —
+        per-shard demand counts and the boundary-demand population (the
+        first-order divergence scale vs the unsharded replay).
+    shard_results:
+        One :class:`~repro.session.kernel.ReplayResult` per shard, over
+        local demand ids (``trace_meta["shard"]`` names the shard).
+    boundary_result:
+        The serialized boundary replay (counter deltas; global demand
+        ids), or ``None`` when no demand crossed a cut.
+    merged:
+        The merged :class:`~repro.online.metrics.ReplayMetrics` — whole
+        trace event counts, summed acceptance/profit/eviction counters,
+        wall-clock throughput, and the conservative (max) latency tail
+        across shards.
+    merged_solution:
+        The coordinator's final admitted set (verified feasible).
+    policy_stats:
+        ``{"shards": [...], "boundary": {...}, "absorbed": {...}}`` —
+        per-policy counters plus the absorb hand-off tally.
+    wall_s / critical_path_s:
+        Replay wall clock on this host (geometry build included) vs the
+        slowest shard + absorb + boundary-phase sum, the modeled time of
+        a deployment with one core per shard.
     """
 
-    mode: str = "two-phase"
-    streaming: dict = field(default_factory=dict)
+    plan: dict
+    shard_results: list[ReplayResult]
+    boundary_result: ReplayResult | None
+    merged: ReplayMetrics
+    merged_solution: Solution | None
+    policy_stats: dict = field(default_factory=dict)
+    wall_s: float = 0.0
+    critical_path_s: float = 0.0
+
+    @property
+    def critical_path_events_per_sec(self) -> float:
+        """Modeled throughput: total events / critical-path seconds."""
+        if self.critical_path_s <= 0:
+            return 0.0
+        return self.merged.events / self.critical_path_s
 
 
 class StreamedShardedDriver:
-    """Replay traces across streaming shard workers and merge the outcome.
+    """Replay traces across shard workers and merge the outcome.
 
     Parameters
     ----------
     shards:
         Number of shards (>= 1).
     shard_by:
-        Partition strategy, ``"subtree"`` or ``"layer"``.
+        Partition strategy, ``"subtree"`` or ``"layer"`` (see
+        :class:`~repro.sharding.planner.ShardPlanner`).
     processes:
         Phase-A worker count.  ``None`` uses ``min(shards, cpu_count)``;
-        ``<= 1`` runs the stream inline (deterministic either way — the
-        watermark handshake makes fork and inline byte-identical).
-        Fork workers need the ``fork`` start method (POSIX); elsewhere
-        the driver falls back to inline.
+        ``<= 1`` runs the shards inline.  Fork workers need the
+        ``fork`` start method (POSIX); elsewhere the driver falls back
+        to inline.  Decisions are identical either way.
     boundary:
-        ``"two-phase"`` (byte-identical to
-        :class:`~repro.sharding.driver.ShardedDriver`) or ``"eager"``
-        (cut-crossers decided at arrival-time watermarks).
-    emit_every:
-        Worker delta/watermark batch size (events per message).
+        Must be ``"two-phase"``, the only boundary mode.
     """
 
     def __init__(self, shards: int, shard_by: str = "subtree",
                  processes: int | None = None,
-                 boundary: str = "two-phase", emit_every: int = 64):
+                 boundary: str = "two-phase"):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if boundary not in ("two-phase", "eager"):
+        if boundary != "two-phase":
             raise ValueError(
-                f"boundary must be 'two-phase' or 'eager', got {boundary!r}")
-        if emit_every < 1:
-            raise ValueError(f"emit_every must be >= 1, got {emit_every}")
+                f"boundary must be 'two-phase', got {boundary!r}")
         self.shards = shards
         self.planner = ShardPlanner(shard_by)
         self.processes = processes
-        self.boundary = boundary
-        self.emit_every = emit_every
-
-    # ------------------------------------------------------------------
 
     def run(self, trace: EventTrace, policy: str,
             params: dict | None = None, *,
             verify: bool = True) -> StreamedReplayResult:
-        """Replay ``trace`` through ``policy`` across streaming shards."""
+        """Replay ``trace`` through ``policy`` across the shards.
+
+        ``policy`` is a registry name (one fresh instance is built per
+        shard plus one for the boundary pass); ``params`` are its
+        constructor keywords — validated up front so misconfigurations
+        fail before any replay work starts.
+        """
         params = dict(params or {})
         boundary_policy = make_policy(policy, **params)  # validates early
         plan = self.planner.plan(trace.problem, self.shards)
-        (shard_events, shard_gidx, boundary_events, boundary_gidx,
-         _locals_of) = _split_streams(plan, trace)
-        metas = [_shard_meta(plan, trace, s) for s in range(plan.n_shards)]
-        # Subproblem demand containers are trace prep (the two-phase
-        # driver builds them inside ``plan.subtrace``, outside its wall
-        # window); the geometry/ledger builds below stay inside.
-        for s in range(plan.n_shards):
+        shard_events, boundary_events = _split_streams(plan, trace)
+        n = plan.n_shards
+        metas = [_shard_meta(plan, trace, s) for s in range(n)]
+        # Subproblem demand containers are trace prep; the geometry and
+        # ledger builds below stay inside the wall window.
+        for s in range(n):
             plan.subproblem(s)
 
         t0 = time.perf_counter()
         geometry = SharedGeometry(trace.problem, plan)
-        views = [geometry.shard_view(s) for s in range(plan.n_shards)]
+        views = [geometry.shard_view(s) for s in range(n)]
         coordinator = geometry.coordinator
 
         nproc = self.processes
         if nproc is None:
             import os
 
-            nproc = min(plan.n_shards, os.cpu_count() or 1)
-        nproc = min(nproc, plan.n_shards)
+            nproc = min(n, os.cpu_count() or 1)
         use_fork = False
-        if nproc > 1:
+        if min(nproc, n) > 1:
             import multiprocessing as mp
 
             use_fork = "fork" in mp.get_all_start_methods()
+        if use_fork:
+            shard_results = _run_forked(views, shard_events, metas, policy,
+                                        params, verify)
+        else:
+            shard_results = [
+                _replay_shard(s, shard_events[s], views[s], metas[s],
+                              policy, params, verify)
+                for s in range(n)
+            ]
 
-        runner = self._run_forked if use_fork else self._run_inline
-        (shard_results, boundary_result, absorb_s, mirror,
-         stats) = runner(trace, plan, geometry, views, metas,
-                         shard_events, shard_gidx,
-                         boundary_events, boundary_gidx,
-                         policy, params, boundary_policy, verify)
+        t_absorb = time.perf_counter()
+        with _tracing.span("shard.absorb"):
+            count, profit = _absorb_results(coordinator, plan, shard_results)
+        absorb_s = time.perf_counter() - t_absorb
+        with _tracing.span("shard.phaseB", events=len(boundary_events)):
+            session = AdmissionSession.over_ledger(
+                coordinator, boundary_policy, trace_meta=trace.meta)
+            session.feed_many(boundary_events)
+            result = session.close(verify=verify)
+        boundary_result = result if boundary_events else None
         wall = time.perf_counter() - t0
 
-        broker_certificate = stats.pop("_certificate", None)
-        merged = ShardedDriver._merge(
-            trace, shard_results, boundary_result, wall,
-            broker_certificate=broker_certificate)
-        if mirror is not None and (mirror.withdrawn_count
-                                   or mirror.double_forfeited):
-            merged = self._adjust_for_conflicts(merged, mirror)
-        if self.boundary == "eager":
-            # Boundary work overlaps phase A: the wall clock *is* the
-            # critical path.
-            critical = wall
-        else:
-            critical = (max(r.metrics.elapsed_s for r in shard_results)
-                        + absorb_s
-                        + (boundary_result.metrics.elapsed_s
-                           if boundary_result else 0.0))
+        # The boundary certificate is priced on the coordinator over the
+        # full population, so the merge can use it even when no demand
+        # crossed a cut.
+        merged = _merge(trace, shard_results, boundary_result, wall,
+                        coordinator_cert=session.certificate)
+        critical = (max(r.metrics.elapsed_s for r in shard_results)
+                    + absorb_s
+                    + (boundary_result.metrics.elapsed_s
+                       if boundary_result else 0.0))
         policy_stats = {
             "shards": [dict(r.policy_stats) for r in shard_results],
             "boundary": (dict(boundary_result.policy_stats)
                          if boundary_result else {}),
-            "absorbed": stats.pop("_absorbed"),
-            "streaming": stats,
+            "absorbed": {"count": count, "profit": profit},
         }
         return StreamedReplayResult(
             plan=plan.summary(),
@@ -660,322 +555,4 @@ class StreamedShardedDriver:
             policy_stats=policy_stats,
             wall_s=wall,
             critical_path_s=critical,
-            mode=self.boundary,
-            streaming=stats,
         )
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _adjust_for_conflicts(merged: ReplayMetrics,
-                              mirror: _CoordinatorMirror) -> ReplayMetrics:
-        """Fold eager-mode conflict accounting into the merged metrics.
-
-        Withdrawn admissions (mirrors the coordinator refused) are
-        subtracted from acceptance and realized profit; a demand both
-        boundary-evicted and shard-evicted had its profit forfeited on
-        both rows, so one copy is added back.
-        """
-        wd = mirror.withdrawn_count
-        accepted = merged.accepted - wd
-        realized = (merged.realized_profit - mirror.withdrawn_profit
-                    + mirror.double_forfeited)
-        return dc_replace(
-            merged,
-            accepted=accepted,
-            rejected=merged.rejected + wd,
-            acceptance_ratio=(accepted / merged.arrivals
-                              if merged.arrivals else 0.0),
-            realized_profit=realized,
-            forfeited_profit=merged.forfeited_profit - mirror.double_forfeited,
-            penalty_adjusted_profit=realized - merged.penalty_paid,
-        )
-
-    # ------------------------------------------------------------------
-    # Inline transport
-    # ------------------------------------------------------------------
-
-    def _run_inline(self, trace, plan, geometry, views, metas,
-                    shard_events, shard_gidx, boundary_events,
-                    boundary_gidx, policy, params, boundary_policy, verify):
-        n = plan.n_shards
-        stats: dict = {"transport": "inline", "emit_every": self.emit_every,
-                       "messages": 0, "deltas": 0,
-                       "watermarks": [len(ev) for ev in shard_events]}
-        if self.boundary == "two-phase":
-            shard_results = []
-            for s in range(n):
-                with _tracing.span("shard.phaseA", shard=s):
-                    policy_s = make_policy(policy, **params)
-                    session = AdmissionSession(views[s].problem, policy_s,
-                                               ledger=views[s],
-                                               trace_meta=metas[s])
-                    session.feed_many(shard_events[s])
-                    shard_results.append(session.close(verify=verify))
-            return self._finish_two_phase(
-                trace, plan, geometry, shard_results, boundary_policy,
-                verify, stats)
-
-        # Eager: one pass over the global stream, mirroring each shard
-        # delta before the next event and dispatching boundary events in
-        # place — the ordering the forked merge loop reproduces.
-        mirror = _CoordinatorMirror(geometry.coordinator, plan)
-        eager = _EagerBoundary(geometry.coordinator, boundary_policy,
-                               trace.meta, plan.boundary_demands, mirror)
-        sessions = []
-        for s in range(n):
-            policy_s = make_policy(policy, **params)
-            sessions.append(AdmissionSession(views[s].problem, policy_s,
-                                             ledger=views[s],
-                                             trace_meta=metas[s]))
-        locals_of: dict[int, tuple[int, int]] = {}
-        for s, ids in enumerate(plan.shard_demands):
-            for k, d in enumerate(ids):
-                locals_of[d] = (s, k)
-        has_boundary = bool(plan.boundary_demands)
-        decided_early = 0
-
-        def feed_local(s, event, released_candidate):
-            led = views[s]
-            a0, e0 = len(led.admission_log), len(led.eviction_log)
-            sessions[s].feed(event)
-            released = None
-            if (released_candidate is not None
-                    and led.was_admitted(released_candidate)
-                    and not led.was_evicted(released_candidate)):
-                released = released_candidate
-            admits = led.admission_log[a0:]
-            evicts = led.eviction_log[e0:]
-            if admits or evicts or released is not None:
-                stats["deltas"] += 1
-                mirror.apply(s, admits, evicts, released)
-
-        for ev in trace.events:
-            if isinstance(ev, Tick):
-                for s in range(n):
-                    feed_local(s, ev, None)
-                if has_boundary:
-                    eager.feed(ev)
-                    decided_early += 1
-            else:
-                info = locals_of.get(ev.demand_id)
-                if info is None:
-                    eager.feed(ev)
-                    decided_early += 1
-                else:
-                    s, local = info
-                    if isinstance(ev, Arrival):
-                        feed_local(s, Arrival(ev.time, local), None)
-                    else:
-                        feed_local(s, Departure(ev.time, local), local)
-        shard_results = []
-        for s in range(n):
-            led = views[s]
-            a0, e0 = len(led.admission_log), len(led.eviction_log)
-            shard_results.append(sessions[s].close(verify=verify))
-            mirror.apply(s, led.admission_log[a0:], led.eviction_log[e0:],
-                         None)
-        boundary_result = eager.close(verify=verify)
-        stats.update(self._eager_stats(mirror, decided_early))
-        stats["_absorbed"] = {"count": 0, "profit": 0.0}
-        stats["_certificate"] = eager.certificate
-        return shard_results, boundary_result, 0.0, mirror, stats
-
-    # ------------------------------------------------------------------
-    # Forked transport
-    # ------------------------------------------------------------------
-
-    def _run_forked(self, trace, plan, geometry, views, metas,
-                    shard_events, shard_gidx, boundary_events,
-                    boundary_gidx, policy, params, boundary_policy, verify):
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        queue = ctx.Queue()
-        n = plan.n_shards
-        procs = [
-            ctx.Process(
-                target=_stream_worker,
-                args=(s, shard_events[s], views[s], views[s].problem,
-                      metas[s], policy, params, verify, self.emit_every,
-                      queue, self.boundary == "eager"),
-                daemon=True,
-            )
-            for s in range(n)
-        ]
-        for p in procs:
-            p.start()
-
-        stats: dict = {"transport": "fork", "emit_every": self.emit_every,
-                       "messages": 0, "deltas": 0,
-                       "watermarks": [0] * n}
-        eager = self.boundary == "eager"
-        mirror = (_CoordinatorMirror(geometry.coordinator, plan)
-                  if eager else None)
-        eager_loop = (_EagerBoundary(geometry.coordinator, boundary_policy,
-                                     trace.meta, plan.boundary_demands,
-                                     mirror)
-                      if eager else None)
-        shard_results: list = [None] * n
-        tails: list = [None] * n
-        worker_spans: list = [None] * n
-        pending: list[list] = [[] for _ in range(n)]  # (gidx, rec) FIFO
-        heads = [0] * n  # consumed prefix of pending[s]
-        watermark = [0] * n  # events the worker confirmed processed
-        done = [False] * n
-        b = 0  # next boundary event
-        decided_early = 0
-
-        def next_unconfirmed(s: int) -> float:
-            """Global index of shard ``s``'s next *unprocessed* event —
-            the lower bound on any delta it may still produce."""
-            if done[s]:
-                return float("inf")
-            w = watermark[s]
-            return (shard_gidx[s][w] if w < len(shard_gidx[s])
-                    else float("inf"))
-
-        def drain_applicable() -> None:
-            """Apply every delta / boundary event whose global order is
-            settled: a unit at index ``g`` runs once no shard can still
-            produce a delta that must precede it (the demand-id
-            handshake that makes the merge timing-independent)."""
-            nonlocal b, decided_early
-            while True:
-                best = None  # (gidx, order, kind, payload)
-                for s in range(n):
-                    if heads[s] < len(pending[s]):
-                        g, rec = pending[s][heads[s]]
-                        if best is None or (g, s) < best[:2]:
-                            best = (g, s, "delta", rec)
-                if eager and b < len(boundary_events):
-                    g = boundary_gidx[b]
-                    if best is None or (g, n) < best[:2]:
-                        best = (g, n, "boundary", boundary_events[b])
-                if best is None:
-                    return
-                g, order, kind, payload = best
-                for s in range(n):
-                    if s == order:
-                        continue
-                    u = next_unconfirmed(s)
-                    if u < g or (u == g and s < order):
-                        return  # shard s may still emit an earlier unit
-                if kind == "delta":
-                    s = order
-                    heads[s] += 1
-                    if mirror is not None:
-                        _k, admits, evicts, released = payload
-                        mirror.apply(s, admits, evicts, released)
-                else:
-                    if not all(done):
-                        decided_early += 1
-                    eager_loop.feed(payload)
-                    b += 1
-
-        remaining = n
-        empties_after_death = 0
-        while remaining:
-            try:
-                msg = queue.get(timeout=1.0)
-            except Exception:  # queue.Empty — poll worker liveness
-                dead = [s for s, p in enumerate(procs)
-                        if not p.is_alive() and not done[s]]
-                if dead:
-                    # A feeder thread may still be flushing: give the
-                    # queue one more beat before declaring the loss.
-                    empties_after_death += 1
-                    if empties_after_death >= 2:
-                        for p in procs:
-                            p.terminate()
-                        raise RuntimeError(
-                            f"shard worker(s) {dead} exited without a "
-                            "result") from None
-                continue
-            empties_after_death = 0
-            stats["messages"] += 1
-            kind = msg[0]
-            if kind == "delta":
-                _, s, k_done, recs = msg
-                watermark[s] = k_done
-                stats["deltas"] += len(recs)
-                if eager:
-                    pending[s].extend(
-                        (shard_gidx[s][rec[0]], rec) for rec in recs)
-            elif kind == "done":
-                _, s, result, tail_admits, tail_evicts, spans = msg
-                shard_results[s] = result
-                tails[s] = (tail_admits, tail_evicts)
-                worker_spans[s] = spans
-                done[s] = True
-                remaining -= 1
-            else:  # error
-                _, s, detail = msg
-                for p in procs:
-                    p.terminate()
-                raise RuntimeError(f"shard worker {s} failed:\n{detail}")
-            if eager:
-                drain_applicable()
-        if eager:
-            drain_applicable()
-        for p in procs:
-            p.join()
-        stats["watermarks"] = list(watermark)
-        if _tracing.RECORDER.enabled:
-            # Merge the shipped per-shard rings at the final barrier, in
-            # shard order — before the serialized tail work records its
-            # own spans, so the merged sequence matches what the inline
-            # transport (shard 0 fully, then shard 1, ...) would record.
-            for spans in worker_spans:
-                if spans:
-                    _tracing.RECORDER.extend(spans)
-
-        if not eager:
-            return self._finish_two_phase(
-                trace, plan, geometry, shard_results, boundary_policy,
-                verify, stats)
-
-        assert b == len(boundary_events)
-        for s in range(n):
-            tail_admits, tail_evicts = tails[s]
-            mirror.apply(s, tail_admits, tail_evicts, None)
-        boundary_result = eager_loop.close(verify=verify)
-        stats.update(self._eager_stats(mirror, decided_early))
-        stats["_absorbed"] = {"count": 0, "profit": 0.0}
-        stats["_certificate"] = eager_loop.certificate
-        return shard_results, boundary_result, 0.0, mirror, stats
-
-    # ------------------------------------------------------------------
-    # Shared tails
-    # ------------------------------------------------------------------
-
-    def _finish_two_phase(self, trace, plan, geometry, shard_results,
-                          boundary_policy, verify, stats):
-        """Absorb the shard finals and run the serialized boundary pass
-        on the shared coordinator — the exact
-        :class:`~repro.sharding.ledger.BoundaryBroker` sequence."""
-        coordinator = geometry.coordinator
-        t_absorb = time.perf_counter()
-        with _tracing.span("shard.absorb"):
-            count, profit = _absorb_results(coordinator, plan, shard_results)
-        absorb_s = time.perf_counter() - t_absorb
-        events = plan.boundary_events(trace)
-        with _tracing.span("shard.phaseB", events=len(events)):
-            session = AdmissionSession.over_ledger(
-                coordinator, boundary_policy, trace_meta=trace.meta)
-            session.feed_many(events)
-            result = session.close(verify=verify)
-        boundary_result = result if events else None
-        stats["_absorbed"] = {"count": count, "profit": profit}
-        stats["_certificate"] = session.certificate
-        return shard_results, boundary_result, absorb_s, None, stats
-
-    @staticmethod
-    def _eager_stats(mirror: _CoordinatorMirror, decided_early: int) -> dict:
-        return {
-            "boundary_decided_early": decided_early,
-            "withdrawn": {"count": mirror.withdrawn_count,
-                          "profit": mirror.withdrawn_profit},
-            "boundary_evictions_of_locals": len(mirror.boundary_evicted),
-            "double_forfeited_profit": mirror.double_forfeited,
-        }

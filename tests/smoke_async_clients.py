@@ -5,7 +5,7 @@ once per journal format (JSON-lines and binary):
 
 1. generate + save a short trace, record the plain ``repro replay``
    metrics for it;
-2. start ``repro serve --async --port 0`` as a subprocess and connect
+2. start ``repro serve --port 0`` as a subprocess and connect
    **8 concurrent TCP clients**; the clients pump the first part of
    the trace through batched ``feed`` requests (globally ordered, so
    the journal stays a prefix of the trace — each request is ack'd
@@ -55,7 +55,7 @@ def _spawn_server(env, trace_path, journal, fmt):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--trace", trace_path,
          "--policy", POLICY, "--journal", journal, "--format", fmt,
-         "--sync-window", str(SYNC_WINDOW), "--port", "0", "--async",
+         "--sync-window", str(SYNC_WINDOW), "--port", "0",
          "--max-clients", "16"],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         env=env, text=True,

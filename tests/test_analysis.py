@@ -361,28 +361,10 @@ def test_solution_profit_is_exactly_rounded():
     assert sol.profit != sum(_pathological())
 
 
-def test_mirror_withdrawn_profit_is_order_free():
-    from repro.sharding.streaming import _CoordinatorMirror
-
-    mirror = _CoordinatorMirror.__new__(_CoordinatorMirror)
-    mirror.withdrawn = dict(enumerate(_pathological()))
-    assert mirror.withdrawn_profit == 2.0
-    mirror.withdrawn = dict(enumerate(reversed(_pathological())))
-    assert mirror.withdrawn_profit == 2.0
-
-
-def test_mirror_double_forfeited_is_order_free():
-    from repro.sharding.streaming import _CoordinatorMirror
-
-    mirror = _CoordinatorMirror.__new__(_CoordinatorMirror)
-    mirror._double_forfeited = dict(enumerate(_pathological()))
-    assert mirror.double_forfeited == 2.0
-
-
 def test_sharded_merge_certificate_uses_fsum():
     from repro.online.metrics import ReplayMetrics
     from repro.online.events import EventTrace, Arrival
-    from repro.sharding.driver import ShardedDriver
+    from repro.sharding.streaming import _merge
     from repro.workloads import random_tree_problem
 
     problem = random_tree_problem(n=4, m=4, r=1, seed=0)
@@ -406,7 +388,7 @@ def test_sharded_merge_certificate_uses_fsum():
 
     rows = [_Result(row(p, c))
             for p, c in zip(_pathological(), _pathological())]
-    merged = ShardedDriver._merge(trace, rows, None, wall=1.0)
+    merged = _merge(trace, rows, None, wall=1.0)
     assert merged.realized_profit == 2.0
     assert merged.forfeited_profit == 2.0
     assert merged.penalty_paid == 2.0

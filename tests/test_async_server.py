@@ -15,7 +15,8 @@ The load-bearing guarantees:
   that rejects politely;
 * graceful drain commits the group-commit window and notifies clients
   with final watermarks; the journal resumes cleanly;
-* ``serve_socket`` accepts sequential reconnecting clients.
+* the one TCP transport accepts sequential reconnecting clients and
+  drains on SIGTERM.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from repro.online.metrics import TIMING_FIELDS
 from repro.service import (
     AdmissionService,
     AsyncLineServer,
+    serve_async,
     serve_lines,
-    serve_socket,
 )
 
 #: Per-policy constructor params (mirrors tests/test_service.py).
@@ -300,17 +301,26 @@ class TestGracefulDrain:
 
 
 class TestSequentialSocket:
-    def test_reconnects_until_close(self, trace):
-        service = AdmissionService(trace, "greedy-threshold")
+    """Clients that connect one after another, and signal drain, on the
+    one TCP transport (``repro serve --port``)."""
+
+    @staticmethod
+    def _serve_on_thread(service, **kw):
         box = {}
         ready = threading.Event()
         thread = threading.Thread(
-            target=lambda: box.update(rv=serve_socket(
+            target=lambda: box.update(rv=serve_async(
                 service, port=0,
-                announce=lambda a: (box.update(addr=a), ready.set()))),
+                announce=lambda a: (box.update(addr=a), ready.set()),
+                **kw)),
             daemon=True)
         thread.start()
         assert ready.wait(10)
+        return thread, box
+
+    def test_reconnects_until_close(self, trace):
+        service = AdmissionService(trace, "greedy-threshold")
+        thread, box = self._serve_on_thread(service)
         for i in range(3):  # one client at a time, reconnecting
             sock, f = _connect(box["addr"])
             resp = _request(f, {"op": "stats", "id": i})
@@ -324,15 +334,7 @@ class TestSequentialSocket:
 
     def test_oversized_line_on_socket(self, trace):
         service = AdmissionService(trace, "greedy-threshold")
-        box = {}
-        ready = threading.Event()
-        thread = threading.Thread(
-            target=lambda: box.update(rv=serve_socket(
-                service, port=0, max_line_bytes=1024,
-                announce=lambda a: (box.update(addr=a), ready.set()))),
-            daemon=True)
-        thread.start()
-        assert ready.wait(10)
+        thread, box = self._serve_on_thread(service, max_line_bytes=1024)
         sock, f = _connect(box["addr"])
         f.write("w" * 4096 + "\n")
         f.flush()
@@ -342,3 +344,37 @@ class TestSequentialSocket:
         assert _request(f, {"op": "close", "verify": False})["ok"]
         sock.close()
         thread.join(10)
+
+    def test_sigterm_drains_and_commits(self, trace, tmp_path):
+        """SIGTERM to a main-thread server commits the group-commit
+        window and returns; the journal resumes at the fed position."""
+        import os
+        import signal
+
+        path = str(tmp_path / "sigterm.journal")
+        service = AdmissionService(trace, "greedy-threshold",
+                                   journal_path=path, sync_window=100)
+        n_fed = 20
+        box = {}
+
+        def client(addr):
+            sock, f = _connect(addr)
+            batch = [event_to_dict(ev) for ev in trace.events[:n_fed]]
+            box["fed"] = _request(f, {"op": "feed", "events": batch})
+            os.kill(os.getpid(), signal.SIGTERM)
+            box["notice"] = json.loads(f.readline())
+            sock.close()
+
+        def announce(addr):
+            box["thread"] = threading.Thread(target=client, args=(addr,),
+                                             daemon=True)
+            box["thread"].start()
+
+        assert serve_async(service, port=0, announce=announce) is None
+        box["thread"].join(10)
+        assert not box["thread"].is_alive()
+        assert box["fed"]["seq"] > box["fed"]["commit_seq"]
+        assert box["notice"]["op"] == "shutdown"
+        assert box["notice"]["commit_seq"] == n_fed
+        resumed = AdmissionService.resume(path)
+        assert resumed.position == n_fed

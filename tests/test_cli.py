@@ -373,23 +373,6 @@ class TestServeResume:
         with pytest.raises(SystemExit, match="resume"):
             main(["resume", "--journal", str(tmp_path / "nope.log")])
 
-    def test_serve_sharded_backend(self, tmp_path, capsys, monkeypatch):
-        import io
-
-        trace_path = tmp_path / "tree_trace.json"
-        assert main(["replay", "--events", "100", "--seed", "5",
-                     "--kind", "tree", "--save-trace",
-                     str(trace_path)]) == 0
-        capsys.readouterr()
-        monkeypatch.setattr("sys.stdin", io.StringIO(
-            self._requests(str(trace_path), close=True)
-        ))
-        assert main(["serve", "--trace", str(trace_path),
-                     "--shards", "2"]) == 0
-        captured = capsys.readouterr()
-        assert "2 shards" in captured.err
-        assert json.loads(captured.out.splitlines()[-1])["ok"]
-
     def test_history_certificate_via_policy_arg(self, trace_json, capsys):
         assert main(["replay", trace_json, "--policy", "dual-gated",
                      "--policy-arg", "history=true"]) == 0

@@ -31,6 +31,7 @@ from repro.io import (
     iter_journal,
     read_journal,
     scan_journal,
+    trace_to_dict,
 )
 from repro.online import generate_trace, make_policy, replay
 from repro.online.events import Arrival, Departure, Tick
@@ -371,24 +372,31 @@ class TestCheckpointEquivalence:
 
 class TestShardedCheckpoint:
     def test_sharded_kill_resume_with_checkpoints(self, tmp_path):
+        """A journal from the retired sharded backend — ``shards: 2`` in
+        its v1 header, checkpoints holding only the coordinator — resumes
+        onto the single ledger exactly."""
         trace = generate_trace(
             "tree", events=250, process="poisson", seed=5,
             departure_prob=0.3,
             workload={"n": 120, "boundary_fraction": 0.1, "parts": 2},
         )
+        live = AdmissionService(trace, "greedy-threshold")
+        for ev in trace.events[:80]:
+            live.submit_event(ev)
+        header = {"policy": "greedy-threshold", "params": {},
+                  "shards": 2, "shard_by": "subtree",
+                  "checkpoint_every": 40, "trace": trace_to_dict(trace)}
         path = tmp_path / "sharded.journal"
-        svc = AdmissionService(trace, "greedy-threshold", shards=2,
-                               journal_path=str(path), fmt="binary",
-                               checkpoint_every=40)
-        for ev in trace.events[:100]:
-            svc.submit_event(ev)
-        del svc
-        baseline = AdmissionService(trace, "greedy-threshold", shards=2)
-        for ev in trace.events:
-            baseline.submit_event(ev)
-        expected = baseline.close()
+        with JournalWriter(str(path), header, fmt="binary") as jw:
+            for ev in trace.events[:80]:
+                jw.append(ev)
+            jw.checkpoint(live.checkpoint_state())
+            for ev in trace.events[80:100]:
+                jw.append(ev)
+        expected = replay(trace, make_policy("greedy-threshold"))
         resumed = AdmissionService.resume(str(path))
         assert resumed.position == 100
+        assert resumed.checkpoint_every == 40
         result = resumed.run_remaining()
         assert deterministic(result) == deterministic(expected)
         assert result.admission_log == expected.admission_log

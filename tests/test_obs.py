@@ -444,11 +444,6 @@ class TestDashboard:
         # No dual bound -> no gap claim, rendered as the null marker.
         assert "%" in frame
 
-    def test_render_shows_shard_rows(self):
-        frame = render_dashboard(_stats_doc(shards=[
-            {"shard": 0, "admitted": 5, "utilization": 0.25}]), None, 0.0)
-        assert "shard   0" in frame
-
     def test_top_and_trace_against_live_async_server(self, line_trace,
                                                      tmp_path):
         from repro import cli

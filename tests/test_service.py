@@ -56,7 +56,6 @@ class TestJournalRoundTrip:
     def test_header_and_events_round_trip(self, small_trace, tmp_path):
         path = str(tmp_path / "j.log")
         header = {"policy": "dual-gated", "params": {"eta": 1.5},
-                  "shards": 1, "shard_by": "subtree",
                   "trace": __import__("repro.io", fromlist=["trace_to_dict"]
                                       ).trace_to_dict(small_trace)}
         with JournalWriter(path, header) as jw:
@@ -246,6 +245,11 @@ class TestRequestAPI:
 
 
 class TestShardedBackend:
+    """Journals written by the retired sharded service backend: their
+    header carries ``shards``/``shard_by`` and their checkpoints store
+    only the coordinator ledger, so they resume onto the single ledger
+    with decisions identical to ``replay()``."""
+
     @pytest.fixture(scope="class")
     def tree_trace(self):
         return generate_trace("tree", events=250, seed=5,
@@ -254,38 +258,41 @@ class TestShardedBackend:
                                         "boundary_fraction": 0.1,
                                         "parts": 2})
 
+    @staticmethod
+    def _v1_sharded_journal(path, trace, policy, events):
+        from repro.io import trace_to_dict
+
+        header = {"policy": policy, "params": POLICY_PARAMS[policy],
+                  "shards": 2, "shard_by": "subtree",
+                  "checkpoint_every": 0, "trace": trace_to_dict(trace)}
+        with JournalWriter(path, header) as jw:
+            for ev in events:
+                jw.append(ev)
+
     @pytest.mark.parametrize("policy", ["greedy-threshold",
                                         "preempt-density"])
-    def test_matches_unsharded_replay(self, tree_trace, policy):
-        """The coordinator decides, so sharding the backend never
-        changes a decision — the shard ledgers are mirrored views."""
-        params = POLICY_PARAMS[policy]
-        svc = AdmissionService(tree_trace, policy, params, shards=2)
-        _drain(svc, tree_trace.events)
-        result = svc.close()
-        direct = replay(tree_trace, make_policy(policy, **params))
+    def test_matches_unsharded_replay(self, tree_trace, policy, tmp_path):
+        path = str(tmp_path / "j.log")
+        self._v1_sharded_journal(path, tree_trace, policy,
+                                 tree_trace.events)
+        resumed = AdmissionService.resume(path)
+        assert resumed.position == len(tree_trace.events)
+        result = resumed.close()
+        direct = replay(tree_trace,
+                        make_policy(policy, **POLICY_PARAMS[policy]))
         assert deterministic_metrics(result.metrics) == \
             deterministic_metrics(direct.metrics)
-
-    def test_shard_views_consistent(self, tree_trace):
-        svc = AdmissionService(tree_trace, "greedy-threshold", shards=2)
-        _drain(svc, tree_trace.events)
-        stats = svc.stats()
-        assert len(stats["shards"]) == 2
-        mirrored = sum(row["admitted"] for row in stats["shards"])
-        assert mirrored + stats["boundary_admitted"] == \
-            stats["num_admitted"]
-        svc.close()  # verifies coordinator + every shard ledger
+        assert result.admission_log == direct.admission_log
 
     def test_sharded_warm_restart(self, tree_trace, tmp_path):
         path = str(tmp_path / "j.log")
         full = replay(tree_trace, make_policy("greedy-threshold"))
-        svc = AdmissionService(tree_trace, "greedy-threshold",
-                               journal_path=path, shards=2)
-        _drain(svc, tree_trace.events[:100])
-        del svc
+        self._v1_sharded_journal(path, tree_trace, "greedy-threshold",
+                                 tree_trace.events[:100])
         resumed = AdmissionService.resume(path)
-        assert resumed.shards == 2  # backend shape travels in the header
+        assert resumed.position == 100
+        assert "shards" not in resumed._header()  # new headers drop it
         result = resumed.run_remaining()
         assert deterministic_metrics(result.metrics) == \
             deterministic_metrics(full.metrics)
+

@@ -1,4 +1,4 @@
-"""Tests for the sharded admission engine (planner, ledger, driver).
+"""Tests for the sharded admission engine (planner and driver).
 
 The load-bearing guarantees:
 
@@ -9,7 +9,7 @@ The load-bearing guarantees:
 * multi-shard runs stay feasible (coordinator-verified) and diverge
   from the unsharded replay by at most the planner's boundary bound on
   the pinned corpus;
-* pool and inline phase-A execution decide identically.
+* forked and inline phase-A execution decide identically.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ import pytest
 from repro.io import load_trace
 from repro.online import generate_trace, make_policy, replay
 from repro.online.metrics import deterministic_metrics as _deterministic
-from repro.sharding import (
-    ShardedDriver,
-    ShardedLedger,
-    ShardPlanner,
-)
+from repro.sharding import ShardPlanner, StreamedShardedDriver
 from repro.workloads import random_line_problem, random_tree_problem
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -149,7 +145,8 @@ class TestShardOneEquivalence:
                              ids=[p for p, _ in POLICIES])
     def test_tree_trace_identical(self, tree_trace, policy, params):
         direct = replay(tree_trace, make_policy(policy, **params))
-        sharded = ShardedDriver(1, "subtree").run(tree_trace, policy, params)
+        sharded = StreamedShardedDriver(1, "subtree").run(
+            tree_trace, policy, params)
         shard0 = sharded.shard_results[0]
         assert shard0.admission_log == direct.admission_log
         assert shard0.eviction_log == direct.eviction_log
@@ -171,7 +168,7 @@ class TestShardOneEquivalence:
 
     def test_line_trace_identical(self, line_trace):
         direct = replay(line_trace, make_policy("greedy-threshold"))
-        sharded = ShardedDriver(1, "layer").run(
+        sharded = StreamedShardedDriver(1, "layer").run(
             line_trace, "greedy-threshold", {}
         )
         assert sharded.shard_results[0].admission_log == \
@@ -195,7 +192,7 @@ class TestMultiShard:
         local demands can exceed the boundary profit on adversarial
         traces — see the planner module docstring."""
         direct = replay(tree_trace, make_policy("greedy-threshold"))
-        res = ShardedDriver(shards, by).run(
+        res = StreamedShardedDriver(shards, by).run(
             tree_trace, "greedy-threshold", {}
         )
         bound_profit = res.plan["boundary_profit"]
@@ -212,8 +209,9 @@ class TestMultiShard:
                              ids=[p for p, _ in POLICIES])
     def test_all_policies_run_sharded(self, tree_trace, policy, params):
         """Every registered policy runs unmodified inside shards and in
-        the boundary broker; the merged set stays verified-feasible."""
-        res = ShardedDriver(2, "subtree").run(tree_trace, policy, params)
+        the boundary pass; the merged set stays verified-feasible."""
+        res = StreamedShardedDriver(2, "subtree").run(
+            tree_trace, policy, params)
         assert len(res.shard_results) == 2
         assert res.merged.accepted >= 0
         # Merged profit decomposes exactly into shard + boundary rows.
@@ -223,13 +221,14 @@ class TestMultiShard:
         assert res.merged.realized_profit == pytest.approx(sum(parts))
 
     def test_pool_matches_inline(self):
+        """Forked shard workers decide exactly as the inline loop."""
         trace = generate_trace("tree", events=400, process="poisson",
                                seed=7, departure_prob=0.3,
                                workload={"n": 96, "locality": 0.1})
-        inline = ShardedDriver(2, "subtree", processes=0).run(
+        inline = StreamedShardedDriver(2, "subtree", processes=0).run(
             trace, "dual-gated", {}
         )
-        pooled = ShardedDriver(2, "subtree", processes=2).run(
+        pooled = StreamedShardedDriver(2, "subtree", processes=2).run(
             trace, "dual-gated", {}
         )
         for a, b in zip(inline.shard_results, pooled.shard_results):
@@ -240,7 +239,7 @@ class TestMultiShard:
             pooled.merged.realized_profit
 
     def test_line_trace_sharded(self, line_trace):
-        res = ShardedDriver(3, "layer").run(
+        res = StreamedShardedDriver(3, "layer").run(
             line_trace, "greedy-threshold", {}
         )
         assert res.merged.accepted > 0
@@ -250,88 +249,12 @@ class TestMultiShard:
             <= res.plan["boundary_profit"] + 1e-9
 
     def test_sharded_dual_certificate_bounds_offline(self, tree_trace):
-        """The broker's coordinator certificate upper-bounds the global
-        offline optimum even in a multi-shard run."""
+        """The boundary pass's coordinator certificate upper-bounds the
+        global offline optimum even in a multi-shard run."""
         from repro.online import offline_optimum
 
-        res = ShardedDriver(2, "subtree").run(tree_trace, "dual-gated", {})
+        res = StreamedShardedDriver(2, "subtree").run(
+            tree_trace, "dual-gated", {})
         assert res.merged.dual_upper_bound is not None
         opt = offline_optimum(tree_trace, "exact")
         assert res.merged.dual_upper_bound >= opt - 1e-6
-
-
-class TestShardedLedger:
-    def test_local_routing_mirrors_coordinator(self, tree_trace):
-        plan = ShardPlanner("subtree").plan(tree_trace.problem, 2)
-        sl = ShardedLedger(tree_trace.problem, plan)
-        # Admit one local demand from each shard through the router.
-        admitted = []
-        for s in range(2):
-            for d in plan.shard_demands[s]:
-                gid = sl.try_admit(d)
-                if gid is not None:
-                    admitted.append((s, d, gid))
-                    break
-        assert admitted, "no local demand admitted"
-        for s, d, gid in admitted:
-            local = plan.shard_demands[s].index(d)
-            assert sl.shard_ledger(s).is_admitted(local)
-            assert sl.coordinator.is_admitted(d)
-        sl.verify()
-        # Releases clear both views.
-        for s, d, gid in admitted:
-            sl.release(d)
-        assert sl.num_admitted == 0
-        for s, d, gid in admitted:
-            assert not sl.shard_ledger(s).is_admitted(
-                plan.shard_demands[s].index(d)
-            )
-
-    def test_boundary_goes_through_coordinator_only(self, tree_trace):
-        plan = ShardPlanner("subtree").plan(tree_trace.problem, 2)
-        if not plan.boundary_demands:
-            pytest.skip("plan has no boundary demand")
-        sl = ShardedLedger(tree_trace.problem, plan)
-        d = plan.boundary_demands[0]
-        gid = sl.try_admit(d)
-        assert gid is not None
-        assert sl.coordinator.is_admitted(d)
-
-    def test_two_phase_commit_withdraws_on_conflict(self, tree_trace):
-        """A boundary holder on a local route makes the coordinator
-        refuse the mirror; the tentative shard admission is withdrawn."""
-        plan = ShardPlanner("subtree").plan(tree_trace.problem, 2)
-        problem = tree_trace.problem
-        # Find a boundary demand sharing an edge with a local demand.
-        edges_of_demand = {}
-        for inst in problem.instances():
-            edges_of_demand.setdefault(inst.demand_id, set()).update(
-                problem.global_edges_of(inst)
-            )
-        pair = None
-        for b in plan.boundary_demands:
-            for s in range(2):
-                for d in plan.shard_demands[s]:
-                    if edges_of_demand[b] & edges_of_demand[d]:
-                        pair = (b, s, d)
-                        break
-                if pair:
-                    break
-            if pair:
-                break
-        if pair is None:
-            pytest.skip("no boundary/local edge overlap in this corpus")
-        b, s, d = pair
-        sl = ShardedLedger(problem, plan)
-        assert sl.try_admit(b) is not None  # boundary demand holds edges
-        local = plan.shard_demands[s].index(d)
-        before = sl.shard_ledger(s).num_admitted
-        gid = sl.try_admit(d)
-        if gid is None:
-            # Refused: the shard view must have been rolled back cleanly.
-            assert sl.shard_ledger(s).num_admitted == before
-            assert not sl.shard_ledger(s).was_admitted(local)
-        else:
-            # Heights permitted coexistence; both views agree.
-            assert sl.coordinator.is_admitted(d)
-        sl.verify()
