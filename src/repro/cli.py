@@ -793,6 +793,13 @@ def _replay(args) -> int:
             metrics, offline_optimum(trace, args.offline, seed=args.seed)
         )
     print(render_replay([metrics]))
+    stats = result.policy_stats
+    if "preempt_pruned" in stats:
+        print(f"preemption: {stats['preempt_admits']} admits, "
+              f"{stats['evictions']} evictions, "
+              f"{stats['preempt_rejected']} rejected; "
+              f"{stats['preempt_pruned']} candidate plans pruned by the "
+              f"cost bound")
     if args.output:
         doc = metrics.to_dict()
         doc["policy_stats"] = result.policy_stats

@@ -11,7 +11,8 @@ edges without materialising the full quadratic graph unless asked.  Since
 the vectorization refactor it keeps two complementary representations:
 
 * per-demand buckets and per-(network, edge) activity buckets for exact
-  single-instance neighbourhood queries (the original scalar API);
+  single-instance neighbourhood queries (the original scalar API),
+  built lazily on the first such query;
 * NumPy *geometry* arrays — interval endpoints for line instances,
   endpoint pairs plus a per-network Euler-tour index
   (:class:`~repro.network.tree.EulerTourIndex`) for tree instances, and a
@@ -27,6 +28,11 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 __all__ = ["ConflictIndex", "ActiveConflictSet"]
+
+#: Candidate sets up to this size are probed row by row in
+#: :meth:`ActiveConflictSet.blocked_mask`; a few per-row maxima cost less
+#: than the batched gather/segment machinery's fixed NumPy overhead.
+_PROBE_MAX = 8
 
 
 class ConflictIndex:
@@ -54,8 +60,6 @@ class ConflictIndex:
         instances: Sequence,
         global_edges: Sequence[Sequence],
         trees: Mapping[int, object] | None = None,
-        *,
-        defer_buckets: bool = False,
     ) -> None:
         if len(instances) != len(global_edges):
             raise ValueError("one edge list per instance required")
@@ -68,19 +72,17 @@ class ConflictIndex:
                     f"instance ids must be dense 0..N-1 in order; position "
                     f"{pos} holds id {iid}"
                 )
+        # Lazy — see _ensure_buckets.
         self._by_demand: dict[int, list[int]] | None = None
         self._by_edge: dict[object, list[int]] | None = None
-        if not defer_buckets:
-            self._ensure_buckets()
         self._build_arrays(global_edges, trees)
 
     def _ensure_buckets(self) -> None:
         """Materialize the scalar-API activity buckets.
 
-        Built eagerly by the constructor unless ``defer_buckets`` asked
-        otherwise; :meth:`sliced` views always defer them until a
-        bucket-backed query (:meth:`neighbors`) first needs them, since
-        the array-geometry paths never do.
+        Built on the first bucket-backed query (:meth:`neighbors`, its
+        only reader), never by the constructor: the array-geometry
+        paths the online and offline engines run never need them.
         """
         if self._by_demand is not None:
             return
@@ -437,6 +439,21 @@ class ActiveConflictSet:
                     else:
                         hit = bool(top > 0.0)
             return np.asarray([hit], dtype=bool)
+        if len(arr) <= _PROBE_MAX:
+            # The batched answer row by row: an empty route's peak load
+            # reads 0.0, as its zero-filled segment maximum does below.
+            flat, indptr, heights = idx._flat_edges, idx._indptr, idx._heights
+            out = self._demand_used[idx._dix[arr]]
+            for j, iid in enumerate(arr.tolist()):
+                if out[j]:
+                    continue
+                row = flat[indptr[iid]:indptr[iid + 1]]
+                top = self._load[row].max() if len(row) else 0.0
+                if self.capacities:
+                    out[j] = top + heights[iid] > 1.0 + 1e-9
+                else:
+                    out[j] = top > 0.0
+            return out
         blocked = self._demand_used[idx._dix[arr]].copy()
         starts = idx._indptr[arr]
         counts = idx._indptr[arr + 1] - starts

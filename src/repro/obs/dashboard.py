@@ -95,6 +95,19 @@ def render_dashboard(cur: dict, prev: dict | None, dt: float) -> str:
         f"  requests        {_fmt(server.get('requests_total'), '>12')}"
         f"    queue      {_fmt(server.get('dispatch_queue_depth'), '>10')}",
     ]
+    pstats = cur.get("policy_stats") or {}
+    if "preempt_pruned" in pstats:
+        # Preemptive policies: candidates the cost bound rejected
+        # without planning, next to the preemptions actually made.
+        pprev = None if prev is None else (prev.get("policy_stats") or {})
+        lines += [
+            "",
+            f"  plans pruned    {pstats['preempt_pruned']:>12}"
+            f"    pruned/s   "
+            f"{_rate(pstats, pprev, 'preempt_pruned', dt):>10.1f}",
+            f"  preemptions     {pstats.get('preempt_admits', 0):>12}"
+            f"    rejected   {pstats.get('preempt_rejected', 0):>10}",
+        ]
     return "\n".join(lines)
 
 

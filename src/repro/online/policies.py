@@ -44,7 +44,7 @@ import numpy as np
 
 from ..core.demand import Demand, WindowDemand
 from ..core.instance import TreeProblem, subproblem_of
-from .state import CapacityLedger
+from .state import PRUNED, CapacityLedger
 
 __all__ = [
     "AdmissionPolicy",
@@ -158,7 +158,8 @@ class DualGated(AdmissionPolicy):
         Gate stiffness; >1 demands a margin over the dual price, <1
         relaxes toward greedy.  Default 1.0.
     mu:
-        Price base override; ``None`` derives it from the problem's
+        Price base override, finite and > 1 (so every price is >= 0
+        and grows with load); ``None`` derives it from the problem's
         profit spread and route lengths as above.
     history:
         Opt-in tighter certificate: record per-edge price *histories*
@@ -179,6 +180,12 @@ class DualGated(AdmissionPolicy):
                  history: bool = False):
         if eta <= 0:
             raise ValueError("eta must be positive")
+        if mu is not None:
+            mu = float(mu)
+            # At mu = 1 every price is 0; below 1 a fuller edge is
+            # cheaper; NaN/inf prices break every comparison.
+            if not math.isfinite(mu) or mu <= 1.0:
+                raise ValueError(f"mu must be finite and > 1, got {mu}")
         self.eta = float(eta)
         self._mu_override = mu
         self.history = bool(history)
@@ -547,7 +554,10 @@ class _PreemptiveAdmission(AdmissionPolicy):
     """Shared evict-and-admit epilogue for the preemptive policies.
 
     Subclasses provide ``self.penalty`` (compensation fraction per
-    evictee) and the ``evictions`` / ``preempt_admits`` stats keys.
+    evictee) and the ``evictions`` / ``preempt_admits`` /
+    ``preempt_pruned`` stats keys.  ``preempt_pruned`` counts candidates
+    whose plan the ledger abandoned because the policy's gate provably
+    rejects it (see :meth:`CapacityLedger.preemption_plan`).
     """
 
     def _execute_preemption(self, iid: int, victims: list[int]) -> int:
@@ -559,6 +569,15 @@ class _PreemptiveAdmission(AdmissionPolicy):
         self.stats["preempt_admits"] += 1
         ledger.admit(iid)
         return iid
+
+    def export_state(self) -> dict:
+        # preempt_pruned rides in the exported stats.
+        return super().export_state()
+
+    def restore_state(self, state: dict) -> None:
+        super().restore_state(state)
+        # Checkpoints written before the prune counter existed.
+        self.stats.setdefault("preempt_pruned", 0)
 
 
 class PreemptDensity(_PreemptiveAdmission):
@@ -609,18 +628,24 @@ class PreemptDensity(_PreemptiveAdmission):
     def bind(self, ledger: CapacityLedger) -> None:
         super().bind(ledger)
         self.stats = {"evictions": 0, "preempt_admits": 0,
-                      "preempt_rejected": 0}
+                      "preempt_rejected": 0, "preempt_pruned": 0}
 
     def _best_plan(self, demand_id: int):
         """Cheapest viable ``(iid, victims)`` across the candidates."""
         ledger = self.ledger
         best = None
         best_key = None
+        # The gate covers the compensation too: an eviction that
+        # cannot pay its own penalty is never worth executing.
+        gate = self.factor + self.penalty
         for iid in ledger.candidates(demand_id).tolist():
             length = ledger.route_length(iid)
             if ledger.instances[iid].profit / length < self.threshold:
                 continue  # the density floor gates evictions too
-            victims = ledger.preemption_plan(iid)
+            victims = ledger.preemption_plan(iid, gate)
+            if victims is PRUNED:
+                self.stats["preempt_pruned"] += 1
+                continue
             if not victims:
                 # [] = feasible without eviction (then try_admit already
                 # declined it on density); None = cannot be freed.
@@ -629,10 +654,7 @@ class PreemptDensity(_PreemptiveAdmission):
                 ledger.instances[ledger.admitted_instance(v)].profit
                 for v in victims
             )
-            # The gate covers the compensation too: an eviction that
-            # cannot pay its own penalty is never worth executing.
-            if ledger.instances[iid].profit <= \
-                    (self.factor + self.penalty) * cost:
+            if ledger.instances[iid].profit <= gate * cost:
                 continue
             key = (cost, length, iid)
             if best_key is None or key < best_key:
@@ -691,7 +713,7 @@ class PreemptDualGated(DualGated, _PreemptiveAdmission):
     def bind(self, ledger: CapacityLedger) -> None:
         super().bind(ledger)
         self.stats.update({"evictions": 0, "preempt_admits": 0,
-                           "preempt_rejected": 0})
+                           "preempt_rejected": 0, "preempt_pruned": 0})
 
     def _freed_route_price(self, iid: int, victims: list[int]) -> float:
         """The dual price of ``iid``'s route after evicting ``victims``."""
@@ -707,11 +729,17 @@ class PreemptDualGated(DualGated, _PreemptiveAdmission):
             return self._admit_cheapest_feasible(cands, ok)
         best = None
         best_cost = math.inf
+        # Route prices are >= 0 (mu > 1), so the gate's victim term
+        # alone already rejects whatever it rejects at the cost bound.
+        gate = 1.0 + self.penalty
         for iid in cands.tolist():
-            victims = ledger.preemption_plan(iid)
+            victims = ledger.preemption_plan(iid, gate)
+            if victims is PRUNED:
+                self.stats["preempt_pruned"] += 1
+                continue
             if not victims:
                 continue
-            v_cost = (1.0 + self.penalty) * math.fsum(
+            v_cost = gate * math.fsum(
                 ledger.instances[ledger.admitted_instance(v)].profit
                 for v in victims
             )

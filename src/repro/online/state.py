@@ -37,10 +37,24 @@ from ..core.solution import (
     verify_tree_solution,
 )
 
-__all__ = ["CapacityLedger"]
+__all__ = ["CapacityLedger", "PRUNED"]
 
 #: Load-comparison slack, matching the conflict index's blocked test.
 _EPS = 1e-9
+
+
+class _Pruned:
+    """Type of :data:`PRUNED` (a named sentinel, distinct from ``None``)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "PRUNED"
+
+
+#: What :meth:`CapacityLedger.preemption_plan` returns for a candidate
+#: its caller's ``gate`` provably rejects before the plan is complete.
+PRUNED = _Pruned()
 
 
 class CapacityLedger:
@@ -120,16 +134,22 @@ class CapacityLedger:
         self._holders_by_edge: list[set[int]] = [
             set() for _ in range(self.index.num_edges)
         ]
-        # Static per-instance route geometry as plain Python structures,
-        # cached on first use: the preemptive policies walk routes
-        # holder-by-holder on every arrival, and repeated ``.tolist()``
-        # on the CSR views dominated their hot path.  Route geometry,
-        # heights and profits never change, so these never invalidate.
+        # Static per-instance columns as plain Python lists, built once:
+        # the preemptive policies read them holder-by-holder on every
+        # blocked arrival, where NumPy scalar indexing would dominate.
+        # The floats are the instances' own objects, so a column costs
+        # one pointer per instance.  Route geometry, heights and profits
+        # never change, so nothing here invalidates.  Route edge lists
+        # and position maps stay lazy: only contested routes need them.
+        indptr = self.index._indptr
+        self._route_len: list[int] = np.maximum(
+            indptr[1:] - indptr[:-1], 1).tolist()
+        self._height: list[float] = [float(inst.height)
+                                     for inst in self.instances]
+        self._profit: list[float] = [float(inst.profit)
+                                     for inst in self.instances]
         self._route_edges_cache: dict[int, list[int]] = {}
         self._route_pos_cache: dict[int, dict[int, int]] = {}
-        self._route_len_cache: dict[int, int] = {}
-        self._density_cache: dict[int, float] = {}
-        self._height_cache: dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Queries
@@ -152,11 +172,7 @@ class CapacityLedger:
 
     def route_length(self, iid: int) -> int:
         """Number of edges on instance ``iid``'s route (at least 1)."""
-        n = self._route_len_cache.get(iid)
-        if n is None:
-            n = max(len(self.index.edges_of(iid)), 1)
-            self._route_len_cache[iid] = n
-        return n
+        return self._route_len[iid]
 
     def is_admitted(self, demand_id: int) -> bool:
         """Whether the demand is currently in the system."""
@@ -247,22 +263,6 @@ class CapacityLedger:
             self._route_pos_cache[iid] = pos
         return pos
 
-    def _density(self, iid: int) -> float:
-        """Cached profit density (profit / route length) of an instance."""
-        d = self._density_cache.get(iid)
-        if d is None:
-            d = self.instances[iid].profit / self.route_length(iid)
-            self._density_cache[iid] = d
-        return d
-
-    def _height(self, iid: int) -> float:
-        """Cached height of an instance as a Python float."""
-        h = self._height_cache.get(iid)
-        if h is None:
-            h = float(self.index._heights[iid])
-            self._height_cache[iid] = h
-        return h
-
     def holders_on_route(self, iid: int) -> set[int]:
         """Currently-admitted demands sharing an edge with ``iid``'s route."""
         holders: set[int] = set()
@@ -270,7 +270,8 @@ class CapacityLedger:
             holders |= self._holders_by_edge[eid]
         return holders
 
-    def preemption_plan(self, iid: int) -> list[int] | None:
+    def preemption_plan(self, iid: int, gate: float | None = None
+                        ) -> list[int] | None | _Pruned:
         """The cheapest-density eviction set that makes ``iid`` feasible.
 
         Walks the route's current holders in ascending profit-density
@@ -283,23 +284,50 @@ class CapacityLedger:
         since one demand holds at most one instance and an arriving
         demand holds none).
 
+        ``gate`` is the caller's economic test, passed in so hopeless
+        candidates cost no plan: the caller rejects any plan whose
+        victims' total profit ``cost`` has ``profit(iid) <= gate *
+        cost``.  Every over-capacity edge needs a victim that holds it,
+        so ``cost`` is at least the largest, over those edges, of the
+        cheapest holder's profit, and at least every victim's profit
+        taken so far.  The walk returns :data:`PRUNED` as soon as the
+        rejection holds at that lower bound.  Float rounding is
+        monotone, so a pruned candidate is exactly one the caller would
+        have rejected; ``gate=None`` always plans in full.
+
         This is pure geometry: the *economic* test (is the newcomer's
         profit worth the victims'?) belongs to the policies.
         """
-        eids = self._edge_ids(iid)
-        deficit = self.active._load[eids] + self.index._heights[iid] - 1.0
-        if (deficit <= _EPS).all():
+        height = self._height[iid]
+        deficit = [x + height - 1.0
+                   for x in self.active._load[self._edge_ids(iid)].tolist()]
+        hot = [k for k, x in enumerate(deficit) if x > _EPS]
+        if not hot:
             return []
-        pos_of = self._route_pos(iid)
+        route = self._route_edge_list(iid)
         admitted = self._admitted
+        profit_of = self._profit
+        profit = profit_of[iid]
+        bound = 0.0
+        for k in hot:
+            holders = self._holders_by_edge[route[k]]
+            if not holders:
+                return None  # nothing to evict on an over-capacity edge
+            cheapest = min(profit_of[admitted[d]] for d in holders)
+            if cheapest > bound:
+                bound = cheapest
+                if gate is not None and profit <= gate * bound:
+                    return PRUNED
+        n_hot = len(hot)
+        pos_of = self._route_pos(iid)
+        route_len = self._route_len
         holders = sorted(
             self.holders_on_route(iid),
-            key=lambda d: (self._density(admitted[d]), d),
+            key=lambda d: (profit_of[admitted[d]] / route_len[admitted[d]],
+                           d),
         )
         victims: list[int] = []
         for d in holders:
-            if (deficit <= _EPS).all():
-                break
             v_iid = admitted[d]
             shared = [
                 pos_of[eid]
@@ -308,12 +336,19 @@ class CapacityLedger:
             ]
             if not any(deficit[k] > _EPS for k in shared):
                 continue  # only evict holders that relieve a hot edge
-            height = self._height(v_iid)
+            v_height = self._height[v_iid]
             for k in shared:
-                deficit[k] -= height
+                was_hot = deficit[k] > _EPS
+                deficit[k] -= v_height
+                if was_hot and deficit[k] <= _EPS:
+                    n_hot -= 1
             victims.append(d)
-        if (deficit <= _EPS).all():
-            return victims
+            if not n_hot:
+                return victims
+            if gate is not None and profit_of[v_iid] > bound:
+                bound = profit_of[v_iid]
+                if profit <= gate * bound:
+                    return PRUNED
         return None
 
     def route_loads_excluding(self, iid: int, victims) -> np.ndarray:
@@ -329,7 +364,7 @@ class CapacityLedger:
         pos_of = self._route_pos(iid)
         for d in victims:
             v_iid = self._admitted[d]
-            height = self._height(v_iid)
+            height = self._height[v_iid]
             for eid in self._route_edge_list(v_iid):
                 k = pos_of.get(eid)
                 if k is not None:
@@ -388,7 +423,7 @@ class CapacityLedger:
         best_key = None
         for iid in cands[ok].tolist():
             length = self.route_length(iid)
-            if self._density(iid) < min_density:
+            if self._profit[iid] / length < min_density:
                 continue
             key = (length, iid)
             if best_key is None or key < best_key:

@@ -491,6 +491,9 @@ class AdmissionService:
         # batch kernels, and how much of the stream they actually
         # vectorized (live counters, not checkpointed state).
         doc["fastpath"] = dict(self.session.fastpath_stats)
+        # The policy's own counters (gated, evictions, plans pruned ...),
+        # checkpointed with the policy, so they survive a resume.
+        doc["policy_stats"] = dict(self.session.policy.stats)
         if self.journal is not None:
             doc["seq"] = self.journal.seq
             doc["commit_seq"] = self.journal.commit_seq

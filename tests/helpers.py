@@ -2,7 +2,9 @@
 
 The classes below are a faithful copy of the pre-vectorization engine
 core (per-pair conflict loops, per-edge dict-based duals, from-scratch
-second phase).  They are retained for two purposes:
+second phase), plus the preemption planner as it was before it learned
+to prune on a cost bound (`tests/test_preempt_prune.py` replays both).
+The engine copies are retained for two purposes:
 
 * the randomized cross-check suite (`tests/test_cross_check.py`) asserts
   the vectorized engine returns byte-identical selected sets and profits;
@@ -14,11 +16,13 @@ Do not "improve" these classes — their value is being frozen.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.distributed.mis import greedy_mis, luby_mis, priority_mis
+from repro.online.policies import PreemptDensity, PreemptDualGated
 
 
 def assert_bound(profit: float, opt: float, bound: float, label: str = "") -> None:
@@ -276,3 +280,117 @@ class ScalarTwoPhaseEngine:
                         used_demands.add(inst.demand_id)
                         used_edges |= edges
         return [self.inp.instances[iid] for iid in chosen]
+
+
+# ----------------------------------------------------------------------
+# Unbounded preemption planner and candidate loops (pre-prune
+# online/state.py preemption_plan and the preemptive policies' loops)
+# ----------------------------------------------------------------------
+
+
+def reference_preemption_plan(ledger, iid: int):
+    """The cheapest-density eviction set, always planned in full.
+
+    NumPy deficits and per-call route/density/height lookups straight
+    off the conflict index, exactly as the planner computed them before
+    it learned to prune on a cost bound.
+    """
+    eids = ledger.active._edges(iid)
+    deficit = ledger.active._load[eids] + ledger.index._heights[iid] - 1.0
+    if (deficit <= 1e-9).all():
+        return []
+    route = eids.tolist()
+    pos_of = {eid: k for k, eid in enumerate(route)}
+    admitted = ledger._admitted
+
+    def density(v_iid):
+        length = max(len(ledger.index.edges_of(v_iid)), 1)
+        return ledger.instances[v_iid].profit / length
+
+    contestants: set[int] = set()
+    for eid in route:
+        contestants |= ledger._holders_by_edge[eid]
+    holders = sorted(contestants, key=lambda d: (density(admitted[d]), d))
+    victims: list[int] = []
+    for d in holders:
+        if (deficit <= 1e-9).all():
+            break
+        v_iid = admitted[d]
+        shared = [pos_of[eid] for eid in ledger.active._edges(v_iid).tolist()
+                  if eid in pos_of]
+        if not any(deficit[k] > 1e-9 for k in shared):
+            continue
+        height = float(ledger.index._heights[v_iid])
+        for k in shared:
+            deficit[k] -= height
+        victims.append(d)
+    if (deficit <= 1e-9).all():
+        return victims
+    return None
+
+
+def _victim_cost(ledger, victims) -> float:
+    return math.fsum(ledger.instances[ledger.admitted_instance(v)].profit
+                     for v in victims)
+
+
+class ReferencePreemptDensity(PreemptDensity):
+    """``preempt-density`` planning every candidate in full."""
+
+    def _best_plan(self, demand_id):
+        ledger = self.ledger
+        best = None
+        best_key = None
+        for iid in ledger.candidates(demand_id).tolist():
+            length = ledger.route_length(iid)
+            if ledger.instances[iid].profit / length < self.threshold:
+                continue
+            victims = reference_preemption_plan(ledger, iid)
+            if not victims:
+                continue
+            cost = _victim_cost(ledger, victims)
+            if ledger.instances[iid].profit <= \
+                    (self.factor + self.penalty) * cost:
+                continue
+            key = (cost, length, iid)
+            if best_key is None or key < best_key:
+                best, best_key = (iid, victims), key
+        return best
+
+
+class ReferencePreemptDualGated(PreemptDualGated):
+    """``preempt-dual-gated`` planning every candidate in full."""
+
+    def on_arrival(self, demand_id):
+        ledger = self.ledger
+        cands = ledger.candidates(demand_id)
+        ok = ledger.feasible(cands)
+        if ok.any():
+            return self._admit_cheapest_feasible(cands, ok)
+        best = None
+        best_cost = math.inf
+        for iid in cands.tolist():
+            victims = reference_preemption_plan(ledger, iid)
+            if not victims:
+                continue
+            v_cost = (1.0 + self.penalty) * _victim_cost(ledger, victims)
+            price = self._freed_route_price(iid, victims)
+            if ledger.instances[iid].profit <= v_cost + self.eta * price:
+                continue
+            cost = v_cost + price
+            if cost < best_cost:
+                best, best_cost = (iid, victims), cost
+        if best is None:
+            self.stats["capacity_blocked"] += 1
+            self.stats["preempt_rejected"] += 1
+            return None
+        iid = self._execute_preemption(*best)
+        self._note_peak(iid)
+        return iid
+
+
+def reference_policy(name: str, **params):
+    """A preemptive policy whose candidate loop plans every candidate
+    in full with :func:`reference_preemption_plan` (never pruned)."""
+    return {"preempt-density": ReferencePreemptDensity,
+            "preempt-dual-gated": ReferencePreemptDualGated}[name](**params)

@@ -436,6 +436,19 @@ class TestDashboard:
         assert "20.00%" in frame     # (100 - 80) / 100 optimality gap
         assert "dual-gated" in frame
 
+    def test_render_shows_pruned_plans_for_preemptive_policies(self):
+        stats = {"preempt_pruned": 300, "preempt_admits": 7,
+                 "preempt_rejected": 90, "evictions": 9}
+        prev = _stats_doc(policy_stats=dict(stats, preempt_pruned=100))
+        frame = render_dashboard(_stats_doc(policy_stats=stats), prev,
+                                 dt=2.0)
+        assert "plans pruned" in frame and "300" in frame
+        assert "100.0" in frame      # 200 pruned / 2 s
+        # Non-preemptive policies carry no such counter, so no row.
+        frame = render_dashboard(_stats_doc(policy_stats={"gated": 3}),
+                                 None, 0.0)
+        assert "plans pruned" not in frame
+
     def test_render_tolerates_nulls(self):
         frame = render_dashboard(
             _stats_doc(dual_upper_bound=None, commit_lag=None, server={}),

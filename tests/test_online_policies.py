@@ -48,6 +48,30 @@ class TestMakePolicy:
             make_policy("preempt-density", factr=2.0)
 
 
+    @pytest.mark.parametrize("name", ["dual-gated", "preempt-dual-gated"])
+    @pytest.mark.parametrize("mu", [0.5, -2.0, 1.0, math.nan, math.inf])
+    def test_mu_must_be_finite_and_above_one(self, name, mu):
+        # mu <= 1 gives zero or negative prices, so the gate never bites
+        # (0.5) or prices go NaN and crash mid-replay (-2.0).
+        with pytest.raises(ValueError, match="mu must be finite and > 1"):
+            make_policy(name, mu=mu)
+
+    def test_mu_above_one_still_accepted(self):
+        from repro.online import bursty_trace
+
+        trace = bursty_trace("line", events=300, seed=3)
+        result = replay(trace, make_policy("preempt-dual-gated", mu=1.5))
+        assert result.policy_stats["max_gate"] > 0.0
+
+    @pytest.mark.parametrize("mu", ["0.5", "-2.0"])
+    def test_cli_policy_arg_mu_is_friendly(self, mu):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="mu must be finite and > 1"):
+            main(["replay", "--policy", "preempt-dual-gated", "--kind",
+                  "line", "--events", "300", "--policy-arg", f"mu={mu}"])
+
+
 class TestGreedyThreshold:
     def test_zero_threshold_admits_whatever_fits(self):
         tr = poisson_trace("line", events=100, seed=1, departure_prob=0.0)

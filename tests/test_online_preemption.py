@@ -157,8 +157,9 @@ class TestLedgerEviction:
         iid1 = int(ledger.candidates(1)[0])
         # With validated heights (≤ 1) evicting every holder always
         # frees a route, so force the defensive branch by inflating the
-        # newcomer's height past the edge capacity in the shared index.
-        ledger.index._heights[iid1] = 1.5
+        # newcomer's height past the edge capacity in the ledger's
+        # per-instance height column, which the planner reads.
+        ledger._height[iid1] = 1.5
         assert ledger.preemption_plan(iid1) is None
 
 

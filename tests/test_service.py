@@ -202,6 +202,25 @@ class TestRequestAPI:
         assert c["ok"] and c["metrics"]["arrivals"] == 1
         json.dumps(c)
 
+    @pytest.mark.parametrize("policy", ["preempt-density",
+                                        "preempt-dual-gated"])
+    def test_stats_carry_policy_counters_across_resume(self, policy,
+                                                       tmp_path):
+        tr = poisson_trace("line", events=300, seed=1, departure_prob=0.3)
+        full = AdmissionService(tr, policy)
+        _drain(full, tr.events)
+        want = full.handle({"op": "stats"})["stats"]["policy_stats"]
+        assert want["preempt_pruned"] > 0
+        path = str(tmp_path / "j.log")
+        svc = AdmissionService(tr, policy, journal_path=path,
+                               checkpoint_every=50)
+        _drain(svc, tr.events[:170])
+        svc.journal.close()
+        resumed = AdmissionService.resume(path)
+        _drain(resumed, tr.events[170:])
+        got = resumed.handle({"op": "stats"})["stats"]["policy_stats"]
+        assert got == want
+
     def test_domain_errors_are_responses(self):
         tr = poisson_trace("line", events=40, seed=7, departure_prob=0.0)
         svc = AdmissionService(tr, "greedy-threshold")

@@ -98,6 +98,69 @@ class TestBatchedAdjacency:
         assert _index(p).adjacency(set()) == {}
 
 
+class TestLazyBuckets:
+    @pytest.mark.parametrize("kind", ["tree", "line"])
+    def test_buckets_built_on_first_neighbors_call(self, kind):
+        if kind == "tree":
+            p = random_tree_problem(n=20, m=14, r=2, seed=4)
+        else:
+            p = random_line_problem(n_slots=24, m=12, r=2, seed=4)
+        ci = _index(p)
+        assert ci._by_edge is None and ci._by_demand is None
+        insts = p.instances()
+        ref = ScalarConflictIndex(insts,
+                                  [p.global_edges_of(d) for d in insts])
+        assert ci.neighbors(0) == ref.neighbors(0)
+        assert ci._by_edge is not None
+        pop = set(range(0, len(insts), 2))
+        for iid in range(len(insts)):
+            assert ci.neighbors(iid) == ref.neighbors(iid)
+            assert ci.neighbors(iid, pop) == ref.neighbors(iid, pop)
+
+
+class TestBlockedMaskProbe:
+    """Small candidate sets are probed row by row; the answer must equal
+    the batched gather/segment path's, bit for bit."""
+
+    @staticmethod
+    def _population(rng, n_inst=40, n_edges=30, n_demands=25):
+        from types import SimpleNamespace
+
+        insts, edges = [], []
+        for iid in range(n_inst):
+            # Some empty routes and some heights above 1 reach the one
+            # case where the probes could differ: an empty route.
+            k = int(rng.integers(0, 6))
+            edges.append(sorted(rng.choice(n_edges, size=k,
+                                           replace=False).tolist()))
+            insts.append(SimpleNamespace(
+                instance_id=iid, demand_id=int(rng.integers(n_demands)),
+                network_id=0, height=float(rng.uniform(0.05, 1.2))))
+        return ConflictIndex(insts, edges)
+
+    @pytest.mark.parametrize("capacities", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_sets_match_batched_path(self, monkeypatch, capacities,
+                                           seed):
+        import repro.core.conflict as conflict
+
+        rng = np.random.default_rng(seed)
+        ci = self._population(rng)
+        active = ci.active_set(capacities=capacities)
+        active._load[:] = np.where(rng.random(ci.num_edges) < 0.3, 0.0,
+                                   rng.uniform(0.0, 1.0, ci.num_edges))
+        active._demand_used[:] = rng.random(len(active._demand_used)) < 0.3
+        for k in range(2, 17):
+            for _ in range(10):
+                cands = rng.choice(len(ci), size=k, replace=False)
+                probed = active.blocked_mask(cands)
+                with monkeypatch.context() as m:
+                    m.setattr(conflict, "_PROBE_MAX", 0)
+                    batched = active.blocked_mask(cands)
+                assert probed.dtype == batched.dtype == bool
+                assert probed.tolist() == batched.tolist(), (k, cands)
+
+
 class TestActiveConflictSet:
     def test_unit_blocking_matches_brute_force(self):
         p = random_tree_problem(n=16, m=12, r=2, seed=11)
