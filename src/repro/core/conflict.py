@@ -7,18 +7,25 @@ conflict graph; the distributed algorithm computes maximal independent
 sets of sub-populations of it every step (Section 5).
 
 :class:`ConflictIndex` answers conflict queries and enumerates conflict
-edges without materialising the full quadratic graph unless asked.  Since
-the vectorization refactor it keeps two complementary representations:
+edges without materialising the full quadratic graph unless asked.  It
+is the single owner of the population's static geometry, all of it
+NumPy columns over interned integer ids:
 
-* per-demand buckets and per-(network, edge) activity buckets for exact
-  single-instance neighbourhood queries (the original scalar API),
-  built lazily on the first such query;
-* NumPy *geometry* arrays — interval endpoints for line instances,
-  endpoint pairs plus a per-network Euler-tour index
-  (:class:`~repro.network.tree.EulerTourIndex`) for tree instances, and a
-  CSR copy of the activity lists — so population-level queries
-  (:meth:`adjacency`) and active-set queries (:class:`ActiveConflictSet`)
-  run as array operations instead of per-pair Python loops.
+* a route CSR (``_indptr``/``_flat_edges``) over edge ids interned in
+  first-appearance order, with an E-entry table mapping each id back to
+  its ``(network, edge)`` key;
+* per-instance height, profit, network and interned-demand columns, and
+  a demand → candidate-instance CSR;
+* interval endpoints for line instances, or endpoint pairs plus a
+  per-network Euler-tour index
+  (:class:`~repro.network.tree.EulerTourIndex`) for tree instances.
+
+Single-instance queries (:meth:`~ConflictIndex.edges_of`,
+:meth:`~ConflictIndex.neighbors`, ...) read the CSR rows; population
+queries (:meth:`~ConflictIndex.adjacency`) and active-set queries
+(:class:`ActiveConflictSet`) run as array operations instead of
+per-pair Python loops.  The online ledger, its fast path and sharded
+shard views all read this one structure.
 """
 
 from __future__ import annotations
@@ -27,12 +34,30 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["ConflictIndex", "ActiveConflictSet"]
+__all__ = ["ConflictIndex", "ActiveConflictSet", "gather_rows"]
 
 #: Candidate sets up to this size are probed row by row in
 #: :meth:`ActiveConflictSet.blocked_mask`; a few per-row maxima cost less
 #: than the batched gather/segment machinery's fixed NumPy overhead.
 _PROBE_MAX = 8
+
+
+def gather_rows(indptr: np.ndarray, flat: np.ndarray,
+                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate rows ``rows`` of the CSR ``(indptr, flat)``.
+
+    Returns ``(values, counts)``: the rows' entries back to back, in
+    ``rows`` order, and each row's length.
+    """
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    total = int(counts.sum())
+    if not total:
+        return flat[:0], counts
+    ofs = np.zeros(len(rows), dtype=np.int64)
+    np.cumsum(counts[:-1], out=ofs[1:])
+    return flat[np.arange(total, dtype=np.int64)
+                + np.repeat(starts - ofs, counts)], counts
 
 
 class ConflictIndex:
@@ -42,11 +67,14 @@ class ConflictIndex:
     ----------
     instances:
         The demand instances (tree or line; anything exposing
-        ``instance_id``, ``demand_id``, ``network_id``).
+        ``instance_id``, ``demand_id``, ``network_id``).  Instance ids
+        must be ``0 .. len(instances) - 1`` and demand ids non-negative.
     global_edges:
-        ``global_edges[iid]`` is the list of global edge ids instance
-        ``iid`` is active on (``(network, edge)`` or ``(resource, slot)``).
-        Instance ids must be ``0 .. len(instances) - 1``.
+        One iterable per instance, in instance order (any iterable of
+        them — a generator lets the caller build routes one at a time):
+        the global edge keys the instance is active on (``(network,
+        edge)`` or ``(resource, slot)``).  Edge ids are interned in the
+        order these are iterated, and each CSR row keeps that order.
     trees:
         Optional mapping ``network_id →``
         :class:`~repro.network.tree.TreeNetwork`.  When given (and the
@@ -58,75 +86,25 @@ class ConflictIndex:
     def __init__(
         self,
         instances: Sequence,
-        global_edges: Sequence[Sequence],
+        global_edges: Iterable[Iterable],
         trees: Mapping[int, object] | None = None,
     ) -> None:
-        if len(instances) != len(global_edges):
-            raise ValueError("one edge list per instance required")
         self._instances = list(instances)
-        self._edges_of: list[frozenset] = [frozenset(ge) for ge in global_edges]
-        for pos, inst in enumerate(self._instances):
-            iid = inst.instance_id
-            if iid != pos:
-                raise ValueError(
-                    f"instance ids must be dense 0..N-1 in order; position "
-                    f"{pos} holds id {iid}"
-                )
-        # Lazy — see _ensure_buckets.
-        self._by_demand: dict[int, list[int]] | None = None
-        self._by_edge: dict[object, list[int]] | None = None
-        self._build_arrays(global_edges, trees)
-
-    def _ensure_buckets(self) -> None:
-        """Materialize the scalar-API activity buckets.
-
-        Built on the first bucket-backed query (:meth:`neighbors`, its
-        only reader), never by the constructor: the array-geometry
-        paths the online and offline engines run never need them.
-        """
-        if self._by_demand is not None:
-            return
-        by_demand: dict[int, list[int]] = {}
-        by_edge: dict[object, list[int]] = {}
-        for pos, (inst, ge) in enumerate(zip(self._instances, self._edges_of)):
-            by_demand.setdefault(inst.demand_id, []).append(pos)
-            for e in ge:
-                by_edge.setdefault(e, []).append(pos)
-        self._by_demand = by_demand
-        self._by_edge = by_edge
-
-    def _build_arrays(
-        self,
-        global_edges: Sequence[Sequence],
-        trees: Mapping[int, object] | None,
-    ) -> None:
-        """Intern edges/demands and pick the geometry for batch queries."""
+        self._intern_routes(global_edges)
+        self._index_demands()
+        self._by_edge: tuple[np.ndarray, np.ndarray] | None = None  # lazy
         insts = self._instances
         n = len(insts)
-        self._edge_index: dict[object, int] = {}
-        flat: list[int] = []
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for pos, ge in enumerate(global_edges):
-            for e in ge:
-                eid = self._edge_index.setdefault(e, len(self._edge_index))
-                flat.append(eid)
-            indptr[pos + 1] = len(flat)
-        self._flat_edges = np.asarray(flat, dtype=np.int64)
-        self._indptr = indptr
-        self.num_edges = len(self._edge_index)
-
-        self._demand_index: dict[int, int] = {}
-        dix = np.empty(n, dtype=np.int64)
-        for pos, inst in enumerate(insts):
-            dix[pos] = self._demand_index.setdefault(
-                inst.demand_id, len(self._demand_index)
-            )
-        self._dix = dix
-        self._net_arr = np.asarray([d.network_id for d in insts], dtype=np.int64)
+        self._net_arr = np.asarray([d.network_id for d in insts],
+                                   dtype=np.int64)
         self._heights = np.asarray(
             [getattr(d, "height", 1.0) for d in insts], dtype=np.float64
         )
-
+        # NaN marks a population without profits (pure conflict use).
+        self._profits = np.asarray(
+            [float(getattr(d, "profit", np.nan)) for d in insts],
+            dtype=np.float64,
+        )
         if n and all(hasattr(d, "start") and hasattr(d, "end") for d in insts):
             self._geometry = "interval"
             self._starts = np.asarray([d.start for d in insts], dtype=np.int64)
@@ -146,6 +124,74 @@ class ConflictIndex:
         else:
             self._geometry = "buckets"
 
+    def _intern_routes(self, global_edges: Iterable[Iterable]) -> None:
+        """Build the route CSR and the edge-key table in one pass."""
+        n = len(self._instances)
+        edge_index: dict[object, int] = {}
+        intern = edge_index.setdefault
+        flat: list[int] = []
+        append = flat.append
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        rows = 0
+        for ge in global_edges:
+            if rows == n:
+                raise ValueError("one edge list per instance required")
+            for e in ge:
+                append(intern(e, len(edge_index)))
+            rows += 1
+            indptr[rows] = len(flat)
+        if rows != n:
+            raise ValueError("one edge list per instance required")
+        self._flat_edges = np.asarray(flat, dtype=np.int64)
+        self._indptr = indptr
+        #: ``_edge_keys[eid]`` is the global edge key interned as ``eid``.
+        self._edge_keys: list = list(edge_index)
+        self.num_edges = len(edge_index)
+
+    def _index_demands(self) -> None:
+        """Demand columns: first-appearance interning (``_dix``) and the
+        demand → candidate CSR (ascending instance ids per demand)."""
+        insts = self._instances
+        n = len(insts)
+        for pos, inst in enumerate(insts):
+            if inst.instance_id != pos:
+                raise ValueError(
+                    f"instance ids must be dense 0..N-1 in order; position "
+                    f"{pos} holds id {inst.instance_id}"
+                )
+        dem = np.asarray([d.demand_id for d in insts], dtype=np.int64)
+        if n and dem.min() < 0:
+            raise ValueError("demand ids must be non-negative")
+        uniq, first, inv = np.unique(dem, return_index=True,
+                                     return_inverse=True)
+        rank = np.empty(len(uniq), dtype=np.int64)
+        rank[np.argsort(first, kind="stable")] = np.arange(len(uniq))
+        self._dix = rank[inv].reshape(n)
+        #: Number of distinct demands in the population.
+        self.num_demands = len(uniq)
+        counts = np.bincount(dem) if n else np.zeros(0, dtype=np.int64)
+        self._cand_indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self._cand_indptr[1:])
+        self._cand_iids = np.argsort(dem, kind="stable")
+        self._cand_iids.flags.writeable = False
+
+    def _ensure_buckets(self) -> None:
+        """Materialize the edge → instance CSR behind :meth:`neighbors`.
+
+        Built on the first :meth:`neighbors` call, never by the
+        constructor: the array-geometry paths the online and offline
+        engines run never need it.
+        """
+        if self._by_edge is not None:
+            return
+        flat = self._flat_edges
+        eptr = np.zeros(self.num_edges + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=self.num_edges),
+                  out=eptr[1:])
+        owner = np.repeat(np.arange(len(self._instances), dtype=np.int64),
+                          np.diff(self._indptr))
+        self._by_edge = (eptr, owner[np.argsort(flat, kind="stable")])
+
     # ------------------------------------------------------------------
 
     def sliced(self, instances: Sequence, gids: Sequence[int]) -> "ConflictIndex":
@@ -156,13 +202,14 @@ class ConflictIndex:
         densified — the shard-subproblem convention) and ``gids[k]`` is
         the global instance id local instance ``k`` was sliced from.
 
-        The view reuses the parent's interned edge-id space, CSR route
-        rows, route frozensets and per-network Euler-tour indexes — all
-        immutable — so building it costs a few array gathers instead of
-        the per-instance Python loops of a from-scratch build.  Every
-        query answers exactly as a freshly built index over the same
-        sub-population would: the shared edge-id space is a superset,
-        which only widens the (never-loaded) zero tail no query observes.
+        The view shares the parent's edge-id space, edge-key table and
+        per-network Euler-tour indexes, and gathers its CSR rows and
+        columns from the parent's arrays — so building it costs a few
+        array gathers instead of the per-instance Python loops of a
+        from-scratch build.  Every query answers exactly as a freshly
+        built index over the same sub-population would: the shared
+        edge-id space is a superset, which only widens the (never-loaded)
+        zero tail no query observes.
         """
         gids_arr = np.asarray(gids, dtype=np.int64)
         k = len(gids_arr)
@@ -170,41 +217,17 @@ class ConflictIndex:
             raise ValueError("one instance per global id required")
         out = object.__new__(ConflictIndex)
         out._instances = list(instances)
-        out._edges_of = [self._edges_of[g] for g in gids_arr.tolist()]
-        out._by_demand = None  # lazy — see _ensure_buckets
-        out._by_edge = None
-        out._edge_index = self._edge_index
+        out._edge_keys = self._edge_keys
         out.num_edges = self.num_edges
-        starts = self._indptr[gids_arr]
-        counts = self._indptr[gids_arr + 1] - starts
-        indptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        total = int(indptr[-1])
-        if total:
-            offsets = np.repeat(starts - indptr[:-1], counts)
-            out._flat_edges = self._flat_edges[
-                np.arange(total, dtype=np.int64) + offsets
-            ]
-        else:
-            out._flat_edges = np.zeros(0, dtype=np.int64)
-        out._indptr = indptr
-        # First-appearance demand interning, exactly as the constructor
-        # computes it (the identity map for densified demand ids).
-        demand_index: dict[int, int] = {}
-        dix = np.empty(k, dtype=np.int64)
-        for pos, inst in enumerate(out._instances):
-            if inst.instance_id != pos:
-                raise ValueError(
-                    f"instance ids must be dense 0..N-1 in order; position "
-                    f"{pos} holds id {inst.instance_id}"
-                )
-            dix[pos] = demand_index.setdefault(
-                inst.demand_id, len(demand_index)
-            )
-        out._demand_index = demand_index
-        out._dix = dix
+        out._flat_edges, counts = gather_rows(self._indptr,
+                                              self._flat_edges, gids_arr)
+        out._indptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(counts, out=out._indptr[1:])
+        out._index_demands()
+        out._by_edge = None  # lazy — see _ensure_buckets
         out._net_arr = self._net_arr[gids_arr]
         out._heights = self._heights[gids_arr]
+        out._profits = self._profits[gids_arr]
         out._geometry = self._geometry
         if self._geometry == "interval":
             out._starts = self._starts[gids_arr]
@@ -224,26 +247,39 @@ class ConflictIndex:
         """The instance with id ``iid``."""
         return self._instances[iid]
 
+    def edge_ids(self, iid: int) -> np.ndarray:
+        """Interned edge ids of instance ``iid``'s route (its CSR row)."""
+        return self._flat_edges[self._indptr[iid]:self._indptr[iid + 1]]
+
     def edges_of(self, iid: int) -> frozenset:
-        """Global edges instance ``iid`` is active on."""
-        return self._edges_of[iid]
+        """Global edge keys instance ``iid`` is active on."""
+        keys = self._edge_keys
+        return frozenset([keys[e] for e in self.edge_ids(iid).tolist()])
+
+    def candidates(self, demand_id: int) -> np.ndarray:
+        """Instance ids of ``demand_id``, ascending (a read-only view).
+
+        Raises ``KeyError`` for a demand with no instance here.
+        """
+        ci = self._cand_indptr
+        if 0 <= demand_id < len(ci) - 1:
+            lo, hi = ci[demand_id], ci[demand_id + 1]
+            if lo != hi:
+                return self._cand_iids[lo:hi]
+        raise KeyError(f"unknown demand {demand_id}")
 
     def overlap(self, a: int, b: int) -> bool:
         """Same network and edge-intersecting routes (Section 2)."""
-        ia, ib = self._instances[a], self._instances[b]
-        if ia.network_id != ib.network_id:
+        if self._net_arr[a] != self._net_arr[b]:
             return False
-        ea, eb = self._edges_of[a], self._edges_of[b]
-        if len(ea) > len(eb):
-            ea, eb = eb, ea
-        return any(e in eb for e in ea)
+        return not set(self.edge_ids(a).tolist()).isdisjoint(
+            self.edge_ids(b).tolist())
 
     def conflicting(self, a: int, b: int) -> bool:
         """Same demand, or overlapping (Section 2's conflict relation)."""
         if a == b:
             return False
-        ia, ib = self._instances[a], self._instances[b]
-        if ia.demand_id == ib.demand_id:
+        if self._dix[a] == self._dix[b]:
             return True
         return self.overlap(a, b)
 
@@ -251,35 +287,32 @@ class ConflictIndex:
         """All instances conflicting with ``iid``.
 
         Restricted to ``population`` if given.  Computed as the union of
-        the sibling bucket (same demand) and the activity buckets of the
-        edges on ``iid``'s route.
+        the instance's demand siblings and the instances active on each
+        edge of its route.
         """
         self._ensure_buckets()
-        inst = self._instances[iid]
-        out: set[int] = set()
-        for other in self._by_demand[inst.demand_id]:
-            if other != iid and (population is None or other in population):
-                out.add(other)
-        for e in self._edges_of[iid]:
-            for other in self._by_edge[e]:
-                if other != iid and (population is None or other in population):
-                    out.add(other)
+        eptr, holders = self._by_edge
+        out = set(self.candidates(self._instances[iid].demand_id).tolist())
+        for e in self.edge_ids(iid).tolist():
+            out.update(holders[eptr[e]:eptr[e + 1]].tolist())
+        out.discard(iid)
+        if population is not None:
+            out.intersection_update(population)
         return out
 
     def is_independent(self, iids: Iterable[int]) -> bool:
         """Whether the given instance ids are pairwise non-conflicting."""
-        ids = list(iids)
         demands: set[int] = set()
-        used_edges: set[object] = set()
-        for iid in ids:
-            inst = self._instances[iid]
-            if inst.demand_id in demands:
+        used_edges: set[int] = set()
+        for iid in iids:
+            d = int(self._dix[iid])
+            if d in demands:
                 return False
-            demands.add(inst.demand_id)
-            for e in self._edges_of[iid]:
-                if e in used_edges:
-                    return False
-            used_edges.update(self._edges_of[iid])
+            demands.add(d)
+            row = self.edge_ids(iid).tolist()
+            if not used_edges.isdisjoint(row):
+                return False
+            used_edges.update(row)
         return True
 
     # ------------------------------------------------------------------
@@ -399,7 +432,7 @@ class ActiveConflictSet:
         self._index = index
         self.capacities = capacities
         self._load = np.zeros(index.num_edges, dtype=np.float64)
-        self._demand_used = np.zeros(len(index._demand_index), dtype=bool)
+        self._demand_used = np.zeros(index.num_demands, dtype=bool)
         self._members: set[int] = set()
 
     def __len__(self) -> int:
@@ -455,29 +488,29 @@ class ActiveConflictSet:
                     out[j] = top > 0.0
             return out
         blocked = self._demand_used[idx._dix[arr]].copy()
-        starts = idx._indptr[arr]
-        counts = idx._indptr[arr + 1] - starts
-        total = int(counts.sum())
-        if total:
-            # Gather every candidate's edge loads into one flat array.
-            offsets = np.repeat(
-                starts - np.concatenate(([0], np.cumsum(counts)[:-1])),
-                counts,
-            )
-            flat_pos = np.arange(total) + offsets
-            loads = self._load[idx._flat_edges[flat_pos]]
-            seg_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            nonempty = counts > 0
-            seg_max = np.zeros(len(arr), dtype=np.float64)
-            if nonempty.any():
-                seg_max[nonempty] = np.maximum.reduceat(
-                    loads, seg_starts[nonempty]
-                )
+        peaks, counts = self.route_peaks(arr)
+        if counts.any():  # an all-empty batch skips the load test
             if self.capacities:
-                blocked |= seg_max + idx._heights[arr] > 1.0 + 1e-9
+                blocked |= peaks + idx._heights[arr] > 1.0 + 1e-9
             else:
-                blocked |= seg_max > 0.0
+                blocked |= peaks > 0.0
         return blocked
+
+    def route_peaks(self, iids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(peaks, counts)``: each instance's heaviest route-edge load
+        (0.0 for an empty route) and its route length, from one gather
+        and one segment maximum over the concatenated routes."""
+        idx = self._index
+        edges, counts = gather_rows(idx._indptr, idx._flat_edges, iids)
+        peaks = np.zeros(len(iids), dtype=np.float64)
+        if len(edges):
+            seg_starts = np.zeros(len(iids), dtype=np.int64)
+            np.cumsum(counts[:-1], out=seg_starts[1:])
+            nonempty = counts > 0
+            peaks[nonempty] = np.maximum.reduceat(
+                self._load[edges], seg_starts[nonempty]
+            )
+        return peaks, counts
 
     def blocked(self, iid: int) -> bool:
         """Whether one candidate conflicts with the active set."""
@@ -522,19 +555,9 @@ class ActiveConflictSet:
         if len(arr) == 0:
             return
         if _edges is None:
-            starts = idx._indptr[arr]
-            counts = idx._indptr[arr + 1] - starts
-            total = int(counts.sum())
-            if total:
-                offsets = np.repeat(
-                    starts - np.concatenate(([0], np.cumsum(counts)[:-1])),
-                    counts,
-                )
-                _edges = idx._flat_edges[np.arange(total) + offsets]
-                if self.capacities:
-                    _adds = np.repeat(idx._heights[arr], counts)
-            else:
-                _edges = None
+            _edges, counts = gather_rows(idx._indptr, idx._flat_edges, arr)
+            if self.capacities:
+                _adds = np.repeat(idx._heights[arr], counts)
         if _edges is not None and len(_edges):
             if self.capacities:
                 # Candidates are edge-disjoint, so the fancy-indexed add

@@ -26,6 +26,8 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .conflict import gather_rows
+
 __all__ = ["DualState"]
 
 
@@ -188,15 +190,8 @@ class DualState:
         once per group removes the per-step index arithmetic.
         """
         arr = np.asarray(iids, dtype=np.int64)
-        starts = self._indptr[arr]
-        counts = self._indptr[arr + 1] - starts
+        edge_ids, counts = gather_rows(self._indptr, self._flat, arr)
         seg_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        total = int(counts.sum())
-        if total:
-            offsets = np.repeat(starts - seg_starts, counts)
-            edge_ids = self._flat[np.arange(total) + offsets]
-        else:
-            edge_ids = np.zeros(0, dtype=np.int64)
         return (arr, edge_ids, seg_starts[counts > 0], counts,
                 self._dix[arr], self._heights[arr], self._profits[arr])
 
@@ -338,17 +333,7 @@ class DualState:
     def _crit_slices(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self._crit_indptr is None:
             raise RuntimeError("call set_critical() before batched raises")
-        starts = self._crit_indptr[arr]
-        counts = self._crit_indptr[arr + 1] - starts
-        total = int(counts.sum())
-        if total:
-            offsets = np.repeat(
-                starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-            )
-            edges = self._crit_flat[np.arange(total) + offsets]
-        else:
-            edges = np.zeros(0, dtype=np.int64)
-        return edges, counts
+        return gather_rows(self._crit_indptr, self._crit_flat, arr)
 
     def _log_batch(self, arr: np.ndarray, deltas: np.ndarray,
                    bumps: np.ndarray) -> None:

@@ -46,6 +46,8 @@ acknowledges to clients, as distinct from "accepted".
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import struct
 import tempfile
@@ -68,6 +70,8 @@ __all__ = [
     "trace_from_dict",
     "event_to_dict",
     "event_from_dict",
+    "parse_demand_id",
+    "parse_event_time",
     "save_problem",
     "load_problem",
     "save_solution",
@@ -255,19 +259,47 @@ def event_to_dict(ev) -> dict:
     raise TypeError(f"cannot serialize event {type(ev).__name__}")
 
 
+def parse_demand_id(value) -> int:
+    """A demand id read from outside the process, validated, not coerced.
+
+    Accepts an integer (NumPy integers included) and nothing else: a
+    bool, float or numeric string raises ``ValueError`` rather than
+    silently naming some other demand.
+    """
+    if type(value) is int:  # the common case, before the slower ABC test
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"demand must be an integer, got {value!r}")
+
+
+def parse_event_time(value) -> float:
+    """An event time read from outside the process: a finite int or
+    float (never a bool or a string), else ``ValueError``."""
+    if type(value) is float or (isinstance(value, numbers.Real)
+                                and not isinstance(value, bool)):
+        t = float(value)
+        if math.isfinite(t):
+            return t
+    raise ValueError(f"time must be a finite number, got {value!r}")
+
+
 def event_from_dict(rec: dict):
-    """Inverse of :func:`event_to_dict`."""
+    """Inverse of :func:`event_to_dict` (strict: see
+    :func:`parse_demand_id` and :func:`parse_event_time`)."""
     Arrival, Departure, Tick = _event_types()
 
     if not isinstance(rec, dict):
         raise ValueError(f"event record must be an object, got {rec!r}")
     etype = rec.get("type")
     if etype == "arrival":
-        return Arrival(float(rec["time"]), int(rec["demand"]))
+        return Arrival(parse_event_time(rec["time"]),
+                       parse_demand_id(rec["demand"]))
     if etype == "departure":
-        return Departure(float(rec["time"]), int(rec["demand"]))
+        return Departure(parse_event_time(rec["time"]),
+                         parse_demand_id(rec["demand"]))
     if etype == "tick":
-        return Tick(float(rec["time"]))
+        return Tick(parse_event_time(rec["time"]))
     raise ValueError(f"unknown event type {etype!r}")
 
 

@@ -7,11 +7,12 @@ module removes that bottleneck for the two stateless-per-event policies
 (``greedy-threshold`` and ``dual-gated``) without changing a single
 decision bit:
 
-* :class:`DemandGeometry` — per-demand candidate/route/footprint CSR
-  arrays resolved **once** per ledger against the shared
+* :class:`DemandGeometry` — the per-instance policy keys and the
+  per-demand footprint CSR, derived **once** per ledger from the shared
   :class:`~repro.core.conflict.ConflictIndex` (cached on the ledger, so
   every session over the same ledger — including the sharded boundary
-  pass — reuses one build);
+  pass — reuses one build); candidates, routes, heights and profits
+  are read from the index itself, never copied;
 * :class:`TraceArrays` — a columnar view of one event batch (kinds,
   demand ids, per-event conflict footprints);
 * :func:`conflict_free_runs` — splits consecutive events into *maximal*
@@ -44,7 +45,8 @@ container's NumPy):
 
 The executor amortizes per-run overhead by *pre-gathering* per chunk:
 candidate rows, route edges, heights and selection keys for every
-batchable arrival in a chunk are flattened once (:func:`_prepare`),
+batchable arrival in a chunk are gathered once from the index's CSRs
+and columns (:func:`_prepare`),
 so each run reduces to a load gather plus a handful of segment
 reductions over contiguous slices.
 
@@ -63,6 +65,7 @@ import time
 
 import numpy as np
 
+from ..core.conflict import gather_rows
 from ..obs import tracing as _tracing
 from .events import Arrival, Departure, Tick
 
@@ -99,98 +102,61 @@ _CAP = 1.0 + 1e-9
 
 
 class DemandGeometry:
-    """Candidate/route/footprint CSR arrays over a ledger's population.
+    """The fast path's per-instance policy keys and per-demand footprints.
 
-    Everything here is static (routes, profits, densities never change),
-    resolved once against the ledger's shared
-    :class:`~repro.core.conflict.ConflictIndex` and reused by every
-    batch.  Demand ids index the CSR directly (the trace contract:
-    ``0 .. num_demands-1``; shard-sliced subproblems densify to the same
-    convention).
+    Routes, heights, profits, interned demands and the demand →
+    candidate CSR are read straight from the ledger's shared
+    :class:`~repro.core.conflict.ConflictIndex`; this class adds only
+    what the batch kernels derive from them, indexed by instance id:
+    the greedy density and selection key, the feasibility-test mask,
+    and the per-demand conflict-footprint CSR.  Everything here is
+    static (routes, profits, densities never change), built once per
+    ledger and reused by every batch.  Demand ids index the CSRs
+    directly (the trace contract: ``0 .. num_demands-1``; shard-sliced
+    subproblems densify to the same convention).
     """
 
     def __init__(self, ledger) -> None:
         index = ledger.index
-        problem = ledger.problem
-        D = int(problem.num_demands)
+        D = int(ledger.problem.num_demands)
         I = len(ledger.instances)
         E = int(index.num_edges)
+        self.index = index
         self.num_demands = D
         self.num_instances = I
         self.num_edges = E
 
-        # --- per-demand candidate CSR (ascending instance ids, exactly
-        # the order ledger.candidates() reports) -----------------------
-        counts = np.zeros(D, dtype=np.int64)
-        for inst in ledger.instances:
-            counts[inst.demand_id] += 1
-        self.cand_indptr = np.zeros(D + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.cand_indptr[1:])
-        cand_iids = np.empty(I, dtype=np.int64)
-        fill = self.cand_indptr[:-1].copy()
-        for inst in ledger.instances:
-            d = inst.demand_id
-            cand_iids[fill[d]] = inst.instance_id
-            fill[d] += 1
-        self.cand_iids = cand_iids
+        # The index's candidate CSR (every demand of a validated
+        # problem has at least one instance, so it has D rows).
+        self.cand_indptr = index._cand_indptr
+        counts = np.diff(self.cand_indptr)
+        # Owning demand of every instance.
+        owner = np.empty(I, dtype=np.int64)
+        owner[index._cand_iids] = np.repeat(
+            np.arange(D, dtype=np.int64), counts)
 
-        # --- per-candidate columns (aligned with cand_iids) -----------
-        indptr = index._indptr
-        route_counts = (indptr[1:] - indptr[:-1])[cand_iids]
-        self.cand_route_len = np.maximum(route_counts, 1)
-        profits = np.asarray(
-            [float(d.profit) for d in ledger.instances], dtype=np.float64
-        )
-        self.cand_profit = profits[cand_iids]
-        self.cand_height = index._heights[cand_iids].astype(
-            np.float64, copy=True
-        )
-        self.cand_dix = index._dix[cand_iids]
-        # route_length / density exactly as the ledger caches them:
+        route_counts = np.diff(index._indptr)
+        route_len = np.maximum(route_counts, 1)
+        # route_length / density exactly as the ledger computes them:
         # max(route, 1) and profit / route_length (one float64 divide).
-        self.cand_density = self.cand_profit / self.cand_route_len.astype(
-            np.float64
-        )
+        self.cand_density = index._profits / route_len.astype(np.float64)
         # Greedy's (route_length, iid) ranking as one sortable int64.
-        self.cand_selkey = self.cand_route_len * np.int64(I) + cand_iids
+        self.cand_selkey = route_len * np.int64(I) + np.arange(
+            I, dtype=np.int64)
         # blocked_mask's single- vs multi-candidate asymmetry: the
         # single-candidate probe skips the load test on an empty route,
         # the batched probe applies it.  True where the load test
         # applies (nonempty route, or demand with several candidates).
-        self.cand_apply = (route_counts > 0) | np.repeat(
-            counts > 1, counts
-        )
-
-        # --- per-candidate route CSR (the index's own edge rows,
-        # re-packed in candidate order) --------------------------------
-        self.rr_indptr = np.zeros(I + 1, dtype=np.int64)
-        np.cumsum(route_counts, out=self.rr_indptr[1:])
-        total = int(self.rr_indptr[-1])
-        if total:
-            offsets = np.repeat(
-                indptr[cand_iids] - self.rr_indptr[:-1], route_counts
-            )
-            self.rr_edges = index._flat_edges[
-                np.arange(total, dtype=np.int64) + offsets
-            ]
-        else:
-            self.rr_edges = np.zeros(0, dtype=np.int64)
+        self.cand_apply = (route_counts > 0) | (counts > 1)[owner]
 
         # --- per-demand conflict footprints ---------------------------
         # Union of every candidate route of the demand, deduped in one
         # global argsort pass, plus a sentinel pseudo-edge ``E + d`` so
         # two events of the same demand always conflict.  Stamps range
         # over ``E + D``.
-        if total:
-            owner = np.repeat(
-                np.repeat(
-                    np.arange(D, dtype=np.int64),
-                    counts,
-                ),
-                route_counts,
-            )
-            key = owner * np.int64(E) + self.rr_edges
-            key = np.sort(key)
+        if len(index._flat_edges):
+            key = np.sort(np.repeat(owner, route_counts) * np.int64(E)
+                          + index._flat_edges)
             keep = np.empty(len(key), dtype=bool)
             keep[0] = True
             np.not_equal(key[1:], key[:-1], out=keep[1:])
@@ -310,16 +276,8 @@ class TraceArrays:
             cnt[arrivals_no_cand] = 0
         fp_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(cnt, out=fp_indptr[1:])
-        total = int(fp_indptr[-1])
-        if total:
-            ok = cnt > 0
-            starts = geom.fp_indptr[demand[ok]]
-            offsets = np.repeat(starts - fp_indptr[:-1][ok], cnt[ok])
-            fp_edges = geom.fp_edges[
-                np.arange(total, dtype=np.int64) + offsets
-            ]
-        else:
-            fp_edges = np.zeros(0, dtype=np.int64)
+        fp_edges, _ = gather_rows(geom.fp_indptr, geom.fp_edges,
+                                  demand[cnt > 0])
         return cls(events, kinds, demand, batchable, fp_indptr, fp_edges)
 
 
@@ -395,7 +353,7 @@ class _ChunkPlan:
 
     * ``demands``/``ccnt``/``dix`` — per arrival;
     * ``cstart`` — arrival → candidate-range prefix (length n+1);
-    * ``gidx``/``height``/``pos`` (+ per-kernel ``gkey`` or
+    * ``height``/``pos`` (+ per-kernel ``gkey`` or
       ``profit``/``iid``) — per candidate;
     * ``estart`` — candidate → route-edge-range prefix (length C+1);
     * ``edges`` — flat route edge ids per candidate.
@@ -406,46 +364,35 @@ class _ChunkPlan:
     asymmetry).
     """
 
-    __slots__ = ("demands", "ccnt", "dix", "cstart", "gidx", "height",
+    __slots__ = ("demands", "ccnt", "dix", "cstart", "height",
                  "pos", "aidx", "estart", "edges", "earange",
                  "has_empty", "apply", "gkey", "profit", "iid")
 
 
 def _prepare(feeder: "FastFeeder", demands: np.ndarray) -> _ChunkPlan:
-    """Flatten the candidate rows of ``demands`` against the geometry."""
+    """Flatten the candidate rows of ``demands`` against the index."""
     geom = feeder.geom
+    index = geom.index
     p = _ChunkPlan()
     p.demands = demands
-    ci0 = geom.cand_indptr[demands]
-    ccnt = geom.cand_indptr[demands + 1] - ci0
+    iid, ccnt = gather_rows(geom.cand_indptr, index._cand_iids, demands)
     cstart = np.zeros(len(demands) + 1, dtype=np.int64)
     np.cumsum(ccnt, out=cstart[1:])
     C = int(cstart[-1])
-    gidx = np.arange(C, dtype=np.int64) + np.repeat(ci0 - cstart[:-1], ccnt)
     p.ccnt = ccnt
     p.cstart = cstart
-    p.gidx = gidx
-    p.dix = geom.cand_dix[gidx[cstart[:-1]]]
-    r0 = geom.rr_indptr[gidx]
-    r_cnt = geom.rr_indptr[gidx + 1] - r0
+    p.dix = index._dix[iid[cstart[:-1]]]
+    p.edges, r_cnt = gather_rows(index._indptr, index._flat_edges, iid)
     estart = np.zeros(C + 1, dtype=np.int64)
     np.cumsum(r_cnt, out=estart[1:])
-    total = int(estart[-1])
-    if total:
-        p.edges = geom.rr_edges[
-            np.arange(total, dtype=np.int64) + np.repeat(r0 - estart[:-1],
-                                                         r_cnt)
-        ]
-    else:
-        p.edges = np.zeros(0, dtype=np.int64)
     p.estart = estart
-    p.height = geom.cand_height[gidx]
+    p.height = index._heights[iid]
     p.pos = np.arange(C, dtype=np.int64)
-    p.earange = np.arange(total, dtype=np.int64)
+    p.earange = np.arange(len(p.edges), dtype=np.int64)
     p.has_empty = bool((r_cnt == 0).any())
-    p.apply = geom.cand_apply[gidx] if p.has_empty else None
+    p.apply = geom.cand_apply[iid] if p.has_empty else None
     if feeder.gkey is not None:
-        p.gkey = feeder.gkey[gidx]
+        p.gkey = feeder.gkey[iid]
         p.aidx = p.profit = p.iid = None
     else:
         p.gkey = None
@@ -455,8 +402,8 @@ def _prepare(feeder: "FastFeeder", demands: np.ndarray) -> _ChunkPlan:
         p.aidx = np.repeat(
             np.arange(len(demands), dtype=np.int64), ccnt
         )
-        p.profit = geom.cand_profit[gidx]
-        p.iid = geom.cand_iids[gidx]
+        p.profit = index._profits[iid]
+        p.iid = iid
     return p
 
 

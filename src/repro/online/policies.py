@@ -197,9 +197,7 @@ class DualGated(AdmissionPolicy):
             pmin, pmax = problem.profit_range()
         else:
             pmin = pmax = 1.0
-        lengths = [max(len(ledger.index.edges_of(d.instance_id)), 1)
-                   for d in ledger.instances]
-        L = max(lengths, default=1)
+        L = max(ledger._route_len, default=1)
         self.mu = (float(self._mu_override) if self._mu_override is not None
                    else max(2.0, L * pmax / max(pmin, 1e-12)))
         self._scale = pmin / L
@@ -298,9 +296,8 @@ class DualGated(AdmissionPolicy):
             route = (np.add.reduceat(beta[idx._flat_edges], idx._indptr[:-1])
                      if len(idx._flat_edges) else
                      np.zeros(len(ledger.instances)))
-            profits = np.asarray([d.profit for d in ledger.instances])
-            slack = profits - idx._heights * route
-            z = np.zeros(len(idx._demand_index))
+            slack = idx._profits - idx._heights * route
+            z = np.zeros(idx.num_demands)
             np.maximum.at(z, idx._dix, slack)
             z_total = math.fsum(z.tolist())
         else:
@@ -492,15 +489,15 @@ class BatchResolve(AdmissionPolicy):
             # placement of any buffered demand cannot change the solve,
             # so pruning it is exact (and keeps flush cost proportional
             # to the *contested* load, not the whole admitted set).
-            relevant: set = set()
+            relevant: set[int] = set()
             for d in demand_ids:
                 for cand in ledger.candidates(d).tolist():
-                    relevant |= index.edges_of(cand)
+                    relevant.update(index.edge_ids(cand).tolist())
             dominating = math.fsum(
                 p.demands[d].profit for d in demand_ids) + 1.0
             tree = isinstance(p, TreeProblem)
             for _, iid in ledger.admitted_items():
-                if relevant.isdisjoint(index.edges_of(iid)):
+                if relevant.isdisjoint(index.edge_ids(iid).tolist()):
                     continue
                 inst = ledger.instances[iid]
                 if tree:

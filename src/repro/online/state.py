@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from ..core.conflict import ActiveConflictSet, ConflictIndex
+from ..core.conflict import ConflictIndex, gather_rows
 from ..obs.tracing import RECORDER as _REC
 from ..core.instance import TreeProblem
 from ..core.solution import (
@@ -101,21 +101,17 @@ class CapacityLedger:
                 )
             self.index = index
         else:
-            edges_of = [
-                frozenset(problem.global_edges_of(d)) for d in self.instances
-            ]
             trees = None
             if isinstance(problem, TreeProblem):
                 trees = {q: net for q, net in enumerate(problem.networks)}
-            #: The shared conflict index (built once; the PR-1 probes).
-            self.index = ConflictIndex(self.instances, edges_of, trees=trees)
+            # Routes are built one at a time and interned as they come,
+            # so no per-instance key set outlives the build.
+            routes = (frozenset(problem.global_edges_of(d))
+                      for d in self.instances)
+            #: The shared conflict index: the population's one copy of
+            #: its static geometry (routes, columns, candidate CSR).
+            self.index = ConflictIndex(self.instances, routes, trees=trees)
         self.active = self.index.active_set(capacities=True)
-        self._candidates: dict[int, np.ndarray] = {}
-        by_demand: dict[int, list[int]] = {}
-        for inst in self.instances:
-            by_demand.setdefault(inst.demand_id, []).append(inst.instance_id)
-        for d, iids in by_demand.items():
-            self._candidates[d] = np.asarray(iids, dtype=np.int64)
         self._admitted: dict[int, int] = {}
         self._ever_admitted: set[int] = set()
         self._evicted: set[int] = set()
@@ -156,11 +152,10 @@ class CapacityLedger:
     # ------------------------------------------------------------------
 
     def candidates(self, demand_id: int) -> np.ndarray:
-        """Instance ids of ``demand_id`` (one per network × placement)."""
-        try:
-            return self._candidates[demand_id]
-        except KeyError:
-            raise KeyError(f"unknown demand {demand_id}") from None
+        """Instance ids of ``demand_id`` (one per network × placement),
+        ascending, as a read-only view of the index's candidate CSR;
+        ``KeyError`` for a demand with no instance."""
+        return self.index.candidates(demand_id)
 
     def feasible(self, iids) -> np.ndarray:
         """Boolean mask: which instances fit the residual capacity now."""
@@ -475,34 +470,17 @@ class CapacityLedger:
                 if d in self._ever_admitted or d in seen:
                     raise ValueError(f"demand {d} was already admitted")
                 seen.add(d)
-            idx = self.index
-            starts = idx._indptr[arr]
-            counts = idx._indptr[arr + 1] - starts
-            total = int(counts.sum())
-            if total:
-                offsets = np.repeat(
-                    starts - np.concatenate(([0], np.cumsum(counts)[:-1])),
-                    counts,
+            peaks, counts = self.active.route_peaks(arr)
+            # Empty routes are exempt, matching the single-instance
+            # probe :meth:`admit` itself performs.
+            bad = ((peaks + self.index._heights[arr] > 1.0 + 1e-9)
+                   & (counts > 0))
+            if bad.any():
+                culprit = int(arr[bad][0])
+                raise ValueError(
+                    f"instance {culprit} no longer fits the residual "
+                    f"capacity"
                 )
-                loads = self.active._load[
-                    idx._flat_edges[np.arange(total) + offsets]
-                ]
-                seg_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-                nonempty = counts > 0
-                seg_max = np.zeros(len(arr), dtype=np.float64)
-                if nonempty.any():
-                    seg_max[nonempty] = np.maximum.reduceat(
-                        loads, seg_starts[nonempty]
-                    )
-                # Empty routes are exempt, matching the single-instance
-                # probe :meth:`admit` itself performs.
-                bad = (seg_max + idx._heights[arr] > 1.0 + 1e-9) & nonempty
-                if bad.any():
-                    culprit = int(arr[bad][0])
-                    raise ValueError(
-                        f"instance {culprit} no longer fits the residual "
-                        f"capacity"
-                    )
         # Validation passed — apply.  add_all performs the batched
         # scatter-add (bit-identical to per-instance adds on disjoint
         # routes) plus the demand-used/member bookkeeping.
@@ -526,15 +504,22 @@ class CapacityLedger:
         """Release a batch of departed demands; returns their instances.
 
         The whole batch is validated first (every demand currently
-        admitted), so a bad entry leaves the ledger untouched.  The
-        load subtraction runs as one ``np.subtract.at`` over the
-        concatenated routes — the index array is in batch order, and
-        ``ufunc.at`` applies updates in index order, so the float
-        sequence per edge is exactly the scalar per-demand loop's.
+        admitted, none named twice), so a bad entry leaves the ledger
+        untouched.  The load subtraction runs as one ``np.subtract.at``
+        over the concatenated routes — the index array is in batch
+        order, and ``ufunc.at`` applies updates in index order, so the
+        float sequence per edge is exactly the scalar per-demand loop's.
         ``_disjoint`` (fast-path internal) promises the released routes
         are pairwise edge-disjoint, so the scatter touches each position
         once and a plain fancy subtract performs the identical single
         float subtraction per edge.
+
+        Raises
+        ------
+        KeyError
+            If a demand is not currently admitted.
+        ValueError
+            If a demand appears twice in the batch.
         """
         dlist = [int(d) for d in demand_ids]
         iids = []
@@ -545,17 +530,13 @@ class CapacityLedger:
             iids.append(iid)
         if not iids:
             return []
+        if len(set(dlist)) != len(dlist):
+            raise ValueError("a demand appears twice in the release batch")
         t0 = time.perf_counter_ns() if _REC.enabled else 0
         idx = self.index
         arr = np.asarray(iids, dtype=np.int64)
-        starts = idx._indptr[arr]
-        counts = idx._indptr[arr + 1] - starts
-        total = int(counts.sum())
-        if total:
-            rel = np.zeros(len(arr), dtype=np.int64)
-            np.cumsum(counts[:-1], out=rel[1:])
-            offsets = np.repeat(starts - rel, counts)
-            edges = idx._flat_edges[np.arange(total) + offsets]
+        edges, counts = gather_rows(idx._indptr, idx._flat_edges, arr)
+        if len(edges):
             subs = np.repeat(idx._heights[arr], counts)
             if _disjoint:
                 self.active._load[edges] -= subs
@@ -700,8 +681,10 @@ class CapacityLedger:
         """Re-check the current admitted set from first principles.
 
         Beyond the feasibility re-verification, the profit counters are
-        checked against the logs: realized profit must equal the
-        admission-log sum minus the eviction-log sum.
+        checked against the logs (realized profit must equal the
+        admission-log sum minus the eviction-log sum), the active set's
+        members against the admitted set, and every edge's live load
+        against the heights of the admitted routes that cross it.
         """
         sol = self.snapshot()
         if isinstance(self.problem, TreeProblem):
@@ -717,3 +700,21 @@ class CapacityLedger:
                 "profit counters drifted from the admission/eviction logs: "
                 f"{log_sum} - {evict_sum} != {self.realized_profit}"
             )
+        active = self.active
+        if active._members != set(self._admitted.values()):
+            raise AssertionError(
+                "active-set members differ from the admitted instances")
+        idx = self.index
+        held = np.fromiter(self._admitted.values(), dtype=np.int64,
+                           count=len(self._admitted))
+        edges, counts = gather_rows(idx._indptr, idx._flat_edges, held)
+        expect = np.bincount(edges, weights=np.repeat(idx._heights[held],
+                                                      counts),
+                             minlength=idx.num_edges)
+        load = active._load
+        if len(load):
+            drift = float(np.abs(load - expect).max())
+            if drift > _EPS or float(load.min()) < -_EPS:
+                raise AssertionError(
+                    f"edge loads drifted from the admitted routes: max "
+                    f"difference {drift}, min load {float(load.min())}")

@@ -63,6 +63,8 @@ from ..io import (
     JournalWriter,
     _fsync_dir,
     event_from_dict,
+    parse_demand_id,
+    parse_event_time,
     scan_journal,
     solution_to_dict,
     trace_from_dict,
@@ -328,11 +330,11 @@ class AdmissionService:
         op = req["op"]
         if op == "submit":
             return event_from_dict(req["event"])
-        time = float(req.get("time", self._last_time))
+        time = parse_event_time(req.get("time", self._last_time))
         if op == "admit":
-            return Arrival(time, int(req["demand"]))
+            return Arrival(time, parse_demand_id(req["demand"]))
         if op == "release":
-            return Departure(time, int(req["demand"]))
+            return Departure(time, parse_demand_id(req["demand"]))
         if op == "tick":
             return Tick(time)
         raise ValueError(f"op {op!r} carries no event")
@@ -380,7 +382,7 @@ class AdmissionService:
                 return {"ok": True, "op": op, **self.feed_events(events)}
             if op == "query":
                 return {"ok": True, "op": op,
-                        **self.query(int(req["demand"]))}
+                        **self.query(parse_demand_id(req["demand"]))}
             if op == "stats":
                 return {"ok": True, "op": op, "stats": self.stats()}
             if op == "snapshot":
@@ -399,7 +401,8 @@ class AdmissionService:
                         "trace": _tracing.chrome_trace(events)}
             if op == "explain":
                 return {"ok": True, "op": op,
-                        "explain": self.explain(int(req["demand"]))}
+                        "explain": self.explain(
+                            parse_demand_id(req["demand"]))}
             raise ValueError(
                 f"unknown op {op!r}; want admit/release/tick/submit/feed/"
                 "query/stats/snapshot/close/trace/explain"

@@ -8,7 +8,7 @@ shards of a :class:`~repro.sharding.planner.ShardPlan`:
   :class:`~repro.core.conflict.ConflictIndex` is built once
   (:class:`SharedGeometry`); the coordinator ledger uses it directly and
   every shard ledger gets a relabeled :meth:`ConflictIndex.sliced` view
-  that shares its interned arrays, frozensets and Euler tours, so no
+  that shares its edge-id space, edge-key table and Euler tours, so no
   shard rebuilds routes or conflict structure.
 * **Phase A** — every shard's local stream (cut-interior demands only,
   plus ticks) is replayed through its own
@@ -36,7 +36,9 @@ import queue as _queue
 import time
 from dataclasses import dataclass, field, replace as dc_replace
 
-from ..core.conflict import ConflictIndex
+import numpy as np
+
+from ..core.conflict import gather_rows
 from ..core.demand import TreeDemandInstance
 from ..core.instance import TreeProblem
 from ..core.solution import Solution
@@ -64,36 +66,19 @@ class SharedGeometry:
     (and with it the full :class:`~repro.core.conflict.ConflictIndex`)
     exactly once; :meth:`shard_view` then hands each shard a ledger over
     a :meth:`~repro.core.conflict.ConflictIndex.sliced` view whose
-    arrays, route frozensets and Euler tours are shared read-only with
-    the full build.  The shard subproblem's instance list is relabeled
-    from the full population (same routes, densified ids) and seeded
-    into the subproblem, so neither the instances nor their paths are
-    ever recomputed.
+    edge-id space, edge-key table and Euler tours are shared read-only
+    with the full build.  The shard subproblem's instance list is
+    relabeled from the full population (same routes, densified ids) and
+    seeded into the subproblem, so neither the instances nor their paths
+    are ever recomputed.
     """
 
     def __init__(self, problem, plan):
         self.problem = problem
         self.plan = plan
-        insts = problem.instances()
-        edges_of = [frozenset(problem.global_edges_of(d)) for d in insts]
-        trees = None
-        if isinstance(problem, TreeProblem):
-            trees = {q: net for q, net in enumerate(problem.networks)}
-        self.index = ConflictIndex(insts, edges_of, trees=trees)
-        #: The exact global capacity view, sharing the full index.
-        self.coordinator = CapacityLedger(problem, index=self.index)
-        # Instances are sorted by demand id: record each demand's block
-        # so a shard's instance rows are O(1) to locate.
-        block = [0] * (problem.num_demands + 1)
-        d = 0
-        for i, inst in enumerate(insts):
-            while d <= inst.demand_id:
-                block[d] = i
-                d += 1
-        while d <= problem.num_demands:
-            block[d] = len(insts)
-            d += 1
-        self._block = block
+        #: The exact global capacity view, owning the full index.
+        self.coordinator = CapacityLedger(problem)
+        self.index = self.coordinator.index
 
     def shard_view(self, s: int) -> CapacityLedger:
         """Shard ``s``'s ledger over a sliced view of the full index."""
@@ -102,24 +87,28 @@ class SharedGeometry:
         if sub._instances is None:
             insts = self.problem.instances()
             tree = isinstance(self.problem, TreeProblem)
+            # The shard's instance rows: its demands' candidates, in
+            # shard-rank order.
+            demands = np.asarray(plan.shard_demands[s], dtype=np.int64)
+            gids_arr, counts = gather_rows(self.index._cand_indptr,
+                                           self.index._cand_iids, demands)
+            gids = gids_arr.tolist()
             local: list = []
-            gids: list[int] = []
-            for rank, d in enumerate(plan.shard_demands[s]):
-                for g in range(self._block[d], self._block[d + 1]):
-                    it = insts[g]
-                    gids.append(g)
-                    if tree:
-                        # Direct construction: dataclasses.replace costs
-                        # ~6us apiece and this loop covers every
-                        # instance of every shard.
-                        local.append(TreeDemandInstance(
-                            instance_id=len(local), demand_id=rank,
-                            network_id=it.network_id, u=it.u, v=it.v,
-                            profit=it.profit, height=it.height,
-                            path_edges=it.path_edges))
-                    else:
-                        local.append(dc_replace(it, demand_id=rank,
-                                                instance_id=len(local)))
+            for g, rank in zip(gids, np.repeat(
+                    np.arange(len(demands)), counts).tolist()):
+                it = insts[g]
+                if tree:
+                    # Direct construction: dataclasses.replace costs
+                    # ~6us apiece and this loop covers every instance
+                    # of every shard.
+                    local.append(TreeDemandInstance(
+                        instance_id=len(local), demand_id=rank,
+                        network_id=it.network_id, u=it.u, v=it.v,
+                        profit=it.profit, height=it.height,
+                        path_edges=it.path_edges))
+                else:
+                    local.append(dc_replace(it, demand_id=rank,
+                                            instance_id=len(local)))
             # Seed the subproblem's instance cache (identical to what it
             # would compute: routes are shared with the full networks)
             # and the plan's local->global instance map in one shot.

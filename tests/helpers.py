@@ -394,3 +394,26 @@ def reference_policy(name: str, **params):
     in full with :func:`reference_preemption_plan` (never pruned)."""
     return {"preempt-density": ReferencePreemptDensity,
             "preempt-dual-gated": ReferencePreemptDualGated}[name](**params)
+
+
+# ----------------------------------------------------------------------
+# Reference geometry interning (the edge-id order journals depend on)
+# ----------------------------------------------------------------------
+
+
+def reference_interning(problem, insts) -> tuple[list, list[int], list[int]]:
+    """``(edge_keys, indptr, flat_edges)`` for ``insts`` by the plain
+    first-appearance loop over each instance's route frozenset.
+
+    Checkpoint ``load`` vectors are stored by edge id and dual-gated sums
+    route prices in row order, so a ledger's interning must equal this.
+    """
+    routes = [frozenset(problem.global_edges_of(i)) for i in insts]
+    edge_index: dict = {}
+    indptr = [0]
+    flat: list[int] = []
+    for route in routes:
+        for e in route:
+            flat.append(edge_index.setdefault(e, len(edge_index)))
+        indptr.append(len(flat))
+    return list(edge_index), indptr, flat

@@ -314,7 +314,6 @@ class TestBatchedLedgerOps:
         routes and distinct demands (the admit_many contract)."""
         taken: set = set()
         batch = []
-        geom = geometry_of(ledger)
         for d in range(ledger.problem.num_demands):
             if len(batch) >= k:
                 break
@@ -322,9 +321,7 @@ class TestBatchedLedgerOps:
             if not len(cands):
                 continue
             iid = int(cands[0])
-            lo, hi = geom.rr_indptr[
-                geom.cand_indptr[d]], geom.rr_indptr[geom.cand_indptr[d] + 1]
-            route = set(geom.rr_edges[lo:hi].tolist())
+            route = set(ledger.index.edge_ids(iid).tolist())
             if route & taken or not route:
                 continue
             if ledger.active.blocked(iid):

@@ -154,3 +154,58 @@ class TestWithdraw:
         items = ledger.admitted_items()
         assert items == sorted(items)
         assert len(items) == ledger.num_admitted
+
+
+class TestLedgerIntegrity:
+    @staticmethod
+    def _busy_ledger():
+        tr = poisson_trace("line", events=400, seed=3, departure_prob=0.0)
+        ledger = CapacityLedger(tr.problem)
+        for d in range(tr.problem.num_demands):
+            ledger.try_admit(d)
+        assert ledger.num_admitted >= 2
+        return ledger
+
+    @staticmethod
+    def _state(ledger):
+        return (ledger.active._load.tobytes(), dict(ledger._admitted),
+                set(ledger.active._members),
+                ledger.active._demand_used.tobytes(),
+                [set(h) for h in ledger._holders_by_edge])
+
+    def test_release_many_rejects_a_repeated_demand_untouched(self):
+        ledger = self._busy_ledger()
+        d = sorted(ledger._admitted)[0]
+        before = self._state(ledger)
+        with pytest.raises(ValueError, match="twice"):
+            ledger.release_many([d, d])
+        assert self._state(ledger) == before
+        ledger.verify()
+        iid = ledger.admitted_instance(d)
+        assert ledger.release_many([d]) == [iid]
+        ledger.verify()
+
+    def test_verify_checks_the_load_vector(self):
+        ledger = self._busy_ledger()
+        ledger.verify()
+        eid = int(np.argmax(ledger.active._load))
+        ledger.active._load[eid] += 1e-6
+        with pytest.raises(AssertionError, match="edge loads"):
+            ledger.verify()
+
+    def test_verify_rejects_a_negative_load(self):
+        ledger = self._busy_ledger()
+        free = np.flatnonzero(ledger.active._load == 0.0)
+        assert len(free)
+        ledger.active._load[free[0]] = -1e-6
+        with pytest.raises(AssertionError, match="edge loads"):
+            ledger.verify()
+
+    def test_verify_checks_active_members(self):
+        ledger = self._busy_ledger()
+        held = set(ledger._admitted.values())
+        spare = next(i for i in range(len(ledger.instances))
+                     if i not in held)
+        ledger.active._members.add(spare)
+        with pytest.raises(AssertionError, match="members"):
+            ledger.verify()

@@ -246,6 +246,72 @@ class TestRequestAPI:
         svc.handle({"op": "close"})
         assert "closed" in svc.handle({"op": "tick"})["error"]
 
+    @pytest.mark.parametrize("req", [
+        {"op": "admit", "demand": 2.7},
+        {"op": "admit", "demand": 2.0},
+        {"op": "admit", "demand": True},
+        {"op": "admit", "demand": "3"},
+        {"op": "admit", "demand": 2, "time": float("nan")},
+        {"op": "admit", "demand": 2, "time": float("inf")},
+        {"op": "admit", "demand": 2, "time": "inf"},
+        {"op": "admit", "demand": 2, "time": "5"},
+        {"op": "admit", "demand": 2, "time": True},
+        {"op": "release", "demand": 4.0},
+        {"op": "tick", "time": float("nan")},
+        {"op": "submit",
+         "event": {"type": "arrival", "time": 1.0, "demand": 2.7}},
+        {"op": "submit",
+         "event": {"type": "arrival", "time": "inf", "demand": 2}},
+        {"op": "feed", "events": [
+            {"type": "arrival", "time": 1.0, "demand": 0},
+            {"type": "arrival", "time": 1.0, "demand": True}]},
+        {"op": "feed", "events": [
+            {"type": "arrival", "time": float("nan"), "demand": 0}]},
+        {"op": "query", "demand": "3"},
+        {"op": "explain", "demand": 1.5},
+    ])
+    def test_coercible_ids_and_times_are_rejected(self, req):
+        tr = poisson_trace("line", events=200, seed=7, departure_prob=0.0)
+        svc = AdmissionService(tr, "greedy-threshold")
+        assert svc.handle({"op": "admit", "demand": 4, "time": 0.5})["ok"]
+
+        def state():
+            return (set(svc._arrived), set(svc._departed), svc.position,
+                    svc.session.ledger.export_state())
+
+        before = state()
+        resp = svc.handle(req)
+        assert resp["ok"] is False and resp["error"]
+        assert state() == before
+
+    def test_numpy_integer_demand_is_accepted(self):
+        import numpy as np
+
+        tr = poisson_trace("line", events=40, seed=7, departure_prob=0.0)
+        svc = AdmissionService(tr, "greedy-threshold")
+        r = svc.handle({"op": "admit", "demand": np.int64(2),
+                        "time": np.float64(1.0)})
+        assert r["ok"] and svc.handle({"op": "query", "demand": 2})["ok"]
+        assert 2 in svc._arrived
+
+    @pytest.mark.parametrize("record", [
+        '{"type": "arrival", "time": 9.0, "demand": 2.7}',
+        '{"type": "arrival", "time": 9.0, "demand": "5"}',
+        '{"type": "arrival", "time": NaN, "demand": 5}',
+    ])
+    def test_jsonl_replay_rejects_coercible_records(self, tmp_path, record):
+        tr = poisson_trace("line", events=40, seed=7, departure_prob=0.0)
+        path = str(tmp_path / "j.log")
+        svc = AdmissionService(tr, "greedy-threshold", journal_path=path)
+        _drain(svc, tr.events[:3])
+        svc.journal.close()
+        with open(path, "a") as fh:
+            fh.write(record + "\n")
+        with pytest.raises(ValueError):
+            read_journal(path)
+        with pytest.raises(ValueError):
+            AdmissionService.resume(path)
+
     def test_serve_lines_transport(self, tmp_path):
         tr = poisson_trace("line", events=30, seed=9, departure_prob=0.0)
         svc = AdmissionService(tr, "greedy-threshold",

@@ -106,7 +106,7 @@ class TestLazyBuckets:
         else:
             p = random_line_problem(n_slots=24, m=12, r=2, seed=4)
         ci = _index(p)
-        assert ci._by_edge is None and ci._by_demand is None
+        assert ci._by_edge is None
         insts = p.instances()
         ref = ScalarConflictIndex(insts,
                                   [p.global_edges_of(d) for d in insts])
