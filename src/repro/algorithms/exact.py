@@ -16,7 +16,6 @@ Three rungs, weakest precondition first:
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from ..core.solution import Solution
 from ..lp.model import build_lp
@@ -30,6 +29,8 @@ _BIN_TOL = 1e-6
 
 def lp_upper_bound(problem) -> float:
     """Fractional optimum of the packing LP (≥ integral OPT)."""
+    from scipy import optimize
+
     lp = build_lp(problem)
     if lp.num_vars == 0:
         return 0.0
@@ -59,6 +60,8 @@ def solve_optimal(problem, *, time_limit: float | None = None) -> Solution:
     be ``False`` only when ``time_limit`` cut the search short — the
     incumbent is still feasible).
     """
+    from scipy import optimize
+
     instances = problem.instances()
     lp = build_lp(problem)
     if lp.num_vars == 0:

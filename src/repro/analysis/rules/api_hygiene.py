@@ -7,6 +7,12 @@ a name listed but never bound (an ``ImportError`` waiting inside
 or an accidentally private API).  Package ``__init__.py`` files exist
 only to curate the surface, so there the rule also requires ``__all__``
 to be present and complete.
+
+A package ``__init__.py`` may export lazily (PEP 562): a module-level
+``__getattr__`` that reads one module-level dict literal mapping each
+public name to its module.  The keys of that table count as bound, and
+the table and ``__all__`` must agree both ways; a lazy package whose
+table or ``__all__`` is not a literal is reported, not skipped.
 """
 
 from __future__ import annotations
@@ -55,6 +61,30 @@ def _module_bindings(tree: ast.Module):
                 if not name.startswith("_"):
                     public.add(name)
     return bound, public, star, all_node
+
+
+def _lazy_table(tree: ast.Module):
+    """For a module with a module-level ``__getattr__``: (has hook,
+    table keys or None).  The table is the one module-level dict literal
+    with constant-string keys that ``__getattr__`` reads."""
+    hook = next((node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "__getattr__"), None)
+    if hook is None:
+        return False, None
+    read = {node.id for node in ast.walk(hook)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    tables = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and \
+                isinstance(node.targets[0], ast.Name) and \
+                node.targets[0].id in read and \
+                isinstance(node.value, ast.Dict):
+            keys = [const_str(k) if k is not None else None
+                    for k in node.value.keys]
+            if None not in keys:
+                tables.append(keys)
+    return True, (tables[0] if len(tables) == 1 else None)
 
 
 def _all_entries(all_node: ast.Assign):
@@ -114,12 +144,75 @@ class ApiHygieneRule(Rule):
             note="Decision is publicly imported but unlisted — an export "
                  "nobody decided on",
         ),
+        Fixture(
+            bad=(
+                "import importlib\n"
+                "\n"
+                "_EXPORTS = {'AdmissionSession': '.kernel'}\n"
+                "\n"
+                "__all__ = ['AdmissionSession', 'Decision']\n"
+                "\n"
+                "def __getattr__(name):\n"
+                "    return getattr(importlib.import_module(\n"
+                "        _EXPORTS[name], __name__), name)\n"
+            ),
+            good=(
+                "import importlib\n"
+                "\n"
+                "_EXPORTS = {'AdmissionSession': '.kernel',\n"
+                "            'Decision': '.kernel'}\n"
+                "\n"
+                "__all__ = ['AdmissionSession', 'Decision']\n"
+                "\n"
+                "def __getattr__(name):\n"
+                "    return getattr(importlib.import_module(\n"
+                "        _EXPORTS[name], __name__), name)\n"
+            ),
+            note="lazy package: 'Decision' is listed in __all__ but its "
+                 "export table never maps it, so `import *` fails",
+        ),
+        Fixture(
+            bad=(
+                "import importlib\n"
+                "\n"
+                "_EXPORTS = {'AdmissionSession': '.kernel',\n"
+                "            'Decision': '.kernel'}\n"
+                "\n"
+                "__all__ = ['AdmissionSession']\n"
+                "\n"
+                "def __getattr__(name):\n"
+                "    return getattr(importlib.import_module(\n"
+                "        _EXPORTS[name], __name__), name)\n"
+            ),
+            good=(
+                "import importlib\n"
+                "\n"
+                "_EXPORTS = {'AdmissionSession': '.kernel'}\n"
+                "\n"
+                "__all__ = ['AdmissionSession']\n"
+                "\n"
+                "def __getattr__(name):\n"
+                "    return getattr(importlib.import_module(\n"
+                "        _EXPORTS[name], __name__), name)\n"
+            ),
+            note="lazy package: the export table maps 'Decision' but "
+                 "__all__ omits it — an export nobody decided on",
+        ),
     ]
 
     def check_file(self, parsed: ParsedFile):
         path = str(parsed.path)
         is_init = path.endswith("__init__.py")
         bound, public, star, all_node = _module_bindings(parsed.tree)
+        lazy, table = _lazy_table(parsed.tree) if is_init else (False, None)
+        if lazy and table is None:
+            yield Finding(
+                path=path, line=1, col=0, rule=self.id,
+                message=("package __init__.py defines __getattr__ but "
+                         "reads no single module-level dict literal of "
+                         "export names; the lazy surface is unprovable"),
+            )
+            return
         if all_node is None:
             if is_init and public:
                 yield Finding(
@@ -131,15 +224,33 @@ class ApiHygieneRule(Rule):
             return
         entries, static = _all_entries(all_node)
         if not static:
+            if lazy:
+                yield Finding(
+                    path=path, line=all_node.lineno,
+                    col=all_node.col_offset, rule=self.id,
+                    message=("__all__ of a lazily exporting package must "
+                             "be a literal list of names"),
+                )
             return  # dynamically built __all__: nothing provable
         names = {name for name, _, _ in entries}
+        if lazy:
+            bound = bound | set(table)
+            for name in sorted(set(table) - names):
+                yield Finding(
+                    path=path, line=all_node.lineno,
+                    col=all_node.col_offset, rule=self.id,
+                    message=(f"lazy export table maps {name!r} but "
+                             "__all__ does not list it"),
+                )
         if not star:
             for name, line, col in entries:
                 if name not in bound:
+                    where = ("neither binds it nor maps it in its lazy "
+                             "export table" if lazy else "never binds it")
                     yield Finding(
                         path=path, line=line, col=col, rule=self.id,
                         message=(f"__all__ lists {name!r} but the module "
-                                 "never binds it; `import *` would raise "
+                                 f"{where}; `import *` would raise "
                                  "ImportError"),
                     )
         if is_init:

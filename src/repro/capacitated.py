@@ -31,7 +31,6 @@ import dataclasses
 from typing import Hashable, Mapping
 
 import numpy as np
-from scipy import optimize
 
 from .core.instance import LineProblem, TreeProblem
 from .core.solution import Solution
@@ -155,6 +154,8 @@ def lp_upper_bound_capacitated(
     ``(resource, slot)`` to their bandwidth (missing edges default to 1),
     or is a single uniform value.
     """
+    from scipy import optimize
+
     lp, b = _capacitated_lp(problem, capacities)
     if lp.num_vars == 0:
         return 0.0
@@ -170,6 +171,8 @@ def solve_optimal_capacitated(
     *, time_limit: float | None = None,
 ) -> Solution:
     """Integral optimum with per-edge capacities via HiGHS MILP."""
+    from scipy import optimize
+
     instances = problem.instances()
     lp, b = _capacitated_lp(problem, capacities)
     if lp.num_vars == 0:

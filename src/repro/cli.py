@@ -201,6 +201,44 @@ def _start_metrics(args, service) -> None:
     print(f"metrics on http://{host}:{port}/", file=sys.stderr, flush=True)
 
 
+class _LazyChoices:
+    """An argparse ``choices`` container that calls ``load`` only when a
+    value is checked or the choices are listed, so building the parser
+    imports none of the modules that define them."""
+
+    def __init__(self, load) -> None:
+        self._load = load
+
+    def __contains__(self, value) -> bool:
+        return value in self._load()
+
+    def __iter__(self):
+        return iter(self._load())
+
+
+def _solver_choices() -> list[str]:
+    from .algorithms import registry
+
+    return ["auto"] + registry.names()
+
+
+def _shard_strategies() -> tuple[str, ...]:
+    from .sharding import SHARD_STRATEGIES
+
+    return SHARD_STRATEGIES
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose ``epilog`` may be a callable, rendered
+    only when help is formatted (the registry epilog loads every
+    solver)."""
+
+    def format_help(self) -> str:
+        if callable(self.epilog):
+            self.epilog = self.epilog()
+        return super().format_help()
+
+
 def _registry_epilog() -> str:
     from .algorithms import registry
 
@@ -213,10 +251,14 @@ def _registry_epilog() -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree for ``python -m repro``."""
-    from .algorithms import registry
+    """The argparse tree for ``python -m repro``.
 
-    p = argparse.ArgumentParser(
+    Building it imports no solver, SciPy or sharding module: the solver
+    and shard-strategy choices and the registry epilog load on first
+    use, so ``repro serve`` and ``repro resume`` start with only the
+    online engine.
+    """
+    p = _Parser(
         prog="repro",
         description="Distributed scheduling on line and tree networks "
                     "(arXiv:1205.1924 reproduction)",
@@ -236,15 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", required=True)
 
-    solver_names = ["auto"] + registry.names()
     sol = sub.add_parser(
         "solve",
         help="solve a problem JSON",
-        epilog=_registry_epilog(),
+        epilog=_registry_epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sol.add_argument("problem")
-    sol.add_argument("--algorithm", default="auto", choices=solver_names,
+    sol.add_argument("--algorithm", default="auto",
+                     choices=_LazyChoices(_solver_choices),
                      metavar="NAME",
                      help="registry solver name (see epilog), default: auto")
     sol.add_argument("--epsilon", type=float, default=0.1)
@@ -261,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser(
         "sweep",
         help="run a (problem × solver × seed) grid through the batch runner",
-        epilog=_registry_epilog(),
+        epilog=_registry_epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     swp.add_argument("problems", nargs="+", help="problem JSON files")
@@ -293,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser(
         "replay",
         help="stream an event trace through an online admission policy",
-        epilog=_registry_epilog(),
+        epilog=_registry_epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     rep.add_argument("trace", nargs="?", default=None,
@@ -347,16 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--offline", default=None, metavar="NAME",
                      help="also compute the offline benchmark with this "
                           "registry solver (e.g. exact, greedy)")
-    from .sharding import SHARD_STRATEGIES
-
     rep.add_argument("--shards", type=_int_arg("shards", minimum=1),
                      default=1,
                      help="fan the replay across this many shard workers "
                           "(default: 1 = the single-ledger driver)")
     rep.add_argument("--shard-by", default="subtree",
-                     choices=SHARD_STRATEGIES,
-                     help="partition strategy: balancer subtrees or "
-                          "decomposition layers (default: subtree)")
+                     choices=_LazyChoices(_shard_strategies),
+                     metavar="STRATEGY",
+                     help="partition strategy, one of %(choices)s: "
+                          "balancer subtrees or decomposition layers "
+                          "(default: subtree)")
     rep.add_argument("--processes", type=_int_arg("processes", minimum=0),
                      default=None,
                      help="shard worker processes (default: min(shards, "
@@ -861,8 +903,8 @@ def _serve(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"serve: {exc}")
     _setup_obs(args)
-    trace = load_trace(args.trace)
     try:
+        trace = load_trace(args.trace)
         service = AdmissionService(
             trace, args.policy, policy_kwargs,
             journal_path=args.journal,
@@ -871,7 +913,7 @@ def _serve(args) -> int:
             sync_interval_ms=args.sync_interval_ms,
             checkpoint_every=args.checkpoint_every,
         )
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"serve: {exc}")
     # Banners go to stderr: stdout is the response channel.
     print(f"serving {os.path.basename(args.trace)} "
@@ -909,7 +951,6 @@ def _run_transport(service, args) -> None:
 
 def _resume(args) -> int:
     """The ``resume`` subcommand: warm restart + finish (or keep serving)."""
-    from .report import render_replay
     from .service import AdmissionService
 
     _setup_obs(args)
@@ -931,6 +972,8 @@ def _resume(args) -> int:
     if args.serve:
         _run_transport(service, args)
         return 0
+    from .report import render_replay
+
     result = service.run_remaining()
     print(render_replay([result.metrics]))
     if args.output:
@@ -1144,7 +1187,12 @@ def _lint(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "resume" and args.port is not None and not args.serve:
+        # Without --serve, resume appends the rest of the trace to the
+        # journal, so a forgotten --serve would consume it: refuse first.
+        parser.error("resume: --port requires --serve")
     handlers = {
         "generate": _generate,
         "solve": _solve,

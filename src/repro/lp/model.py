@@ -15,9 +15,12 @@ instances where HiGHS converges quickly).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["PackingLP", "build_lp"]
 
@@ -48,6 +51,8 @@ def build_lp(problem) -> PackingLP:
     ``global_edges_of`` (both :class:`~repro.core.instance.TreeProblem`
     and :class:`~repro.core.instance.LineProblem` do).
     """
+    from scipy import sparse
+
     instances = problem.instances()
     nvar = len(instances)
     edge_rows: dict = {}

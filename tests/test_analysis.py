@@ -191,6 +191,36 @@ def test_api001_dynamic_all_is_skipped():
     assert not lint_fixture(rule, {"pkg/__init__.py": dynamic})
 
 
+_LAZY_HOOK = ("import importlib\n"
+              "def __getattr__(name):\n"
+              "    return getattr(importlib.import_module(\n"
+              "        _EXPORTS[name], __name__), name)\n")
+
+
+def test_api001_lazy_package_with_dynamic_all_is_reported():
+    rule = get_rule("API001")
+    lazy = ("_EXPORTS = {'Decision': '.kernel'}\n"
+            "__all__ = list(_EXPORTS)\n" + _LAZY_HOOK)
+    findings = lint_fixture(rule, {"pkg/__init__.py": lazy})
+    assert any("must be a literal" in f.message for f in findings)
+
+
+def test_api001_lazy_hook_without_a_literal_table_is_reported():
+    rule = get_rule("API001")
+    built = ("_EXPORTS = dict(Decision='.kernel')\n"
+             "__all__ = ['Decision']\n" + _LAZY_HOOK)
+    findings = lint_fixture(rule, {"pkg/__init__.py": built})
+    assert any("unprovable" in f.message for f in findings)
+
+
+def test_api001_lazy_table_and_direct_bindings_both_count():
+    rule = get_rule("API001")
+    mixed = ("_EXPORTS = {'Decision': '.kernel'}\n"
+             "__version__ = '1.0'\n"
+             "__all__ = ['Decision', '__version__']\n" + _LAZY_HOOK)
+    assert not lint_fixture(rule, {"pkg/__init__.py": mixed})
+
+
 # ----------------------------------------------------------------------
 # Suppressions
 # ----------------------------------------------------------------------
