@@ -63,7 +63,7 @@ POLICIES = [
 #: Policies with a registered columnar batch kernel: these rows run
 #: twice (fast path on and off, interleaved best-of-N) and report the
 #: on/off speedup the CI gate tracks.
-FASTPATH_POLICIES = {"greedy-threshold", "dual-gated"}
+FASTPATH_POLICIES = {"greedy-threshold", "dual-gated", "preempt-density"}
 
 #: Interleaved repetitions for the fastpath on/off cells (both sides
 #: measured back to back inside each rep, so machine drift cancels).

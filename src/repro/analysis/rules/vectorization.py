@@ -1,12 +1,13 @@
 """Vectorization discipline for the columnar batch-decision fast path.
 
 The batch kernels in :mod:`repro.online.fastpath` exist to amortize
-per-event interpreter overhead across a whole conflict-free run: one
+per-event interpreter overhead across a whole window of events: one
 load gather, a handful of segment reductions, one ``admit_many``.  A
 per-event scalar call smuggled into a kernel — ``ledger.admit`` in a
-loop, ``policy.on_arrival`` per demand, ``session.feed`` per event —
-silently reintroduces exactly the overhead the fast path was built to
-remove, while the byte-identity property tests keep passing (the
+loop, ``policy.on_arrival`` per demand, ``session.feed`` per event,
+``ledger.preemption_plan`` per candidate — silently reintroduces
+exactly the overhead the fast path was built to remove, while the
+byte-identity property tests keep passing (the
 scalar calls *are* the reference semantics).  The regression is
 invisible to correctness checks and only shows up as a benchmark
 collapse, so the contract is enforced statically: inside a batch
@@ -41,6 +42,10 @@ _SCALAR_CALLS = {
     "feed": "feed_many",
     "submit": "feed_many",
     "_dispatch": "the executor's scalar-fallback path, outside kernels",
+    "preemption_plan": "the kernel's vectorized stage-1 planner "
+                       "(flag the arrival hard instead)",
+    "_best_plan": "the kernel's vectorized stage-1 planner (flag the "
+                  "arrival hard instead)",
 }
 
 
@@ -82,6 +87,25 @@ class VectorizationRule(Rule):
             ),
             note="the bad kernel admits one demand at a time through "
                  "the scalar ledger API inside the batch kernel",
+        ),
+        Fixture(
+            bad=(
+                "def _kernel_preempt_evaluate(feeder, plan, i0, i1):\n"
+                "    ledger = feeder.ledger\n"
+                "    pruned = 0\n"
+                "    for iid in plan.iid[i0:i1].tolist():\n"
+                "        if ledger.preemption_plan(iid, feeder.gate) is None:\n"
+                "            pruned += 1\n"
+                "    return pruned\n"
+            ),
+            good=(
+                "def _kernel_preempt_evaluate(feeder, plan, i0, i1):\n"
+                "    hot = plan.loads[i0:i1] + plan.heights[i0:i1] > 1.0\n"
+                "    bound = np.maximum.reduceat(hot * plan.cheap, plan.rel)\n"
+                "    return plan.profit <= feeder.gate * bound\n"
+            ),
+            note="the bad kernel plans every candidate through the "
+                 "scalar preemption planner, one call per candidate",
         ),
     ]
 

@@ -39,7 +39,6 @@ from .events import (
 from .fastpath import (
     DemandGeometry,
     TraceArrays,
-    conflict_free_runs,
     geometry_of,
 )
 from .metrics import (
@@ -82,7 +81,6 @@ __all__ = [
     "Tick",
     "TraceArrays",
     "bursty_trace",
-    "conflict_free_runs",
     "deterministic_metrics",
     "diurnal_trace",
     "generate_trace",

@@ -1,11 +1,12 @@
-"""Columnar batch-decision fast path: vectorized admission over
-conflict-free runs.
+"""Columnar batch-decision fast path: bulk verdicts over mutation-aware
+windows.
 
 The scalar event loop (``session.feed`` → ``policy.on_arrival`` →
 ``ledger.admit``) costs ~15–20µs of interpreter work per event.  This
-module removes that bottleneck for the two stateless-per-event policies
-(``greedy-threshold`` and ``dual-gated``) without changing a single
-decision bit:
+module removes that bottleneck for the policies whose verdicts read
+nothing but the ledger state on an arrival's own candidate routes
+(``greedy-threshold``, ``dual-gated`` and ``preempt-density``) without
+changing a single decision bit:
 
 * :class:`DemandGeometry` — the per-instance policy keys and the
   per-demand footprint CSR, derived **once** per ledger from the shared
@@ -15,15 +16,37 @@ decision bit:
   are read from the index itself, never copied;
 * :class:`TraceArrays` — a columnar view of one event batch (kinds,
   demand ids, per-event conflict footprints);
-* :func:`conflict_free_runs` — splits consecutive events into *maximal*
-  runs whose footprints are pairwise disjoint, so every decision inside
-  a run reads exactly the loads it would have read under one-at-a-time
-  processing;
-* batch kernels :func:`batch_greedy_threshold` and
-  :func:`batch_dual_gated` — gather/segment-reduce replicas of the
-  scalar decision paths, bit-for-bit (see the float notes below);
+* the batch kernels (:data:`BATCH_KERNELS`) — each split into an
+  *evaluate* half, a gather/segment-reduce replica of the scalar
+  decision path that computes every verdict of a window against the
+  ledger as it stands, and *commit*/*tally* halves that apply a prefix
+  of those verdicts through ``admit_many`` and the policy counters, bit
+  for bit (see the float notes below);
 * :class:`FastFeeder` — the executor ``AdmissionSession.feed_many``
   engages when the policy advertises a batch kernel.
+
+A *footprint* is the union of every candidate route of a demand plus a
+per-demand sentinel pseudo-edge, so two events of the same demand
+always meet.  An event's verdict reads nothing outside its footprint.
+A rejected arrival changes nothing — no load, no holder, no log entry
+— and neither does a departure of a demand not in the system, so only
+*mutators* (an arrival whose verdict admits, a departure of an
+admitted demand) can make a later verdict stale, and only one whose
+footprint meets theirs.  The executor evaluates a window of events
+against the run-entry state, then cuts it at the first event whose
+footprint meets an earlier mutator's (:meth:`FastFeeder._segment`).
+Every verdict before the cut equals the scalar one, and the prefix's
+admits and releases are footprint-disjoint, so one ``admit_many`` and
+one ``release_many`` commit them — admits first, because a departure of
+a demand admitted earlier in the window (an *own release*) meets only
+that admission, whose footprint already cut every later event it could
+affect, so it stays in the run.  A *hard* arrival — one the kernel
+cannot decide in bulk, a ``preempt-density`` arrival whose plan would
+walk evictions — goes to the session's scalar dispatcher in event
+order; if it changed nothing the window goes on past it, otherwise the
+cut falls at the first later event meeting a route or demand it
+changed.  Events past the cut are evaluated again in the next window,
+whose size tracks the observed run length.
 
 Bit-exactness ground rules (each empirically verified against this
 container's NumPy):
@@ -34,61 +57,68 @@ container's NumPy):
   is why the scalar ``DualGated._price_from_loads`` itself sums through
   a single-segment ``reduceat`` — both paths then share one reduction
   definition and match bit for bit by construction);
-* elementwise ufuncs (``np.power``) are position-invariant, so pricing
-  every gathered route edge in one call matches per-route calls;
+* elementwise ufuncs (``np.power``, the planner's ``(load + h) - 1.0``)
+  are position-invariant, so evaluating every gathered route edge in
+  one call matches per-route calls;
 * ``max``/``min`` reductions are order-independent, so
-  ``maximum.reduceat`` feasibility probes and first-min selection keys
-  are exact;
-* within a run, routes are edge-disjoint, so batched scatter-adds touch
-  every load position exactly once — the same single float add the
-  scalar loop performs.
+  ``maximum.reduceat`` feasibility probes, the planner's cost bound and
+  first-min selection keys are exact;
+* within a window's committed prefix, routes are edge-disjoint, so
+  batched scatter-adds touch every load position exactly once — the
+  same single float add the scalar loop performs.
 
-The executor amortizes per-run overhead by *pre-gathering* per chunk:
-candidate rows, route edges, heights and selection keys for every
-batchable arrival in a chunk are gathered once from the index's CSRs
-and columns (:func:`_prepare`),
-so each run reduces to a load gather plus a handful of segment
-reductions over contiguous slices.
-
-A *footprint* is the union of every candidate route of a demand plus a
-per-demand sentinel pseudo-edge: two events of the same demand always
-conflict (the arrival/departure bookkeeping is order-dependent), and
-any two demands whose admitted-or-considered routes could share an edge
-conflict.  Splitting finer than first-footprint-overlap is always
-sound; :func:`conflict_free_runs` is exactly maximal, and the property
-tests pin that.
+The executor amortizes per-window overhead by *pre-gathering* per
+chunk: candidate rows, route edges, heights and selection keys for
+every batchable arrival in a chunk are gathered once from the index's
+CSRs and columns (:func:`_prepare`), so each window reduces to a load
+gather plus a handful of segment reductions over contiguous slices.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from ..core.conflict import gather_rows
 from ..obs import tracing as _tracing
 from .events import Arrival, Departure, Tick
+from .state import _EPS
 
 __all__ = [
     "DemandGeometry",
     "TraceArrays",
     "FastFeeder",
     "BATCH_KERNELS",
-    "conflict_free_runs",
     "geometry_of",
 ]
 
-#: Events columnarized (and segmented) per pass; a chunk boundary is a
-#: forced run boundary — a finer split, which is always sound.
-CHUNK = 32768
+#: Events columnarized per pass; a chunk boundary is a forced window
+#: boundary — a finer split, which is always sound.  Bounds the
+#: transient per-chunk columns (footprints, candidate routes) to a few
+#: MiB however long the batch.
+CHUNK = 4096
 
-#: Runs shorter than this are executed through the scalar dispatcher:
-#: the vectorized kernels pay ~a dozen NumPy-call overheads per run,
-#: which only amortize over enough events.  Either execution is
-#: bit-identical, so this is purely a throughput knob.
+#: Stretches of batchable events shorter than this go through the
+#: scalar dispatcher: a window evaluation pays ~a dozen NumPy-call
+#: overheads, which only amortize over several events.  Either
+#: execution is bit-identical, so this is purely a throughput knob.
 MIN_VECTOR_RUN = 2
 
+#: Window bounds, in events.  The executor evaluates ``WINDOW_SLACK``
+#: times the running mean run length per window (mean updated with gain
+#: ``WINDOW_GAIN``), clamped to ``[MIN_WINDOW, MAX_WINDOW]``: events
+#: past a cut are evaluated again, so a window much longer than the
+#: run wastes work, and one much shorter pays more window overheads.
+MIN_WINDOW = 8
+MAX_WINDOW = 512
+WINDOW_SLACK = 2.0
+WINDOW_GAIN = 0.25
+
 _INT_MAX = np.iinfo(np.int64).max
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 #: The ledger's capacity bound: an admission is blocked when the route's
 #: peak load plus the instance height exceeds this (the exact comparison
@@ -223,7 +253,7 @@ class TraceArrays:
     """
 
     __slots__ = ("events", "kinds", "demand", "batchable",
-                 "fp_indptr", "fp_edges")
+                 "fp_indptr", "fp_edges", "fp_owner")
 
     def __init__(self, events, kinds, demand, batchable,
                  fp_indptr, fp_edges) -> None:
@@ -233,6 +263,9 @@ class TraceArrays:
         self.batchable = batchable
         self.fp_indptr = fp_indptr
         self.fp_edges = fp_edges
+        #: The event each ``fp_edges`` entry belongs to (nondecreasing).
+        self.fp_owner = np.repeat(np.arange(len(events), dtype=np.int64),
+                                  np.diff(fp_indptr))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -281,63 +314,6 @@ class TraceArrays:
         return cls(events, kinds, demand, batchable, fp_indptr, fp_edges)
 
 
-def conflict_free_runs(ta: TraceArrays, lo: int = 0,
-                       hi: int | None = None) -> list[tuple[int, int]]:
-    """Maximal conflict-free runs of ``ta.events[lo:hi]``.
-
-    Returns half-open ``(start, stop)`` index pairs covering
-    ``[lo, hi)`` in order.  Within a run every pair of events has
-    disjoint footprints; each run boundary sits exactly at the first
-    event whose footprint overlaps the current run (*exact maximality*
-    — any finer split is sound, any coarser would reorder conflicting
-    decisions).
-
-    One argsort over the stretch's footprint entries: sorting by
-    ``(edge, event)`` makes each entry's nearest earlier same-edge
-    holder its sort-predecessor; the per-event max of those predecessors
-    is the latest earlier conflicting event, and a boundary is needed
-    exactly when it falls inside the current run.
-    """
-    if hi is None:
-        hi = len(ta)
-    n = hi - lo
-    if n <= 0:
-        return []
-    if n == 1:
-        return [(lo, hi)]
-    f0 = int(ta.fp_indptr[lo])
-    f1 = int(ta.fp_indptr[hi])
-    edges = ta.fp_edges[f0:f1]
-    if len(edges) == 0:
-        return [(lo, hi)]
-    indptr = ta.fp_indptr[lo:hi + 1] - f0
-    counts = indptr[1:] - indptr[:-1]
-    owner = np.repeat(np.arange(n, dtype=np.int64), counts)
-    order = np.argsort(edges * np.int64(n) + owner)
-    s_edges = edges[order]
-    s_owner = owner[order]
-    prev_vals = np.full(len(edges), -1, dtype=np.int64)
-    same = s_edges[1:] == s_edges[:-1]
-    prev_vals[1:][same] = s_owner[:-1][same]
-    prev_flat = np.empty(len(edges), dtype=np.int64)
-    prev_flat[order] = prev_vals
-    max_prev = np.full(n, -1, dtype=np.int64)
-    nonempty = counts > 0
-    if nonempty.any():
-        max_prev[nonempty] = np.maximum.reduceat(
-            prev_flat, indptr[:-1][nonempty]
-        )
-    runs: list[tuple[int, int]] = []
-    run_start = 0
-    mp = max_prev.tolist()
-    for i in range(1, n):
-        if mp[i] >= run_start:
-            runs.append((lo + run_start, lo + i))
-            run_start = i
-    runs.append((lo + run_start, hi))
-    return runs
-
-
 # ----------------------------------------------------------------------
 # Batch decision kernels
 # ----------------------------------------------------------------------
@@ -346,17 +322,21 @@ def conflict_free_runs(ta: TraceArrays, lo: int = 0,
 class _ChunkPlan:
     """Pre-gathered candidate/route columns for one batch of arrivals.
 
-    Built once per chunk by :func:`_prepare`; every per-run kernel call
-    then works on contiguous slices of these arrays, so the run-time
+    Built once per chunk by :func:`_prepare`; every window evaluation
+    then works on contiguous slices of these arrays, so the per-window
     work is one load gather plus a handful of segment reductions.  All
     arrays are flat in *chunk arrival order*:
 
-    * ``demands``/``ccnt``/``dix`` — per arrival;
-    * ``cstart`` — arrival → candidate-range prefix (length n+1);
-    * ``height``/``pos`` (+ per-kernel ``gkey`` or
-      ``profit``/``iid``) — per candidate;
-    * ``estart`` — candidate → route-edge-range prefix (length C+1);
-    * ``edges`` — flat route edge ids per candidate.
+    * ``demands``/``dlist``/``event`` — per arrival (``event`` is the
+      arrival's index in the chunk);
+    * ``cstart`` (+ ``cstart_l``, the same as a list) — arrival →
+      candidate-range prefix (length n+1);
+    * ``height``/``pos``/``iid``/``profit``/``aidx`` (+ ``gkey``/
+      ``elig`` for the first-fit kernels) — per candidate;
+    * ``estart`` (+ ``estart_l``) — candidate → route-edge-range prefix
+      (length C+1);
+    * ``edges`` (+ ``eheight``/``ecand`` for the preemption kernel) —
+      per route edge of every candidate.
 
     ``has_empty`` flags chunks containing empty-route candidates; only
     those pay the masked reductions (and the ``apply`` exemption mask
@@ -364,218 +344,203 @@ class _ChunkPlan:
     asymmetry).
     """
 
-    __slots__ = ("demands", "ccnt", "dix", "cstart", "height",
-                 "pos", "aidx", "estart", "edges", "earange",
-                 "has_empty", "apply", "gkey", "profit", "iid")
+    __slots__ = ("demands", "dlist", "event", "cstart", "cstart_l",
+                 "height", "pos", "aidx", "estart", "estart_l", "edges",
+                 "earange", "has_empty", "apply", "gkey", "elig", "profit",
+                 "iid", "eheight", "ecand")
 
 
-def _prepare(feeder: "FastFeeder", demands: np.ndarray) -> _ChunkPlan:
+def _prepare(feeder: "FastFeeder", demands: np.ndarray,
+             event: np.ndarray) -> _ChunkPlan:
     """Flatten the candidate rows of ``demands`` against the index."""
     geom = feeder.geom
     index = geom.index
     p = _ChunkPlan()
     p.demands = demands
+    p.dlist = demands.tolist()
+    p.event = event
     iid, ccnt = gather_rows(geom.cand_indptr, index._cand_iids, demands)
     cstart = np.zeros(len(demands) + 1, dtype=np.int64)
     np.cumsum(ccnt, out=cstart[1:])
     C = int(cstart[-1])
-    p.ccnt = ccnt
     p.cstart = cstart
-    p.dix = index._dix[iid[cstart[:-1]]]
+    p.cstart_l = cstart.tolist()
     p.edges, r_cnt = gather_rows(index._indptr, index._flat_edges, iid)
     estart = np.zeros(C + 1, dtype=np.int64)
     np.cumsum(r_cnt, out=estart[1:])
     p.estart = estart
+    p.estart_l = estart.tolist()
     p.height = index._heights[iid]
     p.pos = np.arange(C, dtype=np.int64)
     p.earange = np.arange(len(p.edges), dtype=np.int64)
     p.has_empty = bool((r_cnt == 0).any())
     p.apply = geom.cand_apply[iid] if p.has_empty else None
+    p.iid = iid
+    p.profit = index._profits[iid]
+    # Per-candidate arrival index: expands a per-arrival column to
+    # candidates with one gather instead of a per-window ``np.repeat``.
+    p.aidx = np.repeat(np.arange(len(demands), dtype=np.int64), ccnt)
     if feeder.gkey is not None:
         p.gkey = feeder.gkey[iid]
-        p.aidx = p.profit = p.iid = None
+        p.elig = p.gkey != _INT_MAX
     else:
-        p.gkey = None
-        # Per-candidate arrival index: lets the kernels expand a
-        # per-arrival column to candidates with one gather instead of a
-        # per-run ``np.repeat``.
-        p.aidx = np.repeat(
-            np.arange(len(demands), dtype=np.int64), ccnt
-        )
-        p.profit = index._profits[iid]
-        p.iid = iid
+        p.gkey = p.elig = None
+    if feeder.kernel_name == "preempt-density":
+        p.ecand = np.repeat(p.pos, r_cnt)
+        p.eheight = p.height[p.ecand]
+    else:
+        p.ecand = p.eheight = None
     return p
 
 
-def _kernel_greedy(feeder: "FastFeeder", plan: _ChunkPlan,
-                   i0: int, i1: int) -> np.ndarray:
-    """Vectorized ``GreedyThreshold.on_arrival`` over one run's arrivals.
+class _Window:
+    """One window's route columns: the run-entry loads on every route
+    edge of arrivals ``[i0, i1)`` and the segment layout over them."""
 
-    Arrivals ``[i0, i1)`` of the plan (all distinct demands, pairwise
-    footprint-disjoint).  Returns the admitted instance ids in event
-    order; the ledger is mutated exactly as the scalar ``try_admit``
-    sequence would have mutated it.  The density floor is pre-folded
-    into ``plan.gkey`` (below-threshold candidates carry ``_INT_MAX``),
-    and the already-admitted early return is applied per arrival — the
-    currently-admitted check is subsumed, since a demand in the system
-    is by invariant in the ever-admitted set.
+    __slots__ = ("i0", "i1", "c0", "c1", "e0", "e1", "loads", "rel",
+                 "relc", "nonempty")
+
+    def __init__(self, feeder: "FastFeeder", plan: _ChunkPlan,
+                 i0: int, i1: int) -> None:
+        self.i0 = i0
+        self.i1 = i1
+        self.c0 = c0 = plan.cstart_l[i0]
+        self.c1 = c1 = plan.cstart_l[i1]
+        self.e0 = e0 = plan.estart_l[c0]
+        self.e1 = e1 = plan.estart_l[c1]
+        self.loads = feeder.ledger.active._load[plan.edges[e0:e1]]
+        self.rel = plan.estart[c0:c1] - e0
+        self.relc = plan.cstart[i0:i1] - c0
+        # Empty routes make empty segments, which ``reduceat`` cannot
+        # express; only chunks that contain one pay the masked shape.
+        self.nonempty = ((plan.estart[c0 + 1:c1 + 1] > plan.estart[c0:c1])
+                         if plan.has_empty else None)
+
+    def reduce(self, ufunc, values: np.ndarray, fill) -> np.ndarray:
+        """Per-candidate ``ufunc`` reduction of per-route-edge
+        ``values``; an empty route reduces to ``fill``."""
+        if self.nonempty is None:
+            return ufunc.reduceat(values, self.rel)
+        out = np.full(self.c1 - self.c0, fill, dtype=values.dtype)
+        if values.size:
+            out[self.nonempty] = ufunc.reduceat(values,
+                                                self.rel[self.nonempty])
+        return out
+
+
+def _fit_keys(plan: _ChunkPlan, w: _Window) -> np.ndarray:
+    """First-fit selection per arrival: the smallest ``plan.gkey`` over
+    candidates that fit the run-entry loads (``_INT_MAX`` = none fits).
+
+    The feasibility probe is a per-candidate route peak via one segment
+    max (empty segments read 0.0, exactly as the scalar probe sees
+    them, and the ``apply`` mask exempts the empty routes the scalar
+    single-candidate probe does not test).
     """
-    ledger = feeder.ledger
-    cstart = plan.cstart
-    estart = plan.estart
-    c0 = cstart[i0]
-    c1 = cstart[i1]
-    e0 = estart[c0]
-    loads = ledger.active._load[plan.edges[e0:estart[c1]]]
-    # The feasibility probe: per-candidate route peak via one segment
-    # max (the rare empty-route chunks take the masked shape, where
-    # empty segments stay 0.0 exactly as the scalar probe sees them).
-    rel = estart[c0:c1] - e0
-    if not plan.has_empty:
-        seg_max = np.maximum.reduceat(loads, rel)
-    else:
-        seg_max = np.zeros(c1 - c0, dtype=np.float64)
-        ne = (estart[c0 + 1:c1 + 1] - estart[c0:c1]) > 0
-        if loads.size:
-            seg_max[ne] = np.maximum.reduceat(loads, rel[ne])
-    blocked = seg_max + plan.height[c0:c1] > _CAP
+    c0, c1 = w.c0, w.c1
+    blocked = w.reduce(np.maximum, w.loads, 0.0) + plan.height[c0:c1] > _CAP
     if plan.has_empty:
         blocked &= plan.apply[c0:c1]
-    key = np.where(blocked, _INT_MAX, plan.gkey[c0:c1])
-    best = np.minimum.reduceat(key, cstart[i0:i1] - c0)
-    sel = np.nonzero(best != _INT_MAX)[0]
-    if not len(sel):
-        return _EMPTY_IIDS
-    dems = plan.demands[i0 + sel].tolist()
-    ever = ledger._ever_admitted
+    return np.minimum.reduceat(
+        np.where(blocked, _INT_MAX, plan.gkey[c0:c1]), w.relc)
+
+
+def _kernel_greedy_evaluate(feeder: "FastFeeder", plan: _ChunkPlan,
+                            i0: int, i1: int):
+    """Vectorized ``GreedyThreshold.on_arrival`` verdicts for arrivals
+    ``[i0, i1)`` against the run-entry ledger.
+
+    The density floor is pre-folded into ``plan.gkey`` (below-threshold
+    candidates carry ``_INT_MAX``), and the already-admitted early
+    return is applied per arrival — the currently-admitted check is
+    subsumed, since a demand in the system is by invariant in the
+    ever-admitted set.  Returns ``(admits, hard, state)`` as every
+    ``evaluate`` half does.
+    """
+    best = _fit_keys(plan, _Window(feeder, plan, i0, i1))
+    admits = best != _INT_MAX
+    ever = feeder.ledger._ever_admitted
     if ever:
-        keep = [k for k, d in enumerate(dems) if d not in ever]
-        if len(keep) != len(dems):
-            if not keep:
-                return _EMPTY_IIDS
-            sel = sel[np.asarray(keep, dtype=np.int64)]
-            dems = [dems[k] for k in keep]
-    best_iids = best[sel] % feeder.num_instances
-    ledger.admit_many(best_iids, _prechecked=True, _demands=dems)
-    return best_iids
+        for k in np.flatnonzero(admits).tolist():
+            if plan.dlist[i0 + k] in ever:
+                admits[k] = False
+    return admits, None, best
 
 
-def _kernel_dual(feeder: "FastFeeder", plan: _ChunkPlan,
-                 i0: int, i1: int) -> np.ndarray:
-    """Vectorized ``DualGated.on_arrival`` over one run's arrivals.
+def _kernel_greedy_commit(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
+                          sel: np.ndarray, best) -> None:
+    """Admit the selections of evaluated arrivals ``i0 + sel`` (offsets
+    whose verdict admits, in event order) in one ``admit_many``."""
+    feeder.ledger.admit_many(best[sel] % feeder.num_instances,
+                             _prechecked=True,
+                             _demands=plan.demands[i0 + sel].tolist())
+
+
+def _kernel_dual_evaluate(feeder: "FastFeeder", plan: _ChunkPlan,
+                          i0: int, i1: int):
+    """Vectorized ``DualGated.on_arrival`` verdicts for arrivals
+    ``[i0, i1)`` against the run-entry ledger.
 
     Same candidate ranking (first strict price minimum in candidate
-    order), same gate (``profit <= eta * price``), same stats counters
-    and ``max_gate`` trajectory, same peak-load notes — computed from
-    the run-entry loads, which within a conflict-free run are exactly
-    the loads the scalar loop would observe event by event.  The
-    demand-in-system block is applied per arrival (every candidate of
-    such a demand is blocked in the scalar probe, so the arrival counts
-    as capacity-blocked either way).
+    order), same gate (``profit <= eta * price``) as the scalar path.
+    The demand-in-system block is applied per arrival (every candidate
+    of such a demand is blocked in the scalar probe, so the arrival
+    counts as capacity-blocked either way).
     """
-    ledger = feeder.ledger
     policy = feeder.policy
-    cstart = plan.cstart
-    estart = plan.estart
-    c0 = cstart[i0]
-    c1 = cstart[i1]
-    e0 = estart[c0]
-    load = ledger.active._load
-    loads = load[plan.edges[e0:estart[c1]]]
+    w = _Window(feeder, plan, i0, i1)
+    c0, c1 = w.c0, w.c1
     h = plan.height[c0:c1]
-    # Feasibility probe (see the greedy kernel for the masked shape).
-    rel = estart[c0:c1] - e0
-    if not plan.has_empty:
-        seg_max = np.maximum.reduceat(loads, rel)
-    else:
-        seg_max = np.zeros(c1 - c0, dtype=np.float64)
-        ne = (estart[c0 + 1:c1 + 1] - estart[c0:c1]) > 0
-        if loads.size:
-            seg_max[ne] = np.maximum.reduceat(loads, rel[ne])
-    feasible = seg_max + h <= _CAP
+    feasible = w.reduce(np.maximum, w.loads, 0.0) + h <= _CAP
     if plan.has_empty:
         # ~blocked with blocked = (load test) & apply.
         feasible |= ~plan.apply[c0:c1]
     # Price every gathered route edge in one ufunc call (elementwise,
     # position-invariant); the per-candidate sums are one multi-segment
     # reduceat — the very reduction the scalar price function performs.
-    pw = np.power(policy.mu, loads) - 1.0
-    if not plan.has_empty:
-        sums = np.add.reduceat(pw, rel)
-    else:
-        sums = np.zeros(c1 - c0, dtype=np.float64)
-        if loads.size:
-            sums[ne] = np.add.reduceat(pw, rel[ne])
-    price = h * (policy._scale * sums)
-    priced = np.where(feasible, price, np.inf)
-    relc = cstart[i0:i1] - c0
-    best_price = np.minimum.reduceat(priced, relc)
+    sums = w.reduce(np.add, np.power(policy.mu, w.loads) - 1.0, 0.0)
+    priced = np.where(feasible, h * (policy._scale * sums), np.inf)
+    best_price = np.minimum.reduceat(priced, w.relc)
     # An arrival has a feasible candidate iff its best price is finite
     # (feasible prices are always finite); a demand already in the
     # system blocks every candidate in the scalar probe, so it counts
     # as capacity-blocked the same way.
     has_any = best_price < np.inf
-    has_any &= ~ledger.active._demand_used[plan.dix[i0:i1]]
-    stats = policy.stats
-    n_any = int(np.count_nonzero(has_any))
-    if n_any == i1 - i0:
-        # Common shape in an uncongested stretch: every arrival admits
-        # a candidate, so the per-arrival compaction gathers vanish.
-        ai = None
-    else:
-        stats["capacity_blocked"] += (i1 - i0) - n_any
-        if not n_any:
-            return _EMPTY_IIDS
-        ai = np.nonzero(has_any)[0]
+    has_any &= ~feeder.ledger.active._demand_used[
+        feeder.geom.index._dix[plan.iid[plan.cstart[i0:i1]]]]
     # First strict minimum in candidate order — the scalar loop keeps
     # the first candidate attaining the minimum.  Infeasible candidates
     # carry +inf, which only ties a +inf best price — and those
-    # arrivals are already excluded by ``has_any``.
+    # arrivals are excluded by ``has_any``.
     at_min = priced == best_price[plan.aidx[c0:c1] - i0]
     first = np.minimum.reduceat(
-        np.where(at_min, plan.pos[c0:c1], _INT_MAX), relc
-    )
-    if ai is None:
-        first_sel = first
-        best_prices = best_price
-    else:
-        first_sel = first[ai]
-        best_prices = best_price[ai]
-    # max_gate folds in every best price seen, gated or not (max is
-    # order-independent; cast keeps the stats JSON-safe floats).
-    mg = float(best_prices.max())
-    if mg > stats["max_gate"]:
-        stats["max_gate"] = mg
-    gated = plan.profit[first_sel] <= policy.eta * best_prices
-    n_gated = int(np.count_nonzero(gated))
-    if n_gated:
-        stats["gated"] += n_gated
-        if n_gated == len(gated):
-            return _EMPTY_IIDS
-        keep = ~gated
-        first_sel = first_sel[keep]
-        ai = np.nonzero(keep)[0] if ai is None else ai[keep]
+        np.where(at_min, plan.pos[c0:c1], _INT_MAX), w.relc)
+    first[~has_any] = c0
+    gated = has_any & (plan.profit[first] <= policy.eta * best_price)
+    return has_any & ~gated, None, (best_price, has_any, gated, first)
+
+
+def _kernel_dual_commit(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
+                        sel: np.ndarray, state) -> None:
+    """Admit evaluated arrivals ``i0 + sel`` in one ``admit_many`` and
+    fold their routes into the price peaks."""
+    first_sel = state[3][sel]
     # One route-edge gather serves the load scatter-add, the holder
     # bookkeeping inputs, and the peak notes.
+    estart = plan.estart
     r0 = estart[first_sel]
     r_cnt = estart[first_sel + 1] - r0
     total = int(r_cnt.sum())
     if total:
         csum = np.zeros(len(first_sel), dtype=np.int64)
         np.cumsum(r_cnt[:-1], out=csum[1:])
-        edges = plan.edges[
-            plan.earange[:total] + (r0 - csum).repeat(r_cnt)
-        ]
+        edges = plan.edges[plan.earange[:total] + (r0 - csum).repeat(r_cnt)]
         adds = plan.height[first_sel].repeat(r_cnt)
     else:
         edges = adds = None
-    best_iids = plan.iid[first_sel]
-    dems = (plan.demands[i0:i1] if ai is None
-            else plan.demands[i0 + ai]).tolist()
-    ledger.admit_many(
-        best_iids, _prechecked=True, _demands=dems,
-        _edges=edges, _adds=adds,
-    )
+    feeder.ledger.admit_many(
+        plan.iid[first_sel], _prechecked=True,
+        _demands=plan.demands[i0 + sel].tolist(), _edges=edges, _adds=adds)
     if total:
         # Batched ``_note_peak``: each admitted route's post-admission
         # loads equal its post-batch loads (disjointness), so one
@@ -583,40 +548,123 @@ def _kernel_dual(feeder: "FastFeeder", plan: _ChunkPlan,
         # as the per-admission scalar notes.  History snapshots are
         # never taken here: the policy only advertises its batch
         # kernel with ``history=False``.
-        peak = policy._peak
+        peak = feeder.policy._peak
+        load = feeder.ledger.active._load
         peak[edges] = np.maximum(peak[edges], load[edges])
-    return best_iids
 
 
-_EMPTY_IIDS = np.zeros(0, dtype=np.int64)
+def _kernel_dual_tally(feeder: "FastFeeder", state, k: int, n_hard: int,
+                       n_admit: int) -> None:
+    """The gate counters and ``max_gate`` trajectory of the first ``k``
+    evaluated arrivals (the kernel flags none of them hard)."""
+    best_price, has_any, gated, _ = state
+    stats = feeder.policy.stats
+    n_any = int(np.count_nonzero(has_any[:k]))
+    stats["capacity_blocked"] += k - n_any
+    if n_any:
+        # max_gate folds in every best price seen, gated or not (max is
+        # order-independent; cast keeps the stats JSON-safe floats).
+        mg = float(best_price[:k][has_any[:k]].max())
+        if mg > stats["max_gate"]:
+            stats["max_gate"] = mg
+        stats["gated"] += int(np.count_nonzero(gated[:k]))
 
 
-def batch_greedy_threshold(feeder: "FastFeeder",
-                           demands: np.ndarray) -> np.ndarray:
-    """One-shot :func:`_kernel_greedy` over ``demands`` (event order)."""
-    demands = np.asarray(demands, dtype=np.int64)
-    if not len(demands):
-        return _EMPTY_IIDS
-    return _kernel_greedy(feeder, _prepare(feeder, demands),
-                          0, len(demands))
+def _kernel_preempt_evaluate(feeder: "FastFeeder", plan: _ChunkPlan,
+                             i0: int, i1: int):
+    """Vectorized ``PreemptDensity.on_arrival`` verdicts for arrivals
+    ``[i0, i1)`` against the run-entry ledger.
+
+    *Fit half*: the greedy selection with the density floor folded into
+    ``plan.gkey``.  *Blocked half*: stage 1 of
+    :meth:`~repro.online.state.CapacityLedger.preemption_plan` for every
+    candidate that clears the floor, in its exact float expressions.
+    An edge is hot iff ``(load + h) - 1.0 > _EPS``; the planner's cost
+    bound is the largest cheapest-holder profit over the hot edges
+    before the first hot edge nobody holds; it prunes iff ``bound > 0``
+    and ``profit <= gate * bound``, and otherwise such a holderless
+    edge plans ``None``; a candidate without a hot edge plans ``[]``.
+    (Profits are strictly positive, so a hot edge with a holder always
+    makes ``bound > 0``.)  An arrival whose every planned candidate
+    ends there is rejected in bulk; one with a candidate that would go
+    on to the eviction walk is *hard*.  A repeated arrival is a plain
+    reject.
+    """
+    ledger = feeder.ledger
+    w = _Window(feeder, plan, i0, i1)
+    best = _fit_keys(plan, w)
+    n = i1 - i0
+    ever = ledger._ever_admitted
+    repeat = np.fromiter((d in ever for d in plan.dlist[i0:i1]),
+                         dtype=bool, count=n)
+    planning = (best == _INT_MAX) & ~repeat
+    admits = ~(planning | repeat)
+    hard = pruned = None
+    if planning.any():
+        c0, c1, e0, e1 = w.c0, w.c1, w.e0, w.e1
+        hot = (w.loads + plan.eheight[e0:e1]) - 1.0 > _EPS
+        held = np.where(hot, ledger._cheapest[plan.edges[e0:e1]], 0.0)
+        bound = w.reduce(np.maximum, held, 0.0)
+        lost = None
+        if bound.max() == np.inf:
+            # Some hot edge has no holder: the bound only runs up to
+            # the first one.
+            pos = plan.earange[:e1 - e0]
+            lost = w.reduce(np.minimum,
+                            np.where(held == np.inf, pos, _INT_MAX), _INT_MAX)
+            bound = w.reduce(
+                np.maximum,
+                np.where(pos < lost[plan.ecand[e0:e1] - c0], held, 0.0), 0.0)
+        le = plan.profit[c0:c1] <= feeder.gate * bound
+        live = (bound > 0.0) & plan.elig[c0:c1]
+        walks = live & ~le
+        if lost is not None:
+            walks &= lost == _INT_MAX
+        hard = np.logical_or.reduceat(walks, w.relc) & planning
+        pruned = np.add.reduceat(le & live, w.relc, dtype=np.int64)
+        # Only bulk rejects count here: the dispatcher recounts a hard
+        # arrival's candidates itself.
+        pruned[hard | ~planning] = 0
+    return admits, hard, (best, pruned)
 
 
-def batch_dual_gated(feeder: "FastFeeder",
-                     demands: np.ndarray) -> np.ndarray:
-    """One-shot :func:`_kernel_dual` over ``demands`` (event order)."""
-    demands = np.asarray(demands, dtype=np.int64)
-    if not len(demands):
-        return _EMPTY_IIDS
-    return _kernel_dual(feeder, _prepare(feeder, demands),
-                        0, len(demands))
+def _kernel_preempt_commit(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
+                           sel: np.ndarray, state) -> None:
+    """Admit the fits among evaluated arrivals ``i0 + sel``."""
+    _kernel_greedy_commit(feeder, plan, i0, sel, state[0])
+
+
+def _kernel_preempt_tally(feeder: "FastFeeder", state, k: int, n_hard: int,
+                          n_admit: int) -> None:
+    """``preempt_rejected`` / ``preempt_pruned`` for the first ``k``
+    evaluated arrivals, less the ``n_hard`` the dispatcher decided."""
+    pruned = state[1]
+    stats = feeder.policy.stats
+    stats["preempt_rejected"] += k - n_hard - n_admit
+    if pruned is not None:
+        stats["preempt_pruned"] += int(pruned[:k].sum())
 
 
 #: Kernel registry: the names policies advertise via ``batch_kernel()``.
-#: Values are ``(one_shot, per_run)`` — the one-shot form takes raw
-#: demand ids, the per-run form a :class:`_ChunkPlan` arrival range.
+#: Values are ``(evaluate, commit, tally)``:
+#:
+#: * ``evaluate(feeder, plan, i0, i1)`` returns ``(admits, hard,
+#:   state)`` for arrivals ``[i0, i1)`` of a :class:`_ChunkPlan`
+#:   without touching any state (``hard`` is ``None`` for kernels that
+#:   decide every arrival);
+#: * ``commit(feeder, plan, i0, sel, state)`` applies the admits of
+#:   arrivals ``i0 + sel``;
+#: * ``tally(feeder, state, k, n_hard, n_admit)`` adds the policy
+#:   counters of the first ``k`` evaluated arrivals, ``n_hard`` of which
+#:   the scalar dispatcher decided and ``n_admit`` of which admitted
+#:   (``None`` when the policy keeps no per-arrival counters).
 BATCH_KERNELS = {
-    "greedy-threshold": (batch_greedy_threshold, _kernel_greedy),
-    "dual-gated": (batch_dual_gated, _kernel_dual),
+    "greedy-threshold": (_kernel_greedy_evaluate, _kernel_greedy_commit,
+                         None),
+    "dual-gated": (_kernel_dual_evaluate, _kernel_dual_commit,
+                   _kernel_dual_tally),
+    "preempt-density": (_kernel_preempt_evaluate, _kernel_preempt_commit,
+                        _kernel_preempt_tally),
 }
 
 
@@ -625,17 +673,47 @@ BATCH_KERNELS = {
 # ----------------------------------------------------------------------
 
 
+class _ChunkCounts:
+    """The batched events' session counters, flushed once per chunk."""
+
+    __slots__ = ("events", "arrivals", "departures", "admitted", "runs",
+                 "discarded", "t_first", "dur")
+
+    def __init__(self) -> None:
+        self.events = self.arrivals = self.departures = self.admitted = 0
+        self.runs = self.discarded = 0
+        self.t_first = self.dur = 0.0
+
+
+class _Segment(NamedTuple):
+    """One evaluated, cut window (:meth:`FastFeeder._segment`): the
+    kernel ``state`` of the arrivals from ``i0``, the offsets ``sel`` of
+    those that admit (and their chunk events ``adm_events``), the hard
+    arrivals' events, the releasing departures (``rel``, indices into
+    the chunk's departures, the first of the window being ``d0``) and
+    the ``cut``."""
+
+    i0: int
+    d0: int
+    state: Any
+    sel: np.ndarray
+    adm_events: list
+    hard_events: list
+    rel: list
+    cut: int
+
+
 class FastFeeder:
     """Drives one session's ``feed_many`` batches through the kernels.
 
     Constructed by :class:`~repro.session.kernel.AdmissionSession` when
     the policy advertises a batch kernel (and keeps the base no-op
     departure/tick hooks).  Each batch is columnarized per
-    :data:`CHUNK`, segmented into conflict-free runs, and executed run
-    by run: departures release in one batched call, arrivals decide in
-    one kernel call.  Anything the kernels must not touch — unbatchable
-    events, runs shorter than :data:`MIN_VECTOR_RUN` — goes through the
-    session's scalar dispatcher, which is bit-identical by definition.
+    :data:`CHUNK`; each maximal stretch of batchable events is then
+    consumed window by window (:meth:`_window`).  A stretch's lone last
+    event goes to the session's scalar dispatcher directly (a window
+    costs more than one scalar decision), as does every unbatchable
+    event.
     """
 
     def __init__(self, session, kernel_name: str) -> None:
@@ -644,19 +722,30 @@ class FastFeeder:
         self.session = session
         self.ledger = session.ledger
         self.policy = session.policy
-        self.kernel, self._krun = BATCH_KERNELS[kernel_name]
+        self.kernel_name = kernel_name
+        self.evaluate, self.commit, self.tally = BATCH_KERNELS[kernel_name]
         self.geom = geometry_of(session.ledger)
         self.num_instances = self.geom.num_instances
-        # Greedy's density floor is static per session: fold it into the
-        # selection key once, so the kernel's eligibility test is just
-        # the feasibility mask.
-        if kernel_name == "greedy-threshold":
+        # The density floor is static per session: fold it into the
+        # first-fit selection key once, so the fit test is just the
+        # feasibility mask.
+        if kernel_name in ("greedy-threshold", "preempt-density"):
             self.gkey = np.where(
                 self.geom.cand_density < self.policy.threshold,
                 _INT_MAX, self.geom.cand_selkey,
             )
         else:
             self.gkey = None
+        if kernel_name == "preempt-density":
+            # The very gate PreemptDensity._best_plan passes the planner.
+            self.gate = self.policy.factor + self.policy.penalty
+        # Earliest mutator per footprint edge during one :meth:`_cut`
+        # (``_INT_MAX`` between calls).
+        self._first_mutator = np.full(
+            self.geom.num_edges + self.geom.num_demands, _INT_MAX,
+            dtype=np.int64)
+        self.window = MIN_WINDOW
+        self._run_avg = float(MIN_WINDOW)
 
     def feed(self, events) -> None:
         """Apply a whole batch (the ``feed_many`` fast route)."""
@@ -668,31 +757,35 @@ class FastFeeder:
             ta = TraceArrays.from_events(chunk, self.geom)
             self._feed_chunk(ta)
 
-    def _feed_chunk(self, ta: TraceArrays) -> None:
-        session = self.session
-        stats = session.fastpath_stats
+    def _load_chunk(self, ta: TraceArrays) -> None:
+        """Chunk-wide pregather: candidate/route columns for every
+        batchable arrival, plus event → arrival/departure prefix maps so
+        each window's slice bounds are O(1) lookups."""
         n = len(ta)
-        batchable = ta.batchable
-        # Chunk-wide pregather: candidate/route columns for every
-        # batchable arrival, plus event → arrival/departure prefix maps
-        # so each run's slice bounds are O(1) lookups.
-        barr = batchable & (ta.kinds == _KIND_ARRIVAL)
-        bdep = batchable & (ta.kinds == _KIND_DEPARTURE)
+        barr = ta.batchable & (ta.kinds == _KIND_ARRIVAL)
+        bdep = ta.batchable & (ta.kinds == _KIND_DEPARTURE)
         arr_ofs = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(barr, out=arr_ofs[1:])
         dep_ofs = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(bdep, out=dep_ofs[1:])
-        plan = _prepare(self, ta.demand[barr])
-        dep_demands = ta.demand[bdep].tolist()
-        arr_ofs_l = arr_ofs.tolist()
-        dep_ofs_l = dep_ofs.tolist()
-        bl = batchable.tolist()
-        # Per-run counter updates accumulate locally and flush once per
-        # chunk (the scalar dispatcher keeps updating the session
-        # directly, so totals come out identical either way).
-        c_events = c_arr = c_dep = c_runs = c_adm = 0
-        t_first = dur_sum = 0.0
-        max_run = stats["max_run_len"]
+        self._ta = ta
+        self._plan = _prepare(self, ta.demand[barr], np.flatnonzero(barr))
+        self._dep_event = np.flatnonzero(bdep)
+        self._dep_demands = ta.demand[bdep].tolist()
+        self._arr_ofs = arr_ofs.tolist()
+        self._dep_ofs = dep_ofs.tolist()
+        self._fp_indptr = ta.fp_indptr.tolist()
+
+    def _feed_chunk(self, ta: TraceArrays) -> None:
+        session = self.session
+        stats = session.fastpath_stats
+        n = len(ta)
+        self._load_chunk(ta)
+        bl = ta.batchable.tolist()
+        # Counter updates accumulate locally and flush once per chunk
+        # (the scalar dispatcher keeps updating the session directly,
+        # so totals come out identical either way).
+        self._acc = acc = _ChunkCounts()
         lo = 0
         while lo < n:
             if not bl[lo]:
@@ -703,75 +796,231 @@ class FastFeeder:
             hi = lo
             while hi < n and bl[hi]:
                 hi += 1
-            for a, b in conflict_free_runs(ta, lo, hi):
-                if b - a < MIN_VECTOR_RUN:
-                    stats["scalar_fallbacks"] += b - a
-                    dispatch = session._dispatch
-                    for i in range(a, b):
-                        dispatch(ta.events[i])
-                else:
-                    t0, dur, admitted = self._run(
-                        ta, plan, arr_ofs_l, dep_ofs_l, dep_demands, a, b)
-                    rn = b - a
-                    c_events += rn
-                    c_arr += arr_ofs_l[b] - arr_ofs_l[a]
-                    c_dep += dep_ofs_l[b] - dep_ofs_l[a]
-                    c_adm += admitted
-                    if not c_runs:
-                        t_first = t0
-                    dur_sum += dur
-                    c_runs += 1
-                    if rn > max_run:
-                        max_run = rn
+            while hi - lo >= MIN_VECTOR_RUN:
+                lo = self._window(lo, min(hi, lo + self.window))
+            if lo < hi:
+                stats["scalar_fallbacks"] += hi - lo
+                for i in range(lo, hi):
+                    session._dispatch(ta.events[i])
             lo = hi
-        if c_runs:
-            session.events += c_events
-            session.arrivals += c_arr
-            session.departures += c_dep
-            session.ticks += c_events - c_arr - c_dep
-            stats["runs"] += c_runs
-            stats["batched_events"] += c_events
-            stats["max_run_len"] = max_run
-            # One aggregated span per chunk, not one per run: per-run
-            # spans cost ~2µs each, which the batch kernels made a
-            # measurable slice of the hot path (the obs-overhead gate
-            # caught it).  ``dur`` sums only the in-run kernel windows,
-            # so scalar fallbacks interleaved between runs stay out.
+        self._ta = self._plan = None
+        stats["discarded"] += acc.discarded
+        if acc.runs:
+            session.events += acc.events
+            session.arrivals += acc.arrivals
+            session.departures += acc.departures
+            session.ticks += acc.events - acc.arrivals - acc.departures
+            stats["runs"] += acc.runs
+            stats["batched_events"] += acc.events
+            # One aggregated span per chunk, not one per window:
+            # per-window spans cost ~2µs each, a measurable slice of
+            # the hot path (the obs-overhead gate caught it).  ``dur``
+            # sums only the windows' own time, so scalar decisions
+            # (fallbacks and hard events) stay out.
             if _tracing.RECORDER.enabled:
                 _tracing.record_complete(
-                    "session.batch_decide", t_first, dur_sum,
-                    {"events": c_events, "arrivals": c_arr,
-                     "departures": c_dep, "admitted": c_adm,
-                     "runs": c_runs},
+                    "session.batch_decide", acc.t_first, acc.dur,
+                    {"events": acc.events, "arrivals": acc.arrivals,
+                     "departures": acc.departures,
+                     "admitted": acc.admitted, "runs": acc.runs},
                 )
 
-    def _run(self, ta: TraceArrays, plan: _ChunkPlan, arr_ofs: list,
-             dep_ofs: list, dep_demands: list, a: int,
-             b: int) -> tuple[float, float, int]:
-        """Execute one conflict-free run of batchable events.
+    def _segment(self, lo: int, b: int) -> _Segment:
+        """Evaluate events ``[lo, b)`` of the loaded chunk against the
+        current ledger and cut them (:meth:`_cut`); changes nothing.
 
-        Releases go first (the scalar loop performs them outside the
-        decision clock too); the arrival kernel then reads loads that —
-        by footprint disjointness — match what each scalar decision
-        would have read in event order.  Ticks are no-ops here by
-        construction (the policy keeps the base ``on_tick``).
+        Mutators are the arrivals whose verdict admits and the
+        departures of demands in the system.  *Own* releases —
+        departures of demands the window admits earlier — are mutators
+        too, but never cut: an own release meets no footprint but its
+        own arrival's (any event between them that meets it is cut for
+        meeting the arrival).  Hard arrivals do not cut here;
+        :meth:`_window` handles them as it reaches them.
         """
+        plan = self._plan
+        i0, i1 = self._arr_ofs[lo], self._arr_ofs[b]
+        d0, d1 = self._dep_ofs[lo], self._dep_ofs[b]
+        hard_events: list = []
+        state = None
+        sel = _NO_ROWS
+        if i1 > i0:
+            admits, hard, state = self.evaluate(self, plan, i0, i1)
+            sel = np.flatnonzero(admits)
+            if hard is not None and hard.any():
+                hard_events = plan.event[i0 + np.flatnonzero(hard)].tolist()
+        adm_events = plan.event[i0 + sel]
+        adm_events_l = adm_events.tolist()
+        admitted_map = self.ledger._admitted
+        dep_demands = self._dep_demands
+        # Each demand's first admitting arrival (a second one cuts).
+        own = (dict(zip(plan.demands[i0 + sel[::-1]].tolist(),
+                        adm_events_l[::-1]))
+               if len(sel) and d1 > d0 else None)
+        rel = []
+        exempt = []
+        dep_event = self._dep_event
+        for j in range(d0, d1):
+            d = dep_demands[j]
+            if d in admitted_map:
+                rel.append(j)
+            elif own is not None and own.get(d, b) < dep_event[j]:
+                rel.append(j)
+                exempt.append(j)
+        if len(sel) or rel:
+            cut = self._cut(lo, b, adm_events, dep_event[rel],
+                            dep_event[exempt] if exempt else None)
+        else:
+            cut = b
+        return _Segment(i0, d0, state, sel, adm_events_l, hard_events, rel,
+                        cut)
+
+    def _window(self, lo: int, b: int) -> int:
+        """Decide events ``[lo, b)`` of the loaded chunk from one
+        evaluation (:meth:`_segment`); returns where the next window
+        starts.
+
+        The events before the cut are committed in bulk, except hard
+        arrivals, which the scalar dispatcher decides in event order
+        against the state committed before them.  A hard arrival that
+        changes nothing (a rejection after the eviction walk) leaves
+        every later verdict valid, so the window goes on past it; one
+        that admits or evicts is a mutator whose footprint is what it
+        changed, and cuts the window at the first later event that
+        meets it (:meth:`_touched`).
+        """
+        t0 = time.perf_counter()
         session = self.session
         ledger = self.ledger
-        t0 = time.perf_counter()
-        d0 = dep_ofs[a]
-        d1 = dep_ofs[b]
-        if d1 > d0:
-            admitted_map = ledger._admitted
-            live = [d for d in dep_demands[d0:d1] if d in admitted_map]
-            if live:
-                ledger.release_many(live, _disjoint=True)
-        i0 = arr_ofs[a]
-        i1 = arr_ofs[b]
-        admitted = 0
-        if i1 > i0:
-            admitted = len(self._krun(self, plan, i0, i1))
-        dur = time.perf_counter() - t0
-        n = b - a
-        session.latencies.extend([dur / n] * n)
-        return t0, dur, admitted
+        plan = self._plan
+        dep_ofs = self._dep_ofs
+        i0, d0, state, sel, adm_events_l, hard_events, rel, cut = \
+            self._segment(lo, b)
+        dep_demands = self._dep_demands
+        # Commit the pieces between the hard arrivals in event order:
+        # admits first — an own release undoes an admission of the same
+        # piece — then releases, all pairwise footprint-disjoint
+        # otherwise.
+        a_done = r_done = n_hard = 0
+        t_scalar = 0.0
+        for q in hard_events + [cut]:
+            if q > cut:
+                q = cut
+            a_next = bisect_left(adm_events_l, q, a_done)
+            if a_next > a_done:
+                self.commit(self, plan, i0, sel[a_done:a_next], state)
+                a_done = a_next
+            r_next = r_done
+            while r_next < len(rel) and dep_ofs[q] > rel[r_next]:
+                r_next += 1
+            if r_next > r_done:
+                ledger.release_many([dep_demands[j]
+                                     for j in rel[r_done:r_next]],
+                                    _disjoint=True)
+                r_done = r_next
+            if q == cut:
+                break
+            # A hard arrival: the scalar dispatcher decides it.
+            n_hard += 1
+            n_adm = len(ledger.admission_log)
+            n_ev = len(ledger.eviction_log)
+            t1 = time.perf_counter()
+            session._dispatch(self._ta.events[q])
+            t_scalar += time.perf_counter() - t1
+            if (len(ledger.admission_log) != n_adm
+                    or len(ledger.eviction_log) != n_ev):
+                cut = self._touched(q + 1, cut,
+                                    ledger.admission_log[n_adm:]
+                                    + ledger.eviction_log[n_ev:])
+        nxt = cut
+        k = self._arr_ofs[nxt] - i0
+        if self.tally is not None and k:
+            self.tally(self, state, k, n_hard, a_done)
+        stats = session.fastpath_stats
+        stats["scalar_fallbacks"] += n_hard
+        rn = nxt - lo - n_hard
+        acc = self._acc
+        acc.discarded += b - nxt
+        if rn:
+            dur = time.perf_counter() - t0 - t_scalar
+            session.latencies.extend([dur / rn] * rn)
+            acc.events += rn
+            acc.arrivals += k - n_hard
+            acc.departures += dep_ofs[nxt] - d0
+            acc.admitted += a_done
+            if not acc.runs:
+                acc.t_first = t0
+            acc.runs += 1
+            acc.dur += dur
+            if rn > stats["max_run_len"]:
+                stats["max_run_len"] = rn
+        self._resize(nxt - lo, nxt == b)
+        return nxt
+
+    def _cut(self, lo: int, b: int, adm_events: np.ndarray,
+             rel_events: np.ndarray, exempt) -> int:
+        """The first event of ``[lo, b)`` whose footprint meets the
+        footprint of an earlier mutator — an admitting arrival (chunk
+        event indices ``adm_events``) or a release of an admitted demand
+        (``rel_events``) — else ``b``.  The ``exempt`` events (own
+        releases, or ``None``) never cut.
+
+        Every verdict before the cut read exactly the state it would
+        have read one event at a time: rejections and no-op departures
+        change nothing, and no earlier mutation touched its footprint.
+        One scatter-min stamps each mutated footprint edge with its
+        earliest mutator; an entry conflicts iff its edge's stamp is an
+        earlier event.
+        """
+        ta = self._ta
+        mut = np.zeros(b - lo, dtype=bool)
+        mut[adm_events - lo] = True
+        mut[rel_events - lo] = True
+        f0 = self._fp_indptr[lo]
+        f1 = self._fp_indptr[b]
+        owner = ta.fp_owner[f0:f1]
+        edges = ta.fp_edges[f0:f1]
+        m = mut[owner - lo]
+        me = edges[m]
+        first = self._first_mutator
+        np.minimum.at(first, me, owner[m])
+        conflict = first[edges] < owner
+        first[me] = _INT_MAX
+        if exempt is not None:
+            mut[:] = False
+            mut[exempt - lo] = True
+            conflict &= ~mut[owner - lo]
+        if conflict.any():
+            return int(owner[int(conflict.argmax())])
+        return b
+
+    def _touched(self, lo: int, b: int, changed: list) -> int:
+        """The first event of ``[lo, b)`` whose footprint meets a
+        ``(demand, instance)`` pair in ``changed`` — the instance's route
+        or the demand's sentinel — else ``b``."""
+        if lo >= b:
+            return b
+        sentinel = self.geom.num_edges
+        route_of = self.ledger._route_edge_list
+        me: list = []
+        for d, iid in changed:
+            me += route_of(iid)
+            me.append(sentinel + d)
+        mark = self._first_mutator
+        mark[me] = lo
+        f0 = self._fp_indptr[lo]
+        f1 = self._fp_indptr[b]
+        hit = mark[self._ta.fp_edges[f0:f1]] == lo
+        mark[me] = _INT_MAX
+        if hit.any():
+            return int(self._ta.fp_owner[f0 + int(hit.argmax())])
+        return b
+
+    def _resize(self, run: int, exhausted: bool) -> None:
+        """Track the observed run length: the next window spans
+        :data:`WINDOW_SLACK` times its running mean, within
+        ``[MIN_WINDOW, MAX_WINDOW]``.  A window consumed without a cut
+        only bounds its run from below, so it counts double."""
+        est = 2 * run if exhausted else run
+        self._run_avg += (est - self._run_avg) * WINDOW_GAIN
+        self.window = min(MAX_WINDOW, max(MIN_WINDOW,
+                                          int(WINDOW_SLACK * self._run_avg)))

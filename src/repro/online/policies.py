@@ -81,11 +81,16 @@ class AdmissionPolicy:
         """Name of this policy's vectorized batch kernel, or ``None``.
 
         A non-``None`` name (a :data:`repro.online.fastpath.BATCH_KERNELS`
-        key) advertises that ``on_arrival`` can be replayed by the
-        columnar fast path over conflict-free runs, bit-identically.
-        Only policies whose decisions depend solely on the ledger's
-        live loads qualify; anything with per-event buffering or
-        preemption must return ``None`` (the default).
+        key) advertises that the columnar fast path can evaluate
+        ``on_arrival`` for a whole window of events against the
+        run-entry ledger and apply every verdict up to the first
+        conflicting mutation, bit-identically.  Only policies whose
+        decisions read nothing but the ledger state on the arrival's
+        own candidate routes (loads, holders) and its own demand
+        qualify; anything with per-event buffering returns ``None``
+        (the default).  A kernel may still flag single arrivals as
+        *hard* — a preemption that would evict holders — which the
+        executor hands to ``on_arrival`` one at a time.
         """
         return None
 
@@ -627,6 +632,13 @@ class PreemptDensity(_PreemptiveAdmission):
         self.stats = {"evictions": 0, "preempt_admits": 0,
                       "preempt_rejected": 0, "preempt_pruned": 0}
 
+    def batch_kernel(self) -> str | None:
+        # Arrivals that fit, and blocked arrivals whose every candidate
+        # the cost bound prunes (or cannot free), decide in bulk; the
+        # kernel hands anything that would walk an eviction plan back
+        # to on_arrival.
+        return "preempt-density"
+
     def _best_plan(self, demand_id: int):
         """Cheapest viable ``(iid, victims)`` across the candidates."""
         ledger = self.ledger
@@ -660,6 +672,11 @@ class PreemptDensity(_PreemptiveAdmission):
 
     def on_arrival(self, demand_id: int) -> int | None:
         ledger = self.ledger
+        if ledger.was_admitted(demand_id):
+            # A repeated arrival can never be admitted again, so it must
+            # not plan (let alone execute) evictions on its behalf.
+            self.stats["preempt_rejected"] += 1
+            return None
         iid = ledger.try_admit(demand_id, min_density=self.threshold)
         if iid is not None:
             return iid
@@ -720,6 +737,10 @@ class PreemptDualGated(DualGated, _PreemptiveAdmission):
 
     def on_arrival(self, demand_id: int) -> int | None:
         ledger = self.ledger
+        if ledger.was_admitted(demand_id):
+            # As in PreemptDensity: a repeated arrival never evicts.
+            self.stats["preempt_rejected"] += 1
+            return None
         cands = ledger.candidates(demand_id)
         ok = ledger.feasible(cands)
         if ok.any():

@@ -15,7 +15,9 @@ the incremental :class:`~repro.core.conflict.ActiveConflictSet`:
   dual-gated policy prices;
 * ``holders_on_route`` / ``preemption_plan`` — which admitted demands
   contest a route, and the cheapest-density eviction set that would make
-  it feasible (the geometry half of every preemptive policy).
+  it feasible (the geometry half of every preemptive policy), read off
+  the per-edge holder sets and the per-edge cheapest-holder profit
+  column the mutations keep current.
 
 Nothing is ever rebuilt per event; the conflict probes are exactly the
 ones the phase-2 engine uses offline, shared through the same index.
@@ -41,6 +43,11 @@ __all__ = ["CapacityLedger", "PRUNED"]
 
 #: Load-comparison slack, matching the conflict index's blocked test.
 _EPS = 1e-9
+
+#: Batches up to this size are applied one entry at a time by
+#: ``admit_many``/``release_many``: below it, the per-entry NumPy calls
+#: cost less than the batched gathers.
+_SMALL_BATCH = 4
 
 
 class _Pruned:
@@ -130,6 +137,10 @@ class CapacityLedger:
         self._holders_by_edge: list[set[int]] = [
             set() for _ in range(self.index.num_edges)
         ]
+        #: Per edge, the smallest profit among its current holders
+        #: (``inf`` for an edge nobody holds): the cost lower bound the
+        #: preemption planner and the batch kernel both read.
+        self._cheapest = np.full(self.index.num_edges, math.inf)
         # Static per-instance columns as plain Python lists, built once:
         # the preemptive policies read them holder-by-holder on every
         # blocked arrival, where NumPy scalar indexing would dominate.
@@ -294,48 +305,55 @@ class CapacityLedger:
         profit worth the victims'?) belongs to the policies.
         """
         height = self._height[iid]
-        deficit = [x + height - 1.0
-                   for x in self.active._load[self._edge_ids(iid)].tolist()]
+        eids = self._edge_ids(iid)
+        deficit = [x + height - 1.0 for x in self.active._load[eids].tolist()]
         hot = [k for k, x in enumerate(deficit) if x > _EPS]
         if not hot:
             return []
-        route = self._route_edge_list(iid)
         admitted = self._admitted
         profit_of = self._profit
         profit = profit_of[iid]
+        column = self._cheapest[eids].tolist()
         bound = 0.0
         for k in hot:
-            holders = self._holders_by_edge[route[k]]
-            if not holders:
+            cheapest = column[k]
+            if cheapest == math.inf:
                 return None  # nothing to evict on an over-capacity edge
-            cheapest = min(profit_of[admitted[d]] for d in holders)
             if cheapest > bound:
                 bound = cheapest
                 if gate is not None and profit <= gate * bound:
                     return PRUNED
         n_hot = len(hot)
-        pos_of = self._route_pos(iid)
+        # Each contestant's hot route positions.  Deficits only fall, so
+        # an edge that is not hot now never turns hot: a holder of no
+        # hot edge never relieves one, and cooled edges need no update.
+        route = self._route_edge_list(iid)
+        by_edge = self._holders_by_edge
+        shared: dict[int, list[int]] = {}
+        for k in hot:
+            for d in by_edge[route[k]]:
+                ks = shared.get(d)
+                if ks is None:
+                    shared[d] = [k]
+                else:
+                    ks.append(k)
         route_len = self._route_len
-        holders = sorted(
-            self.holders_on_route(iid),
-            key=lambda d: (profit_of[admitted[d]] / route_len[admitted[d]],
-                           d),
-        )
-        victims: list[int] = []
-        for d in holders:
+        order = []
+        for d in shared:
             v_iid = admitted[d]
-            shared = [
-                pos_of[eid]
-                for eid in self._route_edge_list(v_iid)
-                if eid in pos_of
-            ]
-            if not any(deficit[k] > _EPS for k in shared):
+            order.append((profit_of[v_iid] / route_len[v_iid], d))
+        order.sort()
+        height_of = self._height
+        victims: list[int] = []
+        for _, d in order:
+            ks = [k for k in shared[d] if deficit[k] > _EPS]
+            if not ks:
                 continue  # only evict holders that relieve a hot edge
-            v_height = self._height[v_iid]
-            for k in shared:
-                was_hot = deficit[k] > _EPS
+            v_iid = admitted[d]
+            v_height = height_of[v_iid]
+            for k in ks:
                 deficit[k] -= v_height
-                if was_hot and deficit[k] <= _EPS:
+                if deficit[k] <= _EPS:
                     n_hot -= 1
             victims.append(d)
             if not n_hot:
@@ -388,16 +406,32 @@ class CapacityLedger:
             raise ValueError(
                 f"instance {iid} no longer fits the residual capacity"
             )
-        self.active.add(iid)
-        self._admitted[demand_id] = iid
-        self._ever_admitted.add(demand_id)
-        self.admission_log.append((demand_id, iid))
-        self._profit_admitted += float(self.instances[iid].profit)
-        for eid in self._route_edge_list(iid):
-            self._holders_by_edge[eid].add(demand_id)
+        self._admit_one(iid, demand_id)
         if t0:
             _REC.record("ledger.admit", t0, time.perf_counter_ns() - t0,
                         {"demand": demand_id, "instance": iid})
+
+    def _admit_one(self, iid: int, demand_id: int) -> None:
+        """Apply one admission: the active set's load update, then the
+        bookkeeping (:meth:`_hold`) and the cheapest-holder column."""
+        self.active.add(iid)
+        self._hold(iid, demand_id)
+        eids = self._edge_ids(iid)
+        self._cheapest[eids] = np.minimum(self._cheapest[eids],
+                                          self._profit[iid])
+
+    def _hold(self, iid: int, demand_id: int) -> None:
+        """The admitted-set bookkeeping of one admission, in admission
+        order: maps, log, profit counter and holder sets."""
+        self._admitted[demand_id] = iid
+        self._ever_admitted.add(demand_id)
+        self.admission_log.append((demand_id, iid))
+        # repro: noqa[CERT001] -- deliberate += in admission order: a
+        # batch must bit-match the scalar loop's per-event accumulation,
+        # which fsum's exact rounding would not.
+        self._profit_admitted += float(self.instances[iid].profit)
+        for eid in self._route_edge_list(iid):
+            self._holders_by_edge[eid].add(demand_id)
 
     def try_admit(self, demand_id: int,
                   min_density: float = 0.0) -> int | None:
@@ -481,20 +515,24 @@ class CapacityLedger:
                     f"instance {culprit} no longer fits the residual "
                     f"capacity"
                 )
-        # Validation passed — apply.  add_all performs the batched
-        # scatter-add (bit-identical to per-instance adds on disjoint
-        # routes) plus the demand-used/member bookkeeping.
-        self.active.add_all(arr, _edges=_edges, _adds=_adds)
-        for iid, d in zip(arr.tolist(), demands):
-            self._admitted[d] = iid
-            self._ever_admitted.add(d)
-            self.admission_log.append((d, iid))
-            # repro: noqa[CERT001] -- deliberate += in admission order:
-            # the batch must bit-match the scalar loop's per-event
-            # accumulation, which fsum's exact rounding would not.
-            self._profit_admitted += float(self.instances[iid].profit)
-            for eid in self._route_edge_list(iid):
-                self._holders_by_edge[eid].add(d)
+        # Validation passed — apply, in batch order.  A small batch
+        # takes one admission at a time (fewer NumPy calls than the
+        # gathers); otherwise add_all performs the batched scatter-add,
+        # bit-identical to per-instance adds on disjoint routes.
+        if len(arr) <= _SMALL_BATCH and _edges is None:
+            for iid, d in zip(arr.tolist(), demands):
+                self._admit_one(iid, d)
+        else:
+            idx = self.index
+            counts = idx._indptr[arr + 1] - idx._indptr[arr]
+            if _edges is None:
+                _edges = gather_rows(idx._indptr, idx._flat_edges, arr)[0]
+                _adds = np.repeat(idx._heights[arr], counts)
+            self.active.add_all(arr, _edges=_edges, _adds=_adds)
+            np.minimum.at(self._cheapest, _edges,
+                          np.repeat(idx._profits[arr], counts))
+            for iid, d in zip(arr.tolist(), demands):
+                self._hold(iid, d)
         if t0:
             _REC.record("ledger.admit_many", t0,
                         time.perf_counter_ns() - t0,
@@ -505,7 +543,8 @@ class CapacityLedger:
 
         The whole batch is validated first (every demand currently
         admitted, none named twice), so a bad entry leaves the ledger
-        untouched.  The load subtraction runs as one ``np.subtract.at``
+        untouched.  A small batch is released one demand at a time;
+        otherwise the load subtraction runs as one ``np.subtract.at``
         over the concatenated routes — the index array is in batch
         order, and ``ufunc.at`` applies updates in index order, so the
         float sequence per edge is exactly the scalar per-demand loop's.
@@ -533,12 +572,28 @@ class CapacityLedger:
         if len(set(dlist)) != len(dlist):
             raise ValueError("a demand appears twice in the release batch")
         t0 = time.perf_counter_ns() if _REC.enabled else 0
+        if len(dlist) <= _SMALL_BATCH:
+            # One release at a time: the same float subtraction per
+            # edge in batch order, with fewer NumPy calls.
+            for d in dlist:
+                self._remove(d)
+        else:
+            self._release_batch(dlist, iids, _disjoint)
+        if t0:
+            _REC.record("ledger.release_many", t0,
+                        time.perf_counter_ns() - t0,
+                        {"released": len(dlist)})
+        return iids
+
+    def _release_batch(self, dlist: list, iids: list,
+                       disjoint: bool) -> None:
+        """:meth:`release_many`'s vectorized apply."""
         idx = self.index
         arr = np.asarray(iids, dtype=np.int64)
         edges, counts = gather_rows(idx._indptr, idx._flat_edges, arr)
         if len(edges):
             subs = np.repeat(idx._heights[arr], counts)
-            if _disjoint:
+            if disjoint:
                 self.active._load[edges] -= subs
             else:
                 np.subtract.at(self.active._load, edges, subs)
@@ -548,11 +603,10 @@ class CapacityLedger:
             self.active._members.discard(iid)
             for eid in self._route_edge_list(iid):
                 self._holders_by_edge[eid].discard(d)
-        if t0:
-            _REC.record("ledger.release_many", t0,
-                        time.perf_counter_ns() - t0,
-                        {"released": len(dlist)})
-        return iids
+        if len(edges):
+            self._refresh_cheapest(
+                edges[self._cheapest[edges]
+                      == np.repeat(idx._profits[arr], counts)])
 
     def _remove(self, demand_id: int) -> int:
         """Drop a demand from the admitted set and the holder map."""
@@ -563,7 +617,33 @@ class CapacityLedger:
         self.active.remove(iid)
         for eid in self._route_edge_list(iid):
             self._holders_by_edge[eid].discard(demand_id)
+        eids = self._edge_ids(iid)
+        self._refresh_cheapest(eids[self._cheapest[eids] == self._profit[iid]])
         return iid
+
+    def _refresh_cheapest(self, eids: np.ndarray) -> None:
+        """Recompute the cheapest-holder column on ``eids`` from the
+        holder sets — called with exactly the edges whose minimum a
+        removed holder defined, after the holder sets dropped it."""
+        if not len(eids):
+            return
+        admitted = self._admitted
+        profit_of = self._profit
+        cheapest = self._cheapest
+        for eid in eids.tolist():
+            holders = self._holders_by_edge[eid]
+            cheapest[eid] = (min([profit_of[admitted[d]] for d in holders])
+                             if holders else math.inf)
+
+    def _cheapest_of_admitted(self) -> np.ndarray:
+        """The cheapest-holder column derived from the admitted routes."""
+        idx = self.index
+        held = np.fromiter(self._admitted.values(), dtype=np.int64,
+                           count=len(self._admitted))
+        edges, counts = gather_rows(idx._indptr, idx._flat_edges, held)
+        cheapest = np.full(idx.num_edges, math.inf)
+        np.minimum.at(cheapest, edges, np.repeat(idx._profits[held], counts))
+        return cheapest
 
     def release(self, demand_id: int) -> int:
         """Release a departed demand's capacity; returns its instance id.
@@ -664,6 +744,7 @@ class CapacityLedger:
         for d, iid in self._admitted.items():
             for eid in self._route_edge_list(iid):
                 self._holders_by_edge[eid].add(d)
+        self._cheapest[:] = self._cheapest_of_admitted()
 
     # ------------------------------------------------------------------
     # Verification
@@ -684,7 +765,8 @@ class CapacityLedger:
         checked against the logs (realized profit must equal the
         admission-log sum minus the eviction-log sum), the active set's
         members against the admitted set, and every edge's live load
-        against the heights of the admitted routes that cross it.
+        against the heights of the admitted routes that cross it, and
+        the cheapest-holder column against the admitted routes' profits.
         """
         sol = self.snapshot()
         if isinstance(self.problem, TreeProblem):
@@ -718,3 +800,6 @@ class CapacityLedger:
                 raise AssertionError(
                     f"edge loads drifted from the admitted routes: max "
                     f"difference {drift}, min load {float(load.min())}")
+        if not np.array_equal(self._cheapest, self._cheapest_of_admitted()):
+            raise AssertionError(
+                "cheapest-holder column differs from the admitted routes")

@@ -464,6 +464,7 @@ class AdmissionService:
             fp["batched_events"])
         reg.gauge("repro_fastpath_scalar_fallbacks_total").set(
             fp["scalar_fallbacks"])
+        reg.gauge("repro_fastpath_discarded_total").set(fp["discarded"])
 
     def _server_section(self) -> dict:
         """The transport block — real counters under the async front

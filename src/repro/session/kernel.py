@@ -261,9 +261,12 @@ class AdmissionSession:
         #: Columnar fast-path telemetry (never checkpointed: the scalar
         #: and batched paths are byte-identical, so a warm restart may
         #: legitimately disagree on *how* events were executed).
+        #: ``discarded`` counts events a window evaluated past its cut
+        #: (and so evaluated again); every event is counted once in
+        #: ``batched_events`` or ``scalar_fallbacks``.
         self.fastpath_stats = {"enabled": False, "runs": 0,
                                "batched_events": 0, "scalar_fallbacks": 0,
-                               "max_run_len": 0}
+                               "max_run_len": 0, "discarded": 0}
         self._fast = None
         kern = policy.batch_kernel() if hasattr(policy, "batch_kernel") \
             else None

@@ -337,6 +337,11 @@ def _victim_cost(ledger, victims) -> float:
 class ReferencePreemptDensity(PreemptDensity):
     """``preempt-density`` planning every candidate in full."""
 
+    def batch_kernel(self):
+        # The reference decides every arrival through the scalar loop;
+        # inheriting the live kernel would compare it with itself.
+        return None
+
     def _best_plan(self, demand_id):
         ledger = self.ledger
         best = None
@@ -360,6 +365,10 @@ class ReferencePreemptDensity(PreemptDensity):
 
 class ReferencePreemptDualGated(PreemptDualGated):
     """``preempt-dual-gated`` planning every candidate in full."""
+
+    def batch_kernel(self):
+        # Scalar reference, as in ReferencePreemptDensity.
+        return None
 
     def on_arrival(self, demand_id):
         ledger = self.ledger

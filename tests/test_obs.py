@@ -374,7 +374,9 @@ class TestForkMerge:
             tree_trace, "greedy-threshold", {})
         forked_names = [e[0] for e in RECORDER.events()]
         assert "shard.phaseA" in inline_names
-        assert "session.decide" in inline_names
+        # greedy-threshold decides through the fast path's windows,
+        # which record one aggregated decision span per chunk.
+        assert "session.batch_decide" in inline_names
         assert forked_names == inline_names
 
 

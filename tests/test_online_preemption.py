@@ -344,3 +344,38 @@ class TestPreemptDualGated:
         assert a.eviction_log == b.eviction_log
         assert a.metrics.penalty_adjusted_profit == \
             b.metrics.penalty_adjusted_profit
+
+
+@pytest.mark.parametrize("fastpath", [False, True])
+@pytest.mark.parametrize("name", ["preempt-density", "preempt-dual-gated"])
+def test_repeated_arrival_never_evicts(name, fastpath):
+    """An arrival of a demand admitted before must be rejected outright:
+    planning for it would evict an innocent holder and then fail to
+    admit (a demand is admitted at most once)."""
+    from repro import Demand, TreeNetwork, TreeProblem
+    from repro.online import Arrival, Departure, Tick
+    from repro.session.kernel import AdmissionSession
+
+    net = TreeNetwork(2, [(0, 1)], network_id=0)
+    problem = TreeProblem(n=2, networks=[net],
+                          demands=[Demand(0, 0, 1, 1.0, height=0.6),
+                                   Demand(1, 0, 1, 10.0, height=0.6)])
+    session = AdmissionSession(problem, make_policy(name),
+                               fastpath=fastpath)
+    ledger = session.ledger
+    events = [Arrival(0.0, 1), Departure(1.0, 1), Arrival(2.0, 0)]
+    for ev in events:
+        session.feed(ev)
+    before = (list(ledger.admission_log), dict(ledger._admitted),
+              ledger.active._load.tobytes(), ledger._cheapest.tobytes())
+    # With a tick alongside, the fast path decides the arrival in a
+    # window rather than through the scalar fallback.
+    session.feed_many([Arrival(3.0, 1), Tick(4.0)])
+    assert (list(ledger.admission_log), dict(ledger._admitted),
+            ledger.active._load.tobytes(),
+            ledger._cheapest.tobytes()) == before
+    assert ledger.eviction_log == []
+    stats = session.policy.stats
+    assert stats["evictions"] == stats["preempt_admits"] == 0
+    assert stats["preempt_rejected"] == 1
+    session.close(verify=True)

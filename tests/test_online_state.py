@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import FeasibilityError
-from repro.online import CapacityLedger, poisson_trace
+from repro.online import Arrival, CapacityLedger, Departure, poisson_trace
 from repro.workloads import random_line_problem, random_tree_problem
 
 
@@ -209,3 +209,25 @@ class TestLedgerIntegrity:
         ledger.active._members.add(spare)
         with pytest.raises(AssertionError, match="members"):
             ledger.verify()
+
+    def test_verify_checks_the_cheapest_holder_column(self):
+        ledger = self._busy_ledger()
+        ledger.verify()
+        eid = int(np.flatnonzero(np.isfinite(ledger._cheapest))[0])
+        ledger._cheapest[eid] += 1.0
+        with pytest.raises(AssertionError, match="cheapest-holder"):
+            ledger.verify()
+
+    def test_restore_rebuilds_the_cheapest_holder_column(self):
+        tr = poisson_trace("line", events=400, seed=5, departure_prob=0.4)
+        live = CapacityLedger(tr.problem)
+        for ev in tr.events:
+            if isinstance(ev, Arrival):
+                live.try_admit(ev.demand_id)
+            elif isinstance(ev, Departure) and live.is_admitted(ev.demand_id):
+                live.release(ev.demand_id)
+        assert np.isfinite(live._cheapest).any()
+        fresh = CapacityLedger(tr.problem)
+        fresh.restore_state(live.export_state())
+        assert fresh._cheapest.tobytes() == live._cheapest.tobytes()
+        fresh.verify()
