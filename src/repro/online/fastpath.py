@@ -397,13 +397,11 @@ class _Window:
     """One window's route columns: the run-entry loads on every route
     edge of arrivals ``[i0, i1)`` and the segment layout over them."""
 
-    __slots__ = ("i0", "i1", "c0", "c1", "e0", "e1", "loads", "rel",
-                 "relc", "nonempty")
+    __slots__ = ("c0", "c1", "e0", "e1", "loads", "rel", "relc",
+                 "nonempty")
 
     def __init__(self, feeder: "FastFeeder", plan: _ChunkPlan,
                  i0: int, i1: int) -> None:
-        self.i0 = i0
-        self.i1 = i1
         self.c0 = c0 = plan.cstart_l[i0]
         self.c1 = c1 = plan.cstart_l[i1]
         self.e0 = e0 = plan.estart_l[c0]

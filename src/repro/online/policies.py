@@ -720,8 +720,8 @@ class PreemptDualGated(DualGated, _PreemptiveAdmission):
         self.penalty = float(penalty)
 
     def batch_kernel(self) -> str | None:
-        # Preemption decisions depend on the admitted set per event —
-        # inherently sequential, so no vectorized kernel.
+        # The fit half would be the dual kernel, but the blocked half
+        # prices each plan's freed route, which has no batch replica.
         return None
 
     def bind(self, ledger: CapacityLedger) -> None:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import json
 
-import numpy as np
 import pytest
 
 from repro import Demand, TreeNetwork, TreeProblem
