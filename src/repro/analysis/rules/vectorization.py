@@ -25,8 +25,9 @@ from ..findings import Finding
 
 __all__ = ["VectorizationRule"]
 
-#: Functions the rule treats as batch kernels: the per-run kernels and
-#: their one-shot wrappers follow this naming convention.
+#: Functions the rule treats as batch kernels: the kernel halves
+#: (``_kernel_*``) and any one-shot wrappers (``batch_*``) follow this
+#: naming convention.
 _KERNEL_PREFIXES = ("_kernel_", "batch_")
 
 #: Per-event scalar entry points that must never appear inside a batch

@@ -17,9 +17,9 @@ Layering (bottom-up):
   ``preempt-dual-gated`` (eviction with profit forfeiture and optional
   penalties);
 * :mod:`~repro.online.fastpath` — the columnar batch-decision fast
-  path: conflict-free run segmentation plus vectorized kernels for
-  ``greedy-threshold`` and ``dual-gated``, byte-identical to the scalar
-  loop;
+  path: mutation-aware window segmentation plus vectorized kernels
+  for ``greedy-threshold``, ``dual-gated`` and ``preempt-density``,
+  byte-identical to the scalar loop;
 * :mod:`~repro.online.driver` / :mod:`~repro.online.metrics` — the
   replay loop, acceptance/profit/latency metrics, offline benchmarks.
 """

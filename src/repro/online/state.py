@@ -466,7 +466,7 @@ class CapacityLedger:
                    _demands: list | None = None,
                    _edges=None, _adds=None) -> None:
         """Admit a batch of instances with *pairwise edge-disjoint*
-        routes (the conflict-free-run contract), atomically.
+        routes (the fast path's committed-window contract), atomically.
 
         The whole batch is validated before any state changes — every
         demand new, no demand twice, every route still feasible — so a

@@ -335,7 +335,7 @@ class AdmissionSession:
         decode and one journal commit) amortized over the batch.
         """
         if self._fast is not None:
-            # The columnar fast path: conflict-free runs decided by the
+            # The columnar fast path: windows of events decided by the
             # policy's batch kernel, byte-identical to the scalar loop
             # below.
             self._fast.feed(events)

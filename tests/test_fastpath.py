@@ -240,8 +240,7 @@ class TestPreemptDensityIdentity:
     @pytest.mark.parametrize("topology", ["line", "tree"])
     def test_replay_identity(self, topology, seed):
         """The whole parameter grid, fast against scalar, bit for bit;
-        the kernel really decides (most events batched, some pruned
-        rejects in bulk)."""
+        the kernel really decides (most events batched)."""
         trace = _trace(topology, events=500, seed=seed)
         for params in PREEMPT_GRID:
             scalar, _ = _preempt_run(trace, params, fastpath=False)
@@ -313,6 +312,26 @@ class TestPreemptDensityIdentity:
             svc.close(verify=True)
             paths[label] = path
         assert paths["fast"].read_bytes() == paths["scalar"].read_bytes()
+
+    def test_service_reports_the_window_counters(self):
+        """``stats`` echoes every fast-path counter, ``discarded``
+        included, and exports each as a ``repro_fastpath_*`` gauge."""
+        from repro.io import event_to_dict
+        from repro.service import AdmissionService
+
+        trace = _trace("line", events=400, seed=2)
+        svc = AdmissionService(trace, "preempt-density")
+        svc.handle({"op": "feed", "events": [event_to_dict(ev)
+                                             for ev in trace.events]})
+        stats = svc.stats()
+        fp = stats["fastpath"]
+        assert fp["discarded"] > 0
+        assert fp["batched_events"] + fp["scalar_fallbacks"] == 400
+        for key in ("runs", "batched_events", "scalar_fallbacks",
+                    "discarded"):
+            gauge = stats["metrics"][f"repro_fastpath_{key}_total"]
+            assert gauge["value"] == fp[key]
+        svc.close(verify=True)
 
     def test_bulk_rejects_count_pruned_candidates(self):
         """One edge, full: the arrival's only candidate is hot with a
