@@ -37,16 +37,13 @@ against the run-entry state, then cuts it at the first event whose
 footprint meets an earlier mutator's (:meth:`FastFeeder._segment`).
 Every verdict before the cut equals the scalar one, and the prefix's
 admits and releases are footprint-disjoint, so one ``admit_many`` and
-one ``release_many`` commit them — admits first, because a departure of
-a demand admitted earlier in the window (an *own release*) meets only
-that admission, whose footprint already cut every later event it could
-affect, so it stays in the run.  A *hard* arrival — one the kernel
+one ``release_many`` commit them.  A *hard* arrival — one the kernel
 cannot decide in bulk, a ``preempt-density`` arrival whose plan would
 walk evictions — goes to the session's scalar dispatcher in event
 order; if it changed nothing the window goes on past it, otherwise the
 cut falls at the first later event meeting a route or demand it
 changed.  Events past the cut are evaluated again in the next window,
-whose size tracks the observed run length.
+which spans twice the last run.
 
 Bit-exactness ground rules (each empirically verified against this
 container's NumPy):
@@ -107,15 +104,12 @@ CHUNK = 4096
 #: execution is bit-identical, so this is purely a throughput knob.
 MIN_VECTOR_RUN = 2
 
-#: Window bounds, in events.  The executor evaluates ``WINDOW_SLACK``
-#: times the running mean run length per window (mean updated with gain
-#: ``WINDOW_GAIN``), clamped to ``[MIN_WINDOW, MAX_WINDOW]``: events
-#: past a cut are evaluated again, so a window much longer than the
-#: run wastes work, and one much shorter pays more window overheads.
+#: Window bounds, in events.  Each window spans twice the previous
+#: window's run, clamped to ``[MIN_WINDOW, MAX_WINDOW]``: events past a
+#: cut are evaluated again, so a window much longer than the run wastes
+#: work, and one much shorter pays more window overheads.
 MIN_WINDOW = 8
 MAX_WINDOW = 512
-WINDOW_SLACK = 2.0
-WINDOW_GAIN = 0.25
 
 _INT_MAX = np.iinfo(np.int64).max
 _NO_ROWS = np.zeros(0, dtype=np.int64)
@@ -743,7 +737,6 @@ class FastFeeder:
             self.geom.num_edges + self.geom.num_demands, _INT_MAX,
             dtype=np.int64)
         self.window = MIN_WINDOW
-        self._run_avg = float(MIN_WINDOW)
 
     def feed(self, events) -> None:
         """Apply a whole batch (the ``feed_many`` fast route)."""
@@ -828,12 +821,10 @@ class FastFeeder:
         current ledger and cut them (:meth:`_cut`); changes nothing.
 
         Mutators are the arrivals whose verdict admits and the
-        departures of demands in the system.  *Own* releases —
-        departures of demands the window admits earlier — are mutators
-        too, but never cut: an own release meets no footprint but its
-        own arrival's (any event between them that meets it is cut for
-        meeting the arrival).  Hard arrivals do not cut here;
-        :meth:`_window` handles them as it reaches them.
+        departures of demands in the system.  A departure of a demand
+        the window admits meets that admission's footprint, so it falls
+        past the cut.  Hard arrivals do not cut here; :meth:`_window`
+        handles them as it reaches them.
         """
         plan = self._plan
         i0, i1 = self._arr_ofs[lo], self._arr_ofs[b]
@@ -850,23 +841,9 @@ class FastFeeder:
         adm_events_l = adm_events.tolist()
         admitted_map = self.ledger._admitted
         dep_demands = self._dep_demands
-        # Each demand's first admitting arrival (a second one cuts).
-        own = (dict(zip(plan.demands[i0 + sel[::-1]].tolist(),
-                        adm_events_l[::-1]))
-               if len(sel) and d1 > d0 else None)
-        rel = []
-        exempt = []
-        dep_event = self._dep_event
-        for j in range(d0, d1):
-            d = dep_demands[j]
-            if d in admitted_map:
-                rel.append(j)
-            elif own is not None and own.get(d, b) < dep_event[j]:
-                rel.append(j)
-                exempt.append(j)
+        rel = [j for j in range(d0, d1) if dep_demands[j] in admitted_map]
         if len(sel) or rel:
-            cut = self._cut(lo, b, adm_events, dep_event[rel],
-                            dep_event[exempt] if exempt else None)
+            cut = self._cut(lo, b, adm_events, self._dep_event[rel])
         else:
             cut = b
         return _Segment(i0, d0, state, sel, adm_events_l, hard_events, rel,
@@ -894,10 +871,10 @@ class FastFeeder:
         i0, d0, state, sel, adm_events_l, hard_events, rel, cut = \
             self._segment(lo, b)
         dep_demands = self._dep_demands
-        # Commit the pieces between the hard arrivals in event order:
-        # admits first — an own release undoes an admission of the same
-        # piece — then releases, all pairwise footprint-disjoint
-        # otherwise.
+        # Commit the pieces between the hard arrivals in event order;
+        # within a piece the admits and releases are pairwise
+        # footprint-disjoint, so one admit_many and one release_many
+        # apply them.
         a_done = r_done = n_hard = 0
         t_scalar = 0.0
         for q in hard_events + [cut]:
@@ -951,16 +928,15 @@ class FastFeeder:
             acc.dur += dur
             if rn > stats["max_run_len"]:
                 stats["max_run_len"] = rn
-        self._resize(nxt - lo, nxt == b)
+        self.window = min(MAX_WINDOW, max(MIN_WINDOW, 2 * (nxt - lo)))
         return nxt
 
     def _cut(self, lo: int, b: int, adm_events: np.ndarray,
-             rel_events: np.ndarray, exempt) -> int:
+             rel_events: np.ndarray) -> int:
         """The first event of ``[lo, b)`` whose footprint meets the
         footprint of an earlier mutator — an admitting arrival (chunk
         event indices ``adm_events``) or a release of an admitted demand
-        (``rel_events``) — else ``b``.  The ``exempt`` events (own
-        releases, or ``None``) never cut.
+        (``rel_events``) — else ``b``.
 
         Every verdict before the cut read exactly the state it would
         have read one event at a time: rejections and no-op departures
@@ -983,10 +959,6 @@ class FastFeeder:
         np.minimum.at(first, me, owner[m])
         conflict = first[edges] < owner
         first[me] = _INT_MAX
-        if exempt is not None:
-            mut[:] = False
-            mut[exempt - lo] = True
-            conflict &= ~mut[owner - lo]
         if conflict.any():
             return int(owner[int(conflict.argmax())])
         return b
@@ -1012,13 +984,3 @@ class FastFeeder:
         if hit.any():
             return int(self._ta.fp_owner[f0 + int(hit.argmax())])
         return b
-
-    def _resize(self, run: int, exhausted: bool) -> None:
-        """Track the observed run length: the next window spans
-        :data:`WINDOW_SLACK` times its running mean, within
-        ``[MIN_WINDOW, MAX_WINDOW]``.  A window consumed without a cut
-        only bounds its run from below, so it counts double."""
-        est = 2 * run if exhausted else run
-        self._run_avg += (est - self._run_avg) * WINDOW_GAIN
-        self.window = min(MAX_WINDOW, max(MIN_WINDOW,
-                                          int(WINDOW_SLACK * self._run_avg)))

@@ -44,11 +44,6 @@ __all__ = ["CapacityLedger", "PRUNED"]
 #: Load-comparison slack, matching the conflict index's blocked test.
 _EPS = 1e-9
 
-#: Batches up to this size are applied one entry at a time by
-#: ``admit_many``/``release_many``: below it, the per-entry NumPy calls
-#: cost less than the batched gathers.
-_SMALL_BATCH = 4
-
 
 class _Pruned:
     """Type of :data:`PRUNED` (a named sentinel, distinct from ``None``)."""
@@ -406,23 +401,19 @@ class CapacityLedger:
             raise ValueError(
                 f"instance {iid} no longer fits the residual capacity"
             )
-        self._admit_one(iid, demand_id)
+        self.active.add(iid)
+        self._hold(iid, demand_id, self._route_edge_list(iid))
+        eids = self._edge_ids(iid)
+        self._cheapest[eids] = np.minimum(self._cheapest[eids],
+                                          self._profit[iid])
         if t0:
             _REC.record("ledger.admit", t0, time.perf_counter_ns() - t0,
                         {"demand": demand_id, "instance": iid})
 
-    def _admit_one(self, iid: int, demand_id: int) -> None:
-        """Apply one admission: the active set's load update, then the
-        bookkeeping (:meth:`_hold`) and the cheapest-holder column."""
-        self.active.add(iid)
-        self._hold(iid, demand_id)
-        eids = self._edge_ids(iid)
-        self._cheapest[eids] = np.minimum(self._cheapest[eids],
-                                          self._profit[iid])
-
-    def _hold(self, iid: int, demand_id: int) -> None:
+    def _hold(self, iid: int, demand_id: int, route: list[int]) -> None:
         """The admitted-set bookkeeping of one admission, in admission
-        order: maps, log, profit counter and holder sets."""
+        order: maps, log, profit counter and the holder sets of
+        ``route`` (the instance's cached route list)."""
         self._admitted[demand_id] = iid
         self._ever_admitted.add(demand_id)
         self.admission_log.append((demand_id, iid))
@@ -430,7 +421,7 @@ class CapacityLedger:
         # batch must bit-match the scalar loop's per-event accumulation,
         # which fsum's exact rounding would not.
         self._profit_admitted += float(self.instances[iid].profit)
-        for eid in self._route_edge_list(iid):
+        for eid in route:
             self._holders_by_edge[eid].add(demand_id)
 
     def try_admit(self, demand_id: int,
@@ -515,24 +506,23 @@ class CapacityLedger:
                     f"instance {culprit} no longer fits the residual "
                     f"capacity"
                 )
-        # Validation passed — apply, in batch order.  A small batch
-        # takes one admission at a time (fewer NumPy calls than the
-        # gathers); otherwise add_all performs the batched scatter-add,
-        # bit-identical to per-instance adds on disjoint routes.
-        if len(arr) <= _SMALL_BATCH and _edges is None:
-            for iid, d in zip(arr.tolist(), demands):
-                self._admit_one(iid, d)
-        else:
-            idx = self.index
-            counts = idx._indptr[arr + 1] - idx._indptr[arr]
-            if _edges is None:
-                _edges = gather_rows(idx._indptr, idx._flat_edges, arr)[0]
-                _adds = np.repeat(idx._heights[arr], counts)
-            self.active.add_all(arr, _edges=_edges, _adds=_adds)
-            np.minimum.at(self._cheapest, _edges,
-                          np.repeat(idx._profits[arr], counts))
-            for iid, d in zip(arr.tolist(), demands):
-                self._hold(iid, d)
+        # Validation passed — apply, in batch order.  The routes are
+        # disjoint, so the fancy-indexed load add (add_all) and
+        # cheapest-column minimum touch each edge once: the same float
+        # operations as the scalar admit loop.
+        idx = self.index
+        iid_list = arr.tolist()
+        routes = [self._route_edge_list(iid) for iid in iid_list]
+        counts = [len(route) for route in routes]
+        if _edges is None:
+            _edges = np.concatenate([self._edge_ids(iid) for iid in iid_list])
+            _adds = np.repeat(idx._heights[arr], counts)
+        self.active.add_all(arr, _edges=_edges, _adds=_adds)
+        cheapest = self._cheapest
+        cheapest[_edges] = np.minimum(cheapest[_edges],
+                                      np.repeat(idx._profits[arr], counts))
+        for iid, d, route in zip(iid_list, demands, routes):
+            self._hold(iid, d, route)
         if t0:
             _REC.record("ledger.admit_many", t0,
                         time.perf_counter_ns() - t0,
@@ -543,8 +533,7 @@ class CapacityLedger:
 
         The whole batch is validated first (every demand currently
         admitted, none named twice), so a bad entry leaves the ledger
-        untouched.  A small batch is released one demand at a time;
-        otherwise the load subtraction runs as one ``np.subtract.at``
+        untouched.  The load subtraction runs as one ``np.subtract.at``
         over the concatenated routes — the index array is in batch
         order, and ``ufunc.at`` applies updates in index order, so the
         float sequence per edge is exactly the scalar per-demand loop's.
@@ -572,41 +561,32 @@ class CapacityLedger:
         if len(set(dlist)) != len(dlist):
             raise ValueError("a demand appears twice in the release batch")
         t0 = time.perf_counter_ns() if _REC.enabled else 0
-        if len(dlist) <= _SMALL_BATCH:
-            # One release at a time: the same float subtraction per
-            # edge in batch order, with fewer NumPy calls.
-            for d in dlist:
-                self._remove(d)
-        else:
-            self._release_batch(dlist, iids, _disjoint)
-        if t0:
-            _REC.record("ledger.release_many", t0,
-                        time.perf_counter_ns() - t0,
-                        {"released": len(dlist)})
-        return iids
-
-    def _release_batch(self, dlist: list, iids: list,
-                       disjoint: bool) -> None:
-        """:meth:`release_many`'s vectorized apply."""
         idx = self.index
         arr = np.asarray(iids, dtype=np.int64)
-        edges, counts = gather_rows(idx._indptr, idx._flat_edges, arr)
+        routes = [self._route_edge_list(iid) for iid in iids]
+        counts = [len(route) for route in routes]
+        edges = np.concatenate([self._edge_ids(iid) for iid in iids])
         if len(edges):
             subs = np.repeat(idx._heights[arr], counts)
-            if disjoint:
+            if _disjoint:
                 self.active._load[edges] -= subs
             else:
                 np.subtract.at(self.active._load, edges, subs)
         self.active._demand_used[idx._dix[arr]] = False
-        for d, iid in zip(dlist, iids):
+        for d, iid, route in zip(dlist, iids, routes):
             del self._admitted[d]
             self.active._members.discard(iid)
-            for eid in self._route_edge_list(iid):
+            for eid in route:
                 self._holders_by_edge[eid].discard(d)
         if len(edges):
             self._refresh_cheapest(
                 edges[self._cheapest[edges]
                       == np.repeat(idx._profits[arr], counts)])
+        if t0:
+            _REC.record("ledger.release_many", t0,
+                        time.perf_counter_ns() - t0,
+                        {"released": len(dlist)})
+        return iids
 
     def _remove(self, demand_id: int) -> int:
         """Drop a demand from the admitted set and the holder map."""

@@ -390,14 +390,14 @@ def _segment(session, events):
     return feeder._segment(0, len(events))
 
 
-def _reference_cut(ta, mutator, own):
+def _reference_cut(ta, mutator):
     """Brute-force cut over explicit footprint sets: the first event
-    whose footprint meets an earlier mutator's, own releases exempt.
-    ``mutator`` / ``own`` are per-event flags read off the scalar loop."""
+    whose footprint meets an earlier mutator's.  ``mutator`` holds
+    per-event flags read off the scalar loop."""
     seen: set = set()
     for i in range(len(ta)):
         fp = set(ta.fp_edges[ta.fp_indptr[i]:ta.fp_indptr[i + 1]].tolist())
-        if fp & seen and not own[i]:
+        if fp & seen:
             return i
         if mutator[i]:
             seen |= fp
@@ -406,20 +406,16 @@ def _reference_cut(ta, mutator, own):
 
 def _scalar_mutators(session, events):
     """Dispatch ``events`` one at a time; flag each event that changed
-    the ledger (an admission or a release) and each departure that
-    released a demand admitted earlier in ``events``."""
+    the ledger (an admission or a release)."""
     led = session.ledger
-    mutator, own, admitted_here = [], [], set()
+    mutator = []
     for ev in events:
         n_adm = len(led.admission_log)
         releases = (isinstance(ev, Departure)
                     and led.is_admitted(ev.demand_id))
-        own.append(releases and ev.demand_id in admitted_here)
         session.feed(ev)
-        for d, _ in led.admission_log[n_adm:]:
-            admitted_here.add(d)
         mutator.append(releases or len(led.admission_log) > n_adm)
-    return mutator, own
+    return mutator
 
 
 def _check_windows(problem, events, name, windows, start=0):
@@ -437,9 +433,9 @@ def _check_windows(problem, events, name, windows, start=0):
             break
         chunk = events[lo:lo + w]
         seg = _segment(fast, chunk)
-        mutator, own = _scalar_mutators(scalar, chunk)
+        mutator = _scalar_mutators(scalar, chunk)
         ta = TraceArrays.from_events(chunk, fast._fast.geom)
-        assert seg.cut == _reference_cut(ta, mutator, own), (lo, w)
+        assert seg.cut == _reference_cut(ta, mutator), (lo, w)
         assert not seg.hard_events
         inner += seg.cut < len(chunk)
         fast.feed_many(chunk)
@@ -477,9 +473,9 @@ class TestRunSegmenter:
         for lo, hi in [(0, 200), (5, 37), (37, 101), (101, 200)]:
             feeder._load_chunk(TraceArrays.from_events(chunk, feeder.geom))
             seg = feeder._segment(lo, hi)
-            mutator, own = _scalar_mutators(scalar, chunk[lo:hi])
+            mutator = _scalar_mutators(scalar, chunk[lo:hi])
             ta = TraceArrays.from_events(chunk[lo:hi], feeder.geom)
-            assert seg.cut - lo == _reference_cut(ta, mutator, own)
+            assert seg.cut - lo == _reference_cut(ta, mutator)
             session.feed_many(chunk[lo:hi])
 
     def test_shard_sliced_views(self):
@@ -505,9 +501,8 @@ class TestRunSegmenter:
 
     def test_same_demand_always_conflicts(self):
         """The sentinel pseudo-edge: two events of one demand always
-        have meeting footprints, so a repeated arrival after an
-        admission cuts.  A departure of a demand the window admitted is
-        an own release: it meets only its own arrival and never cuts."""
+        have meeting footprints, so the departure of a demand the window
+        admits cuts, as does a repeated arrival after an admission."""
         trace = _trace("line", events=50, seed=3)
         geom = geometry_of(CapacityLedger(trace.problem))
         events = [Arrival(0.0, 0), Departure(1.0, 0),
@@ -519,7 +514,7 @@ class TestRunSegmenter:
         session = AdmissionSession(trace.problem,
                                    make_policy("greedy-threshold"))
         seg = _segment(session, events)
-        assert seg.cut == 2
+        assert seg.cut == 1
         _check_windows(trace.problem, events, "greedy-threshold", [4])
 
     def test_disjoint_stream_is_one_run(self):
@@ -557,15 +552,16 @@ class TestRunSegmenter:
         _check_windows(problem, events, "greedy-threshold", [3])
 
     def test_arrival_and_departure_of_one_demand(self):
-        """Admit and own release in one window: committed admit first,
-        so the release finds the demand in the system."""
+        """The departure of a demand the window admits meets the
+        admission (the sentinel edge): it cuts, and the next window,
+        evaluated after the admit is committed, releases it."""
         problem = _path([(0, 2, 1.0, 0.6), (2, 4, 1.0, 0.6)])
         events = [Arrival(0.0, 0), Departure(1.0, 0), Arrival(2.0, 1)]
         session = AdmissionSession(problem, make_policy("greedy-threshold"))
         seg = _segment(session, events)
-        assert seg.cut == 3 and len(seg.rel) == 1
+        assert seg.cut == 1 and not seg.rel
         session.feed_many(events)
-        assert session.fastpath_stats["runs"] == 1
+        assert session.fastpath_stats["runs"] == 2
         assert session.ledger.admission_log == [
             (0, int(session.ledger.candidates(0)[0])),
             (1, int(session.ledger.candidates(1)[0]))]

@@ -358,7 +358,9 @@ class TestServiceOps:
 
 
 class TestForkMerge:
-    def test_inline_and_forked_record_same_span_sequence(self, tree_trace):
+    @staticmethod
+    def _span_names(tree_trace, policy):
+        """Span names of an inline and a forked two-shard run."""
         import multiprocessing as mp
 
         from repro.sharding import StreamedShardedDriver
@@ -366,17 +368,29 @@ class TestForkMerge:
         if "fork" not in mp.get_all_start_methods():
             pytest.skip("fork start method unavailable")
         tracing.enable(capacity=1 << 15)
-        StreamedShardedDriver(2, processes=1).run(
-            tree_trace, "greedy-threshold", {})
+        StreamedShardedDriver(2, processes=1).run(tree_trace, policy, {})
         inline_names = [e[0] for e in RECORDER.events()]
         RECORDER.clear()
-        StreamedShardedDriver(2, processes=2).run(
-            tree_trace, "greedy-threshold", {})
+        StreamedShardedDriver(2, processes=2).run(tree_trace, policy, {})
         forked_names = [e[0] for e in RECORDER.events()]
+        return inline_names, forked_names
+
+    def test_inline_and_forked_record_same_span_sequence(self, tree_trace):
+        inline_names, forked_names = self._span_names(
+            tree_trace, "greedy-threshold")
         assert "shard.phaseA" in inline_names
         # greedy-threshold decides through the fast path's windows,
         # which record one aggregated decision span per chunk.
         assert "session.batch_decide" in inline_names
+        assert forked_names == inline_names
+
+    def test_inline_and_forked_record_same_per_event_spans(self, tree_trace):
+        # preempt-dual-gated has no batch kernel: every decision records
+        # its own span, so the merge must keep many worker spans in order.
+        inline_names, forked_names = self._span_names(
+            tree_trace, "preempt-dual-gated")
+        assert "shard.phaseA" in inline_names
+        assert inline_names.count("session.decide") > 10
         assert forked_names == inline_names
 
 
