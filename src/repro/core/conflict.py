@@ -11,14 +11,24 @@ edges without materialising the full quadratic graph unless asked.  It
 is the single owner of the population's static geometry, all of it
 NumPy columns over interned integer ids:
 
-* a route CSR (``_indptr``/``_flat_edges``) over edge ids interned in
-  first-appearance order, with an E-entry table mapping each id back to
-  its ``(network, edge)`` key;
-* per-instance height, profit, network and interned-demand columns, and
-  a demand → candidate-instance CSR;
+* a route CSR (``_indptr``/``_flat_edges``) over edge ids in
+  **canonical key order** — edge id ``k`` is the ``k``-th smallest
+  ``(network, edge)`` key in use, and every row ascends — with an
+  E-entry table mapping each id back to its key;
+* per-instance height, profit, network and demand columns (raw and
+  interned), and a demand → candidate-instance CSR;
 * interval endpoints for line instances, or endpoint pairs plus a
   per-network Euler-tour index
   (:class:`~repro.network.tree.EulerTourIndex`) for tree instances.
+
+Built from a problem (``ConflictIndex(problem=...)``), the index expands
+the problem's demand columns itself: line placements with
+``repeat``/``arange``, tree routes with one lockstep climb per network
+(:meth:`~repro.network.tree.TreeNetwork.path_children`), and interns
+integer edge codes by rank — no per-instance Python.  Instance objects
+are built only when :meth:`~ConflictIndex.instance` asks for one.  The
+generic constructor over instance objects and their edge-key lists
+interns by the same rule, so one population always gets one numbering.
 
 Single-instance queries (:meth:`~ConflictIndex.edges_of`,
 :meth:`~ConflictIndex.neighbors`, ...) read the CSR rows; population
@@ -60,8 +70,17 @@ def gather_rows(indptr: np.ndarray, flat: np.ndarray,
                 + np.repeat(starts - ofs, counts)], counts
 
 
+def _csr_indptr(counts: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
 class ConflictIndex:
     """Conflict queries over a fixed population of demand instances.
+
+    Build it either from a problem's columns (``problem=``, the online
+    path) or from instance objects and their routes (the generic path).
 
     Parameters
     ----------
@@ -73,28 +92,47 @@ class ConflictIndex:
         One iterable per instance, in instance order (any iterable of
         them — a generator lets the caller build routes one at a time):
         the global edge keys the instance is active on (``(network,
-        edge)`` or ``(resource, slot)``).  Edge ids are interned in the
-        order these are iterated, and each CSR row keeps that order.
+        edge)`` or ``(resource, slot)``).  Edge ids number the distinct
+        keys in sorted order, and each CSR row is sorted.
     trees:
         Optional mapping ``network_id →``
         :class:`~repro.network.tree.TreeNetwork`.  When given (and the
         instances carry ``u``/``v`` endpoints), population-level conflict
         queries use the Euler-tour path-overlap test instead of edge
         buckets.
+    problem:
+        A :class:`~repro.core.instance.TreeProblem` or
+        :class:`~repro.core.instance.LineProblem`, whose
+        :meth:`instance_columns` population is expanded and indexed
+        from its columns (then ``instances``/``global_edges``/``trees``
+        are not given).
     """
 
     def __init__(
         self,
-        instances: Sequence,
-        global_edges: Iterable[Iterable],
+        instances: Sequence | None = None,
+        global_edges: Iterable[Iterable] | None = None,
         trees: Mapping[int, object] | None = None,
+        *,
+        problem: Any = None,
     ) -> None:
-        self._instances = list(instances)
-        self._intern_routes(global_edges)
-        self._index_demands()
         self._by_edge: tuple[np.ndarray, np.ndarray] | None = None  # lazy
-        insts = self._instances
-        n = len(insts)
+        if problem is not None:
+            self._from_problem(problem)
+            self._index_demands()
+            return
+        insts = list(instances if instances is not None else ())
+        for pos, inst in enumerate(insts):
+            if inst.instance_id != pos:
+                raise ValueError(
+                    f"instance ids must be dense 0..N-1 in order; position "
+                    f"{pos} holds id {inst.instance_id}"
+                )
+        self._instances: list | None = insts
+        self.num_instances = n = len(insts)
+        self._intern_keys(global_edges if global_edges is not None else ())
+        self._dem = np.asarray([d.demand_id for d in insts], dtype=np.int64)
+        self._index_demands()
         self._net_arr = np.asarray([d.network_id for d in insts],
                                    dtype=np.int64)
         self._heights = np.asarray(
@@ -105,6 +143,7 @@ class ConflictIndex:
             [float(getattr(d, "profit", np.nan)) for d in insts],
             dtype=np.float64,
         )
+        self._trees: Any = trees
         if n and all(hasattr(d, "start") and hasattr(d, "end") for d in insts):
             self._geometry = "interval"
             self._starts = np.asarray([d.start for d in insts], dtype=np.int64)
@@ -117,49 +156,105 @@ class ConflictIndex:
             self._geometry = "euler"
             self._us = np.asarray([d.u for d in insts], dtype=np.int64)
             self._vs = np.asarray([d.v for d in insts], dtype=np.int64)
-            self._euler = {
-                q: trees[q].euler_index()
-                for q in np.unique(self._net_arr).tolist()
-            }
+            self._index_tours()
         else:
             self._geometry = "buckets"
 
-    def _intern_routes(self, global_edges: Iterable[Iterable]) -> None:
-        """Build the route CSR and the edge-key table in one pass."""
-        n = len(self._instances)
-        edge_index: dict[object, int] = {}
-        intern = edge_index.setdefault
-        flat: list[int] = []
-        append = flat.append
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        rows = 0
-        for ge in global_edges:
-            if rows == n:
-                raise ValueError("one edge list per instance required")
-            for e in ge:
-                append(intern(e, len(edge_index)))
-            rows += 1
-            indptr[rows] = len(flat)
-        if rows != n:
+    def _intern_keys(self, global_edges: Iterable[Iterable]) -> None:
+        """Route CSR and edge-key table from per-instance key lists:
+        ids number the distinct keys in sorted order, rows ascend."""
+        n = self.num_instances
+        routes = [list(ge) for ge in global_edges]
+        if len(routes) != n:
             raise ValueError("one edge list per instance required")
-        self._flat_edges = np.asarray(flat, dtype=np.int64)
+        keys = sorted({e for route in routes for e in route})
+        rank = {e: k for k, e in enumerate(keys)}
+        self._flat_edges = np.asarray(
+            [k for route in routes for k in sorted(rank[e] for e in route)],
+            dtype=np.int64)
+        self._indptr = _csr_indptr(
+            np.asarray([len(route) for route in routes], dtype=np.int64))
+        #: ``_edge_keys[eid]`` is the global edge key with id ``eid``.
+        self._edge_keys: list = keys
+        self.num_edges = len(keys)
+
+    def _from_problem(self, problem: Any) -> None:
+        """Expand ``problem``'s demand columns into the instance columns,
+        routes and interned edge ids, all as array operations.
+
+        Every route edge gets an integer code, ``network × span + slot``
+        on lines and ``network × n + rank`` on trees (``rank`` the
+        edge's position among its tree's sorted keys), so code order is
+        ``(network, edge key)`` order; an edge's id is its code's rank
+        among the codes in use.
+        """
+        cols = problem.instance_columns()
+        dem = cols["demand"]
+        self._instances = None
+        self.num_instances = n = len(dem)
+        self._dem = dem
+        self._net_arr = net = cols["network"]
+        demand_cols = problem.columns
+        self._heights = demand_cols["height"][dem]
+        self._profits = demand_cols["profit"][dem]
+        if "start" in cols:
+            self._geometry = "interval"
+            self._trees = None
+            self._starts, self._ends = cols["start"], cols["end"]
+            span = int(problem.n_slots)
+            counts = self._ends - self._starts + 1
+            indptr = _csr_indptr(counts)
+            codes = (np.repeat(net * span + self._starts - indptr[:-1], counts)
+                     + np.arange(int(indptr[-1]), dtype=np.int64))
+            space = problem.num_networks * span
+        else:
+            self._geometry = "euler"
+            self._trees = trees = dict(enumerate(problem.networks))
+            self._us = demand_cols["u"][dem]
+            self._vs = demand_cols["v"][dem]
+            span = int(problem.n)
+            row_parts, code_parts = [], []
+            for q in np.unique(net).tolist():
+                sel = np.flatnonzero(net == q)
+                rows, children = trees[q].path_children(self._us[sel],
+                                                        self._vs[sel])
+                row_parts.append(sel[rows])
+                code_parts.append(q * span
+                                  + trees[q].edge_columns()[1][children])
+            rows = np.concatenate(row_parts) if row_parts else \
+                np.zeros(0, dtype=np.int64)
+            codes = np.concatenate(code_parts) if code_parts else rows
+            counts = np.bincount(rows, minlength=n)
+            indptr = _csr_indptr(counts)
+            space = problem.num_networks * span
+            self._index_tours()
+        used = np.zeros(space, dtype=bool)
+        used[codes] = True
+        rank = np.cumsum(used) - 1
+        flat = rank[codes]
+        self.num_edges = E = int(rank[-1]) + 1 if space else 0
+        if self._geometry == "euler" and len(flat):
+            # Group entries by row, each row ascending, in one sort.
+            flat = np.sort(rows * E + flat) % E
+        self._flat_edges = flat
         self._indptr = indptr
-        #: ``_edge_keys[eid]`` is the global edge key interned as ``eid``.
-        self._edge_keys: list = list(edge_index)
-        self.num_edges = len(edge_index)
+        in_use = np.flatnonzero(used)
+        nets, slots = (in_use // span).tolist(), (in_use % span).tolist()
+        if self._geometry == "interval":
+            self._edge_keys = list(zip(nets, slots))
+        else:
+            keys = {q: t.edge_columns()[2] for q, t in self._trees.items()}
+            self._edge_keys = [(q, keys[q][k]) for q, k in zip(nets, slots)]
+
+    def _index_tours(self) -> None:
+        self._euler = {q: self._trees[q].euler_index()
+                       for q in np.unique(self._net_arr).tolist()}
 
     def _index_demands(self) -> None:
         """Demand columns: first-appearance interning (``_dix``) and the
         demand → candidate CSR (ascending instance ids per demand)."""
-        insts = self._instances
-        n = len(insts)
-        for pos, inst in enumerate(insts):
-            if inst.instance_id != pos:
-                raise ValueError(
-                    f"instance ids must be dense 0..N-1 in order; position "
-                    f"{pos} holds id {inst.instance_id}"
-                )
-        dem = np.asarray([d.demand_id for d in insts], dtype=np.int64)
+        dem = self._dem
+        n = len(dem)
         if n and dem.min() < 0:
             raise ValueError("demand ids must be non-negative")
         uniq, first, inv = np.unique(dem, return_index=True,
@@ -170,8 +265,7 @@ class ConflictIndex:
         #: Number of distinct demands in the population.
         self.num_demands = len(uniq)
         counts = np.bincount(dem) if n else np.zeros(0, dtype=np.int64)
-        self._cand_indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._cand_indptr[1:])
+        self._cand_indptr = _csr_indptr(counts)
         self._cand_iids = np.argsort(dem, kind="stable")
         self._cand_iids.flags.writeable = False
 
@@ -185,50 +279,49 @@ class ConflictIndex:
         if self._by_edge is not None:
             return
         flat = self._flat_edges
-        eptr = np.zeros(self.num_edges + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=self.num_edges),
-                  out=eptr[1:])
-        owner = np.repeat(np.arange(len(self._instances), dtype=np.int64),
+        eptr = _csr_indptr(np.bincount(flat, minlength=self.num_edges))
+        owner = np.repeat(np.arange(self.num_instances, dtype=np.int64),
                           np.diff(self._indptr))
         self._by_edge = (eptr, owner[np.argsort(flat, kind="stable")])
 
     # ------------------------------------------------------------------
 
-    def sliced(self, instances: Sequence, gids: Sequence[int]) -> "ConflictIndex":
+    def sliced(self, gids: Sequence[int],
+               demand_ids: Sequence[int]) -> "ConflictIndex":
         """A relabeled sub-population view sharing this index's geometry.
 
-        ``instances`` are the sub-population's instance objects with
-        *dense local ids* (``instance_id == position``, demand ids
-        densified — the shard-subproblem convention) and ``gids[k]`` is
-        the global instance id local instance ``k`` was sliced from.
+        Local instance ``k`` of the view is this index's instance
+        ``gids[k]``, owned by demand ``demand_ids[k]`` (the shard
+        subproblem's densified ids).
 
         The view shares the parent's edge-id space, edge-key table and
         per-network Euler-tour indexes, and gathers its CSR rows and
-        columns from the parent's arrays — so building it costs a few
-        array gathers instead of the per-instance Python loops of a
-        from-scratch build.  Every query answers exactly as a freshly
+        columns from the parent's arrays — a few array gathers, no
+        instance objects.  Every query answers exactly as a freshly
         built index over the same sub-population would: the shared
         edge-id space is a superset, which only widens the (never-loaded)
         zero tail no query observes.
         """
         gids_arr = np.asarray(gids, dtype=np.int64)
         k = len(gids_arr)
-        if len(instances) != k:
-            raise ValueError("one instance per global id required")
+        if len(demand_ids) != k:
+            raise ValueError("one demand id per global id required")
         out = object.__new__(ConflictIndex)
-        out._instances = list(instances)
+        out._instances = None
+        out.num_instances = k
         out._edge_keys = self._edge_keys
         out.num_edges = self.num_edges
         out._flat_edges, counts = gather_rows(self._indptr,
                                               self._flat_edges, gids_arr)
-        out._indptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(counts, out=out._indptr[1:])
+        out._indptr = _csr_indptr(counts)
+        out._dem = np.asarray(demand_ids, dtype=np.int64)
         out._index_demands()
         out._by_edge = None  # lazy — see _ensure_buckets
         out._net_arr = self._net_arr[gids_arr]
         out._heights = self._heights[gids_arr]
         out._profits = self._profits[gids_arr]
         out._geometry = self._geometry
+        out._trees = self._trees
         if self._geometry == "interval":
             out._starts = self._starts[gids_arr]
             out._ends = self._ends[gids_arr]
@@ -241,11 +334,37 @@ class ConflictIndex:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._instances)
+        return self.num_instances
 
     def instance(self, iid: int) -> Any:
         """The instance with id ``iid``."""
-        return self._instances[iid]
+        return self.instances([iid])[0]
+
+    def instances(self, iids: Sequence[int] | None = None) -> list:
+        """Instance objects for ``iids`` (default: every instance), in
+        order — built from the columns when the index was built from
+        them, so only the instances asked for become objects."""
+        if self._instances is not None:
+            return (list(self._instances) if iids is None
+                    else [self._instances[i] for i in iids])
+        from .demand import LineDemandInstance, TreeDemandInstance
+
+        sel = (np.arange(self.num_instances) if iids is None
+               else np.asarray(iids, dtype=np.int64))
+        rows = zip(sel.tolist(), self._dem[sel].tolist(),
+                   self._net_arr[sel].tolist())
+        tail = zip(self._profits[sel].tolist(), self._heights[sel].tolist())
+        if self._geometry == "interval":
+            return [LineDemandInstance(i, d, q, s, e, p, h)
+                    for (i, d, q), s, e, (p, h) in zip(
+                        rows, self._starts[sel].tolist(),
+                        self._ends[sel].tolist(), tail)]
+        trees = self._trees
+        return [TreeDemandInstance(i, d, q, u, v, p, h,
+                                   tuple(trees[q].path_edges(u, v)))
+                for (i, d, q), u, v, (p, h) in zip(
+                    rows, self._us[sel].tolist(), self._vs[sel].tolist(),
+                    tail)]
 
     def edge_ids(self, iid: int) -> np.ndarray:
         """Interned edge ids of instance ``iid``'s route (its CSR row)."""
@@ -292,7 +411,7 @@ class ConflictIndex:
         """
         self._ensure_buckets()
         eptr, holders = self._by_edge
-        out = set(self.candidates(self._instances[iid].demand_id).tolist())
+        out = set(self.candidates(int(self._dem[iid])).tolist())
         for e in self.edge_ids(iid).tolist():
             out.update(holders[eptr[e]:eptr[e + 1]].tolist())
         out.discard(iid)
@@ -519,10 +638,10 @@ class ActiveConflictSet:
     def edge_loads(self, iid: int) -> np.ndarray:
         """Current load on each edge of instance ``iid``'s route.
 
-        In the index's internal CSR order — arbitrary when the index was
-        built from unordered edge sets — so the result is meant for
+        In the CSR row's order — ascending edge id, i.e. sorted edge
+        key, not the route's path sequence — so the result is meant for
         aggregation (sums, maxima, the online price functions), not for
-        zipping against the route's edge sequence.
+        zipping against ``path_edges``.
         """
         return self._load[self._edges(iid)]
 

@@ -18,6 +18,7 @@ and the framework raises/selects instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -43,6 +44,16 @@ def is_wide(height: float) -> bool:
     return height > NARROW_THRESHOLD
 
 
+def _check_profit(demand_id: int, profit: float) -> None:
+    """Profits must be positive and finite (a NaN fails no ``<=`` test,
+    so it needs the explicit finiteness check)."""
+    if profit <= 0:
+        raise ValueError(f"demand {demand_id}: profit must be positive")
+    if not math.isfinite(profit):
+        raise ValueError(f"demand {demand_id}: profit must be finite, "
+                         f"got {profit}")
+
+
 @dataclass(frozen=True, slots=True)
 class Demand:
     """A point-to-point demand on tree-networks.
@@ -55,7 +66,7 @@ class Demand:
     u, v:
         Endpoints (vertices of the shared vertex set).  ``u != v``.
     profit:
-        Strictly positive profit ``p(a)``.
+        Strictly positive, finite profit ``p(a)``.
     height:
         Bandwidth requirement ``h(a) ∈ (0, 1]``; 1.0 is the unit case.
     """
@@ -69,8 +80,7 @@ class Demand:
     def __post_init__(self) -> None:
         if self.u == self.v:
             raise ValueError(f"demand {self.demand_id}: endpoints must differ")
-        if self.profit <= 0:
-            raise ValueError(f"demand {self.demand_id}: profit must be positive")
+        _check_profit(self.demand_id, self.profit)
         if not (0.0 < self.height <= 1.0):
             raise ValueError(
                 f"demand {self.demand_id}: height must lie in (0, 1], "
@@ -111,8 +121,7 @@ class WindowDemand:
                 f"demand {self.demand_id}: window [{self.release}, "
                 f"{self.deadline}] shorter than proc_time {self.proc_time}"
             )
-        if self.profit <= 0:
-            raise ValueError(f"demand {self.demand_id}: profit must be positive")
+        _check_profit(self.demand_id, self.profit)
         if not (0.0 < self.height <= 1.0):
             raise ValueError(
                 f"demand {self.demand_id}: height must lie in (0, 1], "

@@ -113,12 +113,12 @@ def verify_tree_solution(
     for inst in solution.selected:
         if not isinstance(inst, TreeDemandInstance):
             raise FeasibilityError(f"not a tree demand instance: {inst!r}")
-        if inst.network_id not in problem.access[inst.demand_id]:
+        if inst.network_id not in problem.access_of(inst.demand_id):
             raise FeasibilityError(
                 f"demand {inst.demand_id} scheduled on inaccessible network "
                 f"{inst.network_id}"
             )
-        demand = problem.demands[inst.demand_id]
+        demand = problem.demand(inst.demand_id)
         if (inst.u, inst.v) != (demand.u, demand.v):
             raise FeasibilityError(
                 f"instance endpoints {(inst.u, inst.v)} disagree with demand "
@@ -168,12 +168,12 @@ def verify_line_solution(
     for inst in solution.selected:
         if not isinstance(inst, LineDemandInstance):
             raise FeasibilityError(f"not a line demand instance: {inst!r}")
-        if inst.network_id not in problem.access[inst.demand_id]:
+        if inst.network_id not in problem.access_of(inst.demand_id):
             raise FeasibilityError(
                 f"demand {inst.demand_id} scheduled on inaccessible resource "
                 f"{inst.network_id}"
             )
-        demand = problem.demands[inst.demand_id]
+        demand = problem.demand(inst.demand_id)
         if inst.length != demand.proc_time:
             raise FeasibilityError(
                 f"instance {inst.instance_id} runs {inst.length} slots; demand "

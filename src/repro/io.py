@@ -54,7 +54,7 @@ import tempfile
 import time
 from typing import Any, Iterator
 
-from .core.demand import Demand, LineDemandInstance, TreeDemandInstance, WindowDemand
+from .core.demand import LineDemandInstance, TreeDemandInstance
 from .core.instance import LineProblem, TreeProblem
 from .core.solution import Solution
 from .network.line import LineNetwork
@@ -94,6 +94,19 @@ TRACE_FORMAT_VERSION = 1
 JOURNAL_FORMAT_VERSION = 1
 
 
+def _demand_records(problem, fields: tuple[str, ...]) -> list[dict]:
+    cols = [problem.columns[f].tolist() for f in fields]
+    return [dict(zip(fields, vals)) for vals in zip(*cols)]
+
+
+def _access_rows(problem) -> list[list[int]]:
+    if problem._access is not None:  # built, and possibly edited since
+        return [sorted(acc) for acc in problem._access]
+    ptr = problem._acc_indptr.tolist()
+    nets = problem._acc_nets.tolist()
+    return [nets[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
 def problem_to_dict(problem) -> dict:
     """Serialize a :class:`TreeProblem` or :class:`LineProblem`."""
     if isinstance(problem, TreeProblem):
@@ -102,11 +115,9 @@ def problem_to_dict(problem) -> dict:
             "kind": "tree",
             "n": problem.n,
             "networks": [sorted(net.edges) for net in problem.networks],
-            "demands": [
-                {"u": a.u, "v": a.v, "profit": a.profit, "height": a.height}
-                for a in problem.demands
-            ],
-            "access": [sorted(acc) for acc in problem.access],
+            "demands": _demand_records(problem,
+                                       ("u", "v", "profit", "height")),
+            "access": _access_rows(problem),
         }
     if isinstance(problem, LineProblem):
         return {
@@ -114,51 +125,52 @@ def problem_to_dict(problem) -> dict:
             "kind": "line",
             "n_slots": problem.n_slots,
             "num_resources": problem.num_networks,
-            "demands": [
-                {
-                    "release": a.release,
-                    "deadline": a.deadline,
-                    "proc_time": a.proc_time,
-                    "profit": a.profit,
-                    "height": a.height,
-                }
-                for a in problem.demands
-            ],
-            "access": [sorted(acc) for acc in problem.access],
+            "demands": _demand_records(
+                problem, ("release", "deadline", "proc_time", "profit",
+                          "height")),
+            "access": _access_rows(problem),
         }
     raise TypeError(f"cannot serialize {type(problem).__name__}")
 
 
+def _demand_columns(records: list, fields: tuple[str, ...]) -> dict:
+    """Demand records read straight into per-field columns (validated
+    in bulk by the problem's ``from_columns``)."""
+    cols = {f: [d[f] for d in records] for f in fields}
+    cols["height"] = [d.get("height", 1.0) for d in records]
+    return cols
+
+
 def problem_from_dict(doc: dict):
-    """Inverse of :func:`problem_to_dict`."""
+    """Inverse of :func:`problem_to_dict`.
+
+    Demand records decode into columns, never into demand objects; the
+    problem validates every column at once (see
+    :meth:`TreeProblem.from_columns`).
+    """
     version = doc.get("format")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version!r}")
     kind = doc.get("kind")
-    access = [frozenset(acc) for acc in doc["access"]]
     if kind == "tree":
         networks = [
             TreeNetwork(doc["n"], [tuple(e) for e in edges], network_id=q)
             for q, edges in enumerate(doc["networks"])
         ]
-        demands = [
-            Demand(i, d["u"], d["v"], d["profit"], d.get("height", 1.0))
-            for i, d in enumerate(doc["demands"])
-        ]
-        return TreeProblem(n=doc["n"], networks=networks, demands=demands,
-                           access=access)
+        return TreeProblem.from_columns(
+            doc["n"], networks,
+            _demand_columns(doc["demands"], ("u", "v", "profit")),
+            access=doc["access"])
     if kind == "line":
         resources = [
             LineNetwork(doc["n_slots"], network_id=q)
             for q in range(doc["num_resources"])
         ]
-        demands = [
-            WindowDemand(i, d["release"], d["deadline"], d["proc_time"],
-                         d["profit"], d.get("height", 1.0))
-            for i, d in enumerate(doc["demands"])
-        ]
-        return LineProblem(n_slots=doc["n_slots"], resources=resources,
-                           demands=demands, access=access)
+        return LineProblem.from_columns(
+            doc["n_slots"], resources,
+            _demand_columns(doc["demands"],
+                            ("release", "deadline", "proc_time", "profit")),
+            access=doc["access"])
     raise ValueError(f"unknown problem kind {kind!r}")
 
 

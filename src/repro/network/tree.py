@@ -66,6 +66,7 @@ class TreeNetwork:
         "_order",
         "_edge_set",
         "_euler",
+        "_columns",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], network_id: int = 0):
@@ -117,6 +118,7 @@ class TreeNetwork:
         self._depth = depth
         self._order = order
         self._euler: EulerTourIndex | None = None
+        self._columns: tuple | None = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -380,6 +382,62 @@ class TreeNetwork:
         if self._euler is None:
             self._euler = EulerTourIndex(self)
         return self._euler
+
+    def edge_columns(self) -> tuple[np.ndarray, np.ndarray, list[EdgeKey]]:
+        """``(parent, rank, keys)``, built once: the rooted parent array
+        (root 0 has parent -1), and for every non-root vertex ``c`` the
+        position ``rank[c]`` of the edge ``{c, parent[c]}`` among the
+        tree's edge keys in sorted order; ``keys`` lists those keys in
+        that order."""
+        if self._columns is None:
+            parent = np.asarray(self._parent, dtype=np.int64)
+            child = np.arange(1, self.n, dtype=np.int64)
+            lo = np.minimum(child, parent[1:])
+            hi = np.maximum(child, parent[1:])
+            order = np.lexsort((hi, lo))
+            rank = np.full(self.n, -1, dtype=np.int64)
+            rank[child[order]] = np.arange(self.n - 1, dtype=np.int64)
+            keys = list(zip(lo[order].tolist(), hi[order].tolist()))
+            self._columns = (parent, rank, keys)
+        return self._columns
+
+    def path_children(self, us, vs) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``us[i]``–``vs[i]`` path at once, as edge child vertices.
+
+        Returns ``(rows, children)``: entry ``k`` says path ``rows[k]``
+        uses the edge between ``children[k]`` and its parent.  A
+        lockstep climb: the deeper endpoint climbs to its partner's
+        depth, then both climb until they meet, so the work is the total
+        path length plus one array pass per level.  Entries come out
+        grouped by level, not by path.
+        """
+        parent = self.edge_columns()[0]
+        depth = self.euler_index().depth
+        a = np.asarray(us, dtype=np.int64).copy()
+        b = np.asarray(vs, dtype=np.int64).copy()
+        swap = depth[a] < depth[b]
+        a[swap], b[swap] = b[swap], a[swap]
+        rows: list[np.ndarray] = []
+        children: list[np.ndarray] = []
+        target = depth[b]
+        live = np.flatnonzero(depth[a] > target)
+        while len(live):
+            x = a[live]
+            rows.append(live)
+            children.append(x)
+            a[live] = parent[x]
+            live = live[depth[a[live]] > target[live]]
+        live = np.flatnonzero(a != b)
+        while len(live):
+            x, y = a[live], b[live]
+            rows += (live, live)
+            children += (x, y)
+            a[live] = parent[x]
+            b[live] = parent[y]
+            live = live[a[live] != b[live]]
+        if not rows:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.concatenate(rows), np.concatenate(children)
 
     def to_networkx(self):
         """Export as a :class:`networkx.Graph` (for plotting/debugging)."""

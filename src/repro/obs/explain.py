@@ -58,7 +58,7 @@ def explain_demand(problem, ledger, policy, demand_id: int, *,
     """
     if not (0 <= demand_id < problem.num_demands):
         raise ValueError(f"unknown demand {demand_id}")
-    demand = problem.demands[demand_id]
+    demand = problem.demand(demand_id)
     price_of = getattr(policy, "route_price", None)
     preemptive = callable(getattr(policy, "_execute_preemption", None))
     eta = getattr(policy, "eta", None)
@@ -71,7 +71,7 @@ def explain_demand(problem, ledger, policy, demand_id: int, *,
     any_passes = False
     for iid, feas in zip(cands.tolist(), ok.tolist()):
         length = ledger.route_length(iid)
-        profit = float(ledger.instances[iid].profit)
+        profit = ledger._profit[iid]
         density = profit / length
         row = {
             "instance": iid,

@@ -143,7 +143,7 @@ class DemandGeometry:
     def __init__(self, ledger) -> None:
         index = ledger.index
         D = int(ledger.problem.num_demands)
-        I = len(ledger.instances)
+        I = len(index)
         E = int(index.num_edges)
         self.index = index
         self.num_demands = D

@@ -242,7 +242,7 @@ class DualGated(AdmissionPolicy):
         price = self._scale * float(
             np.add.reduceat(np.power(self.mu, loads) - 1.0, [0])[0]
         )
-        return self.ledger.instances[iid].height * price
+        return self.ledger._height[iid] * price
 
     def route_price(self, iid: int) -> float:
         """Height-weighted exponential price of ``iid``'s route now."""
@@ -267,7 +267,7 @@ class DualGated(AdmissionPolicy):
             if price < best_price:
                 best, best_price = iid, price
         self.stats["max_gate"] = max(self.stats["max_gate"], best_price)
-        profit = ledger.instances[best].profit
+        profit = ledger._profit[best]
         if profit <= self.eta * best_price:
             self.stats["gated"] += 1
             return None
@@ -297,10 +297,9 @@ class DualGated(AdmissionPolicy):
         ledger = self.ledger
         idx = ledger.index
         beta = self._scale * (np.power(self.mu, loads) - 1.0)
-        if len(ledger.instances):
+        if len(idx):
             route = (np.add.reduceat(beta[idx._flat_edges], idx._indptr[:-1])
-                     if len(idx._flat_edges) else
-                     np.zeros(len(ledger.instances)))
+                     if len(idx._flat_edges) else np.zeros(len(idx)))
             slack = idx._profits - idx._heights * route
             z = np.zeros(idx.num_demands)
             np.maximum.at(z, idx._dix, slack)
@@ -430,14 +429,6 @@ class BatchResolve(AdmissionPolicy):
         self._buffered: set[int] = set()
         self.stats = {"flushes": 0, "buffered": 0, "displaced": 0,
                       "blockers": 0}
-        problem = ledger.problem
-        self._lookup: dict[tuple, int] = {}
-        for inst in ledger.instances:
-            if isinstance(problem, TreeProblem):
-                key = (inst.demand_id, inst.network_id)
-            else:
-                key = (inst.demand_id, inst.network_id, inst.start, inst.end)
-            self._lookup[key] = inst.instance_id
 
     def on_arrival(self, demand_id: int) -> int | None:
         self.buffer.append(demand_id)
@@ -499,12 +490,12 @@ class BatchResolve(AdmissionPolicy):
                 for cand in ledger.candidates(d).tolist():
                     relevant.update(index.edge_ids(cand).tolist())
             dominating = math.fsum(
-                p.demands[d].profit for d in demand_ids) + 1.0
+                p.columns["profit"][demand_ids].tolist()) + 1.0
             tree = isinstance(p, TreeProblem)
             for _, iid in ledger.admitted_items():
                 if relevant.isdisjoint(index.edge_ids(iid).tolist()):
                     continue
-                inst = ledger.instances[iid]
+                inst = index.instance(iid)
                 if tree:
                     length = max(len(inst.path_edges), 1)
                     blockers.append(Demand(
@@ -540,12 +531,15 @@ class BatchResolve(AdmissionPolicy):
         for inst in chosen:
             if inst.demand_id >= n_real:
                 continue  # a blocker: admitted load, not a candidate
-            orig = demand_ids[inst.demand_id]
-            if isinstance(ledger.problem, TreeProblem):
-                key = (orig, inst.network_id)
-            else:
-                key = (orig, inst.network_id, inst.start, inst.end)
-            iid = self._lookup[key]
+            # The ledger instance the solver's pick stands for: the
+            # original demand's candidate on the same network (and, on
+            # lines, at the same start).
+            cands = ledger.candidates(demand_ids[inst.demand_id])
+            index = ledger.index
+            same = index._net_arr[cands] == inst.network_id
+            if index._geometry == "interval":
+                same &= index._starts[cands] == inst.start
+            iid = int(cands[same][0])
             if ledger.feasible([iid])[0]:
                 ledger.admit(iid)
             else:
@@ -565,7 +559,7 @@ class _PreemptiveAdmission(AdmissionPolicy):
     def _execute_preemption(self, iid: int, victims: list[int]) -> int:
         ledger = self.ledger
         for v in victims:
-            v_profit = ledger.instances[ledger.admitted_instance(v)].profit
+            v_profit = ledger._profit[ledger.admitted_instance(v)]
             ledger.evict(v, penalty=self.penalty * v_profit)
         self.stats["evictions"] += len(victims)
         self.stats["preempt_admits"] += 1
@@ -649,7 +643,7 @@ class PreemptDensity(_PreemptiveAdmission):
         gate = self.factor + self.penalty
         for iid in ledger.candidates(demand_id).tolist():
             length = ledger.route_length(iid)
-            if ledger.instances[iid].profit / length < self.threshold:
+            if ledger._profit[iid] / length < self.threshold:
                 continue  # the density floor gates evictions too
             victims = ledger.preemption_plan(iid, gate)
             if victims is PRUNED:
@@ -660,10 +654,10 @@ class PreemptDensity(_PreemptiveAdmission):
                 # declined it on density); None = cannot be freed.
                 continue
             cost = math.fsum(
-                ledger.instances[ledger.admitted_instance(v)].profit
+                ledger._profit[ledger.admitted_instance(v)]
                 for v in victims
             )
-            if ledger.instances[iid].profit <= gate * cost:
+            if ledger._profit[iid] <= gate * cost:
                 continue
             key = (cost, length, iid)
             if best_key is None or key < best_key:
@@ -758,11 +752,11 @@ class PreemptDualGated(DualGated, _PreemptiveAdmission):
             if not victims:
                 continue
             v_cost = gate * math.fsum(
-                ledger.instances[ledger.admitted_instance(v)].profit
+                ledger._profit[ledger.admitted_instance(v)]
                 for v in victims
             )
             price = self._freed_route_price(iid, victims)
-            if ledger.instances[iid].profit <= v_cost + self.eta * price:
+            if ledger._profit[iid] <= v_cost + self.eta * price:
                 continue
             cost = v_cost + price
             if cost < best_cost:

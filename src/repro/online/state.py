@@ -90,29 +90,20 @@ class CapacityLedger:
 
     def __init__(self, problem, *, index: ConflictIndex | None = None):
         self.problem = problem
-        self.instances = problem.instances()
-        if index is not None:
-            # A prebuilt index over exactly this problem's instance
-            # population — e.g. a :meth:`ConflictIndex.sliced` shard view
-            # of one shared global build — skips the per-instance
-            # geometry loops the from-scratch path pays.
-            if len(index._instances) != len(self.instances):
-                raise ValueError(
-                    f"index covers {len(index._instances)} instances, "
-                    f"problem has {len(self.instances)}"
-                )
-            self.index = index
-        else:
-            trees = None
-            if isinstance(problem, TreeProblem):
-                trees = {q: net for q, net in enumerate(problem.networks)}
-            # Routes are built one at a time and interned as they come,
-            # so no per-instance key set outlives the build.
-            routes = (frozenset(problem.global_edges_of(d))
-                      for d in self.instances)
+        if index is None:
             #: The shared conflict index: the population's one copy of
-            #: its static geometry (routes, columns, candidate CSR).
-            self.index = ConflictIndex(self.instances, routes, trees=trees)
+            #: its static geometry (routes, columns, candidate CSR),
+            #: built from the problem's columns once per problem.
+            index = problem.conflict_index()
+        elif len(index) != problem.num_instances:
+            # A prebuilt index over exactly this problem's instance
+            # population — e.g. a :meth:`ConflictIndex.sliced` shard
+            # view of one shared global build.
+            raise ValueError(
+                f"index covers {len(index)} instances, problem has "
+                f"{problem.num_instances}"
+            )
+        self.index = index
         self.active = self.index.active_set(capacities=True)
         self._admitted: dict[int, int] = {}
         self._ever_admitted: set[int] = set()
@@ -137,21 +128,25 @@ class CapacityLedger:
         #: preemption planner and the batch kernel both read.
         self._cheapest = np.full(self.index.num_edges, math.inf)
         # Static per-instance columns as plain Python lists, built once:
-        # the preemptive policies read them holder-by-holder on every
-        # blocked arrival, where NumPy scalar indexing would dominate.
-        # The floats are the instances' own objects, so a column costs
-        # one pointer per instance.  Route geometry, heights and profits
-        # never change, so nothing here invalidates.  Route edge lists
-        # and position maps stay lazy: only contested routes need them.
-        indptr = self.index._indptr
+        # the policies read them instance by instance on every arrival,
+        # where NumPy scalar indexing would dominate.  Route geometry,
+        # demands, heights and profits never change, so nothing here
+        # invalidates.  Route edge lists and position maps stay lazy:
+        # only contested routes need them.
+        idx = self.index
         self._route_len: list[int] = np.maximum(
-            indptr[1:] - indptr[:-1], 1).tolist()
-        self._height: list[float] = [float(inst.height)
-                                     for inst in self.instances]
-        self._profit: list[float] = [float(inst.profit)
-                                     for inst in self.instances]
+            np.diff(idx._indptr), 1).tolist()
+        self._demand: list[int] = idx._dem.tolist()
+        self._height: list[float] = idx._heights.tolist()
+        self._profit: list[float] = idx._profits.tolist()
         self._route_edges_cache: dict[int, list[int]] = {}
         self._route_pos_cache: dict[int, dict[int, int]] = {}
+
+    @property
+    def instances(self) -> list:
+        """The population's instance objects (built on first use, for
+        offline readers; the ledger itself reads only columns)."""
+        return self.problem.instances()
 
     # ------------------------------------------------------------------
     # Queries
@@ -394,7 +389,7 @@ class CapacityLedger:
             capacity.
         """
         t0 = time.perf_counter_ns() if _REC.enabled else 0
-        demand_id = self.instances[iid].demand_id
+        demand_id = self._demand[iid]
         if demand_id in self._ever_admitted:
             raise ValueError(f"demand {demand_id} was already admitted")
         if self.active.blocked(iid):
@@ -420,7 +415,7 @@ class CapacityLedger:
         # repro: noqa[CERT001] -- deliberate += in admission order: a
         # batch must bit-match the scalar loop's per-event accumulation,
         # which fsum's exact rounding would not.
-        self._profit_admitted += float(self.instances[iid].profit)
+        self._profit_admitted += self._profit[iid]
         for eid in route:
             self._holders_by_edge[eid].add(demand_id)
 
@@ -488,7 +483,7 @@ class CapacityLedger:
             return
         t0 = time.perf_counter_ns() if _REC.enabled else 0
         demands = (_demands if _demands is not None else
-                   [self.instances[iid].demand_id for iid in arr.tolist()])
+                   [self._demand[iid] for iid in arr.tolist()])
         if not _prechecked:
             seen: set[int] = set()
             for d in demands:
@@ -625,6 +620,25 @@ class CapacityLedger:
         np.minimum.at(cheapest, edges, np.repeat(idx._profits[held], counts))
         return cheapest
 
+    def _check_loads(self) -> None:
+        """Every edge's live load against the heights of the admitted
+        routes that cross it (within :data:`_EPS`); ``AssertionError``
+        on drift."""
+        idx = self.index
+        held = np.fromiter(self._admitted.values(), dtype=np.int64,
+                           count=len(self._admitted))
+        edges, counts = gather_rows(idx._indptr, idx._flat_edges, held)
+        expect = np.bincount(edges, weights=np.repeat(idx._heights[held],
+                                                      counts),
+                             minlength=idx.num_edges)
+        load = self.active._load
+        if len(load):
+            drift = float(np.abs(load - expect).max())
+            if drift > _EPS or float(load.min()) < -_EPS:
+                raise AssertionError(
+                    f"edge loads drifted from the admitted routes: max "
+                    f"difference {drift}, min load {float(load.min())}")
+
     def release(self, demand_id: int) -> int:
         """Release a departed demand's capacity; returns its instance id.
 
@@ -654,7 +668,7 @@ class CapacityLedger:
         iid = self._remove(demand_id)
         self._evicted.add(demand_id)
         self.eviction_log.append((demand_id, iid))
-        self._profit_forfeited += float(self.instances[iid].profit)
+        self._profit_forfeited += self._profit[iid]
         self._penalty_paid += float(penalty)
         if t0:
             _REC.record("ledger.evict", t0, time.perf_counter_ns() - t0,
@@ -692,9 +706,17 @@ class CapacityLedger:
         The profit counters are *re-accumulated* from the logs in their
         original order — one add per entry, the exact float sequence the
         live run performed — so they land on identical bits without
-        being stored.
+        being stored.  The stored loads (indexed by edge id) are then
+        checked against the admitted routes, as :meth:`verify` does:
+        a snapshot whose loads sit on other edges raises ``ValueError``
+        instead of resuming into a wrong ledger.
         """
-        self.active._load[:] = np.asarray(state["load"], dtype=np.float64)
+        load = np.asarray(state["load"], dtype=np.float64)
+        if load.shape != self.active._load.shape:
+            raise ValueError(
+                f"checkpoint carries {load.size} edge loads, the ledger "
+                f"has {self.active._load.size} edges")
+        self.active._load[:] = load
         self._admitted = {int(d): int(i) for d, i in state["admitted"]}
         self._ever_admitted = {int(d) for d in state["ever_admitted"]}
         self._evicted = {int(d) for d in state["evicted"]}
@@ -707,12 +729,12 @@ class CapacityLedger:
             # repro: noqa[CERT001] -- deliberate += in original event
             # order: a restore must bit-match the live per-event
             # accumulation, which fsum's exact rounding would not.
-            self._profit_admitted += float(self.instances[iid].profit)
+            self._profit_admitted += self._profit[iid]
         self._profit_forfeited = 0.0
         for _, iid in self.eviction_log:
             # repro: noqa[CERT001] -- same: replays the live += rounding
             # so a warm restart is byte-identical to the original run.
-            self._profit_forfeited += float(self.instances[iid].profit)
+            self._profit_forfeited += self._profit[iid]
         self._penalty_paid = float(state["penalty_paid"])
         members = set(self._admitted.values())
         self.active._members = members
@@ -725,6 +747,11 @@ class CapacityLedger:
             for eid in self._route_edge_list(iid):
                 self._holders_by_edge[eid].add(d)
         self._cheapest[:] = self._cheapest_of_admitted()
+        try:
+            self._check_loads()
+        except AssertionError as exc:
+            raise ValueError(f"checkpoint does not match its admitted "
+                             f"routes: {exc}") from None
 
     # ------------------------------------------------------------------
     # Verification
@@ -732,7 +759,7 @@ class CapacityLedger:
 
     def snapshot(self) -> Solution:
         """The currently-admitted instances as a :class:`Solution`."""
-        selected = [self.instances[iid] for iid in self._admitted.values()]
+        selected = self.index.instances(list(self._admitted.values()))
         return Solution(
             selected=selected,
             stats={"algorithm": "online-ledger", "admitted": len(selected)},
@@ -753,9 +780,9 @@ class CapacityLedger:
             verify_tree_solution(self.problem, sol, unit_height=False)
         else:
             verify_line_solution(self.problem, sol, unit_height=False)
-        log_sum = math.fsum(self.instances[iid].profit
+        log_sum = math.fsum(self._profit[iid]
                             for _, iid in self.admission_log)
-        evict_sum = math.fsum(self.instances[iid].profit
+        evict_sum = math.fsum(self._profit[iid]
                               for _, iid in self.eviction_log)
         if abs((log_sum - evict_sum) - self.realized_profit) > 1e-6:
             raise AssertionError(
@@ -766,20 +793,7 @@ class CapacityLedger:
         if active._members != set(self._admitted.values()):
             raise AssertionError(
                 "active-set members differ from the admitted instances")
-        idx = self.index
-        held = np.fromiter(self._admitted.values(), dtype=np.int64,
-                           count=len(self._admitted))
-        edges, counts = gather_rows(idx._indptr, idx._flat_edges, held)
-        expect = np.bincount(edges, weights=np.repeat(idx._heights[held],
-                                                      counts),
-                             minlength=idx.num_edges)
-        load = active._load
-        if len(load):
-            drift = float(np.abs(load - expect).max())
-            if drift > _EPS or float(load.min()) < -_EPS:
-                raise AssertionError(
-                    f"edge loads drifted from the admitted routes: max "
-                    f"difference {drift}, min load {float(load.min())}")
+        self._check_loads()
         if not np.array_equal(self._cheapest, self._cheapest_of_admitted()):
             raise AssertionError(
                 "cheapest-holder column differs from the admitted routes")

@@ -59,6 +59,8 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
+
 from ..io import (
     JournalWriter,
     _fsync_dir,
@@ -79,6 +81,55 @@ from ..session.kernel import (AdmissionSession, Decision, ReplayResult,
                               certificate_of)
 
 __all__ = ["AdmissionService"]
+
+
+#: How a checkpoint numbers the edges of its per-edge vectors (the
+#: ledger's ``load``, the dual-gated policy's ``peak`` and
+#: ``snapshots``): by the conflict index's edge id, which ranks edge
+#: keys in sorted order.  Checkpoints without the field number edges in
+#: first-appearance order over the instances' route sets.
+EDGE_ORDER = "key"
+
+
+def _legacy_edge_ids(ledger) -> np.ndarray:
+    """``ids[k]`` = the edge id, in key order, of the edge a checkpoint
+    without ``edge_order`` stored at position ``k``: that older
+    numbering interned each instance's ``frozenset`` of global edges in
+    instance order, first appearance first."""
+    problem = ledger.problem
+    legacy: dict = {}
+    for inst in problem.instances():
+        # repro: noqa[DET001] -- the legacy numbering *is* this set
+        # iteration order (deterministic: keys are tuples of ints).
+        for edge in frozenset(problem.global_edges_of(inst)):
+            legacy.setdefault(edge, len(legacy))
+    edge_id = {key: k for k, key in enumerate(ledger.index._edge_keys)}
+    return np.asarray([edge_id[key] for key in legacy], dtype=np.int64)
+
+
+def _rekey_legacy_checkpoint(state: dict, ledger) -> dict:
+    """``state`` with its per-edge vectors moved from the legacy edge
+    numbering to key order (a copy; ``state`` is not modified)."""
+    ids = _legacy_edge_ids(ledger)
+
+    def rekey(vector: list) -> list:
+        if len(vector) != len(ids):
+            raise ValueError(
+                f"checkpoint carries {len(vector)} edge values, the "
+                f"problem has {len(ids)} edges")
+        out = np.empty(len(ids), dtype=np.float64)
+        out[ids] = vector
+        return out.tolist()
+
+    state = dict(state, ledger=dict(state["ledger"]),
+                 policy=dict(state["policy"]), edge_order=EDGE_ORDER)
+    state["ledger"]["load"] = rekey(state["ledger"]["load"])
+    policy = state["policy"]
+    if "peak" in policy:
+        policy["peak"] = rekey(policy["peak"])
+    if "snapshots" in policy:
+        policy["snapshots"] = [rekey(v) for v in policy["snapshots"]]
+    return state
 
 
 class AdmissionService:
@@ -307,12 +358,15 @@ class AdmissionService:
             "arrived": sorted(self._arrived),
             "departed": sorted(self._departed),
             "counters": self.session.export_counters(),
+            "edge_order": EDGE_ORDER,
             "ledger": self.session.ledger.export_state(),
             "policy": self.session.policy.export_state(),
         }
 
     def _restore_state(self, state: dict) -> None:
         """Reset this freshly-built service to a checkpoint state."""
+        if state.get("edge_order") != EDGE_ORDER:
+            state = _rekey_legacy_checkpoint(state, self.session.ledger)
         self.position = int(state["position"])
         self._last_time = float(state["last_time"])
         self._arrived = {int(d) for d in state["arrived"]}

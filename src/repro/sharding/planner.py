@@ -49,6 +49,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
+from ..core.conflict import gather_rows
 from ..core.instance import (
     GlobalEdge,
     LineProblem,
@@ -220,7 +223,6 @@ class ShardPlan:
     boundary_demands: list[int]
     _subproblems: dict = field(default_factory=dict, repr=False)
     _instance_maps: dict = field(default_factory=dict, repr=False)
-    _global_lookup: dict | None = field(default=None, repr=False)
 
     # -- classification ------------------------------------------------
 
@@ -257,8 +259,8 @@ class ShardPlan:
     def boundary_profit(self) -> float:
         """Total profit of cut-crossing demands — the first-order scale
         of the profit divergence vs the single-ledger replay."""
-        return math.fsum(self.problem.demands[d].profit
-                         for d in self.boundary_demands)
+        profit = self.problem.columns["profit"]
+        return math.fsum(profit[self.boundary_demands].tolist())
 
     # -- per-shard materialization ------------------------------------
 
@@ -305,33 +307,20 @@ class ShardPlan:
 
     # -- instance-id mapping -------------------------------------------
 
-    def _lookup(self) -> dict:
-        """``instance key -> global instance id`` over the full problem."""
-        if self._global_lookup is None:
-            tree = isinstance(self.problem, TreeProblem)
-            lut = {}
-            for inst in self.problem.instances():
-                if tree:
-                    lut[(inst.demand_id, inst.network_id)] = inst.instance_id
-                else:
-                    lut[(inst.demand_id, inst.network_id, inst.start,
-                         inst.end)] = inst.instance_id
-            self._global_lookup = lut
-        return self._global_lookup
-
     def instance_map(self, s: int) -> list[int]:
-        """``local instance id -> global instance id`` for shard ``s``."""
+        """``local instance id -> global instance id`` for shard ``s``.
+
+        The shard's instances are its demands' candidates in local
+        demand order, and each demand's candidates keep their global
+        order (network, then placement), so the map is the global
+        candidate CSR's rows for the shard's demands, back to back.
+        """
         if s not in self._instance_maps:
-            tree = isinstance(self.problem, TreeProblem)
-            lut = self._lookup()
-            ids = self.shard_demands[s]
-            out = []
-            for inst in self.subproblem(s).instances():
-                g = ids[inst.demand_id]
-                key = ((g, inst.network_id) if tree
-                       else (g, inst.network_id, inst.start, inst.end))
-                out.append(lut[key])
-            self._instance_maps[s] = out
+            index = self.problem.conflict_index()
+            gids, _ = gather_rows(
+                index._cand_indptr, index._cand_iids,
+                np.asarray(self.shard_demands[s], dtype=np.int64))
+            self._instance_maps[s] = gids.tolist()
         return self._instance_maps[s]
 
     def global_instance_of(self, s: int, local_iid: int) -> int:
@@ -397,19 +386,27 @@ class ShardPlanner:
         else:
             raise TypeError(f"cannot shard {type(problem).__name__}")
 
-        touched: list[set[int]] = [set() for _ in range(problem.num_demands)]
-        for inst in problem.instances():
-            sset = touched[inst.demand_id]
-            for ge in problem.global_edges_of(inst):
-                sset.add(edge_shard[ge])
-        demand_shards = [tuple(sorted(s)) for s in touched]
-        shard_demands: list[list[int]] = [[] for _ in range(shards)]
-        boundary: list[int] = []
-        for d, sset in enumerate(demand_shards):
-            if len(sset) == 1:
-                shard_demands[sset[0]].append(d)
-            else:
-                boundary.append(d)
+        # Demand -> shards from the route CSR: every route entry's
+        # (demand, shard) pair, deduplicated in one sort.
+        index = problem.conflict_index()
+        shard_of_edge = np.fromiter(
+            (edge_shard[key] for key in index._edge_keys), dtype=np.int64,
+            count=index.num_edges)
+        owner = np.repeat(index._dem, np.diff(index._indptr))
+        pairs = np.unique(owner * shards + shard_of_edge[index._flat_edges])
+        pair_demand = pairs // shards
+        pair_shard = (pairs % shards).tolist()
+        ptr = np.searchsorted(pair_demand,
+                              np.arange(problem.num_demands + 1))
+        bounds = ptr.tolist()
+        demand_shards = [tuple(pair_shard[a:b])
+                         for a, b in zip(bounds, bounds[1:])]
+        counts = np.diff(ptr)
+        local = np.flatnonzero(counts == 1)
+        first_shard = pairs[ptr[local]] % shards
+        shard_demands = [local[first_shard == s].tolist()
+                         for s in range(shards)]
+        boundary = np.flatnonzero(counts != 1).tolist()
         return ShardPlan(
             problem=problem,
             n_shards=shards,

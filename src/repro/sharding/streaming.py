@@ -34,13 +34,10 @@ from __future__ import annotations
 import math
 import queue as _queue
 import time
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.conflict import gather_rows
-from ..core.demand import TreeDemandInstance
-from ..core.instance import TreeProblem
 from ..core.solution import Solution
 from ..obs import tracing as _tracing
 from ..online.events import Arrival, Departure, EventTrace, Tick
@@ -63,14 +60,12 @@ class SharedGeometry:
     """One full-problem conflict index serving coordinator and shards.
 
     Builds the coordinator :class:`~repro.online.state.CapacityLedger`
-    (and with it the full :class:`~repro.core.conflict.ConflictIndex`)
-    exactly once; :meth:`shard_view` then hands each shard a ledger over
-    a :meth:`~repro.core.conflict.ConflictIndex.sliced` view whose
+    over the problem's (shared, columnar) conflict index;
+    :meth:`shard_view` then hands each shard a ledger over a
+    :meth:`~repro.core.conflict.ConflictIndex.sliced` view whose
     edge-id space, edge-key table and Euler tours are shared read-only
-    with the full build.  The shard subproblem's instance list is
-    relabeled from the full population (same routes, densified ids) and
-    seeded into the subproblem, so neither the instances nor their paths
-    are ever recomputed.
+    with the full build.  A view slices columns only: no instance
+    objects and no routes are built for it.
     """
 
     def __init__(self, problem, plan):
@@ -83,41 +78,14 @@ class SharedGeometry:
     def shard_view(self, s: int) -> CapacityLedger:
         """Shard ``s``'s ledger over a sliced view of the full index."""
         plan = self.plan
-        sub = plan.subproblem(s)
-        if sub._instances is None:
-            insts = self.problem.instances()
-            tree = isinstance(self.problem, TreeProblem)
-            # The shard's instance rows: its demands' candidates, in
-            # shard-rank order.
-            demands = np.asarray(plan.shard_demands[s], dtype=np.int64)
-            gids_arr, counts = gather_rows(self.index._cand_indptr,
-                                           self.index._cand_iids, demands)
-            gids = gids_arr.tolist()
-            local: list = []
-            for g, rank in zip(gids, np.repeat(
-                    np.arange(len(demands)), counts).tolist()):
-                it = insts[g]
-                if tree:
-                    # Direct construction: dataclasses.replace costs
-                    # ~6us apiece and this loop covers every instance
-                    # of every shard.
-                    local.append(TreeDemandInstance(
-                        instance_id=len(local), demand_id=rank,
-                        network_id=it.network_id, u=it.u, v=it.v,
-                        profit=it.profit, height=it.height,
-                        path_edges=it.path_edges))
-                else:
-                    local.append(dc_replace(it, demand_id=rank,
-                                            instance_id=len(local)))
-            # Seed the subproblem's instance cache (identical to what it
-            # would compute: routes are shared with the full networks)
-            # and the plan's local->global instance map in one shot.
-            sub._instances = local
-            plan._instance_maps.setdefault(s, gids)
-        else:
-            local = sub.instances()
-            gids = plan.instance_map(s)
-        return CapacityLedger(sub, index=self.index.sliced(local, gids))
+        gids = np.asarray(plan.instance_map(s), dtype=np.int64)
+        # Local demand ids are the demands' ranks in the shard's
+        # ascending demand list.
+        local = np.searchsorted(
+            np.asarray(plan.shard_demands[s], dtype=np.int64),
+            self.index._dem[gids])
+        return CapacityLedger(plan.subproblem(s),
+                              index=self.index.sliced(gids, local))
 
 
 # ----------------------------------------------------------------------
@@ -277,17 +245,12 @@ def _absorb_results(coordinator: CapacityLedger, plan,
     The union over shards is feasible by construction: shard edge sets
     are disjoint and each final set is verified per shard.
     """
-    tree = isinstance(plan.problem, TreeProblem)
-    lut = plan._lookup()
     count = 0
     profits: list[float] = []
     for s, result in enumerate(shard_results):
-        ids = plan.shard_demands[s]
+        gids = plan.instance_map(s)
         for inst in result.final_solution.selected:
-            g = ids[inst.demand_id]
-            key = ((g, inst.network_id) if tree
-                   else (g, inst.network_id, inst.start, inst.end))
-            coordinator.admit(lut[key])
+            coordinator.admit(gids[inst.instance_id])
             profits.append(float(inst.profit))
             count += 1
     return count, math.fsum(profits)

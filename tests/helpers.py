@@ -426,3 +426,35 @@ def reference_interning(problem, insts) -> tuple[list, list[int], list[int]]:
             flat.append(edge_index.setdefault(e, len(edge_index)))
         indptr.append(len(flat))
     return list(edge_index), indptr, flat
+
+
+# ----------------------------------------------------------------------
+# Reference instance expansion (the per-demand object loop)
+# ----------------------------------------------------------------------
+
+
+def reference_instances(problem) -> list:
+    """The problem's demand instances by the plain per-demand loop over
+    demand objects: by demand id, then accessible network id, then (on
+    lines) placement start — the expansion the columnar
+    ``problem.instances()`` must reproduce field for field."""
+    from repro.core.demand import LineDemandInstance, TreeDemandInstance
+    from repro.core.instance import TreeProblem
+
+    out: list = []
+    for a in problem.demands:
+        for q in sorted(problem.access[a.demand_id]):
+            if isinstance(problem, TreeProblem):
+                out.append(TreeDemandInstance(
+                    instance_id=len(out), demand_id=a.demand_id,
+                    network_id=q, u=a.u, v=a.v, profit=a.profit,
+                    height=a.height,
+                    path_edges=tuple(problem.networks[q].path_edges(a.u,
+                                                                    a.v))))
+                continue
+            for s, e in a.placements():
+                out.append(LineDemandInstance(
+                    instance_id=len(out), demand_id=a.demand_id,
+                    network_id=q, start=s, end=e, profit=a.profit,
+                    height=a.height))
+    return out
