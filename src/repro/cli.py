@@ -5,7 +5,6 @@ python -m repro generate  --kind tree --n 32 --m 24 --r 2 -o problem.json
 python -m repro solve     problem.json --algorithm tree-unit --epsilon 0.1
 python -m repro compare   problem.json
 python -m repro sweep     a.json b.json --solvers tree-unit,sequential --seeds 0,1,2
-python -m repro bench     --smoke
 python -m repro replay    --policy dual-gated --events 10000
 python -m repro replay    trace.json --shards 4 --shard-by subtree
 python -m repro serve     --trace trace.json --policy dual-gated --journal j.log
@@ -25,10 +24,10 @@ python -m repro decompose --topology caterpillar --n 32
 certificate) and optionally writes the solution JSON; ``compare`` runs
 the paper's algorithm, the relevant baseline, greedy, and the exact
 optimum side by side; ``sweep`` fans (instance, solver, seed) jobs across
-a process pool with result caching; ``bench`` times the vectorized hot
-path; ``replay`` streams an event trace through an online admission
-policy (generating and optionally saving the trace on the fly), and
-with ``--shards N`` fans it across the sharded admission engine;
+a process pool with result caching; ``replay`` streams an event trace
+through an online admission policy (generating and optionally saving the
+trace on the fly), and with ``--shards N`` fans it across the sharded
+admission engine;
 ``serve`` runs the long-lived admission service — JSON-lines requests
 on stdin (or TCP clients with ``--port``) and a write-ahead admission
 journal (JSON-lines or binary, group-committed, optionally
@@ -321,13 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="memoise results keyed by instance hash + config")
     swp.add_argument("-o", "--output", default=None,
                      help="write structured JSON results here")
-
-    ben = sub.add_parser("bench",
-                         help="time the vectorized hot path (see "
-                              "benchmarks/bench_hot_path.py)")
-    ben.add_argument("--smoke", action="store_true",
-                     help="small instances, seconds instead of minutes")
-    ben.add_argument("-o", "--output", default="BENCH_hotpath.json")
 
     from .online.events import ARRIVAL_PROCESSES
     from .online.policies import POLICY_NAMES
@@ -742,28 +734,6 @@ def _sweep(args) -> int:
             json.dump([r.to_dict() for r in results], fh, indent=2)
         print(f"results written to {args.output}")
     return 1 if any(r.error for r in results) else 0
-
-
-def _bench(args) -> int:
-    from .runners import run_hotpath_bench
-
-    report = run_hotpath_bench(smoke=args.smoke, out_path=args.output)
-    for name, case in report["cases"].items():
-        line = (f"{name:>5}: {case['instances']} instances, "
-                f"pop {case['population']}")
-        if "speedup" in case:
-            line += (f" | conflict x{case['speedup_conflict']:.1f}"
-                     f" | duals x{case['speedup_duals']:.1f}"
-                     f" | total x{case['speedup']:.1f}")
-        else:
-            line += f" | vectorized {case['vectorized_total_s'] * 1e3:.1f} ms"
-        print(line)
-    if "combined_speedup" in report:
-        print(f"combined speedup: x{report['combined_speedup']:.1f}")
-    else:
-        print("scalar reference unavailable — vectorized timings only")
-    print(f"written to {args.output}")
-    return 0
 
 
 def _replay(args) -> int:
@@ -1198,7 +1168,6 @@ def main(argv: list[str] | None = None) -> int:
         "solve": _solve,
         "compare": _compare,
         "sweep": _sweep,
-        "bench": _bench,
         "replay": _replay,
         "serve": _serve,
         "resume": _resume,

@@ -8,9 +8,9 @@ methods:
   stay continuous across warm restarts.
 * :class:`Gauge` — last-write-wins value (``set``).
 * :class:`Histogram` — fixed bucket edges chosen at construction,
-  cumulative-bucket export.  Histograms that observe *monotonic time*
-  are marked ``timing=True`` and excluded from
-  ``export(include_timing=False)``, mirroring the
+  cumulative-bucket export, bucketed quantiles.  Histograms that
+  observe *monotonic time* are marked ``timing=True`` and excluded
+  from ``export(include_timing=False)``, mirroring the
   ``deterministic_metrics`` split in ``repro.online.metrics``: the
   deterministic view must be byte-stable across identical replays.
 
@@ -28,12 +28,17 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "start_metrics_server"]
+__all__ = ["Counter", "Gauge", "Histogram", "LOG_BUCKETS_US",
+           "MetricsRegistry", "start_metrics_server"]
 
 #: Default latency bucket edges, in microseconds (50µs .. 100ms).
 DEFAULT_BUCKETS_US = (50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0,
                       5000.0, 10000.0, 25000.0, 50000.0, 100000.0)
+
+#: Log-spaced latency bucket edges, in microseconds: 2^(k/4) from
+#: 0.25µs to ~67s.  Adjacent edges differ by 2^¼ (~19%), which bounds
+#: the error of :meth:`Histogram.quantile` on samples in that range.
+LOG_BUCKETS_US = tuple(2.0 ** (k / 4) for k in range(-8, 105))
 
 
 class Counter:
@@ -103,10 +108,31 @@ class Histogram:
         self.count = 0
         self.timing = timing
 
-    def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.edges, value)] += 1
-        self.sum += value
-        self.count += 1
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` samples of ``value`` (no per-sample storage)."""
+        self.counts[bisect_left(self.edges, value)] += count
+        self.sum += value * count
+        self.count += count
+
+    def quantile(self, q: float) -> float:
+        """The ``q``-quantile (``0 <= q <= 1``) by Prometheus'
+        ``histogram_quantile`` rule: linear interpolation inside the
+        bucket holding rank ``q * count`` (the first bucket starts at
+        0, the overflow bucket reports the last edge); 0.0 when empty.
+        """
+        if not self.count:
+            return 0.0
+        rank = q * self.count
+        acc = 0
+        for i, c in enumerate(self.counts):
+            if c and acc + c >= rank:
+                break
+            acc += c
+        edges = self.edges
+        if i == len(edges):
+            return edges[-1]
+        lo = edges[i - 1] if i else min(0.0, edges[0])
+        return lo + (edges[i] - lo) * (rank - acc) / c
 
     def export(self):
         cum, acc = [], 0
@@ -152,6 +178,12 @@ class MetricsRegistry:
                   buckets=DEFAULT_BUCKETS_US, *,
                   timing: bool = False) -> Histogram:
         return self._get(name, Histogram, help, buckets, timing=timing)
+
+    def register(self, metric):
+        """Adopt an instrument built elsewhere, under its own name."""
+        if self._metrics.setdefault(metric.name, metric) is not metric:
+            raise ValueError(f"metric {metric.name!r} already registered")
+        return metric
 
     def export(self, include_timing: bool = True) -> dict:
         """All instruments as a deterministic, JSON-safe dict.

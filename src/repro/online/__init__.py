@@ -45,7 +45,6 @@ from .metrics import (
     TIMING_FIELDS,
     ReplayMetrics,
     deterministic_metrics,
-    latency_percentiles,
     offline_optimum,
     with_offline,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "diurnal_trace",
     "generate_trace",
     "geometry_of",
-    "latency_percentiles",
     "make_policy",
     "offline_optimum",
     "poisson_trace",

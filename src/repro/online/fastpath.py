@@ -917,7 +917,7 @@ class FastFeeder:
         acc.discarded += b - nxt
         if rn:
             dur = time.perf_counter() - t0 - t_scalar
-            session.latencies.extend([dur / rn] * rn)
+            session.latency.observe(dur * 1e6, rn)
             acc.events += rn
             acc.arrivals += k - n_hard
             acc.departures += dep_ofs[nxt] - d0

@@ -12,14 +12,11 @@ reported as computed, not clamped.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence
-
-import numpy as np
 
 from .events import EventTrace
 
 __all__ = ["ReplayMetrics", "TIMING_FIELDS", "deterministic_metrics",
-           "latency_percentiles", "offline_optimum", "with_offline"]
+           "offline_optimum", "with_offline"]
 
 #: The wall-clock-dependent metrics fields — everything else is a pure
 #: function of (trace, policy configuration).
@@ -38,20 +35,6 @@ def deterministic_metrics(metrics) -> dict:
     return doc
 
 
-def latency_percentiles(latencies_s: Sequence[float]) -> dict[str, float]:
-    """p50/p90/p99 and mean of per-event decision latencies, in µs."""
-    if len(latencies_s) == 0:
-        return {"p50_us": 0.0, "p90_us": 0.0, "p99_us": 0.0, "mean_us": 0.0}
-    arr = np.asarray(latencies_s, dtype=np.float64) * 1e6
-    p50, p90, p99 = np.percentile(arr, [50.0, 90.0, 99.0])
-    return {
-        "p50_us": float(p50),
-        "p90_us": float(p90),
-        "p99_us": float(p99),
-        "mean_us": float(arr.mean()),
-    }
-
-
 @dataclass(frozen=True)
 class ReplayMetrics:
     """Flat, JSON-safe outcome of one (trace, policy) replay."""
@@ -67,6 +50,10 @@ class ReplayMetrics:
     realized_profit: float
     elapsed_s: float
     events_per_sec: float
+    #: Per-event decision latency quantiles, read from the session's
+    #: log-bucket histogram (so within one 2^¼ bucket ratio of the
+    #: exact sample quantile).  An event the columnar fast path decided
+    #: in a batch counts its whole run's wall duration.
     latency_p50_us: float
     latency_p90_us: float
     latency_p99_us: float

@@ -1,7 +1,6 @@
-"""Batch experiment execution: parallel runners, caching, benchmarks."""
+"""Batch experiment execution: parallel runners and result caching."""
 
 from .batch import BatchRunner, Job, RunResult
-from .hotpath import build_line_case, build_tree_case, run_hotpath_bench
 from .replay import ReplayJob, ReplayRunner
 
 __all__ = [
@@ -10,7 +9,4 @@ __all__ = [
     "ReplayJob",
     "ReplayRunner",
     "RunResult",
-    "build_line_case",
-    "build_tree_case",
-    "run_hotpath_bench",
 ]

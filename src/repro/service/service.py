@@ -199,6 +199,9 @@ class AdmissionService:
         self._req_latency = self.registry.histogram(
             "repro_request_latency_us",
             "request handling latency (microseconds)", timing=True)
+        # The session's own decision-latency histogram: the stats op and
+        # the scrape read the buckets ReplayMetrics' p50/p99 come from.
+        self.registry.register(self.session.latency)
         #: A hosting server (the async front door) sets this to its
         #: ``server_stats`` so every transport's ``stats`` op carries
         #: the same ``server`` section; ``None`` yields the null shape.

@@ -2,7 +2,7 @@
 
 :class:`AdmissionSession` owns the state every replay needs — the
 :class:`~repro.online.state.CapacityLedger`, the bound policy, and the
-metrics accumulators (event counts, per-event latency samples, the
+metrics accumulators (event counts, the decision-latency histogram, the
 baseline offsets for delta accounting) — and exposes the three-verb
 lifecycle the service layer and both replay drivers consume:
 
@@ -14,7 +14,12 @@ lifecycle the service layer and both replay drivers consume:
   ledger bookkeeping on a departure (``ledger.release``) happens outside
   the timed window, so latency percentiles measure decision latency, not
   the kernel's own accounting.  (:meth:`feed` is the same application
-  without the Decision record — the replay drivers' hot path.)
+  without the Decision record — the replay drivers' hot path.)  Samples
+  land in one fixed-size log-bucket
+  :class:`~repro.obs.metrics.Histogram` (``latency``), so a session's
+  memory does not grow with its event count: the reported p50/p90/p99
+  are bucketed (within one 2^¼ bucket ratio), and an event the columnar
+  fast path decided in a batch counts its run's wall duration.
 * :meth:`snapshot` — the live counters as a JSON-safe dict (plus
   :meth:`solution` for the admitted set), readable mid-stream.
 * :meth:`close` — time the policy's final ``finish()`` flush (one extra
@@ -50,8 +55,9 @@ from ..core.instance import LineProblem, TreeProblem
 
 from ..core.solution import Solution
 from ..obs import tracing as _tracing
+from ..obs.metrics import LOG_BUCKETS_US, Histogram
 from ..online.events import Arrival, Departure, Tick
-from ..online.metrics import ReplayMetrics, latency_percentiles
+from ..online.metrics import ReplayMetrics
 from ..online.policies import AdmissionPolicy
 from ..online.state import CapacityLedger
 
@@ -136,7 +142,7 @@ def certificate_of(policy: AdmissionPolicy) -> dict | None:
 
 def assemble_result(ledger: CapacityLedger, policy: AdmissionPolicy, *,
                     events: int, arrivals: int, departures: int, ticks: int,
-                    latencies: list, elapsed: float, trace_meta: dict,
+                    latency: Histogram, elapsed: float, trace_meta: dict,
                     certificate: dict | None,
                     baseline: dict | None = None,
                     final_solution: Solution | None = None) -> ReplayResult:
@@ -146,7 +152,9 @@ def assemble_result(ledger: CapacityLedger, policy: AdmissionPolicy, *,
     ran (``accepted`` / ``evicted`` log lengths, ``realized`` /
     ``forfeited`` / ``penalty`` counters) — a delta-mode session (the
     sharded driver's boundary phase) reports *deltas* over absorbed
-    state; ``None`` means a fresh ledger.
+    state; ``None`` means a fresh ledger.  ``latency`` is the session's
+    decision-latency histogram (µs); the percentiles are its bucketed
+    quantiles.
     """
     base = baseline or {}
     base_accepted = base.get("accepted", 0)
@@ -154,7 +162,6 @@ def assemble_result(ledger: CapacityLedger, policy: AdmissionPolicy, *,
     realized = ledger.realized_profit - base.get("realized", 0.0)
     penalty = ledger.penalty_paid - base.get("penalty", 0.0)
     accepted = len(ledger.admission_log) - base_accepted
-    pct = latency_percentiles(latencies)
     metrics = ReplayMetrics(
         policy=policy.name,
         events=events,
@@ -171,10 +178,11 @@ def assemble_result(ledger: CapacityLedger, policy: AdmissionPolicy, *,
         penalty_adjusted_profit=realized - penalty,
         elapsed_s=elapsed,
         events_per_sec=events / elapsed if elapsed > 0 else 0.0,
-        latency_p50_us=pct["p50_us"],
-        latency_p90_us=pct["p90_us"],
-        latency_p99_us=pct["p99_us"],
-        latency_mean_us=pct["mean_us"],
+        latency_p50_us=latency.quantile(0.50),
+        latency_p90_us=latency.quantile(0.90),
+        latency_p99_us=latency.quantile(0.99),
+        latency_mean_us=(latency.sum / latency.count
+                         if latency.count else 0.0),
         dual_upper_bound=(certificate["upper_bound"]
                           if certificate else None),
         dual_upper_bound_peak=(certificate.get("peak_upper_bound")
@@ -254,7 +262,12 @@ class AdmissionSession:
         self.arrivals = 0
         self.departures = 0
         self.ticks = 0
-        self.latencies: list[float] = []
+        #: Per-event decision latency (µs), registered by the service
+        #: as ``repro_decision_latency_us``.
+        self.latency = Histogram(
+            "repro_decision_latency_us",
+            "per-event decision latency (microseconds)",
+            LOG_BUCKETS_US, timing=True)
         #: The policy's price certificate, populated at :meth:`close`.
         self.certificate: dict | None = None
         self.closed = False
@@ -351,7 +364,7 @@ class AdmissionSession:
     def export_counters(self) -> dict:
         """The event counters a checkpoint must carry (JSON-safe).
 
-        Latency samples are deliberately *not* exported: they are
+        The latency histogram is deliberately *not* exported: it is
         wall-clock noise excluded from
         :func:`~repro.online.metrics.deterministic_metrics`, the
         equality the warm-restart guarantee is stated over.
@@ -404,7 +417,7 @@ class AdmissionSession:
         else:
             raise TypeError(f"unknown event type {type(event).__name__}")
         self.events += 1
-        self.latencies.append(latency)
+        self.latency.observe(latency * 1e6)
         if _tracing.RECORDER.enabled:
             # Reuse the latency clock the kernel already ran — no extra
             # timing calls on the decision path.
@@ -462,7 +475,7 @@ class AdmissionSession:
             raise RuntimeError("session is already closed")
         t0 = time.perf_counter()
         self.policy.finish()
-        self.latencies.append(time.perf_counter() - t0)
+        self.latency.observe((time.perf_counter() - t0) * 1e6)
         elapsed = time.perf_counter() - self._t0
         self.closed = True
         if verify:
@@ -472,7 +485,7 @@ class AdmissionSession:
             self.ledger, self.policy,
             events=self.events, arrivals=self.arrivals,
             departures=self.departures, ticks=self.ticks,
-            latencies=self.latencies, elapsed=elapsed,
+            latency=self.latency, elapsed=elapsed,
             trace_meta=self.trace_meta,
             certificate=self.certificate,
             baseline=self._baseline,

@@ -8,8 +8,8 @@ The engine copies are retained for two purposes:
 
 * the randomized cross-check suite (`tests/test_cross_check.py`) asserts
   the vectorized engine returns byte-identical selected sets and profits;
-* the hot-path micro-benchmark (`benchmarks/bench_hot_path.py`) measures
-  the vectorized speedup against this baseline.
+* the hot-path gate (`tests/test_overhead_gates.py`) asserts the
+  vectorized core is at least 5x faster than this baseline.
 
 Do not "improve" these classes — their value is being frozen.
 """

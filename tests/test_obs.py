@@ -32,6 +32,7 @@ import socket
 import threading
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.io import event_to_dict
@@ -247,6 +248,46 @@ class TestMetrics:
         assert list(edges) == sorted(edges)
         with pytest.raises(ValueError):
             obs_metrics.Histogram("bad", buckets=(5.0, 1.0))
+
+    def test_quantile_of_empty_histogram_is_zero(self):
+        assert obs_metrics.Histogram("h").quantile(0.99) == 0.0
+
+    def test_quantile_within_one_bucket_ratio_of_numpy(self):
+        edges = obs_metrics.LOG_BUCKETS_US
+        ratio = max(b / a for a, b in zip(edges, edges[1:]))
+        assert ratio <= 2.0 ** 0.25 + 1e-12
+        samples = np.random.default_rng(7).lognormal(3.0, 1.5, 5000)
+        h = obs_metrics.Histogram("h", buckets=edges)
+        for v in samples:
+            h.observe(v)
+        for q in (0.5, 0.9, 0.99):
+            exact = float(np.percentile(samples, 100 * q))
+            assert exact / ratio <= h.quantile(q) <= exact * ratio
+
+    def test_count_weight_equals_repeated_observe(self):
+        weighted = obs_metrics.Histogram("h", buckets=(1.0, 10.0, 100.0))
+        repeated = obs_metrics.Histogram("h", buckets=(1.0, 10.0, 100.0))
+        for value, n in ((3.0, 4), (70.0, 1), (900.0, 5), (0.5, 2)):
+            weighted.observe(value, count=n)
+            for _ in range(n):
+                repeated.observe(value)
+        assert weighted.export() == repeated.export()
+        for q in (0.0, 0.1, 0.5, 0.9, 1.0):
+            assert weighted.quantile(q) == repeated.quantile(q)
+
+    def test_decision_latency_histogram_is_the_replay_one(self, line_trace):
+        svc = AdmissionService(line_trace, "greedy-threshold")
+        _feed_all(svc, line_trace)
+        result = svc.close()
+        hist = svc.registry.histogram("repro_decision_latency_us")
+        assert hist is svc.session.latency and hist.timing
+        assert hist.count == result.metrics.events + 1  # + finish()
+        assert hist.quantile(0.99) == result.metrics.latency_p99_us
+        assert hist.quantile(0.5) == result.metrics.latency_p50_us
+        assert (f"repro_decision_latency_us_count {hist.count}"
+                in svc.registry.render_prometheus())
+        with pytest.raises(ValueError):
+            svc.registry.register(obs_metrics.Histogram(hist.name))
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -165,3 +167,33 @@ class TestDeltaBaseline:
         assert result.metrics.ticks == 1
         assert result.metrics.arrivals == 0
         assert result.metrics.acceptance_ratio == 0.0
+
+
+
+class TestBoundedMemory:
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_retained_memory_flat_in_events(self, batched):
+        """Nothing is kept per event: what a session retains after 200k
+        events is within 64 KiB of what it held after 20k."""
+        tr = poisson_trace("line", events=50, seed=0)
+        session = AdmissionSession(tr.problem, make_policy("greedy-threshold"))
+        ticks = [Tick(0.0)] * 1000
+
+        def retained_after(rounds: int) -> int:
+            for _ in range(rounds):
+                if batched:
+                    session.feed_many(ticks)
+                else:
+                    for ev in ticks:
+                        session.feed(ev)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            before = retained_after(20)
+            growth = retained_after(180) - before
+        finally:
+            tracemalloc.stop()
+        assert session.events == 200_000
+        assert growth < 64 * 1024
