@@ -15,6 +15,8 @@ just non-blocking sockets and explicit buffers:
   line longer than ``max_line_bytes`` is discarded (the overflow is
   drained to the next newline) and answered with a friendly
   ``{"ok": false}`` over-limit response.
+* **One request path** — each line goes through the stdio transport's
+  :func:`~repro.service.server.handle_line`, so both answer alike.
 * **Request ids** — a client may attach an ``id`` to any request; the
   service echoes it in the response, so pipelined clients can match
   responses to requests without counting lines.
@@ -46,6 +48,7 @@ import threading
 import time
 
 from ..obs import tracing as _tracing
+from .server import MAX_LINE_BYTES, handle_line, overlimit_response
 from .service import AdmissionService
 
 __all__ = ["AsyncLineServer", "serve_async"]
@@ -67,7 +70,7 @@ class _Conn:
         self.client = client          # stable id for stats/logs
         self.rbuf = bytearray()       # bytes read, no newline yet
         self.wbuf = bytearray()       # responses waiting for the socket
-        self.pending: list[bytes] = []  # complete request lines, FIFO
+        self.pending: list[bytes | None] = []  # lines; None: over cap
         self.requests = 0             # requests served on this conn
         self.overflow = False         # discarding an oversized line
         self.closing = False          # close after wbuf drains
@@ -99,7 +102,7 @@ class AsyncLineServer:
     def __init__(self, service: AdmissionService,
                  host: str = "127.0.0.1", port: int = 0, *,
                  max_clients: int = 128,
-                 max_line_bytes: int = 1 << 20,
+                 max_line_bytes: int = MAX_LINE_BYTES,
                  high_water: int = _HIGH_WATER,
                  announce=None, log=None):
         if max_clients < 1:
@@ -283,6 +286,9 @@ class AsyncLineServer:
                 self._drop(conn)
                 return
             if not chunk:  # EOF
+                if conn.rbuf and not conn.overflow:
+                    # An unterminated last line is a request, as on stdio.
+                    self._ingest(conn, b"\n")
                 if not conn.wbuf and not conn.pending:
                     self._drop(conn)
                 else:
@@ -305,7 +311,8 @@ class AsyncLineServer:
                 elif len(conn.rbuf) > self.max_line_bytes:
                     conn.overflow = True
                     conn.rbuf.clear()
-                    self._reject_overlimit(conn)
+                    # Queued, not sent: responses keep request order.
+                    conn.pending.append(None)
                 return
             line = bytes(conn.rbuf[:nl])
             del conn.rbuf[:nl + 1]
@@ -314,19 +321,8 @@ class AsyncLineServer:
                 # resume normal parsing.
                 conn.overflow = False
                 continue
-            if len(line) > self.max_line_bytes:
-                self._reject_overlimit(conn)
-                continue
-            if line.strip():
-                conn.pending.append(line)
-
-    def _reject_overlimit(self, conn: _Conn) -> None:
-        self._overlimit_rejects += 1
-        self._emit(conn, {
-            "ok": False,
-            "error": (f"request line exceeds {self.max_line_bytes} bytes; "
-                      "split the batch or raise --max-line-bytes"),
-        })
+            conn.pending.append(
+                None if len(line) > self.max_line_bytes else line)
 
     def _emit(self, conn: _Conn, doc: dict) -> None:
         conn.wbuf += json.dumps(doc).encode() + b"\n"
@@ -411,27 +407,22 @@ class AsyncLineServer:
             if not progressed:
                 return
 
-    def _serve_line(self, conn: _Conn, line: bytes) -> None:
-        conn.requests += 1
-        self._total_requests += 1
-        try:
-            req = json.loads(line)
-        except ValueError as exc:
-            self._emit(conn, {"ok": False,
-                              "error": f"bad request JSON: {exc}"})
-            return
-        if not isinstance(req, dict):
-            self._emit(conn, {"ok": False,
-                              "error": "request must be a JSON object"})
+    def _serve_line(self, conn: _Conn, line: bytes | None) -> None:
+        """Answer one queued line (``None``: one over the byte cap)."""
+        if line is None:
+            self._overlimit_rejects += 1
+            self._emit(conn, overlimit_response(self.max_line_bytes))
             return
         rec = _tracing.RECORDER
+        t0 = time.perf_counter_ns() if rec.enabled else 0
+        resp = handle_line(self.service, line)
+        if resp is None:  # a blank line
+            return
+        conn.requests += 1
+        self._total_requests += 1
         if rec.enabled:
-            t0 = time.perf_counter_ns()
-            resp = self.service.handle(req)
             rec.record("server.dispatch", t0, time.perf_counter_ns() - t0,
-                       {"client": conn.client, "op": req.get("op")})
-        else:
-            resp = self.service.handle(req)
+                       {"client": conn.client, "op": resp.get("op")})
         self._emit(conn, resp)
         if resp.get("op") == "close" and resp.get("ok"):
             self.close_response = resp
@@ -473,7 +464,7 @@ def _mask_writable(key, mask) -> bool:
 
 def serve_async(service: AdmissionService, host: str = "127.0.0.1",
                 port: int = 0, *, max_clients: int = 128,
-                max_line_bytes: int = 1 << 20,
+                max_line_bytes: int = MAX_LINE_BYTES,
                 announce=None, log=None) -> dict | None:
     """Run an :class:`AsyncLineServer` to completion (the ``repro serve
     --port`` entry point).  Returns the ``close`` response, if any."""

@@ -12,21 +12,21 @@ transports:
   with per-connection buffers, backpressure and fair round-robin
   dispatch.
 
-All transports drain requests until the stream ends or a successful
-``close`` request arrives; they never raise on malformed input — bad
-JSON and domain errors come back as ``{"ok": false, ...}`` response
-lines, so one broken client request cannot take the service (and its
-journal) down with it.  A request line longer than ``max_line_bytes``
-is answered with a friendly ``{"ok": false}`` over-limit response
-instead of being parsed.  On SIGTERM/SIGINT the socket transport
-flushes the journal's group-commit window before returning, so every
-acknowledged event is on disk and ``repro resume`` picks up exactly
-where the stream stopped.
+Both transports pass every request line to :func:`handle_line` and
+answer an over-limit line with :func:`overlimit_response`, so a request
+gets the same response document on either.  They drain requests until
+the stream ends or a successful ``close`` request arrives, and never
+raise on malformed input — bad JSON and domain errors come back as
+``{"ok": false, ...}`` response lines, so one broken client request
+cannot take the service (and its journal) down with it.  On
+SIGTERM/SIGINT the socket transport flushes the journal's group-commit
+window before returning, so every acknowledged event is on disk and
+``repro resume`` picks up exactly where the stream stopped.
 
 High-throughput clients should prefer the batched ``feed`` op —
 ``{"op": "feed", "events": [{...}, ...]}`` — over per-event ``submit``
-lines: one request line, one validation sweep and one journal commit
-window cover the whole batch (see
+lines: one request line, one validation sweep, one journal commit
+window and one batched decision pass cover the whole batch (see
 :meth:`~repro.service.AdmissionService.feed_events`).
 """
 
@@ -37,13 +37,15 @@ import sys
 
 from .service import AdmissionService
 
-__all__ = ["serve_lines", "serve_stdio"]
+__all__ = ["handle_line", "overlimit_response", "serve_lines",
+           "serve_stdio"]
 
 #: Default request-line byte cap (also the async server's default).
 MAX_LINE_BYTES = 1 << 20
 
 
-def _overlimit_response(limit: int) -> dict:
+def overlimit_response(limit: int) -> dict:
+    """The response to a request line longer than ``limit`` bytes."""
     return {
         "ok": False,
         "error": (f"request line exceeds {limit} bytes; "
@@ -51,9 +53,25 @@ def _overlimit_response(limit: int) -> dict:
     }
 
 
+def handle_line(service: AdmissionService, line: str | bytes) -> dict | None:
+    """Decode one request line and serve it; returns the response
+    document (``{"ok": false}`` for bad JSON or a non-object request),
+    or ``None`` for a blank line."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        req = json.loads(line)
+    except ValueError as exc:
+        return {"ok": False, "error": f"bad request JSON: {exc}"}
+    if not isinstance(req, dict):
+        return {"ok": False, "error": "request must be a JSON object"}
+    return service.handle(req)
+
+
 def serve_lines(service: AdmissionService, lines, emit, *,
                 max_line_bytes: int = MAX_LINE_BYTES) -> dict | None:
-    """The shared loop: JSON-decode each line, handle, emit the response.
+    """Serve an iterable of request lines, emitting each response.
 
     Returns the ``close`` response when one was served, else ``None``
     (the input stream ended first — the journal then carries whatever
@@ -62,21 +80,14 @@ def serve_lines(service: AdmissionService, lines, emit, *,
     without being parsed.
     """
     for line in lines:
-        if len(line) > max_line_bytes + 1:  # +1: the newline itself
-            emit(_overlimit_response(max_line_bytes))
-            continue
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            req = json.loads(line)
-        except ValueError as exc:
-            emit({"ok": False, "error": f"bad request JSON: {exc}"})
-            continue
-        if not isinstance(req, dict):
-            emit({"ok": False, "error": "request must be a JSON object"})
-            continue
-        resp = service.handle(req)
+        size = len(line.encode(errors="surrogatepass")
+                   if isinstance(line, str) else line)
+        if size > max_line_bytes + 1:  # +1: the newline itself
+            resp = overlimit_response(max_line_bytes)
+        else:
+            resp = handle_line(service, line)
+            if resp is None:
+                continue
         emit(resp)
         if resp.get("op") == "close" and resp.get("ok"):
             return resp

@@ -11,6 +11,11 @@ reconstructs the exact ledger/metrics state, so resuming and finishing
 a trace produces metrics identical to an uninterrupted run (timing
 fields aside; replay decisions are deterministic).
 
+Every event — a request, a ``feed`` batch, a journal tail on restart,
+the rest of the trace — enters through one routine that validates the
+batch in O(batch), journals it, then applies it; a rejected batch
+changes nothing.
+
 Request/response API (JSON-safe dicts, see :meth:`AdmissionService.
 handle`):
 
@@ -22,7 +27,8 @@ release   a departure: ``{"op": "release", "demand": 3, "time": 9.0}``
 tick      a clock edge (batching policies may flush)
 submit    a raw trace-schema event: ``{"op": "submit", "event": {...}}``
 feed      a batch of raw events: ``{"op": "feed", "events": [...]}`` —
-          one decode/validate/journal-commit amortized over the batch
+          one validation sweep, journal commit window and batched
+          decision pass over the batch; a bad record rejects it whole
 query     one demand's admission status
 stats     live counters (events, accepted, profit, utilization, ...),
           the fast-path counters, the transport's ``server`` section
@@ -226,103 +232,87 @@ class AdmissionService:
     # Event intake
     # ------------------------------------------------------------------
 
-    def _validate(self, ev, arrived: set | None = None,
-                  departed: set | None = None) -> None:
-        """Reject an invalid event against the given stream state
-        (defaults to the live sets; the batched path validates against
-        running copies so a bad batch is rejected whole)."""
-        arrived = self._arrived if arrived is None else arrived
-        departed = self._departed if departed is None else departed
-        m = self.trace.problem.num_demands
-        if isinstance(ev, (Arrival, Departure)):
-            if not (0 <= ev.demand_id < m):
-                raise ValueError(
-                    f"unknown demand {ev.demand_id} (population has {m})"
-                )
-        if isinstance(ev, Arrival):
-            if ev.demand_id in arrived:
-                raise ValueError(f"demand {ev.demand_id} already arrived")
-        elif isinstance(ev, Departure):
-            if ev.demand_id not in arrived:
-                raise ValueError(
-                    f"demand {ev.demand_id} departs before arriving"
-                )
-            if ev.demand_id in departed:
-                raise ValueError(f"demand {ev.demand_id} already departed")
-
-    def submit_event(self, ev) -> Decision:
-        """Validate, journal (write-ahead), then apply one event."""
-        self._validate(ev)
-        if self.journal is not None:
-            self.journal.append(ev)
-        decision = self._apply(ev)
-        self._maybe_checkpoint()
-        return decision
-
-    def feed_events(self, events) -> dict:
-        """Validate, journal and apply a whole batch of raw events.
-
-        The batched hot path: one request decode, one validation sweep,
-        one journal commit window and one dispatch loop amortized over
-        the batch.  The **whole batch is validated before anything is
-        journaled or applied**, so a bad record rejects the request
-        without half-applying a prefix.  Returns the response payload
-        (events applied, admissions the batch produced, stream
-        position, and the journal watermarks when journaling).
-        """
-        if self.session.closed:
+    def _intake(self, events, *, decide: bool = False) -> Decision | None:
+        """The one way events enter the session: validate the batch
+        (live sets plus a batch-local overlay, so a bad record rejects it
+        whole), journal it, apply it with ``feed_many`` — or, with
+        ``decide=True``, one event with ``submit``, returning its
+        :class:`~repro.session.kernel.Decision` — and advance the stream."""
+        session = self.session
+        if session.closed:
             raise RuntimeError("session is closed")
-        evs = [ev if isinstance(ev, (Arrival, Departure, Tick))
-               else event_from_dict(ev) for ev in events]
-        arrived, departed = set(self._arrived), set(self._departed)
-        for ev in evs:
-            self._validate(ev, arrived, departed)
-            if isinstance(ev, Arrival):
-                arrived.add(ev.demand_id)
-            elif isinstance(ev, Departure):
-                departed.add(ev.demand_id)
-        journal = self.journal
-        if journal is not None:
-            for ev in evs:
-                journal.append(ev)
-        adm0 = len(self.session.ledger.admission_log)
-        # No Decision assembly: feed_many engages the columnar
-        # batch-decision fast path when the policy advertises a kernel
-        # (decisions and journal bytes are identical either way — the
-        # journal was written above, before any state changed).
-        self.session.feed_many(evs)
+        m = self.trace.problem.num_demands
         arrived, departed = self._arrived, self._departed
+        new_arrived: set[int] = set()
+        new_departed: set[int] = set()
         last = self._last_time
-        for ev in evs:
-            if isinstance(ev, Arrival):
-                arrived.add(ev.demand_id)
-            elif isinstance(ev, Departure):
-                departed.add(ev.demand_id)
+        for ev in events:
+            if isinstance(ev, (Arrival, Departure)):
+                d = ev.demand_id
+                if not 0 <= d < m:
+                    raise ValueError(
+                        f"unknown demand {d} (population has {m})")
+                if isinstance(ev, Arrival):
+                    if d in arrived or d in new_arrived:
+                        raise ValueError(f"demand {d} already arrived")
+                    new_arrived.add(d)
+                else:
+                    if d not in arrived and d not in new_arrived:
+                        raise ValueError(
+                            f"demand {d} departs before arriving")
+                    if d in departed or d in new_departed:
+                        raise ValueError(f"demand {d} already departed")
+                    new_departed.add(d)
+            elif not isinstance(ev, Tick):
+                raise TypeError(
+                    f"unknown event type {type(ev).__name__}")
             if ev.time > last:
                 last = ev.time
+        journal = self.journal
+        if journal is not None:
+            for ev in events:
+                journal.append(ev)
+        decision = None
+        if decide:
+            (ev,) = events
+            decision = session.submit(ev)
+        else:
+            session.feed_many(events)
+        arrived |= new_arrived
+        departed |= new_departed
         self._last_time = last
-        self.position += len(evs)
+        self.position += len(events)
         self._maybe_checkpoint()
-        doc = {
-            "applied": len(evs),
+        return decision
+
+    def submit_event(self, ev) -> Decision:
+        """Validate, journal and apply one event; returns its decision."""
+        return self._intake([ev], decide=True)
+
+    def feed_events(self, events: list) -> dict:
+        """Validate, journal and apply a batch of event objects.
+
+        The batched hot path behind the ``feed`` op (which decodes the
+        request's event records first): one validation sweep, one
+        journal commit window and one ``feed_many`` call amortized over
+        the batch; a bad record rejects the whole batch (see
+        :meth:`_intake`).  Returns the response payload: events applied,
+        admissions the batch produced, stream position, and the journal
+        watermarks when journaling.
+        """
+        adm0 = len(self.session.ledger.admission_log)
+        self._intake(events)
+        return {
+            "applied": len(events),
             "accepted": len(self.session.ledger.admission_log) - adm0,
             "position": self.position,
+            **self._watermarks(),
         }
-        if journal is not None:
-            doc["seq"] = journal.seq
-            doc["commit_seq"] = journal.commit_seq
-        return doc
 
-    def _apply(self, ev) -> Decision:
-        """Apply an already-journaled (or recovered) event."""
-        decision = self.session.submit(ev)
-        if isinstance(ev, Arrival):
-            self._arrived.add(ev.demand_id)
-        elif isinstance(ev, Departure):
-            self._departed.add(ev.demand_id)
-        self._last_time = max(self._last_time, ev.time)
-        self.position += 1
-        return decision
+    def _watermarks(self) -> dict:
+        """The journal's ``seq``/``commit_seq`` (empty unjournaled)."""
+        j = self.journal
+        return {} if j is None else {"seq": j.seq, "commit_seq": j.commit_seq}
 
     # ------------------------------------------------------------------
     # Checkpoints
@@ -426,17 +416,14 @@ class AdmissionService:
         try:
             if op in ("submit", "admit", "release", "tick"):
                 decision = self.submit_event(self._event_of(req))
-                resp = {"ok": True, "op": op,
-                        "decision": decision.to_dict()}
-                if self.journal is not None:
-                    resp["seq"] = self.journal.seq
-                    resp["commit_seq"] = self.journal.commit_seq
-                return resp
+                return {"ok": True, "op": op,
+                        "decision": decision.to_dict(), **self._watermarks()}
             if op == "feed":
                 events = req.get("events")
                 if not isinstance(events, list):
                     raise ValueError('op "feed" needs an "events" list')
-                return {"ok": True, "op": op, **self.feed_events(events)}
+                return {"ok": True, "op": op, **self.feed_events(
+                    [event_from_dict(doc) for doc in events])}
             if op == "query":
                 return {"ok": True, "op": op,
                         **self.query(parse_demand_id(req["demand"]))}
@@ -586,8 +573,10 @@ class AdmissionService:
         """Reconstruct a (journal-less) service from a journal.
 
         One streaming scan finds the last checkpoint and the event tail
-        after it; the checkpoint is restored, the tail replayed — cost
-        proportional to the tail, not total history.  Returns
+        after it; the checkpoint is restored, the tail validated and
+        replayed as one batch — cost proportional to the tail, not total
+        history.  Raises ``ValueError`` when a tail record breaks the
+        stream rules (e.g. a duplicate arrival).  Returns
         ``(service, good_bytes, fmt)`` so callers can reattach a writer
         or rewrite the file.
         """
@@ -602,8 +591,10 @@ class AdmissionService:
         )
         if ckpt is not None:
             svc._restore_state(ckpt)
-        for ev in tail:
-            svc._apply(ev)
+        # The tail goes through the same checks as live requests, so a
+        # record a live service would have refused fails the resume
+        # instead of silently changing the rebuilt state.
+        svc._intake(tail)
         # Republish the cumulative gauges from the restored state, so a
         # dashboard scraping right after a warm restart sees the
         # pre-kill admit/reject/evict totals, not zeros.
@@ -621,7 +612,9 @@ class AdmissionService:
         rebuilt ledger/metrics state is exactly the killed service's); a
         torn final journal record is dropped and the file truncated past
         it, and new events append to the same journal in its existing
-        codec.  ``service.position`` tells how far the stream got.
+        codec; a complete tail record that breaks the stream rules
+        raises ``ValueError``.  ``service.position`` tells how far the
+        stream got.
         ``checkpoint_every=None`` keeps the cadence recorded in the
         journal header.
         """
@@ -679,13 +672,14 @@ class AdmissionService:
         Valid when the service's request stream is (a prefix of) the
         trace's own event sequence — the ``repro serve``/``repro
         resume`` workflow — since ``position`` then indexes the first
-        outstanding trace event.  Events go through the batched
-        :meth:`feed_events` path in ``batch``-sized chunks.  Returns
+        outstanding trace event.  Events go through :meth:`_intake` in
+        ``batch``-sized chunks.  Returns
         the final :class:`~repro.session.kernel.ReplayResult`, which
         matches an uninterrupted replay of the whole trace exactly
         (timing fields aside).
         """
         remaining = self.trace.events[self.position:]
-        for i in range(0, len(remaining), max(batch, 1)):
-            self.feed_events(remaining[i:i + max(batch, 1)])
+        step = max(batch, 1)
+        for i in range(0, len(remaining), step):
+            self._intake(remaining[i:i + step])
         return self.close(verify=verify)

@@ -217,6 +217,32 @@ class TestLineCap:
                     out.append, max_line_bytes=256)
         assert not out[0]["ok"] and "256" in out[0]["error"]
         assert out[1]["ok"]
+        # Both transports answer bad JSON (trailing blanks included), a
+        # non-object line, over-limit lines (the cap counts bytes, not
+        # characters) and a domain error with the same documents.
+        bad = ['{"op": "stats", ', "[1, 2]", "z" * 300, "\u00e9" * 200,
+               '{"op": "warp", "id": 4}']
+        stdio = []
+        serve_lines(service, [line + "\n" for line in bad], stdio.append,
+                    max_line_bytes=256)
+        server, thread, box = _start(service, max_line_bytes=256)
+        sock, f = _connect(box["addr"])
+        f.write("".join(line + "\n" for line in bad))
+        f.flush()
+        tcp = [json.loads(f.readline()) for _ in bad]
+        # A last line without its newline is still a request.
+        last = '{"op": "query", "demand": -1, "id": 9}'
+        serve_lines(service, [last], stdio.append, max_line_bytes=256)
+        eof_sock, eof_f = _connect(box["addr"])
+        eof_sock.sendall(last.encode())
+        eof_sock.shutdown(socket.SHUT_WR)
+        tcp.append(json.loads(eof_f.readline()))
+        eof_sock.close()
+        _request(f, {"op": "close", "verify": False})
+        sock.close()
+        thread.join(10)
+        assert tcp == stdio
+        assert not any(resp["ok"] for resp in tcp)
 
 
 class TestManyClients:

@@ -307,13 +307,41 @@ class TestCheckpointEquivalence:
             for ev in trace.events[:kill_at]:
                 svc.submit_event(ev)
             del svc  # the kill
+            tail = len(scan_journal(str(path))[2])
             resumed = AdmissionService.resume(str(path))
             assert resumed.position == kill_at
+            fp = resumed.session.fastpath_stats
+            if fp["enabled"]:
+                # The tail is decided like a live feed: every event by
+                # the fast-path feeder, a multi-event tail in batches.
+                assert fp["batched_events"] + fp["scalar_fallbacks"] == tail
+                assert tail < 2 or fp["batched_events"] > 0
             result = resumed.run_remaining()
             assert deterministic(result) == deterministic(expected)
             assert result.admission_log == expected.admission_log
             assert result.eviction_log == expected.eviction_log
             assert dict(result.policy_stats) == dict(expected.policy_stats)
+
+    @pytest.mark.parametrize("fmt", JOURNAL_FORMATS)
+    def test_invalid_tail_record_fails_resume(self, tmp_path, fmt):
+        """A tail record the live service would have refused (here a
+        duplicate arrival appended behind the writer's back) fails the
+        resume loudly instead of rebuilding a different state."""
+        trace = small_trace()
+        path = str(tmp_path / f"dup.{fmt}")
+        svc = AdmissionService(trace, "dual-gated", journal_path=path,
+                               fmt=fmt, checkpoint_every=10)
+        for ev in trace.events[:25]:
+            svc.submit_event(ev)
+        svc.journal.close()
+        dup = next(ev for ev in trace.events[20:25]
+                   if isinstance(ev, Arrival))
+        _h, _ckpt, _tail, good, _fmt = scan_journal(path)
+        with JournalWriter(path, start_at=good, seq0=25) as jw:
+            jw.append(dup)
+        with pytest.raises(ValueError,
+                           match=f"demand {dup.demand_id} already arrived"):
+            AdmissionService.resume(path)
 
     @pytest.mark.parametrize("fmt", JOURNAL_FORMATS)
     def test_resume_replays_only_the_tail(self, tmp_path, fmt):
