@@ -770,7 +770,10 @@ def _replay(args) -> int:
         raise SystemExit(f"replay: {exc}")
 
     if args.trace:
-        trace = load_trace(args.trace)
+        try:
+            trace = load_trace(args.trace)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"replay: {exc}")
     else:
         trace = generate_trace(
             args.kind, events=args.events, process=args.process,

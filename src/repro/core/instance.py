@@ -89,7 +89,11 @@ def _column(name: str, values: Any, integer: bool) -> np.ndarray:
     raises ``ValueError`` naming its demand."""
     arr = np.asarray(values)
     kinds = "iu" if integer else "iuf"
-    if arr.dtype.kind not in kinds and len(arr):
+    # NumPy reads a bool among ints or floats as a number, so a
+    # sequence is also scanned for bools.
+    if len(arr) and (arr.dtype.kind not in kinds or (
+            not isinstance(values, np.ndarray)
+            and bool in set(map(type, values)))):
         for i, x in enumerate(np.asarray(values, dtype=object).tolist()):
             if isinstance(x, bool) or np.asarray(x).dtype.kind not in kinds:
                 raise ValueError(f"demand {i}: {name} must be "

@@ -7,6 +7,12 @@ on other machines.  The formats are stable, versioned, human-readable
 JSON documents; round-trips are exact (vertex ids, profits, heights,
 access sets, selected instances, event times).
 
+Problems and traces are written in **format 2**: each demand field and
+each event field is one JSON array (one line of the file), and access
+is one CSR, so a document decodes straight into NumPy columns.  Their
+**format 1** — one object per demand and per event — is still read,
+into the same columns.
+
 All ``save_*`` writers are **atomic**: the document is written to a
 temporary file in the destination directory and moved into place with
 :func:`os.replace`, so a process killed mid-write never leaves a
@@ -54,6 +60,8 @@ import tempfile
 import time
 from typing import Any, Iterator
 
+import numpy as np
+
 from .core.demand import LineDemandInstance, TreeDemandInstance
 from .core.instance import LineProblem, TreeProblem
 from .core.solution import Solution
@@ -85,93 +93,190 @@ __all__ = [
     "JOURNAL_FORMATS",
 ]
 
-FORMAT_VERSION = 1
+#: Version of the problem document :func:`problem_to_dict` writes;
+#: :func:`problem_from_dict` also reads version 1.
+FORMAT_VERSION = 2
 
-#: Version of the event-trace document (independent of the problem format).
-TRACE_FORMAT_VERSION = 1
+#: Version of the solution document (independent of the problem format).
+SOLUTION_FORMAT_VERSION = 1
+
+#: Version of the event-trace document :func:`trace_to_dict` writes
+#: (independent of the problem format); version 1 is still read.
+TRACE_FORMAT_VERSION = 2
 
 #: Version of the admission-journal envelope.
 JOURNAL_FORMAT_VERSION = 1
 
-
-def _demand_records(problem, fields: tuple[str, ...]) -> list[dict]:
-    cols = [problem.columns[f].tolist() for f in fields]
-    return [dict(zip(fields, vals)) for vals in zip(*cols)]
-
-
-def _access_rows(problem) -> list[list[int]]:
-    if problem._access is not None:  # built, and possibly edited since
-        return [sorted(acc) for acc in problem._access]
-    ptr = problem._acc_indptr.tolist()
-    nets = problem._acc_nets.tolist()
-    return [nets[a:b] for a, b in zip(ptr, ptr[1:])]
+#: Demand fields of each problem kind, in document order.
+_DEMAND_FIELDS = {
+    "tree": ("u", "v", "profit", "height"),
+    "line": ("release", "deadline", "proc_time", "profit", "height"),
+}
 
 
-def problem_to_dict(problem) -> dict:
-    """Serialize a :class:`TreeProblem` or :class:`LineProblem`."""
-    if isinstance(problem, TreeProblem):
-        return {
-            "format": FORMAT_VERSION,
-            "kind": "tree",
-            "n": problem.n,
-            "networks": [sorted(net.edges) for net in problem.networks],
-            "demands": _demand_records(problem,
-                                       ("u", "v", "profit", "height")),
-            "access": _access_rows(problem),
-        }
-    if isinstance(problem, LineProblem):
-        return {
-            "format": FORMAT_VERSION,
-            "kind": "line",
-            "n_slots": problem.n_slots,
-            "num_resources": problem.num_networks,
-            "demands": _demand_records(
-                problem, ("release", "deadline", "proc_time", "profit",
-                          "height")),
-            "access": _access_rows(problem),
-        }
-    raise TypeError(f"cannot serialize {type(problem).__name__}")
+def _field(doc, key: str, where: str):
+    """``doc[key]``; ``ValueError`` naming ``where`` when ``doc`` is not
+    an object or lacks the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"{where} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"{where}: missing field {key!r}")
+    return doc[key]
 
 
-def _demand_columns(records: list, fields: tuple[str, ...]) -> dict:
-    """Demand records read straight into per-field columns (validated
-    in bulk by the problem's ``from_columns``)."""
-    cols = {f: [d[f] for d in records] for f in fields}
-    cols["height"] = [d.get("height", 1.0) for d in records]
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(
+            f"{where} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _column_table(doc, fields: tuple[str, ...], where: str) -> dict:
+    """A v2 column table: one equal-length array per field."""
+    cols = {f: _list(_field(doc, f, where), f"{where}.{f}") for f in fields}
+    lengths = {f: len(c) for f, c in cols.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"{where}: column lengths differ: " + ", ".join(
+            f"{f} {n}" for f, n in lengths.items()))
     return cols
 
 
-def problem_from_dict(doc: dict):
-    """Inverse of :func:`problem_to_dict`.
+def _numbers(values: list, integer: bool, name) -> np.ndarray:
+    """``values`` as an int64 (``integer``) or finite float64 column.
 
-    Demand records decode into columns, never into demand objects; the
-    problem validates every column at once (see
-    :meth:`TreeProblem.from_columns`).
+    A value of the wrong JSON type (a bool, a string, a float where an
+    integer belongs), an integer beyond int64 or a non-finite number
+    raises ``ValueError`` with ``name(i)`` naming the first one.
     """
-    version = doc.get("format")
-    if version != FORMAT_VERSION:
+    allowed = (int,) if integer else (int, float)
+    want = "an integer" if integer else "a finite number"
+    if not set(map(type, values)) <= set(allowed):
+        i = next(i for i, x in enumerate(values) if type(x) not in allowed)
+        raise ValueError(f"{name(i)} must be {want}, got {values[i]!r}")
+    try:
+        arr = np.array(values, dtype=np.int64 if integer else np.float64)
+    except OverflowError:
+        i = next(i for i, x in enumerate(values)
+                 if not -2**63 <= x < 2**63)
+        raise ValueError(f"{name(i)} out of range, got {values[i]!r}") \
+            from None
+    if not integer:
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"{name(i)} must be {want}, got {values[i]!r}")
+    return arr
+
+
+def _access_csr_of(problem) -> dict:
+    if problem._access is not None:  # built, and possibly edited since
+        rows = [sorted(acc) for acc in problem._access]
+        indptr = [0]
+        for row in rows:
+            indptr.append(indptr[-1] + len(row))
+        return {"indptr": indptr, "networks": [q for r in rows for q in r]}
+    return {"indptr": problem._acc_indptr.tolist(),
+            "networks": problem._acc_nets.tolist()}
+
+
+def problem_to_dict(problem) -> dict:
+    """Serialize a :class:`TreeProblem` or :class:`LineProblem` as a
+    format-2 document: each demand field one column, access one CSR."""
+    if isinstance(problem, TreeProblem):
+        kind = "tree"
+        head = {"n": problem.n,
+                "networks": [sorted(net.edges) for net in problem.networks]}
+    elif isinstance(problem, LineProblem):
+        kind = "line"
+        head = {"n_slots": problem.n_slots,
+                "num_resources": problem.num_networks}
+    else:
+        raise TypeError(f"cannot serialize {type(problem).__name__}")
+    cols = problem.columns
+    return {
+        "format": FORMAT_VERSION,
+        "kind": kind,
+        **head,
+        "demands": {f: cols[f].tolist() for f in _DEMAND_FIELDS[kind]},
+        "access": _access_csr_of(problem),
+    }
+
+
+def _demand_columns_v1(records, fields: tuple[str, ...]) -> dict:
+    """Version-1 demand records read straight into per-field columns
+    (validated in bulk by the problem's ``from_columns``)."""
+    records = _list(records, "problem.demands")
+    try:
+        cols = {f: [d[f] for d in records] for f in fields[:-1]}
+        cols["height"] = [d.get("height", 1.0) for d in records]
+    except (KeyError, TypeError, AttributeError):
+        for i, d in enumerate(records):
+            for f in fields[:-1]:
+                _field(d, f, f"problem.demands[{i}]")
+        raise
+    return cols
+
+
+def _access_v2(doc, m: int):
+    """A version-2 access CSR as ``(indptr, networks)`` arrays."""
+    indptr = _numbers(_list(_field(doc, "indptr", "problem.access"),
+                            "problem.access.indptr"),
+                      True, lambda i: f"problem.access.indptr[{i}]")
+    nets = _numbers(_list(_field(doc, "networks", "problem.access"),
+                          "problem.access.networks"),
+                    True, lambda i: f"problem.access.networks[{i}]")
+    if (len(indptr) != m + 1 or indptr[0] != 0 or indptr[-1] != len(nets)
+            or (np.diff(indptr) < 0).any()):
+        raise ValueError(
+            f"problem.access.indptr must rise from 0 to {len(nets)} in "
+            f"{m + 1} entries (one row per demand)")
+    return indptr, nets
+
+
+def problem_from_dict(doc: dict):
+    """Inverse of :func:`problem_to_dict`; reads formats 1 and 2.
+
+    Demand fields decode into columns, never into demand objects —
+    format 2 stores them as columns, format 1's per-demand records are
+    read straight into columns — and the problem validates every column
+    at once (see :meth:`TreeProblem.from_columns`).  A malformed
+    document raises ``ValueError`` naming the field (and index).
+    """
+    version = _field(doc, "format", "problem")
+    if version not in (1, 2):
         raise ValueError(f"unsupported format version {version!r}")
     kind = doc.get("kind")
-    if kind == "tree":
-        networks = [
-            TreeNetwork(doc["n"], [tuple(e) for e in edges], network_id=q)
-            for q, edges in enumerate(doc["networks"])
-        ]
-        return TreeProblem.from_columns(
-            doc["n"], networks,
-            _demand_columns(doc["demands"], ("u", "v", "profit")),
-            access=doc["access"])
-    if kind == "line":
+    if kind not in _DEMAND_FIELDS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    fields = _DEMAND_FIELDS[kind]
+    raw = _field(doc, "demands", "problem")
+    access = _field(doc, "access", "problem")
+    if version == 1:
+        columns = _demand_columns_v1(raw, fields)
+    else:
+        columns = _column_table(raw, fields, "problem.demands")
+        access = _access_v2(access, len(columns["profit"]))
+    try:
+        if kind == "tree":
+            n = _field(doc, "n", "problem")
+            networks = [
+                TreeNetwork(n, [tuple(e) for e in edges], network_id=q)
+                for q, edges in enumerate(
+                    _list(_field(doc, "networks", "problem"),
+                          "problem.networks"))
+            ]
+            return TreeProblem.from_columns(n, networks, columns,
+                                            access=access)
+        n_slots = _field(doc, "n_slots", "problem")
         resources = [
-            LineNetwork(doc["n_slots"], network_id=q)
-            for q in range(doc["num_resources"])
+            LineNetwork(n_slots, network_id=q)
+            for q in range(_field(doc, "num_resources", "problem"))
         ]
-        return LineProblem.from_columns(
-            doc["n_slots"], resources,
-            _demand_columns(doc["demands"],
-                            ("release", "deadline", "proc_time", "profit")),
-            access=doc["access"])
-    raise ValueError(f"unknown problem kind {kind!r}")
+        return LineProblem.from_columns(n_slots, resources, columns,
+                                        access=access)
+    except TypeError as exc:
+        raise ValueError(f"malformed {kind} problem: {exc}") from None
 
 
 def _instance_to_dict(inst) -> dict:
@@ -204,7 +309,7 @@ def solution_to_dict(solution: Solution) -> dict:
             v = repr(v)
         stats[k] = v
     return {
-        "format": FORMAT_VERSION,
+        "format": SOLUTION_FORMAT_VERSION,
         "profit": solution.profit,
         "selected": [_instance_to_dict(d) for d in solution.selected],
         "stats": stats,
@@ -218,7 +323,7 @@ def solution_from_dict(doc: dict, problem) -> Solution:
     routes come from the problem, never from the file) and re-verified
     implicitly by any later ``verify_*_solution`` call.
     """
-    if doc.get("format") != FORMAT_VERSION:
+    if doc.get("format") != SOLUTION_FORMAT_VERSION:
         raise ValueError(f"unsupported format version {doc.get('format')!r}")
     lookup: dict[tuple, Any] = {}
     for inst in problem.instances():
@@ -298,52 +403,118 @@ def parse_event_time(value) -> float:
 
 def event_from_dict(rec: dict):
     """Inverse of :func:`event_to_dict` (strict: see
-    :func:`parse_demand_id` and :func:`parse_event_time`)."""
+    :func:`parse_demand_id` and :func:`parse_event_time`; a missing
+    field raises ``ValueError``)."""
     Arrival, Departure, Tick = _event_types()
 
     if not isinstance(rec, dict):
         raise ValueError(f"event record must be an object, got {rec!r}")
     etype = rec.get("type")
     if etype == "arrival":
-        return Arrival(parse_event_time(rec["time"]),
-                       parse_demand_id(rec["demand"]))
+        return Arrival(parse_event_time(_field(rec, "time", "event")),
+                       parse_demand_id(_field(rec, "demand", "event")))
     if etype == "departure":
-        return Departure(parse_event_time(rec["time"]),
-                         parse_demand_id(rec["demand"]))
+        return Departure(parse_event_time(_field(rec, "time", "event")),
+                         parse_demand_id(_field(rec, "demand", "event")))
     if etype == "tick":
-        return Tick(parse_event_time(rec["time"]))
+        return Tick(parse_event_time(_field(rec, "time", "event")))
     raise ValueError(f"unknown event type {etype!r}")
 
 
 def trace_to_dict(trace) -> dict:
-    """Serialize an :class:`~repro.online.events.EventTrace`.
+    """Serialize an :class:`~repro.online.events.EventTrace` as a
+    format-2 document: the events as ``kind`` / ``time`` / ``demand``
+    columns (kind codes 0 arrival, 1 departure, 2 tick; a tick's demand
+    is -1).
 
     The embedded problem uses the problem format (version
     :data:`FORMAT_VERSION`); the trace envelope carries its own
     :data:`TRACE_FORMAT_VERSION` so the two can evolve independently.
     """
+    events = trace.events
     return {
         "format": TRACE_FORMAT_VERSION,
         "kind": "trace",
         "problem": problem_to_dict(trace.problem),
-        "events": [event_to_dict(ev) for ev in trace.events],
+        "events": {"kind": events.kind.tolist(),
+                   "time": events.time.tolist(),
+                   "demand": events.demand.tolist()},
         "meta": dict(trace.meta),
     }
 
 
-def trace_from_dict(doc: dict):
-    """Inverse of :func:`trace_to_dict` (re-validates the event stream)."""
-    from .online.events import EventTrace
+def _events_v1(records) -> tuple:
+    """Version-1 event records read straight into kind/time/demand
+    columns (no event objects); a malformed record raises
+    ``ValueError`` naming its index."""
+    from .online.events import ARRIVAL, DEPARTURE, NO_DEMAND, TICK
 
-    version = doc.get("format")
-    if version != TRACE_FORMAT_VERSION:
+    codes = {"arrival": ARRIVAL, "departure": DEPARTURE, "tick": TICK}
+    records = _list(records, "events")
+    try:
+        kind = [codes[r["type"]] for r in records]
+        time_ = [r["time"] for r in records]
+        demand = [NO_DEMAND if k == TICK else r["demand"]
+                  for k, r in zip(kind, records)]
+    except (KeyError, TypeError, AttributeError):
+        for i, rec in enumerate(records):
+            where = f"events[{i}]"
+            etype = _field(rec, "type", where)
+            if not isinstance(etype, str) or etype not in codes:
+                raise ValueError(f"{where}: unknown event type {etype!r}")
+            _field(rec, "time", where)
+            if etype != "tick":
+                _field(rec, "demand", where)
+        raise
+    return (kind, _numbers(time_, False, lambda i: f"events[{i}]: time"),
+            _numbers(demand, True, lambda i: f"events[{i}]: demand"))
+
+
+def _events_v2(doc) -> tuple:
+    """Version-2 event columns, type-checked in bulk."""
+    from .online.events import ARRIVAL, NO_DEMAND, TICK
+
+    cols = _column_table(doc, ("kind", "time", "demand"), "events")
+    kind = _numbers(cols["kind"], True, lambda i: f"events.kind[{i}]")
+    bad = (kind < ARRIVAL) | (kind > TICK)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"events.kind[{i}]: unknown event kind {kind[i]} "
+                         "(want 0 arrival, 1 departure, 2 tick)")
+    demand = _numbers(cols["demand"], True,
+                      lambda i: f"events.demand[{i}]")
+    bad = (kind == TICK) & (demand != NO_DEMAND)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"events.demand[{i}]: a tick carries demand "
+                         f"{NO_DEMAND}, got {demand[i]}")
+    return (kind, _numbers(cols["time"], False,
+                           lambda i: f"events.time[{i}]"), demand)
+
+
+def trace_from_dict(doc: dict):
+    """Inverse of :func:`trace_to_dict`; reads formats 1 and 2.
+
+    Either way the events decode straight into columns (version 1's
+    per-event records included) and the stream is re-validated in bulk
+    by :class:`~repro.online.events.EventTrace`.  A malformed document
+    raises ``ValueError`` naming the field (and index).
+    """
+    from .online.events import EventTrace, EventView
+
+    version = _field(doc, "format", "trace")
+    if version not in (1, 2):
         raise ValueError(f"unsupported trace format version {version!r}")
     if doc.get("kind") != "trace":
         raise ValueError(f"not a trace document: kind={doc.get('kind')!r}")
-    problem = problem_from_dict(doc["problem"])
-    events = [event_from_dict(rec) for rec in doc["events"]]
-    return EventTrace(problem=problem, events=events,
-                      meta=dict(doc.get("meta", {})))
+    problem = problem_from_dict(_field(doc, "problem", "trace"))
+    records = _field(doc, "events", "trace")
+    columns = _events_v1(records) if version == 1 else _events_v2(records)
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("trace.meta must be a JSON object")
+    return EventTrace(problem=problem, events=EventView(*columns),
+                      meta=dict(meta))
 
 
 def _fsync_dir(directory: str) -> None:
@@ -358,8 +529,30 @@ def _fsync_dir(directory: str) -> None:
         os.close(fd)
 
 
+class _ColumnLayout(json.JSONEncoder):
+    """JSON text with one object member per line and every array on one
+    line, so each column of a format-2 document is one line however
+    long it is."""
+
+    def iterencode(self, o, _one_shot=False):
+        return self._chunks(o, 0)
+
+    def _chunks(self, o, level: int):
+        if isinstance(o, dict) and o:
+            pad = "\n" + " " * (level + 1)
+            sep = "{"
+            for key, value in o.items():
+                yield f"{sep}{pad}{json.dumps(str(key))}: "
+                yield from self._chunks(value, level + 1)
+                sep = ","
+            yield "\n" + " " * level + "}"
+        else:
+            yield json.dumps(o, separators=(",", ":"))
+
+
 def _atomic_dump(doc: dict, path: str) -> None:
-    """Write ``doc`` as JSON via temp-file + :func:`os.replace`.
+    """Write ``doc`` as JSON (:class:`_ColumnLayout`) via temp-file +
+    :func:`os.replace`.
 
     The temp file lives in the destination directory (same filesystem,
     so the replace is atomic) and is removed on any failure — a killed
@@ -374,7 +567,7 @@ def _atomic_dump(doc: dict, path: str) -> None:
     )
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=1)
+            json.dump(doc, fh, cls=_ColumnLayout)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -393,7 +586,7 @@ def save_problem(problem, path: str) -> None:
 
 
 def load_problem(path: str):
-    """Read a problem written by :func:`save_problem`."""
+    """Read a problem file (format 1 or 2)."""
     with open(path) as fh:
         return problem_from_dict(json.load(fh))
 
@@ -415,7 +608,7 @@ def save_trace(trace, path: str) -> None:
 
 
 def load_trace(path: str):
-    """Read a trace written by :func:`save_trace`."""
+    """Read a trace file (format 1 or 2)."""
     with open(path) as fh:
         return trace_from_dict(json.load(fh))
 
@@ -489,9 +682,10 @@ class JournalWriter:
     """Append-only admission journal with group commit.
 
     The first record of a fresh journal is the header: a self-contained
-    record of the policy name, its constructor parameters, the backend
-    shape (shards / strategy) and the **full trace document**, so a
-    journal alone rebuilds the session that wrote it.  Every further
+    record of the policy name, its constructor parameters, the
+    checkpoint cadence and the **full trace document** (the caller's
+    ``header`` dict), so a journal alone rebuilds the session that
+    wrote it.  Every further
     record is one event in the trace event schema, or a checkpoint (see
     :meth:`checkpoint`).
 

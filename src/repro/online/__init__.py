@@ -22,14 +22,22 @@ Layering (bottom-up):
   byte-identical to the scalar loop;
 * :mod:`~repro.online.driver` / :mod:`~repro.online.metrics` — the
   replay loop, acceptance/profit/latency metrics, offline benchmarks.
+
+``replay`` and ``ReplayResult`` load :mod:`~repro.online.driver` on
+first access (PEP 562): the driver runs the
+:class:`~repro.session.AdmissionSession` kernel, which imports this
+package's modules, so importing it here would make ``import
+repro.session`` circular.
 """
 
-from .driver import ReplayResult, replay
+import importlib
+
 from .events import (
     ARRIVAL_PROCESSES,
     Arrival,
     Departure,
     EventTrace,
+    EventView,
     Tick,
     bursty_trace,
     diurnal_trace,
@@ -70,6 +78,7 @@ __all__ = [
     "Departure",
     "DualGated",
     "EventTrace",
+    "EventView",
     "GreedyThreshold",
     "POLICY_NAMES",
     "PreemptDensity",
@@ -90,3 +99,16 @@ __all__ = [
     "replay",
     "with_offline",
 ]
+
+
+#: Names served by :mod:`~repro.online.driver`, imported on first use.
+_EXPORTS = {"ReplayResult": ".driver", "replay": ".driver"}
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(_EXPORTS[name], __name__),
+                        name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

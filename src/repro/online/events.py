@@ -26,6 +26,7 @@ Serialization lives in :mod:`repro.io` (``save_trace`` / ``load_trace``).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,11 @@ __all__ = [
     "Departure",
     "Tick",
     "EventTrace",
+    "EventView",
+    "ARRIVAL",
+    "DEPARTURE",
+    "TICK",
+    "NO_DEMAND",
     "ARRIVAL_PROCESSES",
     "generate_trace",
     "poisson_trace",
@@ -72,6 +78,160 @@ class Tick:
     time: float
 
 
+#: Event kind codes of the columnar form: :attr:`EventView.kind` and
+#: the ``events.kind`` column of a trace document.
+ARRIVAL = 0
+DEPARTURE = 1
+TICK = 2
+
+#: The ``demand`` a tick carries in the columns.
+NO_DEMAND = -1
+
+_KIND_CODE = {Arrival: ARRIVAL, Departure: DEPARTURE, Tick: TICK}
+
+
+def _event(kind: int, time: float, demand: int):
+    """The event object of one column row."""
+    if kind == ARRIVAL:
+        return Arrival(time, demand)
+    if kind == DEPARTURE:
+        return Departure(time, demand)
+    return Tick(time)
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array (a view when
+    ``values`` already is one, so the caller's array stays writable)."""
+    arr = np.asarray(values, dtype=dtype).view()
+    arr.flags.writeable = False
+    return arr
+
+
+class EventView(Sequence):
+    """A read-only event sequence stored as three NumPy columns.
+
+    ``kind`` (int8: :data:`ARRIVAL`, :data:`DEPARTURE` or :data:`TICK`),
+    ``time`` (float64) and ``demand`` (int64, :data:`NO_DEMAND` on
+    ticks).  ``len``, slicing (a view over the sliced columns) and
+    equality work on the columns; indexing and iteration build
+    :class:`Arrival` / :class:`Departure` / :class:`Tick` objects on
+    demand.  A view compares equal to another view with equal columns
+    and to a list or tuple of the same event objects.
+    """
+
+    __slots__ = ("kind", "time", "demand")
+
+    def __init__(self, kind, time, demand) -> None:
+        self.kind = _frozen(kind, np.int8)
+        self.time = _frozen(time, np.float64)
+        self.demand = _frozen(demand, np.int64)
+        if not len(self.kind) == len(self.time) == len(self.demand):
+            raise ValueError(
+                f"event columns differ in length: kind {len(self.kind)}, "
+                f"time {len(self.time)}, demand {len(self.demand)}")
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, i):
+        """One event object for an integer; a view over the selected
+        rows for a slice, an index array or a boolean mask."""
+        if isinstance(i, (slice, np.ndarray)):
+            return EventView(self.kind[i], self.time[i], self.demand[i])
+        return _event(int(self.kind[i]), float(self.time[i]),
+                      int(self.demand[i]))
+
+    def __iter__(self):
+        return map(_event, self.kind.tolist(), self.time.tolist(),
+                   self.demand.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EventView):
+            return (np.array_equal(self.kind, other.kind)
+                    and np.array_equal(self.time, other.time)
+                    and np.array_equal(self.demand, other.demand))
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"EventView({len(self)} events)"
+
+
+def _columns_of(events) -> tuple[list, list, list, int | None]:
+    """``(kind, time, demand, bad)`` lists of event objects, stopping at
+    the first non-event (``bad`` is its index, else ``None``)."""
+    kind: list[int] = []
+    time: list[float] = []
+    demand: list[int] = []
+    for i, ev in enumerate(events):
+        k = _KIND_CODE.get(type(ev))
+        if k is None:
+            k = next((c for cls, c in _KIND_CODE.items()
+                      if isinstance(ev, cls)), None)
+            if k is None:
+                return kind, time, demand, i
+        kind.append(k)
+        time.append(ev.time)
+        demand.append(NO_DEMAND if k == TICK else ev.demand_id)
+    return kind, time, demand, None
+
+
+def _stream_error(events: EventView, m: int, *,
+                  complete: bool = True) -> ValueError | None:
+    """The error the event-at-a-time checks raise at the first
+    offending event of ``events`` (``None`` if every event passes):
+    time order, then known, once-only arrivals, then departures of
+    arrived demands, once each; with ``complete``, finally one arrival
+    per demand.  Computed in bulk."""
+    kind, time, demand = events.kind, events.time, events.demand
+    n = len(kind)
+    idx = np.arange(n, dtype=np.int64)
+    hits: list[tuple[int, int, ValueError]] = []
+
+    def hit(mask, rank, message) -> None:
+        if mask.any():
+            i = int(mask.argmax())
+            hits.append((i, rank, message(i)))
+
+    later = np.zeros(n, dtype=bool)
+    later[1:] = time[1:] < time[:-1]
+    hit(later, 0, lambda i: ValueError(
+        f"events out of order: {events[i]!r} after time "
+        f"{float(time[i - 1])}"))
+    known = (demand >= 0) & (demand < m)
+    d = np.where(known, demand, 0)
+    arrival = kind == ARRIVAL
+    hit(arrival & ~known, 1, lambda i: ValueError(
+        f"arrival of unknown demand {int(demand[i])}"))
+    # First arrival (event index) of every demand; n = never.
+    first = np.full(max(m, 1), n, dtype=np.int64)
+    arr_idx = np.flatnonzero(arrival & known)
+    arrived, pos = np.unique(demand[arr_idx], return_index=True)
+    first[arrived] = arr_idx[pos]
+    hit(arrival & known & (first[d] != idx), 1, lambda i: ValueError(
+        f"demand {int(demand[i])} arrives twice"))
+    departure = kind == DEPARTURE
+    early = departure & ~(known & (first[d] < idx))
+    hit(early, 1, lambda i: ValueError(
+        f"demand {int(demand[i])} departs before arriving"))
+    first_dep = np.full(max(m, 1), n, dtype=np.int64)
+    dep_idx = np.flatnonzero(departure & ~early)
+    departed, pos = np.unique(demand[dep_idx], return_index=True)
+    first_dep[departed] = dep_idx[pos]
+    hit(departure & ~early & (first_dep[d] != idx), 1, lambda i: ValueError(
+        f"demand {int(demand[i])} departs twice"))
+    if hits:
+        return min(hits, key=lambda h: h[:2])[2]
+    if complete and len(arrived) != m:
+        return ValueError(f"{m} demands in the problem but {len(arrived)} "
+                          "arrivals")
+    return None
+
+
 @dataclass
 class EventTrace:
     """A replayable stream of events over a frozen demand population.
@@ -85,47 +245,36 @@ class EventTrace:
         solving this problem offline yields the optimum over exactly the
         demands the stream carries.
     events:
-        :class:`Arrival` / :class:`Departure` / :class:`Tick` records,
-        sorted by time (arrivals precede equal-time departures).
+        The events, sorted by time (arrivals precede equal-time
+        departures): given as an :class:`EventView` or a sequence of
+        :class:`Arrival` / :class:`Departure` / :class:`Tick` objects,
+        and held as an :class:`EventView` either way.  The stream is
+        validated in bulk on construction; an error names the first
+        offending event.
     meta:
         Generator provenance (process, seed, rates, ...); free-form.
     """
 
     problem: TreeProblem | LineProblem
-    events: list
+    events: EventView
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         m = self.problem.num_demands
-        arrived: set[int] = set()
-        departed: set[int] = set()
-        prev = -math.inf
-        for ev in self.events:
-            if ev.time < prev:
-                raise ValueError(
-                    f"events out of order: {ev!r} after time {prev}"
-                )
-            prev = ev.time
-            if isinstance(ev, Arrival):
-                if not (0 <= ev.demand_id < m):
-                    raise ValueError(f"arrival of unknown demand {ev.demand_id}")
-                if ev.demand_id in arrived:
-                    raise ValueError(f"demand {ev.demand_id} arrives twice")
-                arrived.add(ev.demand_id)
-            elif isinstance(ev, Departure):
-                if ev.demand_id not in arrived:
-                    raise ValueError(
-                        f"demand {ev.demand_id} departs before arriving"
-                    )
-                if ev.demand_id in departed:
-                    raise ValueError(f"demand {ev.demand_id} departs twice")
-                departed.add(ev.demand_id)
-            elif not isinstance(ev, Tick):
-                raise TypeError(f"unknown event type {type(ev).__name__}")
-        if len(arrived) != m:
-            raise ValueError(
-                f"{m} demands in the problem but {len(arrived)} arrivals"
-            )
+        if not isinstance(self.events, EventView):
+            kind, time, demand, bad = _columns_of(self.events)
+            if bad is not None:
+                # Whatever the events before it break comes first.
+                error = _stream_error(EventView(kind, time, demand), m,
+                                      complete=False)
+                if error is not None:
+                    raise error
+                raise TypeError(
+                    f"unknown event type {type(self.events[bad]).__name__}")
+            self.events = EventView(kind, time, demand)
+        error = _stream_error(self.events, m)
+        if error is not None:
+            raise error
 
     # ------------------------------------------------------------------
 
@@ -140,12 +289,12 @@ class EventTrace:
     @property
     def num_departures(self) -> int:
         """Number of :class:`Departure` events."""
-        return sum(1 for ev in self.events if isinstance(ev, Departure))
+        return int(np.count_nonzero(self.events.kind == DEPARTURE))
 
     @property
     def horizon(self) -> float:
         """Time of the last event (0.0 for an empty trace)."""
-        return self.events[-1].time if self.events else 0.0
+        return float(self.events.time[-1]) if len(self.events) else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -294,14 +443,11 @@ def generate_trace(
         workload.setdefault("window_slack", 0.25)
         problem = random_line_problem(m=m, seed=wl_seed, **workload)
 
-    evs: list = []
-    for code, t, d in raw_events:
-        if code == 0:
-            evs.append(Arrival(t, d))
-        elif code == 1:
-            evs.append(Tick(t))
-        else:
-            evs.append(Departure(t, d))
+    # Schedule priorities (arrival, tick, departure) → kind codes.
+    code_of = (ARRIVAL, TICK, DEPARTURE)
+    evs = EventView([code_of[c] for c, _, _ in raw_events],
+                    [t for _, t, _ in raw_events],
+                    [d for _, _, d in raw_events])
     meta = {
         "kind": kind,
         "process": process,

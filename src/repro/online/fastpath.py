@@ -14,8 +14,10 @@ changing a single decision bit:
   every session over the same ledger — including the sharded boundary
   pass — reuses one build); candidates, routes, heights and profits
   are read from the index itself, never copied;
-* :class:`TraceArrays` — a columnar view of one event batch (kinds,
-  demand ids, per-event conflict footprints);
+* :class:`TraceArrays` — one event batch as columns (kinds, times,
+  demand ids, per-event conflict footprints), read straight off an
+  :class:`~repro.online.events.EventView` or columnarized from event
+  objects;
 * the batch kernels (:data:`BATCH_KERNELS`) — each split into an
   *evaluate* half, a gather/segment-reduce replica of the scalar
   decision path that computes every verdict of a window against the
@@ -81,7 +83,8 @@ import numpy as np
 
 from ..core.conflict import gather_rows
 from ..obs import tracing as _tracing
-from .events import Arrival, Departure, Tick
+from .events import (ARRIVAL, DEPARTURE, TICK, Arrival, Departure,
+                     EventView, Tick)
 from .state import _EPS
 
 __all__ = [
@@ -230,59 +233,69 @@ def geometry_of(ledger) -> DemandGeometry:
 # ----------------------------------------------------------------------
 
 
-_KIND_ARRIVAL = 0
-_KIND_DEPARTURE = 1
-_KIND_TICK = 2
+#: The kind code of anything that is not an Arrival/Departure/Tick.
 _KIND_OTHER = 3
 
 
 class TraceArrays:
-    """One event batch as columns: kinds, demand ids, footprints.
+    """One event batch as columns: kinds, times, demand ids, footprints.
 
-    ``batchable[i]`` is False for anything the kernels must not touch —
-    unknown event types, out-of-range demand ids, demands without
-    candidates — which the executor routes through the scalar
-    dispatcher one at a time (reproducing the scalar path's exact
-    behaviour, errors included).
+    ``events`` is the batch's list of event objects when it came as one
+    (the scalar dispatcher then applies those objects), ``None`` when it
+    came as an :class:`~repro.online.events.EventView`, whose columns
+    are used as they are.  ``batchable[i]`` is False for anything the
+    kernels must not touch — unknown event types, out-of-range demand
+    ids, demands without candidates — which the executor routes through
+    the scalar dispatcher one at a time (reproducing the scalar path's
+    exact behaviour, errors included).
     """
 
-    __slots__ = ("events", "kinds", "demand", "batchable",
+    __slots__ = ("events", "kinds", "times", "demand", "batchable",
                  "fp_indptr", "fp_edges", "fp_owner")
 
-    def __init__(self, events, kinds, demand, batchable,
+    def __init__(self, events, kinds, times, demand, batchable,
                  fp_indptr, fp_edges) -> None:
         self.events = events
         self.kinds = kinds
+        self.times = times
         self.demand = demand
         self.batchable = batchable
         self.fp_indptr = fp_indptr
         self.fp_edges = fp_edges
         #: The event each ``fp_edges`` entry belongs to (nondecreasing).
-        self.fp_owner = np.repeat(np.arange(len(events), dtype=np.int64),
+        self.fp_owner = np.repeat(np.arange(len(kinds), dtype=np.int64),
                                   np.diff(fp_indptr))
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.kinds)
 
     @classmethod
-    def from_events(cls, events: list, geom: DemandGeometry) -> "TraceArrays":
-        """Columnarize one batch against ``geom``'s footprint CSR."""
-        n = len(events)
-        D = geom.num_demands
+    def from_events(cls, events, geom: DemandGeometry) -> "TraceArrays":
+        """Columnarize one batch (an ``EventView`` or a list of event
+        objects) against ``geom``'s footprint CSR."""
+        if isinstance(events, EventView):
+            return cls._build(None, events.kind, events.time, events.demand,
+                              geom)
         # Exact-type dispatch (the event classes are final by
         # convention; subclasses would fall to _KIND_OTHER and the
         # scalar dispatcher, which handles anything).
-        kind_of = {Arrival: _KIND_ARRIVAL, Departure: _KIND_DEPARTURE,
-                   Tick: _KIND_TICK}.get
+        kind_of = {Arrival: ARRIVAL, Departure: DEPARTURE,
+                   Tick: TICK}.get
         kl = [kind_of(type(ev), _KIND_OTHER) for ev in events]
-        dl = [ev.demand_id if k <= _KIND_DEPARTURE else -1
+        dl = [ev.demand_id if k <= DEPARTURE else -1
               for k, ev in zip(kl, events)]
-        kinds = np.asarray(kl, dtype=np.int8)
-        demand = np.asarray(dl, dtype=np.int64)
+        return cls._build(events, np.asarray(kl, dtype=np.int8), None,
+                          np.asarray(dl, dtype=np.int64), geom)
+
+    @classmethod
+    def _build(cls, events, kinds: np.ndarray, times, demand: np.ndarray,
+               geom: DemandGeometry) -> "TraceArrays":
+        n = len(kinds)
+        D = geom.num_demands
         # Demand-carrying events with ids outside the population go
         # through the scalar dispatcher (which raises or no-ops exactly
         # as it always did).
-        batchable = (kinds == _KIND_TICK) | (
+        batchable = (kinds == TICK) | (
             (demand >= 0) & (demand < D)
         )
         has_demand = batchable & (demand >= 0)
@@ -292,7 +305,7 @@ class TraceArrays:
         cnt = np.zeros(n, dtype=np.int64)
         cnt[ok] = geom.fp_counts[demand[ok]]
         arrivals_no_cand = (
-            batchable & (kinds == _KIND_ARRIVAL) & has_demand
+            batchable & (kinds == ARRIVAL) & has_demand
         )
         arrivals_no_cand[arrivals_no_cand] = (
             geom.cand_indptr[demand[arrivals_no_cand] + 1]
@@ -305,7 +318,8 @@ class TraceArrays:
         np.cumsum(cnt, out=fp_indptr[1:])
         fp_edges, _ = gather_rows(geom.fp_indptr, geom.fp_edges,
                                   demand[cnt > 0])
-        return cls(events, kinds, demand, batchable, fp_indptr, fp_edges)
+        return cls(events, kinds, times, demand, batchable, fp_indptr,
+                   fp_edges)
 
 
 # ----------------------------------------------------------------------
@@ -739,9 +753,12 @@ class FastFeeder:
         self.window = MIN_WINDOW
 
     def feed(self, events) -> None:
-        """Apply a whole batch (the ``feed_many`` fast route)."""
-        evs = events if isinstance(events, list) else list(events)
-        if evs and self.session.closed:
+        """Apply a whole batch (the ``feed_many`` fast route): an
+        :class:`~repro.online.events.EventView`, read as columns, or
+        event objects."""
+        evs = (events if isinstance(events, (EventView, list))
+               else list(events))
+        if len(evs) and self.session.closed:
             raise RuntimeError("session is closed")
         for c0 in range(0, len(evs), CHUNK):
             chunk = evs[c0:c0 + CHUNK]
@@ -753,8 +770,8 @@ class FastFeeder:
         batchable arrival, plus event → arrival/departure prefix maps so
         each window's slice bounds are O(1) lookups."""
         n = len(ta)
-        barr = ta.batchable & (ta.kinds == _KIND_ARRIVAL)
-        bdep = ta.batchable & (ta.kinds == _KIND_DEPARTURE)
+        barr = ta.batchable & (ta.kinds == ARRIVAL)
+        bdep = ta.batchable & (ta.kinds == DEPARTURE)
         arr_ofs = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(barr, out=arr_ofs[1:])
         dep_ofs = np.zeros(n + 1, dtype=np.int64)
@@ -766,6 +783,16 @@ class FastFeeder:
         self._arr_ofs = arr_ofs.tolist()
         self._dep_ofs = dep_ofs.tolist()
         self._fp_indptr = ta.fp_indptr.tolist()
+        # The scalar dispatcher's entry for one chunk event: the event
+        # object itself, or its column values.
+        if ta.events is not None:
+            events, dispatch = ta.events, self.session._dispatch
+            self._scalar = lambda i: dispatch(events[i])
+        else:
+            kl, tl, dl = ta.kinds.tolist(), ta.times.tolist(), \
+                ta.demand.tolist()
+            decide = self.session._decide
+            self._scalar = lambda i: decide(kl[i], tl[i], dl[i])
 
     def _feed_chunk(self, ta: TraceArrays) -> None:
         session = self.session
@@ -781,7 +808,7 @@ class FastFeeder:
         while lo < n:
             if not bl[lo]:
                 stats["scalar_fallbacks"] += 1
-                session._dispatch(ta.events[lo])
+                self._scalar(lo)
                 lo += 1
                 continue
             hi = lo
@@ -792,9 +819,9 @@ class FastFeeder:
             if lo < hi:
                 stats["scalar_fallbacks"] += hi - lo
                 for i in range(lo, hi):
-                    session._dispatch(ta.events[i])
+                    self._scalar(i)
             lo = hi
-        self._ta = self._plan = None
+        self._ta = self._plan = self._scalar = None
         stats["discarded"] += acc.discarded
         if acc.runs:
             session.events += acc.events
@@ -899,7 +926,7 @@ class FastFeeder:
             n_adm = len(ledger.admission_log)
             n_ev = len(ledger.eviction_log)
             t1 = time.perf_counter()
-            session._dispatch(self._ta.events[q])
+            self._scalar(q)
             t_scalar += time.perf_counter() - t1
             if (len(ledger.admission_log) != n_adm
                     or len(ledger.eviction_log) != n_ev):

@@ -115,8 +115,12 @@ class AdmissionPolicy:
         return {"stats": dict(self.stats)}
 
     def restore_state(self, state: dict) -> None:
-        """Reset to an :meth:`export_state` snapshot; call after bind."""
-        self.stats = dict(state["stats"])
+        """Reset to an :meth:`export_state` snapshot; call after bind.
+
+        A counter the snapshot lacks (one added after it was written,
+        such as ``preempt_pruned``) keeps the value :meth:`bind` gave it.
+        """
+        self.stats = {**self.stats, **state["stats"]}
 
 
 class GreedyThreshold(AdmissionPolicy):
@@ -565,15 +569,6 @@ class _PreemptiveAdmission(AdmissionPolicy):
         self.stats["preempt_admits"] += 1
         ledger.admit(iid)
         return iid
-
-    def export_state(self) -> dict:
-        # preempt_pruned rides in the exported stats.
-        return super().export_state()
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        # Checkpoints written before the prune counter existed.
-        self.stats.setdefault("preempt_pruned", 0)
 
 
 class PreemptDensity(_PreemptiveAdmission):

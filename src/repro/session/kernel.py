@@ -56,7 +56,8 @@ from ..core.instance import LineProblem, TreeProblem
 from ..core.solution import Solution
 from ..obs import tracing as _tracing
 from ..obs.metrics import LOG_BUCKETS_US, Histogram
-from ..online.events import Arrival, Departure, Tick
+from ..online.events import (ARRIVAL, DEPARTURE, NO_DEMAND, TICK, Arrival,
+                             Departure, EventView, Tick)
 from ..online.metrics import ReplayMetrics
 from ..online.policies import AdmissionPolicy
 from ..online.state import CapacityLedger
@@ -345,13 +346,22 @@ class AdmissionSession:
 
         The batched hot path the replay drivers and the service's
         ``feed`` op use: one method call (and, upstream, one request
-        decode and one journal commit) amortized over the batch.
+        decode and one journal commit) amortized over the batch.  An
+        :class:`~repro.online.events.EventView` is decided from its
+        columns, without building event objects.
         """
         if self._fast is not None:
             # The columnar fast path: windows of events decided by the
             # policy's batch kernel, byte-identical to the scalar loop
             # below.
             self._fast.feed(events)
+            return
+        if isinstance(events, EventView):
+            decide = self._decide
+            for kind, time_, demand in zip(events.kind.tolist(),
+                                           events.time.tolist(),
+                                           events.demand.tolist()):
+                decide(kind, time_, demand)
             return
         dispatch = self._dispatch
         for event in events:
@@ -386,36 +396,50 @@ class AdmissionSession:
     def _dispatch(
         self, event: Arrival | Departure | Tick
     ) -> tuple[str, int | None, bool, float]:
-        """Apply one event; returns ``(kind, demand_id, accepted,
-        latency_s)`` and updates every accumulator."""
+        """Apply one event object (see :meth:`_decide`)."""
+        if isinstance(event, Arrival):
+            return self._decide(ARRIVAL, event.time, event.demand_id)
+        if isinstance(event, Departure):
+            return self._decide(DEPARTURE, event.time, event.demand_id)
+        if isinstance(event, Tick):
+            return self._decide(TICK, event.time, NO_DEMAND)
         if self.closed:
             raise RuntimeError("session is closed")
-        ledger = self.ledger
-        if isinstance(event, Arrival):
+        raise TypeError(f"unknown event type {type(event).__name__}")
+
+    def _decide(self, kind: int, time_: float,
+                demand_id: int) -> tuple[str, int | None, bool, float]:
+        """Apply one event given as its column values (``kind`` one of
+        the :mod:`~repro.online.events` kind codes; ``demand_id`` is
+        ignored for a tick); returns ``(kind name, demand_id or None for
+        a tick, accepted, latency_s)`` and updates every accumulator."""
+        if self.closed:
+            raise RuntimeError("session is closed")
+        if kind == ARRIVAL:
             self.arrivals += 1
             t0 = time.perf_counter()
-            iid = self.policy.on_arrival(event.demand_id)
+            iid = self.policy.on_arrival(demand_id)
             latency = time.perf_counter() - t0
-            kind, demand_id, accepted = "arrival", event.demand_id, iid is not None
-        elif isinstance(event, Departure):
+            name, accepted = "arrival", iid is not None
+        elif kind == DEPARTURE:
             self.departures += 1
             # The ledger's own bookkeeping is not policy work: release
             # before starting the clock, so the latency sample measures
             # only the policy's decision path.
-            if ledger.is_admitted(event.demand_id):
-                ledger.release(event.demand_id)
+            ledger = self.ledger
+            if ledger.is_admitted(demand_id):
+                ledger.release(demand_id)
             t0 = time.perf_counter()
-            self.policy.on_departure(event.demand_id)
+            self.policy.on_departure(demand_id)
             latency = time.perf_counter() - t0
-            kind, demand_id, accepted = "departure", event.demand_id, False
-        elif isinstance(event, Tick):
+            name, accepted = "departure", False
+        else:
             self.ticks += 1
             t0 = time.perf_counter()
-            self.policy.on_tick(event.time)
+            self.policy.on_tick(time_)
             latency = time.perf_counter() - t0
-            kind, demand_id, accepted = "tick", None, False
-        else:
-            raise TypeError(f"unknown event type {type(event).__name__}")
+            name, accepted = "tick", False
+        demand = None if kind == TICK else demand_id
         self.events += 1
         self.latency.observe(latency * 1e6)
         if _tracing.RECORDER.enabled:
@@ -423,9 +447,9 @@ class AdmissionSession:
             # timing calls on the decision path.
             _tracing.record_complete(
                 "session.decide", t0, latency,
-                {"kind": kind, "demand": demand_id, "accepted": accepted},
+                {"kind": name, "demand": demand, "accepted": accepted},
             )
-        return kind, demand_id, accepted, latency
+        return name, demand, accepted, latency
 
     # ------------------------------------------------------------------
     # Introspection

@@ -60,7 +60,7 @@ from ..core.instance import (
 )
 from ..decomposition.ideal import ideal_decomposition
 from ..network.tree import TreeNetwork
-from ..online.events import Arrival, Departure, EventTrace, Tick
+from ..online.events import NO_DEMAND, TICK, EventTrace, EventView
 
 __all__ = ["ShardPlan", "ShardPlanner", "SHARD_STRATEGIES"]
 
@@ -223,6 +223,7 @@ class ShardPlan:
     boundary_demands: list[int]
     _subproblems: dict = field(default_factory=dict, repr=False)
     _instance_maps: dict = field(default_factory=dict, repr=False)
+    _routing: tuple | None = field(default=None, repr=False)
 
     # -- classification ------------------------------------------------
 
@@ -277,33 +278,58 @@ class ShardPlan:
             )
         return self._subproblems[s]
 
+    def _demand_routing(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(shard, local id)`` columns over the demands: the owning
+        shard and the demand's rank in it, ``-1`` for a boundary
+        demand."""
+        if self._routing is None:
+            m = self.problem.num_demands
+            shard = np.full(m, -1, dtype=np.int64)
+            local = np.full(m, -1, dtype=np.int64)
+            for s, ids in enumerate(self.shard_demands):
+                rows = np.asarray(ids, dtype=np.int64)
+                shard[rows] = s
+                local[rows] = np.arange(len(rows), dtype=np.int64)
+            self._routing = (shard, local)
+        return self._routing
+
+    def _event_shards(self, events: EventView) -> np.ndarray:
+        """The shard of every event's demand (``-1`` for a boundary
+        demand; ticks read demand 0's and are masked by the callers)."""
+        shard, _ = self._demand_routing()
+        return shard[np.where(events.kind == TICK, 0, events.demand)]
+
+    def shard_stream(self, s: int, events: EventView) -> EventView:
+        """Shard ``s``'s part of ``events``: its local demands' arrivals
+        and departures (demand ids densified) plus every tick, in the
+        original order — selected on the columns."""
+        _, local = self._demand_routing()
+        tick = events.kind == TICK
+        keep = tick | (self._event_shards(events) == s)
+        demand = events.demand[keep]
+        return EventView(events.kind[keep], events.time[keep],
+                         np.where(tick[keep], NO_DEMAND,
+                                  local[np.maximum(demand, 0)]))
+
     def subtrace(self, s: int, trace: EventTrace) -> EventTrace:
-        """Shard ``s``'s event stream: local arrivals/departures (demand
-        ids densified) plus every tick, in the original time order."""
-        ids = self.shard_demands[s]
-        local = {d: i for i, d in enumerate(ids)}
-        events: list = []
-        for ev in trace.events:
-            if isinstance(ev, Tick):
-                events.append(ev)
-            elif ev.demand_id in local:
-                cls = Arrival if isinstance(ev, Arrival) else Departure
-                events.append(cls(ev.time, local[ev.demand_id]))
+        """Shard ``s``'s event stream (:meth:`shard_stream`) over its
+        subproblem."""
         meta = dict(trace.meta)
         meta.update({"shard": s, "shards": self.n_shards,
                      "shard_by": self.by})
-        return EventTrace(problem=self.subproblem(s), events=events,
+        return EventTrace(problem=self.subproblem(s),
+                          events=self.shard_stream(s, trace.events),
                           meta=meta)
 
-    def boundary_events(self, trace: EventTrace) -> list:
+    def boundary_events(self, trace: EventTrace) -> EventView:
         """The serialized stream: boundary arrivals/departures (global
         demand ids) plus every tick, in the original time order.  Empty
         when no demand crosses a cut."""
+        events = trace.events
         if not self.boundary_demands:
-            return []
-        boundary = set(self.boundary_demands)
-        return [ev for ev in trace.events
-                if isinstance(ev, Tick) or ev.demand_id in boundary]
+            return events[:0]
+        return events[(events.kind == TICK)
+                      | (self._event_shards(events) == -1)]
 
     # -- instance-id mapping -------------------------------------------
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..core.solution import Solution
 from ..obs import tracing as _tracing
-from ..online.events import Arrival, Departure, EventTrace, Tick
+from ..online.events import EventTrace
 from ..online.metrics import ReplayMetrics
 from ..online.policies import make_policy
 from ..online.state import CapacityLedger
@@ -89,38 +89,17 @@ class SharedGeometry:
 
 
 # ----------------------------------------------------------------------
-# Stream splitting: one pass over the trace
+# Stream splitting: column selections over the trace
 # ----------------------------------------------------------------------
 
 
 def _split_streams(plan, trace: EventTrace):
-    """Route the trace once into per-shard local streams (densified
-    ids) and the boundary stream (global ids).  Event-for-event
-    identical to ``plan.subtrace(s, trace)`` /
-    ``plan.boundary_events(trace)`` — asserted in the test suite."""
-    n = plan.n_shards
-    locals_of: dict[int, tuple[int, int]] = {}
-    for s, ids in enumerate(plan.shard_demands):
-        for k, d in enumerate(ids):
-            locals_of[d] = (s, k)
-    shard_events: list[list] = [[] for _ in range(n)]
-    boundary_events: list = []
-    has_boundary = bool(plan.boundary_demands)
-    for ev in trace.events:
-        if isinstance(ev, Tick):
-            for events in shard_events:
-                events.append(ev)
-            if has_boundary:
-                boundary_events.append(ev)
-        else:
-            info = locals_of.get(ev.demand_id)
-            if info is None:
-                boundary_events.append(ev)
-            else:
-                s, local = info
-                cls = Arrival if isinstance(ev, Arrival) else Departure
-                shard_events[s].append(cls(ev.time, local))
-    return shard_events, boundary_events
+    """Route the trace into per-shard local streams (densified ids) and
+    the boundary stream (global ids), as column views selected from the
+    trace's own columns: the streams of ``plan.subtrace(s, trace)`` and
+    ``plan.boundary_events(trace)``, without re-validating them."""
+    return ([plan.shard_stream(s, trace.events)
+             for s in range(plan.n_shards)], plan.boundary_events(trace))
 
 
 def _shard_meta(plan, trace: EventTrace, s: int) -> dict:

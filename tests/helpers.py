@@ -458,3 +458,39 @@ def reference_instances(problem) -> list:
                     network_id=q, start=s, end=e, profit=a.profit,
                     height=a.height))
     return out
+
+
+# ----------------------------------------------------------------------
+# Format-1 documents (the record layout format 2 replaced)
+# ----------------------------------------------------------------------
+
+
+def v1_problem_document(problem) -> dict:
+    """``problem`` as a format-1 document: one record per demand and
+    one access row per demand — what ``problem_to_dict`` wrote before
+    format 2, kept to feed the format-1 reader."""
+    from repro.core.instance import TreeProblem
+
+    if isinstance(problem, TreeProblem):
+        fields = ("u", "v", "profit", "height")
+        head = {"kind": "tree", "n": problem.n,
+                "networks": [sorted(net.edges) for net in problem.networks]}
+    else:
+        fields = ("release", "deadline", "proc_time", "profit", "height")
+        head = {"kind": "line", "n_slots": problem.n_slots,
+                "num_resources": problem.num_networks}
+    cols = [problem.columns[f].tolist() for f in fields]
+    return {"format": 1, **head,
+            "demands": [dict(zip(fields, vals)) for vals in zip(*cols)],
+            "access": [sorted(acc) for acc in problem.access]}
+
+
+def v1_trace_document(trace) -> dict:
+    """``trace`` as a format-1 document (one record per event, the
+    problem in format 1)."""
+    from repro.io import event_to_dict
+
+    return {"format": 1, "kind": "trace",
+            "problem": v1_problem_document(trace.problem),
+            "events": [event_to_dict(ev) for ev in trace.events],
+            "meta": dict(trace.meta)}

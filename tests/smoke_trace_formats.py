@@ -1,0 +1,78 @@
+"""CI smoke: one trace in both file formats through the ``repro`` CLI.
+
+1. re-save the committed format-1 corpus trace
+   ``tests/data/trace_poisson_tree.json`` as a format-2 (columnar) file;
+2. run ``repro replay <file> --policy dual-gated -o <report>`` on each
+   file in a fresh process;
+3. compare the decision fields of the two reports: the metrics minus
+   wall-clock timing, the policy stats and the trace provenance.
+
+Writes ``trace_formats_v1.json`` and ``trace_formats_v2.json`` (the two
+reports) to the working directory.  Exit code 0 iff the decisions
+match.
+
+Run from the repo root::
+
+    PYTHONPATH=src python tests/smoke_trace_formats.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+TRACE = os.path.join(HERE, "data", "trace_poisson_tree.json")
+POLICY = "dual-gated"
+
+
+def replay_report(trace_path: str, out: str) -> dict:
+    subprocess.run(
+        [sys.executable, "-m", "repro", "replay", trace_path,
+         "--policy", POLICY, "-o", out],
+        check=True, stdout=subprocess.DEVNULL)
+    with open(out) as fh:
+        return json.load(fh)
+
+
+def decisions(report: dict) -> dict:
+    from repro.online import deterministic_metrics
+
+    doc = deterministic_metrics(report)
+    return {"policy_stats": doc.pop("policy_stats"),
+            "trace_meta": doc.pop("trace_meta"), "metrics": doc}
+
+
+def main() -> int:
+    from repro.io import load_trace, save_trace
+
+    with open(TRACE) as fh:
+        if json.load(fh)["format"] != 1:
+            print(f"{TRACE} is expected to be a format-1 file")
+            return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        v2_path = os.path.join(tmp, "trace_v2.json")
+        save_trace(load_trace(TRACE), v2_path)
+        with open(v2_path) as fh:
+            assert json.load(fh)["format"] == 2
+        reports = {fmt: replay_report(path, f"trace_formats_{fmt}.json")
+                   for fmt, path in (("v1", TRACE), ("v2", v2_path))}
+    got = {fmt: decisions(r) for fmt, r in reports.items()}
+    if got["v1"] != got["v2"]:
+        print("format-1 and format-2 replays disagree:")
+        for key in got["v1"]:
+            if got["v1"][key] != got["v2"][key]:
+                print(f"  {key}: v1 {got['v1'][key]!r}\n"
+                      f"  {' ' * len(key)}  v2 {got['v2'][key]!r}")
+        return 1
+    m = got["v1"]["metrics"]
+    print(f"both formats: {m['events']} events, {m['accepted']} accepted, "
+          f"realized profit {m['realized_profit']!r}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,7 +32,7 @@ class TestGenerate:
     def test_tree_file_valid(self, tree_json):
         doc = json.load(open(tree_json))
         assert doc["kind"] == "tree"
-        assert len(doc["demands"]) == 10
+        assert len(doc["demands"]["u"]) == 10
 
     def test_line_file_valid(self, line_json):
         doc = json.load(open(line_json))

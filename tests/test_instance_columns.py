@@ -25,7 +25,7 @@ from repro.network.tree import TreeNetwork
 from repro.online import generate_trace
 from repro.workloads import random_line_problem, random_tree_problem
 
-from helpers import reference_instances
+from helpers import reference_instances, v1_trace_document
 
 PROBLEMS = {
     "line-multi-resource": lambda: random_line_problem(
@@ -164,9 +164,26 @@ def test_non_finite_profit_rejected_by_demands(profit):
 def test_load_trace_rejects_non_finite_profit(token, tmp_path):
     trace = generate_trace(kind="line", events=20, seed=1)
     path = tmp_path / "t.json"
-    save_trace(trace, str(path))
+    # The format-1 record layout; format 2 is checked below.
+    path.write_text(json.dumps(v1_trace_document(trace)))
     doc = json.loads(path.read_text())
     doc["problem"]["demands"][2]["profit"] = float(token.replace(
+        "Infinity", "inf"))
+    text = json.dumps(doc)
+    assert token in text
+    path.write_text(text)
+    with pytest.raises(ValueError, match="demand 2: profit must be finite"):
+        load_trace(str(path))
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_load_trace_v2_rejects_non_finite_profit(token, tmp_path):
+    trace = generate_trace(kind="line", events=20, seed=1)
+    path = tmp_path / "t.json"
+    save_trace(trace, str(path))
+    doc = json.loads(path.read_text())
+    assert doc["format"] == 2
+    doc["problem"]["demands"]["profit"][2] = float(token.replace(
         "Infinity", "inf"))
     text = json.dumps(doc)
     assert token in text

@@ -20,6 +20,8 @@ from repro.io import (
     trace_to_dict,
 )
 
+from helpers import v1_trace_document
+
 
 class TestProblemRoundTrip:
     @pytest.mark.parametrize("seed", range(3))
@@ -132,15 +134,35 @@ class TestTraceRoundTrip:
         assert back.problem.demands == tr.problem.demands
 
     def test_file_round_trip(self, tmp_path):
+        # A format-1 file (what save_trace wrote before format 2) still
+        # loads to the same events.
+        import json
+
+        tr = self._trace()
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(v1_trace_document(tr), indent=1))
+        back = load_trace(str(path))
+        assert back.events == tr.events
+
+        doc = json.load(open(path))
+        assert doc["format"] == 1 and doc["kind"] == "trace"
+
+    def test_save_writes_format_2_columns(self, tmp_path):
+        import json
+
         tr = self._trace()
         path = tmp_path / "trace.json"
         save_trace(tr, str(path))
         back = load_trace(str(path))
         assert back.events == tr.events
-        import json
-
         doc = json.load(open(path))
-        assert doc["format"] == 1 and doc["kind"] == "trace"
+        assert doc["format"] == 2 and doc["kind"] == "trace"
+        assert doc["problem"]["format"] == 2
+        assert set(doc["events"]) == {"kind", "time", "demand"}
+        assert len(doc["events"]["time"]) == len(tr.events)
+        # One line per column, however long.
+        lines = path.read_text().splitlines()
+        assert sum(line.lstrip().startswith('"time"') for line in lines) == 1
 
     def test_unknown_version_rejected(self):
         doc = trace_to_dict(self._trace())
@@ -155,16 +177,24 @@ class TestTraceRoundTrip:
             trace_from_dict(doc)
 
     def test_unknown_event_type_rejected(self):
-        doc = trace_to_dict(self._trace())
+        doc = v1_trace_document(self._trace())
         doc["events"][0] = {"type": "teleport", "time": 0.0}
         with pytest.raises(ValueError, match="unknown event type"):
             trace_from_dict(doc)
 
     def test_corrupted_stream_rejected(self):
         # The embedded EventTrace validation re-runs on load.
-        doc = trace_to_dict(self._trace())
+        doc = v1_trace_document(self._trace())
         arrivals = [e for e in doc["events"] if e["type"] == "arrival"]
         doc["events"].remove(arrivals[0])
+        with pytest.raises(ValueError):
+            trace_from_dict(doc)
+
+    def test_corrupted_columns_rejected(self):
+        doc = trace_to_dict(self._trace())
+        first = doc["events"]["kind"].index(0)
+        for col in doc["events"].values():
+            del col[first]
         with pytest.raises(ValueError):
             trace_from_dict(doc)
 

@@ -164,17 +164,63 @@ def test_unknown_shard_strategy_exits_2(capsys):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("content, reason", [
+def _v1_arrival_without_demand() -> str:
+    doc = json.loads(TRACE.read_text())  # the corpus file is format 1
+    del doc["events"][2]["demand"]
+    return json.dumps(doc)
+
+
+def _v2_column_length_mismatch() -> str:
+    from repro.io import load_trace, trace_to_dict
+
+    doc = trace_to_dict(load_trace(str(TRACE)))
+    del doc["events"]["time"][-1]
+    return json.dumps(doc)
+
+
+#: ``(file content or None for a missing file, the error's reason)``.
+BAD_TRACES = [
     (None, "No such file"),
     ("{not json", "Expecting property name"),
     ('{"format": 99}', "unsupported trace format version 99"),
-])
+    pytest.param("[]", "trace must be a JSON object, got list",
+                 id="json-array"),
+    pytest.param(_v1_arrival_without_demand(),
+                 r"events\[2\]: missing field 'demand'",
+                 id="v1-arrival-without-demand"),
+    pytest.param(_v2_column_length_mismatch(),
+                 "events: column lengths differ: kind 120, time 119, "
+                 "demand 120", id="v2-column-length-mismatch"),
+]
+
+
+@pytest.mark.parametrize("content, reason", BAD_TRACES)
 def test_serve_bad_trace_is_a_friendly_error(tmp_path, content, reason):
     path = tmp_path / "trace.json"
     if content is not None:
         path.write_text(content)
     with pytest.raises(SystemExit, match=f"^serve: .*{reason}"):
         main(["serve", "--trace", str(path)])
+
+
+@pytest.mark.parametrize("content, reason", BAD_TRACES)
+def test_replay_bad_trace_is_a_friendly_error(tmp_path, content, reason):
+    path = tmp_path / "trace.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit, match=f"^replay: .*{reason}"):
+        main(["replay", str(path)])
+
+
+@pytest.mark.parametrize("name", sorted(repro._SUBMODULES))
+def test_each_submodule_imports_alone(name):
+    """Every subpackage imports first in a fresh interpreter (no import
+    cycle that only another import order hides)."""
+    proc = subprocess.run([sys.executable, "-c", f"import repro.{name}"],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_resume_port_without_serve_is_a_usage_error(tmp_path, capsys,
