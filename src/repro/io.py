@@ -29,7 +29,7 @@ share one record model:
 * ``jsonl`` — one JSON document per line, human-readable (the PR-5
   format, still the default);
 * ``binary`` — a magic+version preamble followed by length-prefixed
-  records; events are struct-packed to 18 bytes instead of ~50 of
+  records; an event is a packed 18-byte record instead of ~50 bytes of
   JSON text.  The format is auto-detected on read, so readers never
   need to be told.
 
@@ -51,6 +51,7 @@ acknowledges to clients, as distinct from "accepted".
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -152,8 +153,13 @@ def _numbers(values: list, integer: bool, name) -> np.ndarray:
     allowed = (int,) if integer else (int, float)
     want = "an integer" if integer else "a finite number"
     if not set(map(type, values)) <= set(allowed):
-        i = next(i for i, x in enumerate(values) if type(x) not in allowed)
-        raise ValueError(f"{name(i)} must be {want}, got {values[i]!r}")
+        # NumPy scalars pass as in parse_demand_id / parse_event_time.
+        abc = numbers.Integral if integer else numbers.Real
+        for i, x in enumerate(values):
+            if isinstance(x, bool) or not isinstance(x, abc):
+                raise ValueError(f"{name(i)} must be {want}, got {x!r}")
+        values = [x if type(x) in allowed else int(x) if integer
+                  else float(x) for x in values]
     try:
         arr = np.array(values, dtype=np.int64 if integer else np.float64)
     except OverflowError:
@@ -343,35 +349,25 @@ def solution_from_dict(doc: dict, problem) -> Solution:
     return Solution(selected=selected, stats=dict(doc.get("stats", {})))
 
 
-_EVENT_TYPES: tuple | None = None
+@functools.cache
+def _events():
+    """:mod:`repro.online.events`, imported on first use (so reading a
+    problem or a solution does not load the online engine) and cached
+    (the codecs call this per batch or per event)."""
+    from .online import events
 
-
-def _event_types() -> tuple:
-    """``(Arrival, Departure, Tick)``, imported once on first use.
-
-    Lazy because the ``online`` package imports this module back: a
-    top-level import here would cycle through ``online/__init__`` while
-    ``repro.io`` is still half-initialized.  The codec hot paths call
-    this per event, so it must stay a cached-global lookup rather than
-    a per-call ``import``.
-    """
-    global _EVENT_TYPES
-    if _EVENT_TYPES is None:
-        from .online.events import Arrival, Departure, Tick
-
-        _EVENT_TYPES = (Arrival, Departure, Tick)
-    return _EVENT_TYPES
+    return events
 
 
 def event_to_dict(ev) -> dict:
     """Serialize one Arrival/Departure/Tick (the trace event schema)."""
-    Arrival, Departure, Tick = _event_types()
+    events = _events()
 
-    if isinstance(ev, Arrival):
+    if isinstance(ev, events.Arrival):
         return {"type": "arrival", "time": ev.time, "demand": ev.demand_id}
-    if isinstance(ev, Departure):
+    if isinstance(ev, events.Departure):
         return {"type": "departure", "time": ev.time, "demand": ev.demand_id}
-    if isinstance(ev, Tick):
+    if isinstance(ev, events.Tick):
         return {"type": "tick", "time": ev.time}
     raise TypeError(f"cannot serialize event {type(ev).__name__}")
 
@@ -379,14 +375,15 @@ def event_to_dict(ev) -> dict:
 def parse_demand_id(value) -> int:
     """A demand id read from outside the process, validated, not coerced.
 
-    Accepts an integer (NumPy integers included) and nothing else: a
-    bool, float or numeric string raises ``ValueError`` rather than
-    silently naming some other demand.
+    Accepts an integer (NumPy integers included) that an int64 column
+    holds and nothing else: a bool, float or numeric string raises
+    ``ValueError`` rather than silently naming some other demand.
     """
-    if type(value) is int:  # the common case, before the slower ABC test
-        return value
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
+    if type(value) is int or (isinstance(value, numbers.Integral)
+                              and not isinstance(value, bool)):
+        if -2**63 <= value < 2**63:
+            return int(value)
+        raise ValueError(f"demand {value} out of range")
     raise ValueError(f"demand must be an integer, got {value!r}")
 
 
@@ -402,23 +399,11 @@ def parse_event_time(value) -> float:
 
 
 def event_from_dict(rec: dict):
-    """Inverse of :func:`event_to_dict` (strict: see
-    :func:`parse_demand_id` and :func:`parse_event_time`; a missing
-    field raises ``ValueError``)."""
-    Arrival, Departure, Tick = _event_types()
-
-    if not isinstance(rec, dict):
-        raise ValueError(f"event record must be an object, got {rec!r}")
-    etype = rec.get("type")
-    if etype == "arrival":
-        return Arrival(parse_event_time(_field(rec, "time", "event")),
-                       parse_demand_id(_field(rec, "demand", "event")))
-    if etype == "departure":
-        return Departure(parse_event_time(_field(rec, "time", "event")),
-                         parse_demand_id(_field(rec, "demand", "event")))
-    if etype == "tick":
-        return Tick(parse_event_time(_field(rec, "time", "event")))
-    raise ValueError(f"unknown event type {etype!r}")
+    """Inverse of :func:`event_to_dict`: one record through the column
+    decoder :func:`_events_v1` (strict, as :func:`parse_demand_id` and
+    :func:`parse_event_time`; a malformed record raises ``ValueError``
+    naming the ``event``)."""
+    return _events().EventView(*_events_v1([rec], lambda i: "event"))[0]
 
 
 def trace_to_dict(trace) -> dict:
@@ -443,10 +428,10 @@ def trace_to_dict(trace) -> dict:
     }
 
 
-def _events_v1(records) -> tuple:
-    """Version-1 event records read straight into kind/time/demand
-    columns (no event objects); a malformed record raises
-    ``ValueError`` naming its index."""
+def _events_v1(records, label=lambda i: f"events[{i}]") -> tuple:
+    """Version-1 event records (a trace's, a ``feed`` request's, a
+    JSON-lines journal's) read straight into kind/time/demand columns;
+    a malformed record raises ``ValueError`` naming it ``label(i)``."""
     from .online.events import ARRIVAL, DEPARTURE, NO_DEMAND, TICK
 
     codes = {"arrival": ARRIVAL, "departure": DEPARTURE, "tick": TICK}
@@ -458,7 +443,7 @@ def _events_v1(records) -> tuple:
                   for k, r in zip(kind, records)]
     except (KeyError, TypeError, AttributeError):
         for i, rec in enumerate(records):
-            where = f"events[{i}]"
+            where = label(i)
             etype = _field(rec, "type", where)
             if not isinstance(etype, str) or etype not in codes:
                 raise ValueError(f"{where}: unknown event type {etype!r}")
@@ -466,28 +451,27 @@ def _events_v1(records) -> tuple:
             if etype != "tick":
                 _field(rec, "demand", where)
         raise
-    return (kind, _numbers(time_, False, lambda i: f"events[{i}]: time"),
-            _numbers(demand, True, lambda i: f"events[{i}]: demand"))
+    return (kind, _numbers(time_, False, lambda i: f"{label(i)}: time"),
+            _numbers(demand, True, lambda i: f"{label(i)}: demand"))
 
 
 def _events_v2(doc) -> tuple:
     """Version-2 event columns, type-checked in bulk."""
-    from .online.events import ARRIVAL, NO_DEMAND, TICK
-
+    ev = _events()
     cols = _column_table(doc, ("kind", "time", "demand"), "events")
     kind = _numbers(cols["kind"], True, lambda i: f"events.kind[{i}]")
-    bad = (kind < ARRIVAL) | (kind > TICK)
+    bad = (kind < ev.ARRIVAL) | (kind > ev.TICK)
     if bad.any():
         i = int(bad.argmax())
         raise ValueError(f"events.kind[{i}]: unknown event kind {kind[i]} "
                          "(want 0 arrival, 1 departure, 2 tick)")
     demand = _numbers(cols["demand"], True,
                       lambda i: f"events.demand[{i}]")
-    bad = (kind == TICK) & (demand != NO_DEMAND)
+    bad = (kind == ev.TICK) & (demand != ev.NO_DEMAND)
     if bad.any():
         i = int(bad.argmax())
         raise ValueError(f"events.demand[{i}]: a tick carries demand "
-                         f"{NO_DEMAND}, got {demand[i]}")
+                         f"{ev.NO_DEMAND}, got {demand[i]}")
     return (kind, _numbers(cols["time"], False,
                            lambda i: f"events.time[{i}]"), demand)
 
@@ -500,8 +484,6 @@ def trace_from_dict(doc: dict):
     by :class:`~repro.online.events.EventTrace`.  A malformed document
     raises ``ValueError`` naming the field (and index).
     """
-    from .online.events import EventTrace, EventView
-
     version = _field(doc, "format", "trace")
     if version not in (1, 2):
         raise ValueError(f"unsupported trace format version {version!r}")
@@ -513,8 +495,9 @@ def trace_from_dict(doc: dict):
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError("trace.meta must be a JSON object")
-    return EventTrace(problem=problem, events=EventView(*columns),
-                      meta=dict(meta))
+    ev = _events()
+    return ev.EventTrace(problem=problem, events=ev.EventView(*columns),
+                         meta=dict(meta))
 
 
 def _fsync_dir(directory: str) -> None:
@@ -629,10 +612,15 @@ _BINARY_PREAMBLE = _BINARY_MAGIC + bytes([JOURNAL_FORMAT_VERSION])
 #: Record-type bytes of the binary codec.
 _REC_HEADER, _REC_EVENT, _REC_CHECKPOINT = 0x48, 0x45, 0x43  # 'H','E','C'
 
-#: Struct-packed event payload: event-type byte, f64 time, u32 demand.
-_EVENT_STRUCT = struct.Struct("<BdI")
-_ETYPE_CODE = {"arrival": 1, "departure": 2, "tick": 3}
-_ETYPE_NAME = {v: k for k, v in _ETYPE_CODE.items()}
+#: A binary event payload: event-code byte (event kind + 1: 1 arrival,
+#: 2 departure, 3 tick), f64 time, u32 demand (:data:`_NO_DEMAND` on a
+#: tick); packed, little-endian.
+_EVENT_PAYLOAD = np.dtype([("code", "u1"), ("time", "<f8"),
+                           ("demand", "<u4")])
+#: A framed binary event record: length prefix, record type, payload.
+_EVENT_RECORD = np.dtype([("length", "<u4"), ("rtype", "u1"),
+                          *_EVENT_PAYLOAD.descr])
+_EVENT_BODY = 1 + _EVENT_PAYLOAD.itemsize
 _NO_DEMAND = 0xFFFFFFFF  # ticks carry no demand id
 
 #: Sanity bound on one framed record (the header embeds a whole trace
@@ -641,32 +629,46 @@ _MAX_RECORD_BYTES = 1 << 30
 
 _LEN_STRUCT = struct.Struct("<I")
 
-
-def _pack_event_binary(ev) -> bytes:
-    Arrival, Departure, Tick = _event_types()
-
-    if isinstance(ev, Arrival):
-        payload = _EVENT_STRUCT.pack(1, ev.time, ev.demand_id)
-    elif isinstance(ev, Departure):
-        payload = _EVENT_STRUCT.pack(2, ev.time, ev.demand_id)
-    elif isinstance(ev, Tick):
-        payload = _EVENT_STRUCT.pack(3, ev.time, _NO_DEMAND)
-    else:
-        raise TypeError(f"cannot serialize event {type(ev).__name__}")
-    return _frame_binary(_REC_EVENT, payload)
+#: A JSON-lines event record per kind code, as ``json.dumps`` with
+#: compact separators writes the trace event schema.
+_JSONL_EVENT = ('{"type":"arrival","time":%s,"demand":%d}\n',
+                '{"type":"departure","time":%s,"demand":%d}\n',
+                '{"type":"tick","time":%s}\n')
 
 
-def _unpack_event_binary(payload: bytes):
-    Arrival, Departure, Tick = _event_types()
+def _binary_event_records(events) -> list[bytes]:
+    """An :class:`~repro.online.events.EventView`'s framed binary event
+    records, cut from one structured buffer."""
+    kind, demand = events.kind, events.demand
+    ids = demand.tolist()
+    if ids and (min(ids) < 0 or max(ids) > _NO_DEMAND):
+        bad = (kind != _events().TICK) & ((demand < 0)
+                                          | (demand > _NO_DEMAND))
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"events[{i}]: demand {ids[i]} does not fit "
+                             "the binary journal codec")
+    rec = np.empty(len(kind), dtype=_EVENT_RECORD)
+    rec["length"] = _EVENT_BODY
+    rec["rtype"] = _REC_EVENT
+    rec["code"] = kind + 1
+    rec["time"] = events.time
+    rec["demand"] = demand  # a tick's NO_DEMAND (-1) wraps to _NO_DEMAND
+    blob, size = rec.tobytes(), _EVENT_RECORD.itemsize
+    return [blob[i:i + size] for i in range(0, len(blob), size)]
 
-    code, time_, demand = _EVENT_STRUCT.unpack(payload)
-    if code == 1:
-        return Arrival(time_, demand)
-    if code == 2:
-        return Departure(time_, demand)
-    if code == 3:
-        return Tick(time_)
-    raise ValueError(f"unknown binary event code {code}")
+
+def _jsonl_event_records(events) -> list[bytes]:
+    """An :class:`~repro.online.events.EventView`'s JSON-lines event
+    records, formatted from its columns."""
+    times = events.time
+    # ``json`` spells a float as its repr, and NaN/inf as it alone does.
+    spell = repr if np.isfinite(times).all() else json.dumps
+    tick = _events().TICK
+    return [(_JSONL_EVENT[k] % ((t,) if k == tick else (t, d))).encode()
+            for k, t, d in zip(events.kind.tolist(),
+                               map(spell, times.tolist()),
+                               events.demand.tolist())]
 
 
 def _frame_binary(rtype: int, payload: bytes) -> bytes:
@@ -687,7 +689,8 @@ class JournalWriter:
     ``header`` dict), so a journal alone rebuilds the session that
     wrote it.  Every further
     record is one event in the trace event schema, or a checkpoint (see
-    :meth:`checkpoint`).
+    :meth:`checkpoint`); events are encoded a batch at a time from
+    :class:`~repro.online.events.EventView` columns (:meth:`append_many`).
 
     Appended records **buffer in memory** and reach the file at the
     next *commit* — every ``sync_window`` events, whenever
@@ -759,10 +762,7 @@ class JournalWriter:
         if start_at is not None:
             if not exists:
                 raise ValueError(f"cannot resume missing journal {path!r}")
-            with open(path, "rb") as fh:
-                self.fmt = ("binary"
-                            if fh.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC
-                            else "jsonl")
+            self.fmt = _journal_format(path)
             with open(path, "r+b") as fh:
                 fh.truncate(start_at)
             self._fh = open(path, "ab")
@@ -795,25 +795,38 @@ class JournalWriter:
     # ------------------------------------------------------------------
 
     def append(self, event) -> int:
-        """Buffer one event (write-ahead: call *before* applying it).
+        """Buffer one event object (write-ahead: call *before* applying
+        it) — :meth:`append_many` of a one-event batch.  Returns its
+        sequence number."""
+        return self.append_many(_events().EventView.of((event,)))
 
-        Returns the event's sequence number; the record reaches the
-        file at the next commit (see :attr:`commit_seq`).
+    def append_many(self, events) -> int:
+        """Buffer the records of an :class:`~repro.online.events.
+        EventView`, encoded from its columns (write-ahead: call *before*
+        applying the events).
+
+        Commits fall where appending the events one at a time puts them:
+        after every ``sync_window``-th buffered event, and where the
+        ``sync_interval_ms`` clock, read at those points and at the end
+        of the batch, has run out.  Returns the last sequence number.
         """
-        if self.fmt == "binary":
-            self._pending.append(_pack_event_binary(event))
-        else:
-            self._pending.append(_json_record(event_to_dict(event)))
-        self.seq += 1
-        self._pending_events += 1
-        if self._oldest_pending is None and self.sync_interval_ms is not None:
-            self._oldest_pending = time.monotonic()
-        if self._pending_events >= self.sync_window or (
-            self.sync_interval_ms is not None
-            and (time.monotonic() - self._oldest_pending) * 1e3
-            >= self.sync_interval_ms
-        ):
-            self.commit()
+        records = (_binary_event_records if self.fmt == "binary"
+                   else _jsonl_event_records)(events)
+        done = 0
+        while done < len(records):
+            take = min(len(records) - done,
+                       self.sync_window - self._pending_events)
+            self._pending.append(b"".join(records[done:done + take]))
+            self._pending_events += take
+            self.seq += take
+            done += take
+            if self._oldest_pending is None and self.sync_interval_ms:
+                self._oldest_pending = time.monotonic()
+            if self._pending_events >= self.sync_window or (
+                    self.sync_interval_ms is not None
+                    and (time.monotonic() - self._oldest_pending) * 1e3
+                    >= self.sync_interval_ms):
+                self.commit()
         return self.seq
 
     def checkpoint(self, state: dict) -> None:
@@ -913,7 +926,7 @@ def _iter_jsonl_journal(path: str, fh) -> Iterator[tuple]:
         elif isinstance(rec, dict) and rec.get("kind") == "checkpoint":
             yield "checkpoint", rec.get("state") or {}, offset
         else:
-            yield "event", event_from_dict(rec), offset
+            yield "event", rec, offset
 
 
 def _iter_binary_journal(path: str, fh) -> Iterator[tuple]:
@@ -946,10 +959,13 @@ def _iter_binary_journal(path: str, fh) -> Iterator[tuple]:
             elif rtype == _REC_CHECKPOINT:
                 rec = ("checkpoint", json.loads(payload.decode("utf-8")))
             elif rtype == _REC_EVENT:
-                rec = ("event", _unpack_event_binary(payload))
+                # Checked here, decoded in bulk (_event_view).
+                if length != _EVENT_BODY or not 1 <= payload[0] <= 3:
+                    raise ValueError("bad event payload")
+                rec = ("event", payload)
             else:
                 raise ValueError(f"unknown record type {rtype:#x}")
-        except (ValueError, UnicodeDecodeError, struct.error):
+        except (ValueError, UnicodeDecodeError):
             # A complete record that fails to decode is corruption —
             # torn tails were already handled by the short reads above.
             raise ValueError(
@@ -975,6 +991,36 @@ def _check_journal_header(path: str, header) -> None:
         )
 
 
+def _journal_format(path: str) -> str:
+    """A journal's codec, detected from its first bytes."""
+    with open(path, "rb") as fh:
+        magic = fh.read(len(_BINARY_MAGIC))
+    return "binary" if magic == _BINARY_MAGIC else "jsonl"
+
+
+def _journal_records(path: str, fmt: str) -> Iterator[tuple]:
+    """:func:`iter_journal`'s records with each event still raw, for
+    :func:`_event_view`: its JSON value, or its checked payload."""
+    with open(path, "rb") as fh:
+        yield from (_iter_binary_journal if fmt == "binary"
+                    else _iter_jsonl_journal)(path, fh)
+
+
+def _event_view(path: str, fmt: str, raw: list):
+    """Raw event records of one journal decoded in bulk into one
+    :class:`~repro.online.events.EventView` (``ValueError`` if one is
+    malformed)."""
+    events = _events()
+    if fmt == "jsonl":
+        return events.EventView(*_events_v1(
+            raw, lambda i: f"corrupt journal {path!r}: an event record"))
+    rec = np.frombuffer(b"".join(raw), dtype=_EVENT_PAYLOAD)
+    kind = rec["code"].astype(np.int8) - 1
+    demand = np.where(kind == events.TICK, events.NO_DEMAND,
+                      rec["demand"].astype(np.int64))
+    return events.EventView(kind, rec["time"], demand)
+
+
 def iter_journal(path: str) -> Iterator[tuple]:
     """Stream an admission journal's records without materializing it.
 
@@ -991,13 +1037,11 @@ def iter_journal(path: str) -> Iterator[tuple]:
     behind — is silently dropped (the generator just ends);
     corruption anywhere else raises :class:`ValueError`.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_BINARY_MAGIC))
-        fh.seek(0)
-        if magic == _BINARY_MAGIC:
-            yield from _iter_binary_journal(path, fh)
-        else:
-            yield from _iter_jsonl_journal(path, fh)
+    fmt = _journal_format(path)
+    for kind, payload, offset in _journal_records(path, fmt):
+        if kind == "event":
+            payload = _event_view(path, fmt, [payload])[0]
+        yield kind, payload, offset
 
 
 def read_journal(path: str) -> tuple[dict, list, int]:
@@ -1022,33 +1066,32 @@ def read_journal(path: str) -> tuple[dict, list, int]:
     return header, events, good
 
 
-def scan_journal(path: str) -> tuple[dict, dict | None, list, int, str]:
+def scan_journal(path: str) -> tuple[dict, dict | None, Any, int, str]:
     """One streaming pass prepared for a warm restart.
 
-    Returns ``(header, checkpoint, tail_events, good_bytes, fmt)``:
+    Returns ``(header, checkpoint, tail, good_bytes, fmt)``:
     ``checkpoint`` is the *last* checkpoint state in the journal (or
-    ``None``), ``tail_events`` are only the events recorded **after**
-    it (the whole event list when there is no checkpoint), and ``fmt``
-    is the detected codec.  Memory stays proportional to the
-    post-checkpoint tail, not the journal length — the point of
-    snapshot compaction.
+    ``None``), ``tail`` is one :class:`~repro.online.events.EventView`
+    of only the events recorded **after** it (all of them when there is
+    no checkpoint), decoded in bulk, and ``fmt`` is the detected codec.
+    Memory stays proportional to the post-checkpoint tail, not the
+    journal length — the point of snapshot compaction.
     """
-    with open(path, "rb") as fh:
-        fmt = ("binary" if fh.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC
-               else "jsonl")
+    fmt = _journal_format(path)
     header: dict | None = None
     checkpoint: dict | None = None
-    tail: list = []
+    raw: list = []
     good = 0
-    for kind, payload, offset in iter_journal(path):
+    for kind, payload, offset in _journal_records(path, fmt):
         good = offset
         if kind == "header":
             header = payload
         elif kind == "checkpoint":
+            _event_view(path, fmt, raw)  # checked, then dropped
             checkpoint = payload
-            tail = []
+            raw = []
         else:
-            tail.append(payload)
+            raw.append(payload)
     if header is None:
         raise ValueError(f"journal {path!r} has no header")
-    return header, checkpoint, tail, good, fmt
+    return header, checkpoint, _event_view(path, fmt, raw), good, fmt

@@ -40,6 +40,7 @@ __all__ = [
     "Tick",
     "EventTrace",
     "EventView",
+    "lifecycle_error",
     "ARRIVAL",
     "DEPARTURE",
     "TICK",
@@ -130,6 +131,26 @@ class EventView(Sequence):
                 f"event columns differ in length: kind {len(self.kind)}, "
                 f"time {len(self.time)}, demand {len(self.demand)}")
 
+    @classmethod
+    def of(cls, events) -> "EventView":
+        """``events`` as a view: a view as it is, a sequence of event
+        objects converted once; anything else in the sequence raises
+        ``TypeError`` naming its index, before any column is built."""
+        if isinstance(events, EventView):
+            return events
+        kind: list[int] = []
+        time: list[float] = []
+        demand: list[int] = []
+        for i, ev in enumerate(events):
+            k = _KIND_CODE.get(type(ev))  # the event classes are final
+            if k is None:
+                raise TypeError(f"events[{i}]: unknown event type "
+                                f"{type(ev).__name__}")
+            kind.append(k)
+            time.append(ev.time)
+            demand.append(NO_DEMAND if k == TICK else ev.demand_id)
+        return cls(kind, time, demand)
+
     def __len__(self) -> int:
         return len(self.kind)
 
@@ -138,8 +159,8 @@ class EventView(Sequence):
         rows for a slice, an index array or a boolean mask."""
         if isinstance(i, (slice, np.ndarray)):
             return EventView(self.kind[i], self.time[i], self.demand[i])
-        return _event(int(self.kind[i]), float(self.time[i]),
-                      int(self.demand[i]))
+        return _event(self.kind.item(i), self.time.item(i),
+                      self.demand.item(i))
 
     def __iter__(self):
         return map(_event, self.kind.tolist(), self.time.tolist(),
@@ -161,74 +182,44 @@ class EventView(Sequence):
         return f"EventView({len(self)} events)"
 
 
-def _columns_of(events) -> tuple[list, list, list, int | None]:
-    """``(kind, time, demand, bad)`` lists of event objects, stopping at
-    the first non-event (``bad`` is its index, else ``None``)."""
-    kind: list[int] = []
-    time: list[float] = []
-    demand: list[int] = []
-    for i, ev in enumerate(events):
-        k = _KIND_CODE.get(type(ev))
-        if k is None:
-            k = next((c for cls, c in _KIND_CODE.items()
-                      if isinstance(ev, cls)), None)
-            if k is None:
-                return kind, time, demand, i
-        kind.append(k)
-        time.append(ev.time)
-        demand.append(NO_DEMAND if k == TICK else ev.demand_id)
-    return kind, time, demand, None
+#: How a trace words each :func:`lifecycle_error` rule but an arrival's
+#: ``"unknown"`` (a departure of an unknown demand never arrived).
+_TRACE_ERRORS = {"unknown": "demand {d} departs before arriving",
+                 "arrived": "demand {d} arrives twice",
+                 "early": "demand {d} departs before arriving",
+                 "departed": "demand {d} departs twice"}
 
 
-def _stream_error(events: EventView, m: int, *,
-                  complete: bool = True) -> ValueError | None:
-    """The error the event-at-a-time checks raise at the first
-    offending event of ``events`` (``None`` if every event passes):
-    time order, then known, once-only arrivals, then departures of
-    arrived demands, once each; with ``complete``, finally one arrival
-    per demand.  Computed in bulk."""
-    kind, time, demand = events.kind, events.time, events.demand
-    n = len(kind)
-    idx = np.arange(n, dtype=np.int64)
-    hits: list[tuple[int, int, ValueError]] = []
+def lifecycle_error(events: EventView, m: int, arrived=frozenset(),
+                    departed=frozenset()) -> tuple[int, str] | None:
+    """The first event of ``events`` that breaks a demand's lifecycle,
+    given the demands that ``arrived`` / ``departed`` before the batch:
+    ``(index, rule)``, or ``None`` when every event passes.
 
-    def hit(mask, rank, message) -> None:
-        if mask.any():
-            i = int(mask.argmax())
-            hits.append((i, rank, message(i)))
-
-    later = np.zeros(n, dtype=bool)
-    later[1:] = time[1:] < time[:-1]
-    hit(later, 0, lambda i: ValueError(
-        f"events out of order: {events[i]!r} after time "
-        f"{float(time[i - 1])}"))
-    known = (demand >= 0) & (demand < m)
-    d = np.where(known, demand, 0)
-    arrival = kind == ARRIVAL
-    hit(arrival & ~known, 1, lambda i: ValueError(
-        f"arrival of unknown demand {int(demand[i])}"))
-    # First arrival (event index) of every demand; n = never.
-    first = np.full(max(m, 1), n, dtype=np.int64)
-    arr_idx = np.flatnonzero(arrival & known)
-    arrived, pos = np.unique(demand[arr_idx], return_index=True)
-    first[arrived] = arr_idx[pos]
-    hit(arrival & known & (first[d] != idx), 1, lambda i: ValueError(
-        f"demand {int(demand[i])} arrives twice"))
-    departure = kind == DEPARTURE
-    early = departure & ~(known & (first[d] < idx))
-    hit(early, 1, lambda i: ValueError(
-        f"demand {int(demand[i])} departs before arriving"))
-    first_dep = np.full(max(m, 1), n, dtype=np.int64)
-    dep_idx = np.flatnonzero(departure & ~early)
-    departed, pos = np.unique(demand[dep_idx], return_index=True)
-    first_dep[departed] = dep_idx[pos]
-    hit(departure & ~early & (first_dep[d] != idx), 1, lambda i: ValueError(
-        f"demand {int(demand[i])} departs twice"))
-    if hits:
-        return min(hits, key=lambda h: h[:2])[2]
-    if complete and len(arrived) != m:
-        return ValueError(f"{m} demands in the problem but {len(arrived)} "
-                          "arrivals")
+    The rules, in the order one event is checked: ``"unknown"`` (a
+    demand outside ``0 .. m-1``), ``"arrived"`` (a second arrival),
+    ``"early"`` (a departure before the demand's arrival) and
+    ``"departed"`` (a second departure); ticks pass.  O(batch) set
+    lookups, never a per-demand mask.
+    """
+    seen_arr: set[int] = set()
+    seen_dep: set[int] = set()
+    for i, (k, d) in enumerate(zip(events.kind.tolist(),
+                                   events.demand.tolist())):
+        if k == TICK:
+            continue
+        if not 0 <= d < m:
+            return i, "unknown"
+        if k == ARRIVAL:
+            if d in arrived or d in seen_arr:
+                return i, "arrived"
+            seen_arr.add(d)
+        else:
+            if d not in arrived and d not in seen_arr:
+                return i, "early"
+            if d in departed or d in seen_dep:
+                return i, "departed"
+            seen_dep.add(d)
     return None
 
 
@@ -247,10 +238,10 @@ class EventTrace:
     events:
         The events, sorted by time (arrivals precede equal-time
         departures): given as an :class:`EventView` or a sequence of
-        :class:`Arrival` / :class:`Departure` / :class:`Tick` objects,
-        and held as an :class:`EventView` either way.  The stream is
-        validated in bulk on construction; an error names the first
-        offending event.
+        :class:`Arrival` / :class:`Departure` / :class:`Tick` objects
+        (converted once by :meth:`EventView.of`), and held as an
+        :class:`EventView` either way.  The stream is validated in bulk
+        on construction; an error names the first offending event.
     meta:
         Generator provenance (process, seed, rates, ...); free-form.
     """
@@ -260,21 +251,28 @@ class EventTrace:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self.events = events = EventView.of(self.events)
         m = self.problem.num_demands
-        if not isinstance(self.events, EventView):
-            kind, time, demand, bad = _columns_of(self.events)
-            if bad is not None:
-                # Whatever the events before it break comes first.
-                error = _stream_error(EventView(kind, time, demand), m,
-                                      complete=False)
-                if error is not None:
-                    raise error
-                raise TypeError(
-                    f"unknown event type {type(self.events[bad]).__name__}")
-            self.events = EventView(kind, time, demand)
-        error = _stream_error(self.events, m)
-        if error is not None:
-            raise error
+        # The first offending event breaks time order or a lifecycle
+        # rule (time order first at one event); then every demand must
+        # have arrived.
+        time = events.time
+        later = np.flatnonzero(time[1:] < time[:-1])
+        order = int(later[0]) + 1 if len(later) else len(events)
+        hit = lifecycle_error(events, m)
+        if hit is not None and hit[0] < order:
+            i, rule = hit
+            d = int(events.demand[i])
+            if rule == "unknown" and events.kind[i] == ARRIVAL:
+                raise ValueError(f"arrival of unknown demand {d}")
+            raise ValueError(_TRACE_ERRORS[rule].format(d=d))
+        if order < len(events):
+            raise ValueError(f"events out of order: {events[order]!r} after "
+                             f"time {float(time[order - 1])}")
+        arrivals = int(np.count_nonzero(events.kind == ARRIVAL))
+        if arrivals != m:
+            raise ValueError(f"{m} demands in the problem but {arrivals} "
+                             "arrivals")
 
     # ------------------------------------------------------------------
 

@@ -16,8 +16,7 @@ changing a single decision bit:
   are read from the index itself, never copied;
 * :class:`TraceArrays` — one event batch as columns (kinds, times,
   demand ids, per-event conflict footprints), read straight off an
-  :class:`~repro.online.events.EventView` or columnarized from event
-  objects;
+  :class:`~repro.online.events.EventView`;
 * the batch kernels (:data:`BATCH_KERNELS`) — each split into an
   *evaluate* half, a gather/segment-reduce replica of the scalar
   decision path that computes every verdict of a window against the
@@ -83,8 +82,7 @@ import numpy as np
 
 from ..core.conflict import gather_rows
 from ..obs import tracing as _tracing
-from .events import (ARRIVAL, DEPARTURE, TICK, Arrival, Departure,
-                     EventView, Tick)
+from .events import ARRIVAL, DEPARTURE, TICK, EventView
 from .state import _EPS
 
 __all__ = [
@@ -233,29 +231,22 @@ def geometry_of(ledger) -> DemandGeometry:
 # ----------------------------------------------------------------------
 
 
-#: The kind code of anything that is not an Arrival/Departure/Tick.
-_KIND_OTHER = 3
-
-
 class TraceArrays:
     """One event batch as columns: kinds, times, demand ids, footprints.
 
-    ``events`` is the batch's list of event objects when it came as one
-    (the scalar dispatcher then applies those objects), ``None`` when it
-    came as an :class:`~repro.online.events.EventView`, whose columns
-    are used as they are.  ``batchable[i]`` is False for anything the
-    kernels must not touch — unknown event types, out-of-range demand
-    ids, demands without candidates — which the executor routes through
-    the scalar dispatcher one at a time (reproducing the scalar path's
-    exact behaviour, errors included).
+    The columns are an :class:`~repro.online.events.EventView`'s, used
+    as they are.  ``batchable[i]`` is False for anything the kernels
+    must not touch — out-of-range demand ids, demands without
+    candidates — which the executor routes through the session's scalar
+    decision one at a time (reproducing the scalar path's exact
+    behaviour, errors included).
     """
 
-    __slots__ = ("events", "kinds", "times", "demand", "batchable",
-                 "fp_indptr", "fp_edges", "fp_owner")
+    __slots__ = ("kinds", "times", "demand", "batchable", "fp_indptr",
+                 "fp_edges", "fp_owner")
 
-    def __init__(self, events, kinds, times, demand, batchable,
-                 fp_indptr, fp_edges) -> None:
-        self.events = events
+    def __init__(self, kinds, times, demand, batchable, fp_indptr,
+                 fp_edges) -> None:
         self.kinds = kinds
         self.times = times
         self.demand = demand
@@ -270,30 +261,14 @@ class TraceArrays:
         return len(self.kinds)
 
     @classmethod
-    def from_events(cls, events, geom: DemandGeometry) -> "TraceArrays":
-        """Columnarize one batch (an ``EventView`` or a list of event
-        objects) against ``geom``'s footprint CSR."""
-        if isinstance(events, EventView):
-            return cls._build(None, events.kind, events.time, events.demand,
-                              geom)
-        # Exact-type dispatch (the event classes are final by
-        # convention; subclasses would fall to _KIND_OTHER and the
-        # scalar dispatcher, which handles anything).
-        kind_of = {Arrival: ARRIVAL, Departure: DEPARTURE,
-                   Tick: TICK}.get
-        kl = [kind_of(type(ev), _KIND_OTHER) for ev in events]
-        dl = [ev.demand_id if k <= DEPARTURE else -1
-              for k, ev in zip(kl, events)]
-        return cls._build(events, np.asarray(kl, dtype=np.int8), None,
-                          np.asarray(dl, dtype=np.int64), geom)
-
-    @classmethod
-    def _build(cls, events, kinds: np.ndarray, times, demand: np.ndarray,
-               geom: DemandGeometry) -> "TraceArrays":
+    def from_events(cls, events: EventView,
+                    geom: DemandGeometry) -> "TraceArrays":
+        """One view's columns, with footprints from ``geom``'s CSR."""
+        kinds, demand = events.kind, events.demand
         n = len(kinds)
         D = geom.num_demands
         # Demand-carrying events with ids outside the population go
-        # through the scalar dispatcher (which raises or no-ops exactly
+        # through the scalar decision (which raises or no-ops exactly
         # as it always did).
         batchable = (kinds == TICK) | (
             (demand >= 0) & (demand < D)
@@ -318,7 +293,7 @@ class TraceArrays:
         np.cumsum(cnt, out=fp_indptr[1:])
         fp_edges, _ = gather_rows(geom.fp_indptr, geom.fp_edges,
                                   demand[cnt > 0])
-        return cls(events, kinds, times, demand, batchable, fp_indptr,
+        return cls(kinds, events.time, demand, batchable, fp_indptr,
                    fp_edges)
 
 
@@ -752,17 +727,13 @@ class FastFeeder:
             dtype=np.int64)
         self.window = MIN_WINDOW
 
-    def feed(self, events) -> None:
-        """Apply a whole batch (the ``feed_many`` fast route): an
-        :class:`~repro.online.events.EventView`, read as columns, or
-        event objects."""
-        evs = (events if isinstance(events, (EventView, list))
-               else list(events))
-        if len(evs) and self.session.closed:
+    def feed(self, events: EventView) -> None:
+        """Apply a whole batch (the ``feed_many`` fast route), read as
+        the view's columns one :data:`CHUNK` at a time."""
+        if len(events) and self.session.closed:
             raise RuntimeError("session is closed")
-        for c0 in range(0, len(evs), CHUNK):
-            chunk = evs[c0:c0 + CHUNK]
-            ta = TraceArrays.from_events(chunk, self.geom)
+        for c0 in range(0, len(events), CHUNK):
+            ta = TraceArrays.from_events(events[c0:c0 + CHUNK], self.geom)
             self._feed_chunk(ta)
 
     def _load_chunk(self, ta: TraceArrays) -> None:
@@ -783,16 +754,10 @@ class FastFeeder:
         self._arr_ofs = arr_ofs.tolist()
         self._dep_ofs = dep_ofs.tolist()
         self._fp_indptr = ta.fp_indptr.tolist()
-        # The scalar dispatcher's entry for one chunk event: the event
-        # object itself, or its column values.
-        if ta.events is not None:
-            events, dispatch = ta.events, self.session._dispatch
-            self._scalar = lambda i: dispatch(events[i])
-        else:
-            kl, tl, dl = ta.kinds.tolist(), ta.times.tolist(), \
-                ta.demand.tolist()
-            decide = self.session._decide
-            self._scalar = lambda i: decide(kl[i], tl[i], dl[i])
+        # The scalar decision of one chunk event, from its column values.
+        kl, tl, dl = ta.kinds.tolist(), ta.times.tolist(), ta.demand.tolist()
+        decide = self.session._decide
+        self._scalar = lambda i: decide(kl[i], tl[i], dl[i])
 
     def _feed_chunk(self, ta: TraceArrays) -> None:
         session = self.session
@@ -800,48 +765,50 @@ class FastFeeder:
         n = len(ta)
         self._load_chunk(ta)
         bl = ta.batchable.tolist()
-        # Counter updates accumulate locally and flush once per chunk
-        # (the scalar dispatcher keeps updating the session directly,
-        # so totals come out identical either way).
+        # Counter updates accumulate locally and flush once per chunk,
+        # also when a scalar decision raises (those update the session
+        # directly, so totals come out identical either way).
         self._acc = acc = _ChunkCounts()
-        lo = 0
-        while lo < n:
-            if not bl[lo]:
-                stats["scalar_fallbacks"] += 1
-                self._scalar(lo)
-                lo += 1
-                continue
-            hi = lo
-            while hi < n and bl[hi]:
-                hi += 1
-            while hi - lo >= MIN_VECTOR_RUN:
-                lo = self._window(lo, min(hi, lo + self.window))
-            if lo < hi:
-                stats["scalar_fallbacks"] += hi - lo
-                for i in range(lo, hi):
-                    self._scalar(i)
-            lo = hi
-        self._ta = self._plan = self._scalar = None
-        stats["discarded"] += acc.discarded
-        if acc.runs:
-            session.events += acc.events
-            session.arrivals += acc.arrivals
-            session.departures += acc.departures
-            session.ticks += acc.events - acc.arrivals - acc.departures
-            stats["runs"] += acc.runs
-            stats["batched_events"] += acc.events
-            # One aggregated span per chunk, not one per window:
-            # per-window spans cost ~2µs each, a measurable slice of
-            # the hot path (the obs-overhead gate caught it).  ``dur``
-            # sums only the windows' own time, so scalar decisions
-            # (fallbacks and hard events) stay out.
-            if _tracing.RECORDER.enabled:
-                _tracing.record_complete(
-                    "session.batch_decide", acc.t_first, acc.dur,
-                    {"events": acc.events, "arrivals": acc.arrivals,
-                     "departures": acc.departures,
-                     "admitted": acc.admitted, "runs": acc.runs},
-                )
+        try:
+            lo = 0
+            while lo < n:
+                if not bl[lo]:
+                    stats["scalar_fallbacks"] += 1
+                    self._scalar(lo)
+                    lo += 1
+                    continue
+                hi = lo
+                while hi < n and bl[hi]:
+                    hi += 1
+                while hi - lo >= MIN_VECTOR_RUN:
+                    lo = self._window(lo, min(hi, lo + self.window))
+                if lo < hi:
+                    stats["scalar_fallbacks"] += hi - lo
+                    for i in range(lo, hi):
+                        self._scalar(i)
+                lo = hi
+        finally:
+            self._ta = self._plan = self._scalar = None
+            stats["discarded"] += acc.discarded
+            if acc.runs:
+                session.events += acc.events
+                session.arrivals += acc.arrivals
+                session.departures += acc.departures
+                session.ticks += acc.events - acc.arrivals - acc.departures
+                stats["runs"] += acc.runs
+                stats["batched_events"] += acc.events
+                # One aggregated span per chunk, not one per window:
+                # per-window spans cost ~2µs each, a measurable slice of
+                # the hot path (the obs-overhead gate caught it).
+                # ``dur`` sums only the windows' own time, so scalar
+                # decisions (fallbacks and hard events) stay out.
+                if _tracing.RECORDER.enabled:
+                    _tracing.record_complete(
+                        "session.batch_decide", acc.t_first, acc.dur,
+                        {"events": acc.events, "arrivals": acc.arrivals,
+                         "departures": acc.departures,
+                         "admitted": acc.admitted, "runs": acc.runs},
+                    )
 
     def _segment(self, lo: int, b: int) -> _Segment:
         """Evaluate events ``[lo, b)`` of the loaded chunk against the

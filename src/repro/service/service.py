@@ -12,9 +12,10 @@ a trace produces metrics identical to an uninterrupted run (timing
 fields aside; replay decisions are deterministic).
 
 Every event — a request, a ``feed`` batch, a journal tail on restart,
-the rest of the trace — enters through one routine that validates the
-batch in O(batch), journals it, then applies it; a rejected batch
-changes nothing.
+the rest of the trace — enters as :class:`~repro.online.events.
+EventView` columns through one routine that validates the batch in
+O(batch), journals it, then applies it; a rejected batch changes
+nothing.
 
 Request/response API (JSON-safe dicts, see :meth:`AdmissionService.
 handle`):
@@ -69,8 +70,8 @@ import numpy as np
 
 from ..io import (
     JournalWriter,
+    _events_v1,
     _fsync_dir,
-    event_from_dict,
     parse_demand_id,
     parse_event_time,
     scan_journal,
@@ -81,7 +82,8 @@ from ..io import (
 from ..obs import tracing as _tracing
 from ..obs.explain import explain_demand
 from ..obs.metrics import MetricsRegistry
-from ..online.events import Arrival, Departure, EventTrace, Tick
+from ..online.events import (ARRIVAL, DEPARTURE, NO_DEMAND, TICK,
+                              EventTrace, EventView, lifecycle_error)
 from ..online.policies import make_policy
 from ..session.kernel import (AdmissionSession, Decision, ReplayResult,
                               certificate_of)
@@ -95,6 +97,16 @@ __all__ = ["AdmissionService"]
 #: keys in sorted order.  Checkpoints without the field number edges in
 #: first-appearance order over the instances' route sets.
 EDGE_ORDER = "key"
+
+#: Events per :meth:`AdmissionService._intake` call of ``run_remaining``.
+REMAINING_BATCH = 256
+
+#: How the service words each :func:`~repro.online.events.lifecycle_error`
+#: rule (``d`` the offending event's demand, ``m`` the population).
+_INTAKE_ERRORS = {"unknown": "unknown demand {d} (population has {m})",
+                  "arrived": "demand {d} already arrived",
+                  "early": "demand {d} departs before arriving",
+                  "departed": "demand {d} already departed"}
 
 
 def _legacy_edge_ids(ledger) -> np.ndarray:
@@ -188,11 +200,11 @@ class AdmissionService:
             trace_meta=trace.meta)
         #: Events applied so far (== journal event count when journaling).
         self.position = 0
-        # Stream-validity bookkeeping, mirroring EventTrace's invariants:
-        # requests come from outside the process, so the service (not the
-        # kernel) is the layer that must reject duplicate arrivals and
-        # departures of absent demands with an error *response* instead
-        # of a half-applied event.
+        # Stream-validity bookkeeping for lifecycle_error, the rules
+        # EventTrace checks too: requests come from outside the process,
+        # so the service (not the kernel) is the layer that must reject
+        # duplicate arrivals and departures of absent demands with an
+        # error *response* instead of a half-applied event.
         self._arrived: set[int] = set()
         self._departed: set[int] = set()
         self._last_time = 0.0
@@ -232,76 +244,59 @@ class AdmissionService:
     # Event intake
     # ------------------------------------------------------------------
 
-    def _intake(self, events, *, decide: bool = False) -> Decision | None:
-        """The one way events enter the session: validate the batch
-        (live sets plus a batch-local overlay, so a bad record rejects it
-        whole), journal it, apply it with ``feed_many`` — or, with
-        ``decide=True``, one event with ``submit``, returning its
-        :class:`~repro.session.kernel.Decision` — and advance the stream."""
+    def _intake(self, events: EventView, *, decide: bool = False,
+                indexed: bool = False) -> Decision | None:
+        """The one way events enter the session: check the batch against
+        the live sets (:func:`~repro.online.events.lifecycle_error`; a
+        bad event rejects it whole, named ``events[i]`` when
+        ``indexed``), journal it, apply it with ``feed_many`` — or, with
+        ``decide=True``, its one event with ``submit``, returning its
+        :class:`~repro.session.kernel.Decision` — and advance the
+        stream."""
         session = self.session
         if session.closed:
             raise RuntimeError("session is closed")
         m = self.trace.problem.num_demands
-        arrived, departed = self._arrived, self._departed
-        new_arrived: set[int] = set()
-        new_departed: set[int] = set()
-        last = self._last_time
-        for ev in events:
-            if isinstance(ev, (Arrival, Departure)):
-                d = ev.demand_id
-                if not 0 <= d < m:
-                    raise ValueError(
-                        f"unknown demand {d} (population has {m})")
-                if isinstance(ev, Arrival):
-                    if d in arrived or d in new_arrived:
-                        raise ValueError(f"demand {d} already arrived")
-                    new_arrived.add(d)
-                else:
-                    if d not in arrived and d not in new_arrived:
-                        raise ValueError(
-                            f"demand {d} departs before arriving")
-                    if d in departed or d in new_departed:
-                        raise ValueError(f"demand {d} already departed")
-                    new_departed.add(d)
-            elif not isinstance(ev, Tick):
-                raise TypeError(
-                    f"unknown event type {type(ev).__name__}")
-            if ev.time > last:
-                last = ev.time
-        journal = self.journal
-        if journal is not None:
-            for ev in events:
-                journal.append(ev)
+        hit = lifecycle_error(events, m, self._arrived, self._departed)
+        if hit is not None:
+            i, rule = hit
+            error = _INTAKE_ERRORS[rule].format(d=int(events.demand[i]), m=m)
+            raise ValueError(f"events[{i}]: {error}" if indexed else error)
+        if self.journal is not None:
+            self.journal.append_many(events)
         decision = None
         if decide:
-            (ev,) = events
-            decision = session.submit(ev)
+            decision = session.submit(events[0])
         else:
             session.feed_many(events)
-        arrived |= new_arrived
-        departed |= new_departed
-        self._last_time = last
+        kl, dl = events.kind.tolist(), events.demand.tolist()
+        self._arrived.update(d for k, d in zip(kl, dl) if k == ARRIVAL)
+        self._departed.update(d for k, d in zip(kl, dl) if k == DEPARTURE)
+        # max() keeps its first argument against a NaN time.
+        self._last_time = max([self._last_time, *events.time.tolist()])
         self.position += len(events)
         self._maybe_checkpoint()
         return decision
 
     def submit_event(self, ev) -> Decision:
         """Validate, journal and apply one event; returns its decision."""
-        return self._intake([ev], decide=True)
+        return self._intake(EventView.of((ev,)), decide=True)
 
-    def feed_events(self, events: list) -> dict:
-        """Validate, journal and apply a batch of event objects.
+    def feed_events(self, events) -> dict:
+        """Validate, journal and apply a batch of events.
 
         The batched hot path behind the ``feed`` op (which decodes the
-        request's event records first): one validation sweep, one
-        journal commit window and one ``feed_many`` call amortized over
-        the batch; a bad record rejects the whole batch (see
-        :meth:`_intake`).  Returns the response payload: events applied,
-        admissions the batch produced, stream position, and the journal
-        watermarks when journaling.
+        request's records straight into an
+        :class:`~repro.online.events.EventView`; event objects are
+        converted once): one validation sweep, one journal commit window
+        and one ``feed_many`` call amortized over the batch; a bad event
+        rejects the whole batch, named ``events[i]``.  Returns the
+        response payload: events applied, admissions the batch produced,
+        stream position, and the journal watermarks when journaling.
         """
+        events = EventView.of(events)
         adm0 = len(self.session.ledger.admission_log)
-        self._intake(events)
+        self._intake(events, indexed=True)
         return {
             "applied": len(events),
             "accepted": len(self.session.ledger.admission_log) - adm0,
@@ -373,18 +368,14 @@ class AdmissionService:
     # The request/response API
     # ------------------------------------------------------------------
 
-    def _event_of(self, req: dict):
-        op = req["op"]
-        if op == "submit":
-            return event_from_dict(req["event"])
+    def _event_of(self, req: dict) -> EventView:
+        """A one-event request as a one-row view."""
+        if req["op"] == "submit":
+            return EventView(*_events_v1([req["event"]], lambda i: "event"))
+        kind = {"admit": ARRIVAL, "release": DEPARTURE}.get(req["op"], TICK)
         time = parse_event_time(req.get("time", self._last_time))
-        if op == "admit":
-            return Arrival(time, parse_demand_id(req["demand"]))
-        if op == "release":
-            return Departure(time, parse_demand_id(req["demand"]))
-        if op == "tick":
-            return Tick(time)
-        raise ValueError(f"op {op!r} carries no event")
+        demand = NO_DEMAND if kind == TICK else parse_demand_id(req["demand"])
+        return EventView((kind,), (time,), (demand,))
 
     def handle(self, req: dict) -> dict:
         """Serve one request dict; always returns a response dict.
@@ -415,15 +406,15 @@ class AdmissionService:
         op = req.get("op")
         try:
             if op in ("submit", "admit", "release", "tick"):
-                decision = self.submit_event(self._event_of(req))
+                decision = self._intake(self._event_of(req), decide=True)
                 return {"ok": True, "op": op,
                         "decision": decision.to_dict(), **self._watermarks()}
             if op == "feed":
-                events = req.get("events")
-                if not isinstance(events, list):
+                records = req.get("events")
+                if not isinstance(records, list):
                     raise ValueError('op "feed" needs an "events" list')
                 return {"ok": True, "op": op, **self.feed_events(
-                    [event_from_dict(doc) for doc in events])}
+                    EventView(*_events_v1(records)))}
             if op == "query":
                 return {"ok": True, "op": op,
                         **self.query(parse_demand_id(req["demand"]))}
@@ -451,7 +442,8 @@ class AdmissionService:
                 f"unknown op {op!r}; want admit/release/tick/submit/feed/"
                 "query/stats/snapshot/close/trace/explain"
             )
-        except (KeyError, ValueError, TypeError, RuntimeError) as exc:
+        except (KeyError, ValueError, TypeError, RuntimeError,
+                OverflowError) as exc:
             return {"ok": False, "op": op, "error": str(exc)}
 
     def query(self, demand_id: int) -> dict:
@@ -665,21 +657,19 @@ class AdmissionService:
             "format": out_fmt,
         }
 
-    def run_remaining(self, *, verify: bool = True,
-                      batch: int = 256) -> ReplayResult:
+    def run_remaining(self, *, verify: bool = True) -> ReplayResult:
         """Finish the trace: submit every not-yet-applied trace event.
 
         Valid when the service's request stream is (a prefix of) the
         trace's own event sequence — the ``repro serve``/``repro
         resume`` workflow — since ``position`` then indexes the first
         outstanding trace event.  Events go through :meth:`_intake` in
-        ``batch``-sized chunks.  Returns
-        the final :class:`~repro.session.kernel.ReplayResult`, which
-        matches an uninterrupted replay of the whole trace exactly
+        :data:`REMAINING_BATCH`-event slices of the trace's columns.
+        Returns the final :class:`~repro.session.kernel.ReplayResult`,
+        which matches an uninterrupted replay of the whole trace exactly
         (timing fields aside).
         """
         remaining = self.trace.events[self.position:]
-        step = max(batch, 1)
-        for i in range(0, len(remaining), step):
-            self._intake(remaining[i:i + step])
+        for i in range(0, len(remaining), REMAINING_BATCH):
+            self._intake(remaining[i:i + REMAINING_BATCH])
         return self.close(verify=verify)

@@ -346,26 +346,22 @@ class AdmissionSession:
 
         The batched hot path the replay drivers and the service's
         ``feed`` op use: one method call (and, upstream, one request
-        decode and one journal commit) amortized over the batch.  An
-        :class:`~repro.online.events.EventView` is decided from its
-        columns, without building event objects.
+        decode and one journal commit) amortized over the batch, decided
+        from the columns of an :class:`~repro.online.events.EventView`
+        (event objects are converted once; a non-event raises first).
         """
+        events = EventView.of(events)
         if self._fast is not None:
             # The columnar fast path: windows of events decided by the
             # policy's batch kernel, byte-identical to the scalar loop
             # below.
             self._fast.feed(events)
             return
-        if isinstance(events, EventView):
-            decide = self._decide
-            for kind, time_, demand in zip(events.kind.tolist(),
-                                           events.time.tolist(),
-                                           events.demand.tolist()):
-                decide(kind, time_, demand)
-            return
-        dispatch = self._dispatch
-        for event in events:
-            dispatch(event)
+        decide = self._decide
+        for kind, time_, demand in zip(events.kind.tolist(),
+                                       events.time.tolist(),
+                                       events.demand.tolist()):
+            decide(kind, time_, demand)
 
     # ------------------------------------------------------------------
     # Checkpointing

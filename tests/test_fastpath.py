@@ -31,11 +31,13 @@ from repro.online import (
     Arrival,
     CapacityLedger,
     Departure,
+    EventView,
     TraceArrays,
     generate_trace,
     geometry_of,
     make_policy,
 )
+from repro.online.events import ARRIVAL
 from repro.session.kernel import AdmissionSession, certificate_of
 from repro.sharding.planner import ShardPlanner
 
@@ -182,6 +184,43 @@ class TestByteIdentity:
         assert not stats["enabled"]
         assert stats["runs"] == 0 and stats["batched_events"] == 0
         session.close(verify=True)
+
+    def test_failed_scalar_fallback_leaves_the_scalar_state(self):
+        """An arrival of an unknown demand mid-chunk raises on both
+        paths; the events before it must be counted the same way, so
+        the fast path's chunk counters flush before the error leaves."""
+        trace = _trace("line", events=200, seed=7)
+        kind = trace.events.kind[:40].copy()
+        demand = trace.events.demand[:40].copy()
+        kind[20], demand[20] = ARRIVAL, 10 ** 6
+        events = EventView(kind, trace.events.time[:40], demand)
+        states = []
+        for fastpath in (True, False):
+            session = AdmissionSession(trace.problem,
+                                       make_policy("greedy-threshold"),
+                                       fastpath=fastpath)
+            with pytest.raises(KeyError):
+                session.feed_many(events)
+            states.append((session.snapshot(),
+                           list(session.ledger.admission_log),
+                           list(session.ledger.eviction_log)))
+        assert states[0][0]["events"] == 20
+        assert states[0][1]  # the events before the error did admit
+        assert states[0] == states[1]
+
+    @pytest.mark.parametrize("fastpath", [True, False])
+    def test_non_event_rejects_the_batch_whole(self, fastpath):
+        trace = _trace("line", events=200, seed=7)
+        session = AdmissionSession(trace.problem,
+                                   make_policy("greedy-threshold"),
+                                   fastpath=fastpath)
+        before = (session.snapshot(), session.ledger.export_state())
+        batch = (list(trace.events[:20]) + [object()]
+                 + list(trace.events[20:40]))
+        with pytest.raises(TypeError,
+                           match=r"^events\[20\]: unknown event type object$"):
+            session.feed_many(batch)
+        assert (session.snapshot(), session.ledger.export_state()) == before
 
     def test_history_policy_stays_scalar(self):
         """dual-gated with history snapshots must not engage (the batch
@@ -386,7 +425,8 @@ def _segment(session, events):
     """The fast path's segmentation of ``events`` against the session's
     current ledger (nothing is committed)."""
     feeder = session._fast
-    feeder._load_chunk(TraceArrays.from_events(events, feeder.geom))
+    feeder._load_chunk(TraceArrays.from_events(EventView.of(events),
+                                               feeder.geom))
     return feeder._segment(0, len(events))
 
 
@@ -434,7 +474,7 @@ def _check_windows(problem, events, name, windows, start=0):
         chunk = events[lo:lo + w]
         seg = _segment(fast, chunk)
         mutator = _scalar_mutators(scalar, chunk)
-        ta = TraceArrays.from_events(chunk, fast._fast.geom)
+        ta = TraceArrays.from_events(EventView.of(chunk), fast._fast.geom)
         assert seg.cut == _reference_cut(ta, mutator), (lo, w)
         assert not seg.hard_events
         inner += seg.cut < len(chunk)
@@ -507,7 +547,7 @@ class TestRunSegmenter:
         geom = geometry_of(CapacityLedger(trace.problem))
         events = [Arrival(0.0, 0), Departure(1.0, 0),
                   Arrival(2.0, 0), Departure(3.0, 0)]
-        ta = TraceArrays.from_events(events, geom)
+        ta = TraceArrays.from_events(EventView.of(events), geom)
         fps = [set(ta.fp_edges[ta.fp_indptr[i]:ta.fp_indptr[i + 1]]
                    .tolist()) for i in range(4)]
         assert all(a & b for a, b in itertools.combinations(fps, 2))

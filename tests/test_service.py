@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.io import (
@@ -269,6 +270,10 @@ class TestRequestAPI:
             {"type": "arrival", "time": float("nan"), "demand": 0}]},
         {"op": "query", "demand": "3"},
         {"op": "explain", "demand": 1.5},
+        {"op": "feed", "events": [
+            {"type": "arrival", "time": 1.0, "demand": np.float64(2.0)}]},
+        {"op": "admit", "demand": 2, "time": 10 ** 400},
+        {"op": "admit", "demand": 2 ** 70},
     ])
     def test_coercible_ids_and_times_are_rejected(self, req):
         tr = poisson_trace("line", events=200, seed=7, departure_prob=0.0)
@@ -285,14 +290,116 @@ class TestRequestAPI:
         assert state() == before
 
     def test_numpy_integer_demand_is_accepted(self):
-        import numpy as np
-
         tr = poisson_trace("line", events=40, seed=7, departure_prob=0.0)
         svc = AdmissionService(tr, "greedy-threshold")
         r = svc.handle({"op": "admit", "demand": np.int64(2),
                         "time": np.float64(1.0)})
         assert r["ok"] and svc.handle({"op": "query", "demand": 2})["ok"]
         assert 2 in svc._arrived
+
+    def test_feed_record_with_numpy_scalars_is_accepted(self):
+        tr = poisson_trace("line", events=40, seed=7, departure_prob=0.0)
+        svc = AdmissionService(tr, "greedy-threshold")
+        r = svc.handle({"op": "feed", "events": [
+            {"type": "arrival", "time": np.float64(1.0),
+             "demand": np.int64(2)},
+            {"type": "arrival", "time": np.int32(2), "demand": np.uint8(5)},
+            {"type": "tick", "time": np.float32(2.5)}]})
+        assert r["ok"] and r["applied"] == 3 and r["position"] == 3
+        assert svc._arrived == {2, 5} and svc._last_time == 2.5
+
+    @pytest.mark.parametrize("records,error", [
+        ([{"type": "arrival", "time": 1.0, "demand": 0},
+          {"type": "arrival", "time": 1.0, "demand": "1"}],
+         "events[1]: demand must be an integer, got '1'"),
+        ([{"type": "arrival", "time": 1.0, "demand": 0},
+          {"type": "tick", "time": 2.0},
+          {"type": "teleport", "time": 2.0}],
+         "events[2]: unknown event type 'teleport'"),
+        ([{"type": "arrival", "time": 1.0, "demand": 0},
+          {"type": "departure", "time": 2.0}],
+         "events[1]: missing field 'demand'"),
+        ([{"type": "arrival", "time": 1.0, "demand": 0},
+          {"type": "arrival", "time": 1.0, "demand": 4}],
+         "events[1]: demand 4 already arrived"),
+        ([{"type": "arrival", "time": 1.0, "demand": 0},
+          {"type": "departure", "time": 2.0, "demand": 0},
+          {"type": "departure", "time": 3.0, "demand": 0}],
+         "events[2]: demand 0 already departed"),
+        ([{"type": "tick", "time": 1.0},
+          {"type": "departure", "time": 2.0, "demand": 7}],
+         "events[1]: demand 7 departs before arriving"),
+        ([{"type": "departure", "time": 2.0, "demand": 1},
+          {"type": "arrival", "time": 3.0, "demand": 1}],
+         "events[0]: demand 1 departs before arriving"),
+        ([{"type": "arrival", "time": 1.0, "demand": 0},
+          {"type": "arrival", "time": 1.0, "demand": 10 ** 6}],
+         "events[1]: unknown demand 1000000 (population has 40)"),
+    ])
+    def test_feed_errors_name_the_first_offending_record(self, records,
+                                                         error):
+        """Decode errors and stream-rule errors of a ``feed`` batch both
+        name the first offending record, and the batch applies
+        nothing."""
+        tr = poisson_trace("line", events=40, seed=7, departure_prob=0.0)
+        svc = AdmissionService(tr, "greedy-threshold")
+        assert svc.handle({"op": "admit", "demand": 4, "time": 0.5})["ok"]
+        before = (set(svc._arrived), set(svc._departed), svc.position,
+                  svc.session.snapshot(), svc.session.ledger.export_state())
+        resp = svc.handle({"op": "feed", "events": records})
+        assert resp == {"ok": False, "op": "feed", "error": error}
+        assert before == (set(svc._arrived), set(svc._departed),
+                          svc.position, svc.session.snapshot(),
+                          svc.session.ledger.export_state())
+
+    def test_feed_events_rejects_a_non_event_whole(self, tmp_path):
+        tr = poisson_trace("line", events=40, seed=7, departure_prob=0.0)
+        path = tmp_path / "j.bin"
+        svc = AdmissionService(tr, "greedy-threshold",
+                               journal_path=str(path), fmt="binary")
+        size = path.stat().st_size
+        batch = list(tr.events[:5]) + ["arrival"] + list(tr.events[5:10])
+        with pytest.raises(TypeError,
+                           match=r"^events\[5\]: unknown event type str$"):
+            svc.feed_events(batch)
+        assert svc.position == 0 and not svc._arrived
+        assert svc.session.snapshot()["events"] == 0
+        assert svc.journal.seq == 0 and path.stat().st_size == size
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "binary"])
+    def test_feed_resume_and_finish_build_no_event_objects(
+            self, tmp_path, monkeypatch, fmt):
+        """The served ``feed`` path, the journal scan of ``resume`` and
+        ``run_remaining`` stay in columns: with every event-object
+        builder made to raise, they still finish with the in-process
+        replay's profit and logs."""
+        import repro.io
+        import repro.online.events
+
+        tr = generate_trace("tree", events=600, seed=5, departure_prob=0.3,
+                            tick_every=4.0, workload={"n": 32})
+        want = replay(tr, make_policy("dual-gated"))
+        records = [event_to_dict(ev) for ev in tr.events[:400]]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an event object was built")
+
+        monkeypatch.setattr(repro.online.events, "_event", forbidden)
+        monkeypatch.setattr(repro.io, "event_from_dict", forbidden)
+        path = str(tmp_path / f"j.{fmt}")
+        svc = AdmissionService(tr, "dual-gated", journal_path=path, fmt=fmt,
+                               sync_window=16, checkpoint_every=150)
+        for i in range(0, len(records), 64):
+            assert svc.handle({"op": "feed",
+                               "events": records[i:i + 64]})["ok"]
+        svc.journal.close()
+        resumed = AdmissionService.resume(path)
+        assert resumed.position == 400
+        got = resumed.run_remaining()
+        assert (got.metrics.realized_profit.hex()
+                == want.metrics.realized_profit.hex())
+        assert got.admission_log == want.admission_log
+        assert got.eviction_log == want.eviction_log
 
     @pytest.mark.parametrize("record", [
         '{"type": "arrival", "time": 9.0, "demand": 2.7}',

@@ -264,3 +264,46 @@ def test_journal_records_after_the_header_are_unchanged(fmt, tmp_path):
                for f, c in trace.problem.columns.items())
     body = path.read_bytes()[cut:]
     assert hashlib.sha256(body).hexdigest() == RECORDS_SHA256[fmt]
+
+
+#: sha256 of every journal byte after the header record: the corpus tree
+#: trace served with dual-gated through one-event requests — every third
+#: event a ``submit``, the others ``admit``/``release``/``tick``, some
+#: arrivals followed by a refused duplicate ``admit`` — sync window 8, a
+#: checkpoint every 50 events; recorded while every journal record was
+#: still packed one event object at a time.
+SINGLE_OP_RECORDS_SHA256 = {
+    "jsonl": "069f9249ff6b9222203ecef46ff3d2a7767b4a728643cbb4f166eabd322d2930",
+    "binary":
+        "4570e675301028c21b17a0fac1f867a82a777300cf5fa1f8c6e932b9ad105aa2",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SINGLE_OP_RECORDS_SHA256))
+def test_single_event_op_journal_records_are_unchanged(fmt, tmp_path):
+    import hashlib
+
+    from repro.io import event_to_dict, iter_journal
+    from repro.service import AdmissionService
+
+    trace = load_trace(str(DATA / "trace_poisson_tree.json"))
+    path = tmp_path / f"j.{fmt}"
+    svc = AdmissionService(trace, "dual-gated", journal_path=str(path),
+                           fmt=fmt, sync_window=8, checkpoint_every=50)
+    for i, ev in enumerate(trace.events):
+        doc = event_to_dict(ev)
+        if i % 3 == 0:
+            req = {"op": "submit", "event": doc}
+        elif doc["type"] == "tick":
+            req = {"op": "tick", "time": doc["time"]}
+        else:
+            req = {"op": "admit" if doc["type"] == "arrival" else "release",
+                   "demand": doc["demand"], "time": doc["time"]}
+        assert svc.handle(req)["ok"], req
+        if i % 7 == 3 and doc["type"] == "arrival":
+            assert not svc.handle({"op": "admit", "demand": doc["demand"],
+                                   "time": doc["time"]})["ok"]
+    svc.close()
+    _kind, _header, cut = next(iter_journal(str(path)))
+    body = path.read_bytes()[cut:]
+    assert hashlib.sha256(body).hexdigest() == SINGLE_OP_RECORDS_SHA256[fmt]
