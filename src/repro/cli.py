@@ -903,11 +903,12 @@ def _run_transport(service, args) -> None:
     ``serve`` and ``resume --serve``)."""
     import sys
 
-    from .service import serve_async, serve_stdio
-
     if args.port is None:
+        from .service.server import serve_stdio
+
         serve_stdio(service, max_line_bytes=args.max_line_bytes)
         return
+    from .service.async_server import serve_async
 
     def announce(addr):
         print(f"listening on {addr[0]}:{addr[1]} "

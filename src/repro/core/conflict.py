@@ -214,7 +214,9 @@ class ConflictIndex:
             self._vs = demand_cols["v"][dem]
             span = int(problem.n)
             row_parts, code_parts = [], []
-            for q in np.unique(net).tolist():
+            # The networks in use, ascending (bincount, unlike unique,
+            # does not import numpy.ma).
+            for q in np.flatnonzero(np.bincount(net)).tolist():
                 sel = np.flatnonzero(net == q)
                 rows, children = trees[q].path_children(self._us[sel],
                                                         self._vs[sel])
@@ -248,7 +250,8 @@ class ConflictIndex:
 
     def _index_tours(self) -> None:
         self._euler = {q: self._trees[q].euler_index()
-                       for q in np.unique(self._net_arr).tolist()}
+                       for q in np.flatnonzero(
+                           np.bincount(self._net_arr)).tolist()}
 
     def _index_demands(self) -> None:
         """Demand columns: first-appearance interning (``_dix``) and the

@@ -20,7 +20,7 @@ truncated JSON artifact behind.
 
 The **admission journal** is the service layer's durability log: an
 append-only file whose first record is a self-contained header (policy,
-parameters, the full trace document) and whose every further record is
+parameters, the full trace as columns) and whose every further record is
 one submitted event in the trace event schema, optionally interleaved
 with **checkpoint** records (serialized session state, so a resume can
 seek past the prefix instead of replaying it).  Two on-disk codecs
@@ -29,8 +29,9 @@ share one record model:
 * ``jsonl`` — one JSON document per line, human-readable (the PR-5
   format, still the default);
 * ``binary`` — a magic+version preamble followed by length-prefixed
-  records; an event is a packed 18-byte record instead of ~50 bytes of
-  JSON text.  The format is auto-detected on read, so readers never
+  records; the header is a JSON envelope plus one raw array per trace
+  column, and an event is a packed 18-byte record instead of ~50 bytes
+  of JSON text.  The format is auto-detected on read, so readers never
   need to be told.
 
 Because replay decisions are deterministic, re-submitting the
@@ -76,6 +77,7 @@ __all__ = [
     "solution_to_dict",
     "solution_from_dict",
     "trace_to_dict",
+    "trace_to_columns",
     "trace_from_dict",
     "event_to_dict",
     "event_from_dict",
@@ -127,7 +129,10 @@ def _field(doc, key: str, where: str):
 
 
 def _list(value, where: str) -> list:
-    if not isinstance(value, list):
+    """``value`` if it is a JSON array — or a 1-D NumPy column, as a
+    binary journal header hands them back — else ``ValueError``."""
+    if not isinstance(value, list) and not (
+            isinstance(value, np.ndarray) and value.ndim == 1):
         raise ValueError(
             f"{where} must be a JSON array, got {type(value).__name__}")
     return value
@@ -149,7 +154,10 @@ def _numbers(values: list, integer: bool, name) -> np.ndarray:
     A value of the wrong JSON type (a bool, a string, a float where an
     integer belongs), an integer beyond int64 or a non-finite number
     raises ``ValueError`` with ``name(i)`` naming the first one.
+    ``values`` may also be a 1-D NumPy column (:func:`_array_numbers`).
     """
+    if isinstance(values, np.ndarray):
+        return _array_numbers(values, integer, name)
     allowed = (int,) if integer else (int, float)
     want = "an integer" if integer else "a finite number"
     if not set(map(type, values)) <= set(allowed):
@@ -175,20 +183,48 @@ def _numbers(values: list, integer: bool, name) -> np.ndarray:
     return arr
 
 
+def _array_numbers(arr: np.ndarray, integer: bool, name) -> np.ndarray:
+    """:func:`_numbers` of a 1-D column: the same checks and messages,
+    on its dtype and values at once (a column of the wrong kind names
+    its first entry)."""
+    want = "an integer" if integer else "a finite number"
+    if len(arr) and arr.dtype.kind not in ("iu" if integer else "iuf"):
+        raise ValueError(f"{name(0)} must be {want}, got {arr[0].item()!r}")
+    if integer:
+        if arr.dtype.kind == "u" and len(arr) and arr.max() >= 2**63:
+            i = int(arr.argmax())
+            raise ValueError(f"{name(i)} out of range, got {arr[i].item()!r}")
+        return arr.astype(np.int64)
+    out = arr.astype(np.float64)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"{name(i)} must be {want}, got {arr[i].item()!r}")
+    return out
+
+
 def _access_csr_of(problem) -> dict:
     if problem._access is not None:  # built, and possibly edited since
         rows = [sorted(acc) for acc in problem._access]
-        indptr = [0]
-        for row in rows:
-            indptr.append(indptr[-1] + len(row))
-        return {"indptr": indptr, "networks": [q for r in rows for q in r]}
-    return {"indptr": problem._acc_indptr.tolist(),
-            "networks": problem._acc_nets.tolist()}
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        return {"indptr": indptr, "networks": np.array(
+            [q for r in rows for q in r], dtype=np.int64)}
+    return {"indptr": problem._acc_indptr, "networks": problem._acc_nets}
 
 
-def problem_to_dict(problem) -> dict:
-    """Serialize a :class:`TreeProblem` or :class:`LineProblem` as a
-    format-2 document: each demand field one column, access one CSR."""
+def _listed(doc: dict) -> dict:
+    """``doc`` with every NumPy column, at any depth of nested objects,
+    as a list."""
+    return {k: v.tolist() if isinstance(v, np.ndarray)
+            else _listed(v) if isinstance(v, dict) else v
+            for k, v in doc.items()}
+
+
+def problem_to_columns(problem) -> dict:
+    """The format-2 document of a :class:`TreeProblem` or
+    :class:`LineProblem` with its demand columns and access CSR as NumPy
+    arrays (:func:`problem_to_dict` is its JSON form)."""
     if isinstance(problem, TreeProblem):
         kind = "tree"
         head = {"n": problem.n,
@@ -204,9 +240,15 @@ def problem_to_dict(problem) -> dict:
         "format": FORMAT_VERSION,
         "kind": kind,
         **head,
-        "demands": {f: cols[f].tolist() for f in _DEMAND_FIELDS[kind]},
+        "demands": {f: cols[f] for f in _DEMAND_FIELDS[kind]},
         "access": _access_csr_of(problem),
     }
+
+
+def problem_to_dict(problem) -> dict:
+    """Serialize a :class:`TreeProblem` or :class:`LineProblem` as a
+    format-2 document: each demand field one column, access one CSR."""
+    return _listed(problem_to_columns(problem))
 
 
 def _demand_columns_v1(records, fields: tuple[str, ...]) -> dict:
@@ -406,6 +448,21 @@ def event_from_dict(rec: dict):
     return _events().EventView(*_events_v1([rec], lambda i: "event"))[0]
 
 
+def trace_to_columns(trace) -> dict:
+    """The format-2 document of an :class:`~repro.online.events.
+    EventTrace` with every column a NumPy array — the journal header's
+    form (:func:`trace_to_dict` is its JSON form)."""
+    events = trace.events
+    return {
+        "format": TRACE_FORMAT_VERSION,
+        "kind": "trace",
+        "problem": problem_to_columns(trace.problem),
+        "events": {"kind": events.kind, "time": events.time,
+                   "demand": events.demand},
+        "meta": dict(trace.meta),
+    }
+
+
 def trace_to_dict(trace) -> dict:
     """Serialize an :class:`~repro.online.events.EventTrace` as a
     format-2 document: the events as ``kind`` / ``time`` / ``demand``
@@ -416,16 +473,7 @@ def trace_to_dict(trace) -> dict:
     :data:`FORMAT_VERSION`); the trace envelope carries its own
     :data:`TRACE_FORMAT_VERSION` so the two can evolve independently.
     """
-    events = trace.events
-    return {
-        "format": TRACE_FORMAT_VERSION,
-        "kind": "trace",
-        "problem": problem_to_dict(trace.problem),
-        "events": {"kind": events.kind.tolist(),
-                   "time": events.time.tolist(),
-                   "demand": events.demand.tolist()},
-        "meta": dict(trace.meta),
-    }
+    return _listed(trace_to_columns(trace))
 
 
 def _events_v1(records, label=lambda i: f"events[{i}]") -> tuple:
@@ -477,12 +525,15 @@ def _events_v2(doc) -> tuple:
 
 
 def trace_from_dict(doc: dict):
-    """Inverse of :func:`trace_to_dict`; reads formats 1 and 2.
+    """Inverse of :func:`trace_to_dict` and :func:`trace_to_columns`;
+    reads formats 1 and 2.
 
     Either way the events decode straight into columns (version 1's
     per-event records included) and the stream is re-validated in bulk
-    by :class:`~repro.online.events.EventTrace`.  A malformed document
-    raises ``ValueError`` naming the field (and index).
+    by :class:`~repro.online.events.EventTrace`.  A format-2 column may
+    be a list or a typed 1-D NumPy array (a binary journal header's);
+    both get the same checks.  A malformed document raises
+    ``ValueError`` naming the field (and index).
     """
     version = _field(doc, "format", "trace")
     if version not in (1, 2):
@@ -609,8 +660,15 @@ JOURNAL_FORMATS = ("jsonl", "binary")
 _BINARY_MAGIC = b"\x89RPJ"
 _BINARY_PREAMBLE = _BINARY_MAGIC + bytes([JOURNAL_FORMAT_VERSION])
 
-#: Record-type bytes of the binary codec.
+#: Record-type bytes of the binary codec.  The binary writer heads a
+#: journal with a column header (:func:`_column_header_payload`); a
+#: JSON header is what earlier writers wrote, still read.
 _REC_HEADER, _REC_EVENT, _REC_CHECKPOINT = 0x48, 0x45, 0x43  # 'H','E','C'
+_REC_COLUMN_HEADER = 0x68  # 'h'
+
+#: The array dtypes a column header stores raw: those of a trace's
+#: columns (event kinds, ids and counts, times and demand fields).
+_BLOB_DTYPES = frozenset({"|i1", "<i8", "<f8"})
 
 #: A binary event payload: event-code byte (event kind + 1: 1 arrival,
 #: 2 departure, 3 tick), f64 time, u32 demand (:data:`_NO_DEMAND` on a
@@ -623,8 +681,10 @@ _EVENT_RECORD = np.dtype([("length", "<u4"), ("rtype", "u1"),
 _EVENT_BODY = 1 + _EVENT_PAYLOAD.itemsize
 _NO_DEMAND = 0xFFFFFFFF  # ticks carry no demand id
 
-#: Sanity bound on one framed record (the header embeds a whole trace
-#: document, so this is generous; anything larger is corruption).
+#: Sanity bound on one framed record (the header carries the whole
+#: trace — its columns as raw arrays in a binary journal, as JSON arrays
+#: in a JSON-lines one — so this is generous; anything larger is
+#: corruption).
 _MAX_RECORD_BYTES = 1 << 30
 
 _LEN_STRUCT = struct.Struct("<I")
@@ -676,18 +736,117 @@ def _frame_binary(rtype: int, payload: bytes) -> bytes:
     return _LEN_STRUCT.pack(len(body)) + body
 
 
+def _array_as_list(obj):
+    """``json.dumps``'s ``default`` hook: a NumPy column as a list."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    "serializable")
+
+
 def _json_record(doc: dict) -> bytes:
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8") + b"\n"
+    return json.dumps(doc, separators=(",", ":"),
+                      default=_array_as_list).encode("utf-8") + b"\n"
+
+
+def _split_columns(doc: dict, path: list, found: list) -> dict:
+    """``doc`` with every 1-D numeric NumPy array (at any depth of
+    nested objects) replaced by ``null``; each such array is appended to
+    ``found``, little-endian, with the key path that leads to it."""
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, np.ndarray) and value.ndim == 1 and \
+                (le := value.dtype.newbyteorder("<")).str in _BLOB_DTYPES:
+            found.append(([*path, str(key)],
+                          np.ascontiguousarray(value, le)))
+            value = None
+        elif isinstance(value, dict):
+            value = _split_columns(value, [*path, str(key)], found)
+        out[key] = value
+    return out
+
+
+def _column_header_payload(doc: dict) -> bytes:
+    """A binary journal's column header: the header ``doc`` as a JSON
+    envelope, each of its NumPy columns a raw little-endian blob.
+
+    Layout: u32 envelope length, the envelope (UTF-8 JSON
+    ``{"header": doc with each column null, "columns": [[key path,
+    dtype, byte offset, count], ...]}``), then the blobs, at rising
+    offsets counted from the end of the envelope.  Any other array
+    (2-D, say) goes into the envelope as JSON, as the JSON-lines codec
+    writes it.
+    """
+    found: list = []
+    envelope = _split_columns(doc, [], found)
+    columns, blobs, at = [], [], 0
+    for path, arr in found:
+        columns.append([path, arr.dtype.str, at, len(arr)])
+        blobs.append(arr.tobytes())
+        at += len(blobs[-1])
+    head = json.dumps({"header": envelope, "columns": columns},
+                      separators=(",", ":"),
+                      default=_array_as_list).encode("utf-8")
+    return _LEN_STRUCT.pack(len(head)) + head + b"".join(blobs)
+
+
+def _column_header(payload) -> dict:
+    """Inverse of :func:`_column_header_payload`: the header dict with
+    each column an ``np.frombuffer`` array over ``payload``.  Raises
+    ``ValueError`` saying what is wrong with a malformed one."""
+    if len(payload) < _LEN_STRUCT.size:
+        raise ValueError("truncated header envelope")
+    (size,) = _LEN_STRUCT.unpack_from(payload)
+    start = _LEN_STRUCT.size + size
+    if start > len(payload):
+        raise ValueError("truncated header envelope")
+    envelope = json.loads(bytes(payload[_LEN_STRUCT.size:start]))
+    blobs = payload[start:]
+    header = _field(envelope, "header", "header envelope")
+    end = 0
+    for i, entry in enumerate(_list(_field(envelope, "columns",
+                                           "header envelope"),
+                                    "header envelope.columns")):
+        where = f"header column {i}"
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise ValueError(f"{where}: want [path, dtype, offset, count]")
+        path, dtype, offset, count = entry
+        if dtype not in _BLOB_DTYPES:
+            raise ValueError(f"{where}: unknown dtype {dtype!r}")
+        if type(offset) is not int or type(count) is not int or count < 0:
+            raise ValueError(f"{where}: bad offset {offset!r} or count "
+                             f"{count!r}")
+        if offset < end:
+            raise ValueError(f"{where}: offset {offset} is negative or "
+                             f"overlaps the column before (ends at {end})")
+        end = offset + count * np.dtype(dtype).itemsize
+        if end > len(blobs):
+            raise ValueError(f"{where}: bytes {offset}..{end} run past the "
+                             f"{len(blobs)} bytes of columns")
+        if not (isinstance(path, list) and path
+                and all(isinstance(key, str) for key in path)):
+            raise ValueError(f"{where}: bad path {path!r}")
+        node = header
+        for key in path[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if not (isinstance(node, dict) and path[-1] in node
+                and node[path[-1]] is None):
+            raise ValueError(f"{where}: path {path!r} names no column")
+        node[path[-1]] = np.frombuffer(blobs, dtype, count, offset)
+    return header
 
 
 class JournalWriter:
     """Append-only admission journal with group commit.
 
-    The first record of a fresh journal is the header: a self-contained
-    record of the policy name, its constructor parameters, the
-    checkpoint cadence and the **full trace document** (the caller's
-    ``header`` dict), so a journal alone rebuilds the session that
-    wrote it.  Every further
+    The first record of a fresh journal is the header: the caller's
+    ``header`` dict — for the service, the policy name, its constructor
+    parameters, the checkpoint cadence and the trace as a column
+    document (:func:`trace_to_columns`) — so a journal alone rebuilds
+    the session that wrote it.  The header's NumPy columns are written
+    as JSON arrays by the JSON-lines codec and as raw little-endian
+    blobs behind a JSON envelope by the binary one; the whole record is
+    encoded before the file is created.  Every further
     record is one event in the trace event schema, or a checkpoint (see
     :meth:`checkpoint`); events are encoded a batch at a time from
     :class:`~repro.online.events.EventView` columns (:meth:`append_many`).
@@ -775,15 +934,18 @@ class JournalWriter:
             if header is None:
                 raise ValueError("a fresh journal needs a header")
             self.fmt = fmt
-            self._fh = open(path, "wb")
             doc = dict(header)
             doc["kind"] = "admission-journal"
             doc["format"] = JOURNAL_FORMAT_VERSION
+            # Encoded before the file exists: a header that fails to
+            # encode leaves no stub behind to block the next writer.
             if self.fmt == "binary":
-                self._fh.write(_BINARY_PREAMBLE)
-                self._fh.write(_frame_binary(_REC_HEADER, _json_record(doc)))
+                head = _BINARY_PREAMBLE + _frame_binary(
+                    _REC_COLUMN_HEADER, _column_header_payload(doc))
             else:
-                self._fh.write(_json_record(doc))
+                head = _json_record(doc)
+            self._fh = open(path, "wb")
+            self._fh.write(head)
             self._fh.flush()
             if self.sync:
                 os.fsync(self._fh.fileno())
@@ -952,12 +1114,17 @@ def _iter_binary_journal(path: str, fh) -> Iterator[tuple]:
         if len(body) < length:
             return  # torn tail: the record never finished writing
         recno += 1
-        rtype, payload = body[0], body[1:]
+        rtype, payload = body[0], memoryview(body)[1:]
         try:
-            if rtype == _REC_HEADER:
-                rec = ("header", json.loads(payload.decode("utf-8")))
+            if rtype in (_REC_COLUMN_HEADER, _REC_HEADER) and recno > 1:
+                # A later header would swap the trace under the events.
+                raise ValueError("a header record after the first record")
+            if rtype == _REC_COLUMN_HEADER:
+                rec = ("header", _column_header(payload))
+            elif rtype == _REC_HEADER:
+                rec = ("header", json.loads(str(payload, "utf-8")))
             elif rtype == _REC_CHECKPOINT:
-                rec = ("checkpoint", json.loads(payload.decode("utf-8")))
+                rec = ("checkpoint", json.loads(str(payload, "utf-8")))
             elif rtype == _REC_EVENT:
                 # Checked here, decoded in bulk (_event_view).
                 if length != _EVENT_BODY or not 1 <= payload[0] <= 3:
@@ -965,13 +1132,13 @@ def _iter_binary_journal(path: str, fh) -> Iterator[tuple]:
                 rec = ("event", payload)
             else:
                 raise ValueError(f"unknown record type {rtype:#x}")
-        except (ValueError, UnicodeDecodeError):
+        except ValueError as exc:  # UnicodeDecodeError included
             # A complete record that fails to decode is corruption —
             # torn tails were already handled by the short reads above.
             raise ValueError(
                 f"corrupt journal {path!r}: bad record {recno} at byte "
-                f"{offset}"
-            )
+                f"{offset}: {exc}"
+            ) from None
         offset += _LEN_STRUCT.size + length
         if not saw_header:
             if rec[0] != "header":
@@ -1030,7 +1197,9 @@ def iter_journal(path: str) -> Iterator[tuple]:
     Arrival/Departure/Tick) or ``"checkpoint"`` (payload: the state
     dict), and ``good_bytes`` is the file offset right after the
     record — the ``start_at`` a resuming :class:`JournalWriter` should
-    use if this turns out to be the last intact record.
+    use if this turns out to be the last intact record.  A binary
+    journal's column header hands its columns back as read-only
+    ``np.frombuffer`` arrays; a JSON header holds lists.
 
     The codec (JSON-lines or binary) is auto-detected from the first
     bytes.  A torn *final* record — what a killed writer leaves
@@ -1049,7 +1218,8 @@ def read_journal(path: str) -> tuple[dict, list, int]:
 
     Returns ``(header, events, good_bytes)`` — the thin list-building
     wrapper over :func:`iter_journal` for callers that want the full
-    event list; checkpoint records are skipped.  ``good_bytes`` is the
+    event list (the header as :func:`iter_journal` yields it);
+    checkpoint records are skipped.  ``good_bytes`` is the
     offset right after the last intact record.
     """
     header: dict | None = None
@@ -1074,6 +1244,8 @@ def scan_journal(path: str) -> tuple[dict, dict | None, Any, int, str]:
     ``None``), ``tail`` is one :class:`~repro.online.events.EventView`
     of only the events recorded **after** it (all of them when there is
     no checkpoint), decoded in bulk, and ``fmt`` is the detected codec.
+    ``header`` is as :func:`iter_journal` yields it (a binary column
+    header's columns as arrays, ready for :func:`trace_from_dict`).
     Memory stays proportional to the post-checkpoint tail, not the
     journal length — the point of snapshot compaction.
     """

@@ -13,7 +13,8 @@ The layer the rest of the system threads through:
   (``{"op": "explain", "demand": k}``).
 * :mod:`repro.obs.dashboard` — ``repro top``, the live optimality
   dashboard (events/s, admit/reject/evict rates, commit lag,
-  profit vs ``OPT≤(dual)`` gap).
+  profit vs ``OPT≤(dual)`` gap); its names are exported lazily, so a
+  serving process does not load it.
 
 Everything is stdlib-only, off by default, and write-only telemetry:
 with recording disabled the instrumented hot paths pay one attribute
@@ -21,7 +22,6 @@ check, and timing never feeds an admission decision, so the replay's
 bit-exact determinism (and the DET003 lint contract) is untouched.
 """
 
-from .dashboard import fetch_stats, render_dashboard, request_once, run_top
 from .explain import explain_demand
 from .metrics import (
     Counter,
@@ -63,3 +63,19 @@ __all__ = [
     "span",
     "start_metrics_server",
 ]
+
+#: The dashboard's names, imported on first access (PEP 562), so a
+#: serving process never loads the dashboard's socket client.
+_LAZY = {"fetch_stats": ".dashboard", "render_dashboard": ".dashboard",
+         "request_once": ".dashboard", "run_top": ".dashboard"}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

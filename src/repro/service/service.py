@@ -77,7 +77,7 @@ from ..io import (
     scan_journal,
     solution_to_dict,
     trace_from_dict,
-    trace_to_dict,
+    trace_to_columns,
 )
 from ..obs import tracing as _tracing
 from ..obs.explain import explain_demand
@@ -232,12 +232,14 @@ class AdmissionService:
             )
 
     def _header(self) -> dict:
-        """The self-contained journal header (rebuilds this service)."""
+        """The self-contained journal header (rebuilds this service);
+        the trace goes in as NumPy columns, which the binary codec
+        writes as raw arrays."""
         return {
             "policy": self.policy_name,
             "params": dict(self.params),
             "checkpoint_every": self.checkpoint_every,
-            "trace": trace_to_dict(self.trace),
+            "trace": trace_to_columns(self.trace),
         }
 
     # ------------------------------------------------------------------
@@ -573,7 +575,11 @@ class AdmissionService:
         or rewrite the file.
         """
         header, ckpt, tail, good_bytes, fmt = scan_journal(journal_path)
-        trace = trace_from_dict(header["trace"])
+        try:
+            trace = trace_from_dict(header.get("trace"))
+        except ValueError as exc:
+            raise ValueError(f"corrupt journal {journal_path!r}: bad header "
+                             f"record: {exc}") from None
         svc = cls(
             trace, header["policy"], header.get("params") or {},
             journal_path=None,

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import json
 import random
+import struct
 
+import numpy as np
 import pytest
 
 from repro.io import (
@@ -142,6 +144,132 @@ class TestCodecRoundTrip:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="unsupported journal format"):
             read_journal(str(path))
+
+
+def _rewrite_column_header(path, edit) -> None:
+    """Replace the column header record of the binary journal at
+    ``path`` by ``edit(envelope, blobs)``'s payload; every other byte
+    stays."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<I", raw, 5)
+    body = raw[9:9 + length]
+    assert body[0] == ord("h")
+    (size,) = struct.unpack_from("<I", body, 1)
+    envelope = json.loads(body[5:5 + size])
+    body = bytes(body[:1]) + edit(envelope, bytearray(body[5 + size:]))
+    path.write_bytes(raw[:5] + struct.pack("<I", len(body)) + body
+                     + raw[9 + length:])
+
+
+def _payload(envelope, blobs, size=None) -> bytes:
+    head = json.dumps(envelope).encode()
+    return struct.pack("<I", len(head) if size is None else size) + head \
+        + bytes(blobs)
+
+
+def _column(envelope, name):
+    return next(c for c in envelope["columns"]
+                if c[0] == ["trace", "events", name])
+
+
+def _set_blob_float(envelope, blobs, name, i, value) -> bytes:
+    offset = _column(envelope, name)[2] + 8 * i
+    blobs[offset:offset + 8] = struct.pack("<d", value)
+    return _payload(envelope, blobs)
+
+
+def _set_entry(envelope, blobs, column, field, value) -> bytes:
+    envelope["columns"][column][field] = value
+    return _payload(envelope, blobs)
+
+
+def _shorten(envelope, blobs, name) -> bytes:
+    _column(envelope, name)[3] -= 1
+    return _payload(envelope, blobs)
+
+
+#: ``(fault, edit)``: ways a binary journal's column header goes bad.
+CORRUPT_HEADERS = [
+    ("blob-past-end", lambda e, b: _set_entry(e, b, -1, 3,
+                                               e["columns"][-1][3] + 100)),
+    ("negative-offset", lambda e, b: _set_entry(e, b, 0, 2, -8)),
+    ("overlapping-offset",
+     lambda e, b: _set_entry(e, b, 1, 2, e["columns"][0][2] + 8)),
+    ("unknown-dtype", lambda e, b: _set_entry(e, b, 0, 1, "<c16")),
+    ("column-length-mismatch", lambda e, b: _shorten(e, b, "time")),
+    ("non-finite-float",
+     lambda e, b: _set_blob_float(e, b, "time", 3, float("nan"))),
+    ("envelope-past-payload",
+     lambda e, b: _payload(e, b, size=10 ** 6)),
+    ("truncated-envelope",
+     lambda e, b: _payload(e, b, size=len(json.dumps(e)) // 2)),
+]
+
+
+class TestColumnHeader:
+    """The binary codec's column header: a header that fails to encode
+    leaves no file, and a corrupt one fails loudly.
+
+    Bit flips *inside* a column blob still go unnoticed until records
+    carry a CRC (ROADMAP item 4); the JSON header they replace has no
+    CRC either.
+    """
+
+    @pytest.mark.parametrize("bad", [{1, 2}, np.int64(1)],
+                             ids=["set", "np.int64"])
+    @pytest.mark.parametrize("fmt", JOURNAL_FORMATS)
+    def test_header_that_fails_to_encode_leaves_no_file(self, tmp_path,
+                                                        fmt, bad):
+        path = tmp_path / f"j.{fmt}"
+        with pytest.raises(TypeError):
+            JournalWriter(str(path), {"policy": "x", "bad": bad}, fmt=fmt)
+        assert not path.exists()
+        JournalWriter(str(path), dict(HEADER), fmt=fmt).close()
+        assert read_journal(str(path))[0]["policy"] == "greedy-threshold"
+
+    def test_columns_come_back_as_arrays(self, tmp_path):
+        trace = small_trace()
+        path = tmp_path / "j.bin"
+        AdmissionService(trace, "greedy-threshold", journal_path=str(path),
+                         fmt="binary").close()
+        header = read_journal(str(path))[0]
+        events = header["trace"]["events"]
+        for name in ("kind", "time", "demand"):
+            assert isinstance(events[name], np.ndarray)
+            assert np.array_equal(events[name], getattr(trace.events, name))
+        assert header["trace"]["meta"] == dict(trace.meta)
+
+    def test_second_header_record_fails_resume(self, tmp_path):
+        """A header record behind the events (the JSON-lines codec reads
+        it as a bad event) is corruption, not a new trace."""
+        trace = small_trace()
+        path = tmp_path / "j.bin"
+        svc = AdmissionService(trace, "greedy-threshold",
+                               journal_path=str(path), fmt="binary")
+        svc.feed_events(trace.events[:10])
+        svc.journal.close()
+        doc = dict(HEADER, policy="dual-gated", trace=trace_to_dict(trace))
+        body = b"H" + json.dumps(doc).encode() + b"\n"
+        with open(path, "ab") as fh:
+            fh.write(struct.pack("<I", len(body)) + body)
+        with pytest.raises(ValueError, match=(
+                f"^corrupt journal '{path}': bad record 12 .*header")):
+            AdmissionService.resume(str(path))
+
+    @pytest.mark.parametrize("fault, edit", CORRUPT_HEADERS,
+                             ids=[c[0] for c in CORRUPT_HEADERS])
+    def test_corrupt_column_header_fails_resume(self, tmp_path, fault,
+                                                edit):
+        trace = small_trace()
+        path = tmp_path / "j.bin"
+        svc = AdmissionService(trace, "greedy-threshold",
+                               journal_path=str(path), fmt="binary")
+        svc.feed_events(trace.events[:20])
+        svc.journal.close()
+        _rewrite_column_header(path, edit)
+        with pytest.raises(ValueError, match=(
+                f"^corrupt journal '{path}': bad (header )?record")):
+            AdmissionService.resume(str(path))
 
 
 class TestTornTail:

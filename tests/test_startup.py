@@ -43,11 +43,17 @@ print(json.dumps({"rc": rc, "loaded": loaded,
 """
 
 
-def _run_cli(argv: list[str], stdin: str) -> dict:
+#: Modules stdio serving never runs: the TCP server, the dashboard's
+#: client and what only they (or ``np.unique``) import.
+TCP_ONLY = ("asyncio", "socket", "selectors", "numpy.ma",
+            "repro.service.async_server", "repro.obs.dashboard")
+
+
+def _run_cli(argv: list[str], stdin: str, unwanted=OFFLINE) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, stdin, json.dumps(argv),
-         json.dumps(OFFLINE)],
+         json.dumps(unwanted)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -77,6 +83,44 @@ def test_serve_and_resume_load_no_offline_module(tmp_path):
     assert resumed["rc"] == 0 and resumed["loaded"] == []
     stats = json.loads(resumed["out"].splitlines()[-1])
     assert stats["ok"] and stats["stats"]["position"] == 60
+
+
+def test_stdio_serve_and_resume_load_no_socket_module(tmp_path):
+    from repro.io import event_to_dict, load_trace
+
+    events = [event_to_dict(ev) for ev in load_trace(str(TRACE)).events]
+    journal = str(tmp_path / "j.bin")
+    served = _run_cli(
+        ["serve", "--trace", str(TRACE), "--policy", "dual-gated",
+         "--journal", journal, "--format", "binary"],
+        _requests([{"op": "feed", "events": events[:60]},
+                   {"op": "stats"}]), TCP_ONLY)
+    assert served["rc"] == 0 and served["loaded"] == []
+    assert json.loads(served["out"].splitlines()[-1])["ok"]
+
+    resumed = _run_cli(["resume", "--journal", journal, "--serve"],
+                       _requests([{"op": "stats"}]), TCP_ONLY)
+    assert resumed["rc"] == 0 and resumed["loaded"] == []
+    stats = json.loads(resumed["out"].splitlines()[-1])
+    assert stats["ok"] and stats["stats"]["position"] == 60
+
+
+def test_lazy_tcp_and_dashboard_names_still_import():
+    probe = ("import sys\n"
+             "from repro.service import AsyncLineServer, serve_async\n"
+             "from repro.obs import fetch_stats, request_once, run_top\n"
+             "import repro.service.async_server as a, repro.obs.dashboard as d\n"
+             "assert AsyncLineServer is a.AsyncLineServer\n"
+             "assert serve_async is a.serve_async and run_top is d.run_top\n"
+             "ns = {}\n"
+             "exec('from repro.service import *; from repro.obs import *', ns)\n"
+             "assert ns['serve_async'] is serve_async\n"
+             "assert ns['render_dashboard'] is d.render_dashboard\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=dict(os.environ,
+                                              PYTHONPATH=str(SRC)),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ----------------------------------------------------------------------
