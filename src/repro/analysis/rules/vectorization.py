@@ -5,15 +5,16 @@ per-event interpreter overhead across a whole window of events: one
 load gather, a handful of segment reductions, one ``admit_many``.  A
 per-event scalar call smuggled into a kernel — ``ledger.admit`` in a
 loop, ``policy.on_arrival`` per demand, ``session.feed`` per event,
-``ledger.preemption_plan`` per candidate — silently reintroduces
+``ledger.preemption_plan`` per candidate, ``ledger.evict`` per victim —
+silently reintroduces
 exactly the overhead the fast path was built to remove, while the
 byte-identity property tests keep passing (the
 scalar calls *are* the reference semantics).  The regression is
 invisible to correctness checks and only shows up as a benchmark
 collapse, so the contract is enforced statically: inside a batch
 kernel, decisions and ledger mutations go through the batched entry
-points (``admit_many`` / ``release_many`` / the kernel registry), never
-the per-event scalar API.
+points (``admit_many`` / ``release_many`` / ``evict_many`` / the kernel
+registry), never the per-event scalar API.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ _KERNEL_PREFIXES = ("_kernel_", "batch_")
 
 #: Per-event scalar entry points that must never appear inside a batch
 #: kernel.  The batched counterparts (``admit_many``, ``release_many``,
-#: ``feed_many``) are fine.
+#: ``evict_many``, ``feed_many``) are fine.
 _SCALAR_CALLS = {
     "admit": "ledger.admit_many",
     "release": "ledger.release_many",
+    "evict": "ledger.evict_many",
     "try_admit": "the kernel's own vectorized feasibility probe",
     "on_arrival": "the registered batch kernel",
     "on_departure": "a batched release",
@@ -43,10 +45,10 @@ _SCALAR_CALLS = {
     "feed": "feed_many",
     "submit": "feed_many",
     "_dispatch": "the executor's scalar-fallback path, outside kernels",
-    "preemption_plan": "the kernel's vectorized stage-1 planner "
-                       "(flag the arrival hard instead)",
-    "_best_plan": "the kernel's vectorized stage-1 planner (flag the "
-                  "arrival hard instead)",
+    "preemption_plan": "the kernel's vectorized stage-1 planner and "
+                       "closed-form eviction walk",
+    "_best_plan": "the kernel's vectorized eviction walk and plan "
+                  "ranking",
 }
 
 
@@ -107,6 +109,24 @@ class VectorizationRule(Rule):
             ),
             note="the bad kernel plans every candidate through the "
                  "scalar preemption planner, one call per candidate",
+        ),
+        Fixture(
+            bad=(
+                "def _kernel_preempt_evict(feeder, plan, a, move):\n"
+                "    iid, victims, profits = move\n"
+                "    for d, p in zip(victims, profits):\n"
+                "        feeder.ledger.evict(d, penalty=feeder.penalty * p)\n"
+                "    feeder.ledger.admit_many([iid])\n"
+            ),
+            good=(
+                "def _kernel_preempt_evict(feeder, plan, a, move):\n"
+                "    iid, victims, profits = move\n"
+                "    feeder.ledger.evict_many(\n"
+                "        victims, [feeder.penalty * p for p in profits])\n"
+                "    feeder.ledger.admit_many([iid])\n"
+            ),
+            note="the bad kernel evicts a plan's victims one at a time "
+                 "through the scalar ledger API",
         ),
     ]
 

@@ -38,13 +38,16 @@ against the run-entry state, then cuts it at the first event whose
 footprint meets an earlier mutator's (:meth:`FastFeeder._segment`).
 Every verdict before the cut equals the scalar one, and the prefix's
 admits and releases are footprint-disjoint, so one ``admit_many`` and
-one ``release_many`` commit them.  A *hard* arrival — one the kernel
-cannot decide in bulk, a ``preempt-density`` arrival whose plan would
-walk evictions — goes to the session's scalar dispatcher in event
-order; if it changed nothing the window goes on past it, otherwise the
-cut falls at the first later event meeting a route or demand it
-changed.  Events past the cut are evaluated again in the next window,
-which spans twice the last run.
+one ``release_many`` commit them.  A *hard* arrival — a
+``preempt-density`` arrival that no candidate fits and whose plan
+reaches the eviction walk — is planned in the kernel too: one
+closed-form walk per window over every hard arrival before the cut
+(:func:`_kernel_preempt_walk`), against the same run-entry state.  In
+event order, a hard arrival that rejects changes nothing and the window
+goes on past it; one that preempts commits through ``evict_many`` +
+``admit_many`` and cuts the window at the first later event meeting a
+route or demand it changed.  Events past the cut are evaluated again in
+the next window, which spans twice the last run.
 
 Bit-exactness ground rules (each empirically verified against this
 container's NumPy):
@@ -74,9 +77,11 @@ gather plus a handful of segment reductions over contiguous slices.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left
-from typing import Any, NamedTuple
+from itertools import chain
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -209,6 +214,21 @@ class DemandGeometry:
             fp_edges[dest] = edge_u
         self.fp_edges = fp_edges
         self.fp_counts = fp_counts
+        self._walk_order = None
+
+    def walk_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rank, iid, height)``: every instance's rank in the
+        preemption walk's order — ascending ``(profit / route_len,
+        demand id)`` — and, by rank, the instance and its height (built
+        on first use).  The key is static per instance, and one demand
+        holds at most one instance at a time, so ranks order any set of
+        holders as the walk does."""
+        if self._walk_order is None:
+            iid = np.lexsort((self.index._dem, self.cand_density))
+            rank = np.empty(self.num_instances, dtype=np.int64)
+            rank[iid] = np.arange(self.num_instances, dtype=np.int64)
+            self._walk_order = (rank, iid, self.index._heights[iid])
+        return self._walk_order
 
 
 def geometry_of(ledger) -> DemandGeometry:
@@ -534,10 +554,10 @@ def _kernel_dual_commit(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
         peak[edges] = np.maximum(peak[edges], load[edges])
 
 
-def _kernel_dual_tally(feeder: "FastFeeder", state, k: int, n_hard: int,
+def _kernel_dual_tally(feeder: "FastFeeder", state, k: int,
                        n_admit: int) -> None:
     """The gate counters and ``max_gate`` trajectory of the first ``k``
-    evaluated arrivals (the kernel flags none of them hard)."""
+    evaluated arrivals."""
     best_price, has_any, gated, _ = state
     stats = feeder.policy.stats
     n_any = int(np.count_nonzero(has_any[:k]))
@@ -551,39 +571,61 @@ def _kernel_dual_tally(feeder: "FastFeeder", state, k: int, n_hard: int,
         stats["gated"] += int(np.count_nonzero(gated[:k]))
 
 
+class _PreemptState:
+    """One ``preempt-density`` window's evaluation: the first-fit keys
+    (``best``), the per-arrival pruned-candidate counts (``pruned``) and
+    what the eviction walk needs of stage 1 (``walk``: the window, every
+    route edge's hot flag and deficit, each candidate's cost bound and
+    walk mask)."""
+
+    __slots__ = ("best", "pruned", "walk")
+
+    def __init__(self, best, pruned, walk) -> None:
+        self.best = best
+        self.pruned = pruned
+        self.walk = walk
+
+
 def _kernel_preempt_evaluate(feeder: "FastFeeder", plan: _ChunkPlan,
                              i0: int, i1: int):
-    """Vectorized ``PreemptDensity.on_arrival`` verdicts for arrivals
-    ``[i0, i1)`` against the run-entry ledger.
+    """Vectorized ``PreemptDensity`` verdicts for arrivals ``[i0, i1)``
+    against the run-entry ledger, up to the eviction walk.
 
     *Fit half*: the greedy selection with the density floor folded into
     ``plan.gkey``.  *Blocked half*: stage 1 of
     :meth:`~repro.online.state.CapacityLedger.preemption_plan` for every
     candidate that clears the floor, in its exact float expressions.
-    An edge is hot iff ``(load + h) - 1.0 > _EPS``; the planner's cost
-    bound is the largest cheapest-holder profit over the hot edges
-    before the first hot edge nobody holds; it prunes iff ``bound > 0``
-    and ``profit <= gate * bound``, and otherwise such a holderless
-    edge plans ``None``; a candidate without a hot edge plans ``[]``.
-    (Profits are strictly positive, so a hot edge with a holder always
-    makes ``bound > 0``.)  An arrival whose every planned candidate
-    ends there is rejected in bulk; one with a candidate that would go
-    on to the eviction walk is *hard*.  A repeated arrival is a plain
-    reject.
+    An edge is hot iff its deficit ``(load + h) - 1.0`` exceeds
+    ``_EPS``; the planner's cost bound is the largest cheapest-holder
+    profit over the hot edges before the first hot edge nobody holds; it
+    prunes iff ``bound > 0`` and ``profit <= gate * bound``, and
+    otherwise such a holderless edge plans ``None``; a candidate without
+    a hot edge plans ``[]``.  (Profits are strictly positive, so a hot
+    edge with a holder always makes ``bound > 0``.)  An arrival whose
+    every planned candidate ends there is rejected in bulk; one with a
+    candidate that goes on to the eviction walk is *hard*, and
+    :func:`_kernel_preempt_walk` plans it from this evaluation.  A
+    repeated arrival is a plain reject.
     """
     ledger = feeder.ledger
     w = _Window(feeder, plan, i0, i1)
     best = _fit_keys(plan, w)
     n = i1 - i0
     ever = ledger._ever_admitted
-    repeat = np.fromiter((d in ever for d in plan.dlist[i0:i1]),
-                         dtype=bool, count=n)
-    planning = (best == _INT_MAX) & ~repeat
-    admits = ~(planning | repeat)
-    hard = pruned = None
+    dlist = plan.dlist[i0:i1]
+    if ever.isdisjoint(dlist):
+        planning = best == _INT_MAX
+        admits = ~planning
+    else:
+        repeat = np.fromiter(map(ever.__contains__, dlist), dtype=bool,
+                             count=n)
+        planning = (best == _INT_MAX) & ~repeat
+        admits = ~(planning | repeat)
+    hard = pruned = walk = None
     if planning.any():
         c0, c1, e0, e1 = w.c0, w.c1, w.e0, w.e1
-        hot = (w.loads + plan.eheight[e0:e1]) - 1.0 > _EPS
+        deficit = (w.loads + plan.eheight[e0:e1]) - 1.0
+        hot = deficit > _EPS
         held = np.where(hot, ledger._cheapest[plan.edges[e0:e1]], 0.0)
         bound = w.reduce(np.maximum, held, 0.0)
         lost = None
@@ -598,54 +640,229 @@ def _kernel_preempt_evaluate(feeder: "FastFeeder", plan: _ChunkPlan,
                 np.where(pos < lost[plan.ecand[e0:e1] - c0], held, 0.0), 0.0)
         le = plan.profit[c0:c1] <= feeder.gate * bound
         live = (bound > 0.0) & plan.elig[c0:c1]
+        live &= planning[plan.aidx[c0:c1] - i0]
         walks = live & ~le
         if lost is not None:
             walks &= lost == _INT_MAX
-        hard = np.logical_or.reduceat(walks, w.relc) & planning
+        hard = np.logical_or.reduceat(walks, w.relc)
+        # The stage-1 prunes of every planning arrival, hard ones
+        # included; the walk adds its own.
         pruned = np.add.reduceat(le & live, w.relc, dtype=np.int64)
-        # Only bulk rejects count here: the dispatcher recounts a hard
-        # arrival's candidates itself.
-        pruned[hard | ~planning] = 0
-    return admits, hard, (best, pruned)
+        walk = (w, hot, deficit, bound, walks)
+    return admits, hard, _PreemptState(best, pruned, walk)
+
+
+def _kernel_preempt_plans(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
+                          k: int, state: _PreemptState):
+    """The eviction walk of every walking candidate of the arrivals
+    ``[i0, i0 + k)`` against the run-entry ledger; changes nothing.
+
+    Returns ``(walks, short, cut_off, v_cand, v_iid)``: over those
+    arrivals' candidates (offsets from the window's first), which ones
+    walk, which walks run out of holders (``None``) and which the gate
+    prunes (``PRUNED``); and the victims of every walk, as candidate
+    offsets and held instances, per candidate in eviction order.
+
+    This is the greedy walk of
+    :meth:`~repro.online.state.CapacityLedger.preemption_plan`, in
+    closed form.  Order the holders of each hot edge ``e`` by the walk
+    key ``(profit / route_len, demand id)`` and let ``P_e(d)`` be
+    ``e``'s deficit less the heights of every holder ahead of ``d``,
+    subtracted one at a time.  While ``e`` is hot the walk takes every
+    holder of ``e``, so its deficit at ``d`` is ``P_e(d)`` for as long
+    as either exceeds ``_EPS``: ``d`` is a victim iff some hot edge of
+    ``d`` has ``P_e(d) > _EPS``, and the plan completes iff every hot
+    edge ends at ``P_e <= _EPS``.  The walk prunes iff ``profit <= gate
+    * max(bound, victim profits)``, leaving out the last victim of a
+    complete plan (the walk returns before pruning on it).
+    """
+    ledger = feeder.ledger
+    walk_rank, walk_iid, walk_height = feeder.geom.walk_order()
+    I = feeder.num_instances
+    w, hot, deficit, bound, walks = state.walk
+    c0, e0 = w.c0, w.e0
+    cc = plan.cstart_l[i0 + k] - c0
+    ec = plan.estart_l[c0 + cc] - e0
+    cmask = walks[:cc]
+    ecand = plan.ecand[e0:e0 + ec]
+    # One segment per (walking candidate, hot edge), grouped by
+    # candidate; stage 1 saw to it that every such edge has a holder.
+    # (Small arrays: the method forms skip NumPy's dispatch wrappers.)
+    seg_e = (hot[:ec] & cmask[ecand - c0]).nonzero()[0]
+    seg_cand = ecand[seg_e] - c0
+    sets = list(map(ledger._holders_by_edge.__getitem__,
+                    plan.edges[e0:e0 + ec][seg_e].tolist()))
+    lens = list(map(len, sets))
+    n = sum(lens)
+    S = len(lens)
+    cnt = np.fromiter(lens, dtype=np.int64, count=S)
+    held = np.fromiter(map(ledger._admitted.__getitem__,
+                           chain.from_iterable(sets)),
+                       dtype=np.int64, count=n)
+    # Each segment's holders in walk order: one sort of (segment, walk
+    # rank) keys, which leaves the segment column as it was.
+    seg = np.arange(S, dtype=np.int64).repeat(cnt)
+    seg_i = seg * I
+    order = walk_rank[held] + seg_i
+    order.sort()
+    order -= seg_i
+    # Row r of ``steps`` holds each segment's r-th holder height (0.0
+    # past its last, which subtracts exactly nothing); subtracting down
+    # the rows is the walk's own subtraction sequence, one holder rank
+    # at a time across every segment.  ``cell`` is each holder's row-
+    # major position, ``rank * S + seg``.
+    cell = seg + S * (np.arange(n, dtype=np.int64)
+                      - (cnt.cumsum() - cnt).repeat(cnt))
+    steps = np.zeros((max(lens) + 1) * S)
+    steps[:S] = deficit[seg_e]
+    steps[S:][cell] = walk_height[order]
+    rows = steps.reshape(-1, S)
+    np.subtract.accumulate(rows, axis=0, out=rows)
+    # Victims, per candidate in walk order: the distinct (candidate,
+    # walk rank) keys among the holders that met a hot deficit.
+    key = (seg_cand[seg] * I + order)[steps[cell] > _EPS]
+    key.sort()
+    fresh = np.empty(len(key), dtype=bool)
+    fresh[0] = True
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    v_cand, v_rank = np.divmod(key[fresh], I)
+    v_iid = walk_iid[v_rank]
+    short = np.zeros(cc, dtype=bool)
+    short[seg_cand[steps[-S:] > _EPS]] = True
+    # The prune bound: stage 1's, then every victim's profit but a
+    # complete plan's last.
+    last = np.empty(len(v_cand), dtype=bool)
+    last[-1] = True
+    np.not_equal(v_cand[1:], v_cand[:-1], out=last[:-1])
+    top = bound[:cc].copy()
+    np.maximum.at(top, v_cand, np.where(last & ~short[v_cand], 0.0,
+                                        feeder.geom.index._profits[v_iid]))
+    cut_off = cmask & (plan.profit[c0:c0 + cc] <= feeder.gate * top)
+    return cmask, short, cut_off, v_cand, v_iid
+
+
+def _kernel_preempt_walk(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
+                         k: int, state: _PreemptState) -> dict:
+    """The eviction plans of the hard arrivals among ``[i0, i0 + k)``
+    against the run-entry ledger: ``{offset: (iid, victims, victim
+    profits)}`` for each arrival that preempts into candidate ``iid``
+    (the others reject).  Walk prunes are added to ``state.pruned``.
+
+    The walks come from :func:`_kernel_preempt_plans`; the viable plans
+    are then costed and ranked as ``PreemptDensity`` ranks them:
+    ``math.fsum`` of the victims' profits, the gate, and the first
+    minimum of ``(cost, route_len, iid)`` in candidate order.
+    """
+    walks, short, cut_off, v_cand, v_iid = _kernel_preempt_plans(
+        feeder, plan, i0, k, state)
+    c0 = plan.cstart_l[i0]
+    gone = cut_off.nonzero()[0]
+    if len(gone):
+        np.add.at(state.pruned, plan.aidx[c0 + gone] - i0, 1)
+    viable = (walks & ~short & ~cut_off).nonzero()[0]
+    chosen: dict = {}
+    if not len(viable):
+        return chosen
+    index = feeder.geom.index
+    v_lo = v_cand.searchsorted(viable).tolist()
+    v_hi = v_cand.searchsorted(viable, side="right").tolist()
+    v_dem = index._dem[v_iid].tolist()
+    v_prof = index._profits[v_iid].tolist()
+    route_len = feeder.ledger._route_len
+    gate = feeder.gate
+    pv = c0 + viable
+    for a, profit, c_iid, lo, hi in zip((plan.aidx[pv] - i0).tolist(),
+                                        plan.profit[pv].tolist(),
+                                        plan.iid[pv].tolist(), v_lo, v_hi):
+        prof = v_prof[lo:hi]
+        cost = math.fsum(prof)
+        if profit <= gate * cost:
+            continue
+        rank_key = (cost, route_len[c_iid], c_iid)
+        have = chosen.get(a)
+        if have is None or rank_key < have[0]:
+            chosen[a] = (rank_key, c_iid, v_dem[lo:hi], prof)
+    return {a: have[1:] for a, have in chosen.items()}
+
+
+def _kernel_preempt_evict(feeder: "FastFeeder", plan: _ChunkPlan, a: int,
+                          move) -> list:
+    """Execute arrival ``a``'s eviction plan ``move`` from
+    :func:`_kernel_preempt_walk`: the victims go in one ``evict_many``
+    (their penalties and forfeits in walk order), then the arrival is
+    admitted; returns the ``(demand, instance)`` pairs it changed."""
+    ledger = feeder.ledger
+    policy = feeder.policy
+    iid, victims, profits = move
+    penalty = policy.penalty
+    v_iids = ledger.evict_many(victims, [penalty * p for p in profits])
+    policy.stats["evictions"] += len(victims)
+    policy.stats["preempt_admits"] += 1
+    demand = plan.dlist[a]
+    # The walk's deficits and the loads after the evictions round
+    # differently, so the route is probed as the scalar admission
+    # probes it; should it not fit, the validating admit_many raises
+    # the scalar path's error.
+    route = ledger._edge_ids(iid)
+    height = feeder.geom.index._heights[iid]
+    fits = (not len(route)
+            or np.maximum.reduce(ledger.active._load[route]) + height <= _CAP)
+    ledger.admit_many([iid], _prechecked=fits, _demands=[demand],
+                      _edges=route, _adds=np.full(len(route), height))
+    changed = list(zip(victims, v_iids))
+    changed.append((demand, iid))
+    return changed
 
 
 def _kernel_preempt_commit(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
-                           sel: np.ndarray, state) -> None:
+                           sel: np.ndarray, state: _PreemptState) -> None:
     """Admit the fits among evaluated arrivals ``i0 + sel``."""
-    _kernel_greedy_commit(feeder, plan, i0, sel, state[0])
+    _kernel_greedy_commit(feeder, plan, i0, sel, state.best)
 
 
-def _kernel_preempt_tally(feeder: "FastFeeder", state, k: int, n_hard: int,
+def _kernel_preempt_tally(feeder: "FastFeeder", state: _PreemptState, k: int,
                           n_admit: int) -> None:
     """``preempt_rejected`` / ``preempt_pruned`` for the first ``k``
-    evaluated arrivals, less the ``n_hard`` the dispatcher decided."""
-    pruned = state[1]
+    evaluated arrivals (the walk and the commit count the rest)."""
     stats = feeder.policy.stats
-    stats["preempt_rejected"] += k - n_hard - n_admit
-    if pruned is not None:
-        stats["preempt_pruned"] += int(pruned[:k].sum())
+    stats["preempt_rejected"] += k - n_admit
+    if state.pruned is not None:
+        stats["preempt_pruned"] += int(state.pruned[:k].sum())
+
+
+class _Kernel(NamedTuple):
+    """One policy's batch kernel (see :data:`BATCH_KERNELS`)."""
+
+    evaluate: Callable
+    commit: Callable
+    tally: Callable | None = None
+    walk: Callable | None = None
+    preempt: Callable | None = None
 
 
 #: Kernel registry: the names policies advertise via ``batch_kernel()``.
-#: Values are ``(evaluate, commit, tally)``:
 #:
 #: * ``evaluate(feeder, plan, i0, i1)`` returns ``(admits, hard,
 #:   state)`` for arrivals ``[i0, i1)`` of a :class:`_ChunkPlan`
-#:   without touching any state (``hard`` is ``None`` for kernels that
-#:   decide every arrival);
+#:   without touching any state (``hard`` is ``None`` for kernels whose
+#:   verdicts need no eviction walk);
 #: * ``commit(feeder, plan, i0, sel, state)`` applies the admits of
 #:   arrivals ``i0 + sel``;
-#: * ``tally(feeder, state, k, n_hard, n_admit)`` adds the policy
-#:   counters of the first ``k`` evaluated arrivals, ``n_hard`` of which
-#:   the scalar dispatcher decided and ``n_admit`` of which admitted
-#:   (``None`` when the policy keeps no per-arrival counters).
+#: * ``tally(feeder, state, k, n_admit)`` adds the policy counters of
+#:   the first ``k`` evaluated arrivals, ``n_admit`` of which admitted
+#:   (``None`` when the policy keeps no per-arrival counters);
+#: * ``walk(feeder, plan, i0, k, state)`` plans the hard arrivals among
+#:   ``[i0, i0 + k)`` (``{offset: move}`` for those that preempt) and
+#:   ``preempt(feeder, plan, a, move)`` executes one move, returning the
+#:   ``(demand, instance)`` pairs it changed.
 BATCH_KERNELS = {
-    "greedy-threshold": (_kernel_greedy_evaluate, _kernel_greedy_commit,
-                         None),
-    "dual-gated": (_kernel_dual_evaluate, _kernel_dual_commit,
-                   _kernel_dual_tally),
-    "preempt-density": (_kernel_preempt_evaluate, _kernel_preempt_commit,
-                        _kernel_preempt_tally),
+    "greedy-threshold": _Kernel(_kernel_greedy_evaluate,
+                                _kernel_greedy_commit),
+    "dual-gated": _Kernel(_kernel_dual_evaluate, _kernel_dual_commit,
+                          _kernel_dual_tally),
+    "preempt-density": _Kernel(_kernel_preempt_evaluate,
+                               _kernel_preempt_commit, _kernel_preempt_tally,
+                               _kernel_preempt_walk, _kernel_preempt_evict),
 }
 
 
@@ -670,9 +887,10 @@ class _Segment(NamedTuple):
     """One evaluated, cut window (:meth:`FastFeeder._segment`): the
     kernel ``state`` of the arrivals from ``i0``, the offsets ``sel`` of
     those that admit (and their chunk events ``adm_events``), the hard
-    arrivals' events, the releasing departures (``rel``, indices into
-    the chunk's departures, the first of the window being ``d0``) and
-    the ``cut``."""
+    arrivals before the cut (their events, and ``(event, move)`` for
+    each that preempts), the releasing departures (``rel``,
+    indices into the chunk's departures, the first of the window being
+    ``d0``) and the ``cut``."""
 
     i0: int
     d0: int
@@ -680,6 +898,7 @@ class _Segment(NamedTuple):
     sel: np.ndarray
     adm_events: list
     hard_events: list
+    moves: list
     rel: list
     cut: int
 
@@ -704,7 +923,10 @@ class FastFeeder:
         self.ledger = session.ledger
         self.policy = session.policy
         self.kernel_name = kernel_name
-        self.evaluate, self.commit, self.tally = BATCH_KERNELS[kernel_name]
+        kernel = BATCH_KERNELS[kernel_name]
+        self.evaluate, self.commit, self.tally = (kernel.evaluate,
+                                                  kernel.commit, kernel.tally)
+        self.walk, self.preempt = kernel.walk, kernel.preempt
         self.geom = geometry_of(session.ledger)
         self.num_instances = self.geom.num_instances
         # The density floor is static per session: fold it into the
@@ -718,7 +940,7 @@ class FastFeeder:
         else:
             self.gkey = None
         if kernel_name == "preempt-density":
-            # The very gate PreemptDensity._best_plan passes the planner.
+            # The very gate PreemptDensity passes the planner.
             self.gate = self.policy.factor + self.policy.penalty
         # Earliest mutator per footprint edge during one :meth:`_cut`
         # (``_INT_MAX`` between calls).
@@ -817,20 +1039,18 @@ class FastFeeder:
         Mutators are the arrivals whose verdict admits and the
         departures of demands in the system.  A departure of a demand
         the window admits meets that admission's footprint, so it falls
-        past the cut.  Hard arrivals do not cut here; :meth:`_window`
-        handles them as it reaches them.
+        past the cut.  Hard arrivals do not cut here: the kernel walks
+        the eviction plans of those before the cut, and :meth:`_window`
+        executes them as it reaches them.
         """
         plan = self._plan
         i0, i1 = self._arr_ofs[lo], self._arr_ofs[b]
         d0, d1 = self._dep_ofs[lo], self._dep_ofs[b]
-        hard_events: list = []
-        state = None
+        hard = state = None
         sel = _NO_ROWS
         if i1 > i0:
             admits, hard, state = self.evaluate(self, plan, i0, i1)
             sel = np.flatnonzero(admits)
-            if hard is not None and hard.any():
-                hard_events = plan.event[i0 + np.flatnonzero(hard)].tolist()
         adm_events = plan.event[i0 + sel]
         adm_events_l = adm_events.tolist()
         admitted_map = self.ledger._admitted
@@ -840,21 +1060,29 @@ class FastFeeder:
             cut = self._cut(lo, b, adm_events, self._dep_event[rel])
         else:
             cut = b
-        return _Segment(i0, d0, state, sel, adm_events_l, hard_events, rel,
-                        cut)
+        hard_events = moves = []
+        if hard is not None:
+            k = self._arr_ofs[cut] - i0
+            offs = np.flatnonzero(hard[:k])
+            if len(offs):
+                hard_events = plan.event[i0 + offs].tolist()
+                moves = [(int(plan.event[i0 + a]), move) for a, move
+                         in self.walk(self, plan, i0, k, state).items()]
+        return _Segment(i0, d0, state, sel, adm_events_l, hard_events, moves,
+                        rel, cut)
 
     def _window(self, lo: int, b: int) -> int:
         """Decide events ``[lo, b)`` of the loaded chunk from one
         evaluation (:meth:`_segment`); returns where the next window
         starts.
 
-        The events before the cut are committed in bulk, except hard
-        arrivals, which the scalar dispatcher decides in event order
-        against the state committed before them.  A hard arrival that
-        changes nothing (a rejection after the eviction walk) leaves
-        every later verdict valid, so the window goes on past it; one
-        that admits or evicts is a mutator whose footprint is what it
-        changed, and cuts the window at the first later event that
+        The events before the cut are committed in bulk, and each hard
+        arrival's eviction plan in event order against the state
+        committed before it.  A hard arrival that rejects changes
+        nothing, so every later verdict stays valid and the window goes
+        on past it; one that preempts is a mutator whose footprint is
+        what it changed — its route, its victims' routes and their
+        sentinels — and cuts the window at the first later event that
         meets it (:meth:`_touched`).
         """
         t0 = time.perf_counter()
@@ -862,16 +1090,15 @@ class FastFeeder:
         ledger = self.ledger
         plan = self._plan
         dep_ofs = self._dep_ofs
-        i0, d0, state, sel, adm_events_l, hard_events, rel, cut = \
+        i0, d0, state, sel, adm_events_l, hard_events, moves, rel, cut = \
             self._segment(lo, b)
         dep_demands = self._dep_demands
-        # Commit the pieces between the hard arrivals in event order;
-        # within a piece the admits and releases are pairwise
+        # Commit the pieces between the preempting arrivals in event
+        # order; within a piece the admits and releases are pairwise
         # footprint-disjoint, so one admit_many and one release_many
         # apply them.
-        a_done = r_done = n_hard = 0
-        t_scalar = 0.0
-        for q in hard_events + [cut]:
+        a_done = r_done = n_pre = 0
+        for q, move in moves + [(cut, None)]:
             if q > cut:
                 q = cut
             a_next = bisect_left(adm_events_l, q, a_done)
@@ -888,34 +1115,24 @@ class FastFeeder:
                 r_done = r_next
             if q == cut:
                 break
-            # A hard arrival: the scalar dispatcher decides it.
-            n_hard += 1
-            n_adm = len(ledger.admission_log)
-            n_ev = len(ledger.eviction_log)
-            t1 = time.perf_counter()
-            self._scalar(q)
-            t_scalar += time.perf_counter() - t1
-            if (len(ledger.admission_log) != n_adm
-                    or len(ledger.eviction_log) != n_ev):
-                cut = self._touched(q + 1, cut,
-                                    ledger.admission_log[n_adm:]
-                                    + ledger.eviction_log[n_ev:])
+            n_pre += 1
+            cut = self._touched(q + 1, cut, self.preempt(
+                self, plan, self._arr_ofs[q], move))
         nxt = cut
         k = self._arr_ofs[nxt] - i0
         if self.tally is not None and k:
-            self.tally(self, state, k, n_hard, a_done)
+            self.tally(self, state, k, a_done + n_pre)
         stats = session.fastpath_stats
-        stats["scalar_fallbacks"] += n_hard
-        rn = nxt - lo - n_hard
+        rn = nxt - lo
         acc = self._acc
         acc.discarded += b - nxt
         if rn:
-            dur = time.perf_counter() - t0 - t_scalar
+            dur = time.perf_counter() - t0
             session.latency.observe(dur * 1e6, rn)
             acc.events += rn
-            acc.arrivals += k - n_hard
+            acc.arrivals += k
             acc.departures += dep_ofs[nxt] - d0
-            acc.admitted += a_done
+            acc.admitted += a_done + n_pre
             if not acc.runs:
                 acc.t_first = t0
             acc.runs += 1

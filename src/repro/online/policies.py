@@ -622,10 +622,10 @@ class PreemptDensity(_PreemptiveAdmission):
                       "preempt_rejected": 0, "preempt_pruned": 0}
 
     def batch_kernel(self) -> str | None:
-        # Arrivals that fit, and blocked arrivals whose every candidate
-        # the cost bound prunes (or cannot free), decide in bulk; the
-        # kernel hands anything that would walk an eviction plan back
-        # to on_arrival.
+        # Every arrival decides in bulk: the fit, stage 1 of the
+        # planner, the eviction walk (in closed form) and the plan
+        # ranking of _best_plan, committed through evict_many and
+        # admit_many.
         return "preempt-density"
 
     def _best_plan(self, demand_id: int):

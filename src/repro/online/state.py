@@ -10,7 +10,8 @@ the incremental :class:`~repro.core.conflict.ActiveConflictSet`:
 * ``feasible`` — which of a demand's instances fit the residual
   capacity right now (one batched gather/segment-max probe);
 * ``admit`` / ``release`` / ``evict`` — scatter-add / scatter-subtract
-  of the instance's height along its route;
+  of the instance's height along its route (and ``admit_many`` /
+  ``release_many`` / ``evict_many``, their batch forms, bit for bit);
 * ``route_loads`` — the current per-edge loads along a route, which the
   dual-gated policy prices;
 * ``holders_on_route`` / ``preemption_plan`` — which admitted demands
@@ -528,14 +529,10 @@ class CapacityLedger:
 
         The whole batch is validated first (every demand currently
         admitted, none named twice), so a bad entry leaves the ledger
-        untouched.  The load subtraction runs as one ``np.subtract.at``
-        over the concatenated routes — the index array is in batch
-        order, and ``ufunc.at`` applies updates in index order, so the
-        float sequence per edge is exactly the scalar per-demand loop's.
-        ``_disjoint`` (fast-path internal) promises the released routes
-        are pairwise edge-disjoint, so the scatter touches each position
-        once and a plain fancy subtract performs the identical single
-        float subtraction per edge.
+        untouched.  The loads drop in batch order, the scalar loop's
+        float sequence per edge (:meth:`_drop_many`); ``_disjoint``
+        (fast-path internal) promises the released routes are pairwise
+        edge-disjoint, which lets one fancy subtract do it.
 
         Raises
         ------
@@ -556,6 +553,83 @@ class CapacityLedger:
         if len(set(dlist)) != len(dlist):
             raise ValueError("a demand appears twice in the release batch")
         t0 = time.perf_counter_ns() if _REC.enabled else 0
+        self._drop_many(dlist, iids, disjoint=_disjoint)
+        if t0:
+            _REC.record("ledger.release_many", t0,
+                        time.perf_counter_ns() - t0,
+                        {"released": len(dlist)})
+        return iids
+
+    def evict_many(self, demand_ids, penalties) -> list[int]:
+        """Preemptively evict a batch of admitted demands, in order;
+        returns their instances.
+
+        The batch form of calling :meth:`evict` on each ``(demand,
+        penalty)`` pair in turn, bit for bit.  The whole batch is
+        validated first (every penalty non-negative, every demand
+        currently admitted, none named twice), so a bad entry leaves the
+        ledger untouched.  An eviction plan's victims share the edges
+        they free, so the load subtraction is one ``np.subtract.at`` in
+        batch order — the scalar loop's float sequence per edge — and
+        the forfeit and penalty counters take one add per eviction, in
+        order.
+
+        Raises
+        ------
+        KeyError
+            If a demand is not currently admitted.
+        ValueError
+            If a penalty is negative, the two sequences differ in
+            length, or a demand appears twice in the batch.
+        """
+        dlist = [int(d) for d in demand_ids]
+        paid = [float(p) for p in penalties]
+        if len(paid) != len(dlist):
+            raise ValueError(f"{len(dlist)} demands but {len(paid)} "
+                             f"penalties")
+        for p in paid:
+            if p < 0:
+                raise ValueError(f"penalty must be >= 0, got {p}")
+        iids = []
+        for d in dlist:
+            iid = self._admitted.get(d)
+            if iid is None:
+                raise KeyError(f"demand {d} is not admitted")
+            iids.append(iid)
+        if not iids:
+            return []
+        if len(set(dlist)) != len(dlist):
+            raise ValueError("a demand appears twice in the eviction batch")
+        t0 = time.perf_counter_ns() if _REC.enabled else 0
+        self._drop_many(dlist, iids, disjoint=False)
+        profit_of = self._profit
+        for d, iid, p in zip(dlist, iids, paid):
+            self._evicted.add(d)
+            self.eviction_log.append((d, iid))
+            # repro: noqa[CERT001] -- deliberate += in eviction order: a
+            # batch must bit-match the scalar evict loop's accumulation.
+            self._profit_forfeited += profit_of[iid]
+            # repro: noqa[CERT001] -- same, for the penalty account.
+            self._penalty_paid += p
+        if t0:
+            _REC.record("ledger.evict_many", t0, time.perf_counter_ns() - t0,
+                        {"evicted": len(dlist)})
+        return iids
+
+    def _drop_many(self, dlist: list[int], iids: list[int], *,
+                   disjoint: bool) -> None:
+        """Remove validated admitted demands ``dlist`` (holding
+        ``iids``) in order: loads, active set, holder sets and the
+        cheapest-holder column.
+
+        The load subtraction runs as one ``np.subtract.at`` over the
+        concatenated routes — the index array is in batch order, and
+        ``ufunc.at`` applies updates in index order, so the float
+        sequence per edge is exactly the scalar per-demand loop's.
+        ``disjoint`` promises pairwise edge-disjoint routes, so the
+        scatter touches each position once and a plain fancy subtract
+        performs the identical single float subtraction per edge.
+        """
         idx = self.index
         arr = np.asarray(iids, dtype=np.int64)
         routes = [self._route_edge_list(iid) for iid in iids]
@@ -563,7 +637,7 @@ class CapacityLedger:
         edges = np.concatenate([self._edge_ids(iid) for iid in iids])
         if len(edges):
             subs = np.repeat(idx._heights[arr], counts)
-            if _disjoint:
+            if disjoint:
                 self.active._load[edges] -= subs
             else:
                 np.subtract.at(self.active._load, edges, subs)
@@ -577,11 +651,6 @@ class CapacityLedger:
             self._refresh_cheapest(
                 edges[self._cheapest[edges]
                       == np.repeat(idx._profits[arr], counts)])
-        if t0:
-            _REC.record("ledger.release_many", t0,
-                        time.perf_counter_ns() - t0,
-                        {"released": len(dlist)})
-        return iids
 
     def _remove(self, demand_id: int) -> int:
         """Drop a demand from the admitted set and the holder map."""

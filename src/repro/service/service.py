@@ -150,6 +150,22 @@ def _rekey_legacy_checkpoint(state: dict, ledger) -> dict:
     return state
 
 
+def _header_settings(header: dict) -> tuple[str, dict, int]:
+    """A journal header's ``(policy, params, checkpoint_every)``;
+    ``ValueError`` naming the field when one is missing or mistyped."""
+    policy = header.get("policy")
+    if not isinstance(policy, str):
+        raise ValueError(f"'policy' must be a policy name, got {policy!r}")
+    params = header.get("params") or {}
+    if not isinstance(params, dict):
+        raise ValueError(f"'params' must be an object, got {params!r}")
+    every = header.get("checkpoint_every", 0)
+    if isinstance(every, bool) or not isinstance(every, int):
+        raise ValueError(f"'checkpoint_every' must be an integer, got "
+                         f"{every!r}")
+    return policy, params, every
+
+
 class AdmissionService:
     """A journaled, resumable admission session behind a request API.
 
@@ -577,14 +593,13 @@ class AdmissionService:
         header, ckpt, tail, good_bytes, fmt = scan_journal(journal_path)
         try:
             trace = trace_from_dict(header.get("trace"))
+            policy, params, every = _header_settings(header)
         except ValueError as exc:
             raise ValueError(f"corrupt journal {journal_path!r}: bad header "
                              f"record: {exc}") from None
         svc = cls(
-            trace, header["policy"], header.get("params") or {},
-            journal_path=None,
-            checkpoint_every=(int(header.get("checkpoint_every", 0))
-                              if checkpoint_every is None
+            trace, policy, params, journal_path=None,
+            checkpoint_every=(every if checkpoint_every is None
                               else checkpoint_every),
         )
         if ckpt is not None:

@@ -20,8 +20,12 @@ Four families, mirroring the guarantees the journal makes:
 from __future__ import annotations
 
 import json
+import os
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,8 @@ from repro.online.events import Arrival, Departure, Tick
 from repro.service import AdmissionService
 
 HEADER = {"kind": "admission-journal", "format": 1, "policy": "greedy-threshold"}
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 #: Pinned corpus: every event type, extreme and fractional values.
 CORPUS = [
@@ -206,6 +212,20 @@ CORRUPT_HEADERS = [
 ]
 
 
+_MISSING = object()
+
+#: Header settings ``_rebuild`` refuses: ``(field, value)``.
+BAD_SETTINGS = [
+    ("policy", _MISSING),
+    ("policy", ["greedy-threshold"]),
+    ("params", [["factor", 1.2]]),
+    ("params", "factor=1.2"),
+    ("checkpoint_every", "40"),
+    ("checkpoint_every", 1.5),
+    ("checkpoint_every", None),
+]
+
+
 class TestColumnHeader:
     """The binary codec's column header: a header that fails to encode
     leaves no file, and a corrupt one fails loudly.
@@ -255,6 +275,41 @@ class TestColumnHeader:
         with pytest.raises(ValueError, match=(
                 f"^corrupt journal '{path}': bad record 12 .*header")):
             AdmissionService.resume(str(path))
+
+    @pytest.mark.parametrize("fmt", JOURNAL_FORMATS)
+    @pytest.mark.parametrize("field, value", BAD_SETTINGS,
+                             ids=[f"{f}={'missing' if v is _MISSING else v!r}"
+                                  for f, v in BAD_SETTINGS])
+    def test_bad_header_settings_fail_resume(self, tmp_path, fmt, field,
+                                             value):
+        """A header whose policy, params or checkpoint cadence is missing
+        or mistyped is corruption, reported as such by the service and
+        by ``repro resume`` (no traceback)."""
+        trace = small_trace()
+        path = tmp_path / f"j.{fmt}"
+        header = dict(HEADER, params={}, checkpoint_every=0,
+                      trace=trace_to_dict(trace))
+        if value is _MISSING:
+            del header[field]
+        else:
+            header[field] = value
+        with JournalWriter(str(path), header=header, fmt=fmt) as w:
+            for ev in trace.events[:5]:
+                w.append(ev)
+        with pytest.raises(ValueError, match=(
+                f"^corrupt journal '{path}': bad header record: "
+                f"'{field}' must be")):
+            AdmissionService.resume(str(path))
+        if fmt != "jsonl":
+            return
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "resume", "--journal", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [SRC, os.environ.get("PYTHONPATH")]))))
+        assert proc.returncode != 0
+        assert proc.stderr.startswith("resume: corrupt journal"), proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("fault, edit", CORRUPT_HEADERS,
                              ids=[c[0] for c in CORRUPT_HEADERS])
