@@ -8,7 +8,7 @@ python -m repro sweep     a.json b.json --solvers tree-unit,sequential --seeds 0
 python -m repro replay    --policy dual-gated --events 10000
 python -m repro replay    trace.json --shards 4 --shard-by subtree
 python -m repro serve     --trace trace.json --policy dual-gated --journal j.log
-python -m repro serve     --trace trace.json --journal j.bin --format binary \
+python -m repro serve     --trace trace.json --journal j.log \
                           --sync-window 64 --checkpoint-every 5000
 python -m repro serve     --trace trace.json --port 7777 \
                           --obs --metrics-port 9100
@@ -30,12 +30,13 @@ trace on the fly), and with ``--shards N`` fans it across the sharded
 admission engine;
 ``serve`` runs the long-lived admission service — JSON-lines requests
 on stdin (or TCP clients with ``--port``) and a write-ahead admission
-journal (JSON-lines or binary, group-committed, optionally
-checkpointed) — ``resume`` warm-restarts a killed service from its
-journal (seeking to the last checkpoint and replaying only the tail)
-and finishes the trace, and ``compact`` rewrites a journal as header +
-one checkpoint; ``sweep-preemption`` grids preemption factor × penalty
-over saved traces and reports where preemption stops paying;
+journal (binary, group-committed, optionally checkpointed) —
+``resume`` warm-restarts a killed service from its journal (seeking to
+the last checkpoint and replaying only the tail) and finishes the
+trace, and ``compact`` rewrites a journal as header + one checkpoint
+(both rewrite a JSON-lines journal from an earlier writer as binary);
+``sweep-preemption`` grids preemption factor × penalty over saved
+traces and reports where preemption stops paying;
 ``decompose`` prints the Section 4 decomposition table; ``top`` is a
 live optimality dashboard over a serving TCP service (polls
 ``{"op": "stats"}``) and ``trace`` pulls the service's flight-recorder
@@ -443,12 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--sync", action="store_true",
                      help="fsync the journal at every commit "
                           "(power-loss durability; slower)")
-    from .io import JOURNAL_FORMATS
-
-    srv.add_argument("--format", default="jsonl", choices=JOURNAL_FORMATS,
-                     dest="journal_format",
-                     help="journal codec (default: jsonl; binary is "
-                          "smaller and faster)")
+    srv.add_argument("--format", default="binary", choices=("binary",),
+                     help="journal codec; kept for compatibility, binary "
+                          "is the only one written")
     srv.add_argument("--sync-window",
                      type=_int_arg("sync-window", minimum=1), default=1,
                      help="group commit: flush/fsync the journal every N "
@@ -472,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     res.add_argument("--journal", required=True,
                      help="journal written by `repro serve --journal` "
-                          "(either codec, auto-detected)")
+                          "(a JSON-lines one is rewritten as binary "
+                          "first)")
     res.add_argument("--serve", action="store_true",
                      help="keep serving requests on stdin after the "
                           "restart instead of finishing the trace")
@@ -554,11 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
                "the whole history; safe on journals with torn tails",
     )
     cpt.add_argument("--journal", required=True,
-                     help="journal to compact (replaced atomically)")
-    cpt.add_argument("--format", default=None, choices=JOURNAL_FORMATS,
-                     dest="journal_format",
-                     help="convert the codec while compacting "
-                          "(default: keep the existing one)")
+                     help="journal to compact (replaced atomically; a "
+                          "JSON-lines one comes out binary)")
 
     swp_p = sub.add_parser(
         "sweep-preemption",
@@ -881,8 +877,7 @@ def _serve(args) -> int:
         service = AdmissionService(
             trace, args.policy, policy_kwargs,
             journal_path=args.journal,
-            sync=args.sync,
-            fmt=args.journal_format, sync_window=args.sync_window,
+            sync=args.sync, sync_window=args.sync_window,
             sync_interval_ms=args.sync_interval_ms,
             checkpoint_every=args.checkpoint_every,
         )
@@ -938,6 +933,9 @@ def _resume(args) -> int:
     except (OSError, ValueError) as exc:
         raise SystemExit(f"resume: {exc}")
     resumed_at = service.position
+    if service.upgraded:
+        print(f"upgraded {args.journal} to binary: {resumed_at} events "
+              "folded into one checkpoint", file=sys.stderr)
     print(f"recovered {resumed_at} journaled events "
           f"({service.policy_name}, "
           f"{service.trace.problem.num_demands} demands)",
@@ -1004,13 +1002,12 @@ def _compact(args) -> int:
     from .service import AdmissionService
 
     try:
-        info = AdmissionService.compact(args.journal,
-                                        fmt=args.journal_format)
+        info = AdmissionService.compact(args.journal)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"compact: {exc}")
     print(f"compacted {args.journal}: {info['position']} events folded "
           f"into one checkpoint, {info['bytes_before']} -> "
-          f"{info['bytes_after']} bytes ({info['format']})")
+          f"{info['bytes_after']} bytes")
     return 0
 
 

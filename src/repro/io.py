@@ -23,24 +23,22 @@ append-only file whose first record is a self-contained header (policy,
 parameters, the full trace as columns) and whose every further record is
 one submitted event in the trace event schema, optionally interleaved
 with **checkpoint** records (serialized session state, so a resume can
-seek past the prefix instead of replaying it).  Two on-disk codecs
-share one record model:
-
-* ``jsonl`` — one JSON document per line, human-readable (the PR-5
-  format, still the default);
-* ``binary`` — a magic+version preamble followed by length-prefixed
-  records; the header is a JSON envelope plus one raw array per trace
-  column, and an event is a packed 18-byte record instead of ~50 bytes
-  of JSON text.  The format is auto-detected on read, so readers never
-  need to be told.
+seek past the prefix instead of replaying it).  The writer emits one
+codec: a magic+version preamble followed by length-prefixed records;
+the header is a JSON envelope plus one raw array per trace column, and
+an event is a packed 18-byte record.  JSON-lines journals (one JSON
+document per line), which earlier writers emitted, are still read — the
+codec is auto-detected — but never appended to:
+:meth:`~repro.service.AdmissionService.resume` and ``compact`` rewrite
+one as binary first.
 
 Because replay decisions are deterministic, re-submitting the
 journaled events into a fresh :class:`~repro.session.AdmissionSession`
 reconstructs the exact ledger and metrics state — the warm-restart
-path.  Both codecs tolerate a torn *final* record (the one a ``kill
--9`` can leave behind) and report the byte offset of the last intact
-record so the writer can resume appending cleanly; corruption anywhere
-else is an error.
+path.  The reader of either codec tolerates a torn *final* record (the
+one a ``kill -9`` can leave behind) and reports the byte offset of the
+last intact record so the writer can resume appending cleanly;
+corruption anywhere else is an error.
 
 :class:`JournalWriter` supports **group commit**: records buffer in
 memory and are written + (optionally) fsynced together every
@@ -93,7 +91,6 @@ __all__ = [
     "read_journal",
     "iter_journal",
     "scan_journal",
-    "JOURNAL_FORMATS",
 ]
 
 #: Version of the problem document :func:`problem_to_dict` writes;
@@ -648,19 +645,15 @@ def load_trace(path: str):
 
 
 # ----------------------------------------------------------------------
-# The admission journal (append-only; JSON-lines or binary codec)
+# The admission journal (append-only; written binary, JSON lines read)
 # ----------------------------------------------------------------------
-
-#: Supported journal codecs, as accepted by ``JournalWriter(fmt=...)``
-#: and the CLI's ``--format``.
-JOURNAL_FORMATS = ("jsonl", "binary")
 
 #: Binary-journal preamble: magic (first byte deliberately non-ASCII so
 #: it can never collide with a JSON line) + one format-version byte.
 _BINARY_MAGIC = b"\x89RPJ"
 _BINARY_PREAMBLE = _BINARY_MAGIC + bytes([JOURNAL_FORMAT_VERSION])
 
-#: Record-type bytes of the binary codec.  The binary writer heads a
+#: Record-type bytes of the binary codec.  The writer heads a
 #: journal with a column header (:func:`_column_header_payload`); a
 #: JSON header is what earlier writers wrote, still read.
 _REC_HEADER, _REC_EVENT, _REC_CHECKPOINT = 0x48, 0x45, 0x43  # 'H','E','C'
@@ -682,18 +675,11 @@ _EVENT_BODY = 1 + _EVENT_PAYLOAD.itemsize
 _NO_DEMAND = 0xFFFFFFFF  # ticks carry no demand id
 
 #: Sanity bound on one framed record (the header carries the whole
-#: trace — its columns as raw arrays in a binary journal, as JSON arrays
-#: in a JSON-lines one — so this is generous; anything larger is
+#: trace as raw arrays, so this is generous; anything larger is
 #: corruption).
 _MAX_RECORD_BYTES = 1 << 30
 
 _LEN_STRUCT = struct.Struct("<I")
-
-#: A JSON-lines event record per kind code, as ``json.dumps`` with
-#: compact separators writes the trace event schema.
-_JSONL_EVENT = ('{"type":"arrival","time":%s,"demand":%d}\n',
-                '{"type":"departure","time":%s,"demand":%d}\n',
-                '{"type":"tick","time":%s}\n')
 
 
 def _binary_event_records(events) -> list[bytes]:
@@ -716,19 +702,6 @@ def _binary_event_records(events) -> list[bytes]:
     rec["demand"] = demand  # a tick's NO_DEMAND (-1) wraps to _NO_DEMAND
     blob, size = rec.tobytes(), _EVENT_RECORD.itemsize
     return [blob[i:i + size] for i in range(0, len(blob), size)]
-
-
-def _jsonl_event_records(events) -> list[bytes]:
-    """An :class:`~repro.online.events.EventView`'s JSON-lines event
-    records, formatted from its columns."""
-    times = events.time
-    # ``json`` spells a float as its repr, and NaN/inf as it alone does.
-    spell = repr if np.isfinite(times).all() else json.dumps
-    tick = _events().TICK
-    return [(_JSONL_EVENT[k] % ((t,) if k == tick else (t, d))).encode()
-            for k, t, d in zip(events.kind.tolist(),
-                               map(spell, times.tolist()),
-                               events.demand.tolist())]
 
 
 def _frame_binary(rtype: int, payload: bytes) -> bytes:
@@ -774,8 +747,7 @@ def _column_header_payload(doc: dict) -> bytes:
     ``{"header": doc with each column null, "columns": [[key path,
     dtype, byte offset, count], ...]}``), then the blobs, at rising
     offsets counted from the end of the envelope.  Any other array
-    (2-D, say) goes into the envelope as JSON, as the JSON-lines codec
-    writes it.
+    (2-D, say) goes into the envelope as a JSON array.
     """
     found: list = []
     envelope = _split_columns(doc, [], found)
@@ -844,9 +816,8 @@ class JournalWriter:
     parameters, the checkpoint cadence and the trace as a column
     document (:func:`trace_to_columns`) — so a journal alone rebuilds
     the session that wrote it.  The header's NumPy columns are written
-    as JSON arrays by the JSON-lines codec and as raw little-endian
-    blobs behind a JSON envelope by the binary one; the whole record is
-    encoded before the file is created.  Every further
+    as raw little-endian blobs behind a JSON envelope; the whole record
+    is encoded before the file is created.  Every further
     record is one event in the trace event schema, or a checkpoint (see
     :meth:`checkpoint`); events are encoded a batch at a time from
     :class:`~repro.online.events.EventView` columns (:meth:`append_many`).
@@ -864,6 +835,12 @@ class JournalWriter:
     lost to a kill — the service layer exposes :attr:`commit_seq` so
     clients can tell which events are durable.
 
+    The writer emits the binary codec only.  A JSON-lines journal is
+    read (:func:`iter_journal`) but never appended to: resuming one
+    through :class:`JournalWriter` raises ``ValueError``, and
+    :meth:`~repro.service.AdmissionService.resume` rewrites it as
+    binary first.
+
     Parameters
     ----------
     path:
@@ -874,9 +851,6 @@ class JournalWriter:
         fields (``kind`` / ``format``) are stamped here.
     sync:
         ``fsync`` at every commit (power-loss durability).
-    fmt:
-        ``"jsonl"`` (default) or ``"binary"``; resumed journals ignore
-        this and keep the existing file's codec (auto-detected).
     sync_window:
         Commit after this many buffered events (default 1).
     sync_interval_ms:
@@ -892,14 +866,9 @@ class JournalWriter:
     """
 
     def __init__(self, path: str, header: dict | None = None, *,
-                 sync: bool = False, fmt: str = "jsonl",
+                 sync: bool = False,
                  sync_window: int = 1, sync_interval_ms: float | None = None,
                  start_at: int | None = None, seq0: int = 0):
-        if fmt not in JOURNAL_FORMATS:
-            raise ValueError(
-                f"unknown journal format {fmt!r}; want one of "
-                f"{'/'.join(JOURNAL_FORMATS)}"
-            )
         if sync_window < 1:
             raise ValueError(f"sync_window must be >= 1, got {sync_window}")
         if sync_interval_ms is not None and sync_interval_ms <= 0:
@@ -921,7 +890,11 @@ class JournalWriter:
         if start_at is not None:
             if not exists:
                 raise ValueError(f"cannot resume missing journal {path!r}")
-            self.fmt = _journal_format(path)
+            if _journal_format(path) != "binary":
+                raise ValueError(
+                    f"journal {path!r} is JSON lines, which is read but "
+                    "never appended to; resume or compact it to rewrite "
+                    "it as binary")
             with open(path, "r+b") as fh:
                 fh.truncate(start_at)
             self._fh = open(path, "ab")
@@ -933,26 +906,26 @@ class JournalWriter:
         else:
             if header is None:
                 raise ValueError("a fresh journal needs a header")
-            self.fmt = fmt
             doc = dict(header)
             doc["kind"] = "admission-journal"
             doc["format"] = JOURNAL_FORMAT_VERSION
             # Encoded before the file exists: a header that fails to
             # encode leaves no stub behind to block the next writer.
-            if self.fmt == "binary":
-                head = _BINARY_PREAMBLE + _frame_binary(
-                    _REC_COLUMN_HEADER, _column_header_payload(doc))
-            else:
-                head = _json_record(doc)
+            head = _BINARY_PREAMBLE + _frame_binary(
+                _REC_COLUMN_HEADER, _column_header_payload(doc))
             self._fh = open(path, "wb")
-            self._fh.write(head)
-            self._fh.flush()
-            if self.sync:
-                os.fsync(self._fh.fileno())
-            # Make the file's *existence* crash-durable too: the entry
-            # in the containing directory is metadata the data fsync
-            # above does not cover.
-            _fsync_dir(os.path.dirname(os.path.abspath(path)))
+            try:
+                self._fh.write(head)
+                self._fh.flush()
+                if self.sync:
+                    os.fsync(self._fh.fileno())
+                # Make the file's *existence* crash-durable too: the
+                # entry in the containing directory is metadata the data
+                # fsync above does not cover.
+                _fsync_dir(os.path.dirname(os.path.abspath(path)))
+            except BaseException:
+                self._fh.close()
+                raise
 
     # ------------------------------------------------------------------
 
@@ -972,8 +945,7 @@ class JournalWriter:
         ``sync_interval_ms`` clock, read at those points and at the end
         of the batch, has run out.  Returns the last sequence number.
         """
-        records = (_binary_event_records if self.fmt == "binary"
-                   else _jsonl_event_records)(events)
+        records = _binary_event_records(events)
         done = 0
         while done < len(records):
             take = min(len(records) - done,
@@ -1000,11 +972,8 @@ class JournalWriter:
         JSON-safe.  Checkpoints always force a commit so the journal
         prefix they summarize is on disk alongside them.
         """
-        if self.fmt == "binary":
-            rec = _frame_binary(_REC_CHECKPOINT, _json_record(state))
-        else:
-            rec = _json_record({"kind": "checkpoint", "state": state})
-        self._pending.append(rec)
+        self._pending.append(
+            _frame_binary(_REC_CHECKPOINT, _json_record(state)))
         self.commit()
 
     def commit(self) -> int:

@@ -3,7 +3,7 @@
 :class:`AdmissionService` wraps an
 :class:`~repro.session.AdmissionSession` behind a request/response API
 (admit / release / tick / query / stats / snapshot / close), journals
-every applied event to an append-only JSON-lines file, and
+every applied event to an append-only binary journal, and
 warm-restarts from that journal (``AdmissionService.resume``) with
 state identical to the killed instance's.  The stdin/stdout loop lives
 in :mod:`repro.service.server`; the TCP front door

@@ -3,13 +3,13 @@
 :class:`AdmissionService` turns the :class:`~repro.session.
 AdmissionSession` kernel into a *server-shaped* object: events arrive
 as requests from outside the process (stdin, a socket, a test driver),
-every applied event is first written to an append-only **admission
-journal** (:class:`~repro.io.JournalWriter` — JSON-lines or the compact
-binary codec), and a killed service **warm-restarts** from that
-journal — replaying the journaled events into a fresh session
-reconstructs the exact ledger/metrics state, so resuming and finishing
-a trace produces metrics identical to an uninterrupted run (timing
-fields aside; replay decisions are deterministic).
+every applied event is first written to an append-only binary
+**admission journal** (:class:`~repro.io.JournalWriter`), and a killed
+service **warm-restarts** from that journal — replaying the journaled
+events into a fresh session reconstructs the exact ledger/metrics
+state, so resuming and finishing a trace produces metrics identical to
+an uninterrupted run (timing fields aside; replay decisions are
+deterministic).
 
 Every event — a request, a ``feed`` batch, a journal tail on restart,
 the rest of the trace — enters as :class:`~repro.online.events.
@@ -55,7 +55,9 @@ amortized durability cost.
 serialized session state to the journal, so :meth:`resume` restores the
 last checkpoint and replays only the tail — restart cost proportional
 to the post-checkpoint suffix, not total history.  :meth:`compact`
-rewrites a journal as header + one checkpoint.  Journals written with a
+rewrites a journal as header + one checkpoint.  A JSON-lines journal
+from an earlier writer is read, and rewritten that way as binary by
+:meth:`resume` or :meth:`compact`.  Journals written with a
 ``shards``/``shard_by`` header (the retired sharded backend) resume
 onto the single ledger: that backend's checkpoints stored only the
 coordinator, which is exactly this service's ledger state.
@@ -64,6 +66,7 @@ coordinator, which is exactly this service's ledger state.
 from __future__ import annotations
 
 import os
+import tempfile
 import time
 
 import numpy as np
@@ -186,8 +189,6 @@ class AdmissionService:
     sync:
         ``fsync`` the journal at every commit (power-loss durability;
         plain flushing already survives a process kill).
-    fmt:
-        Journal codec, ``"jsonl"`` (default) or ``"binary"``.
     sync_window / sync_interval_ms:
         Group-commit window: commit every N buffered events and/or
         whenever the oldest buffered event is T ms old.  The default
@@ -201,7 +202,7 @@ class AdmissionService:
     def __init__(self, trace: EventTrace, policy: str = "greedy-threshold",
                  params: dict | None = None, *,
                  journal_path: str | None = None,
-                 sync: bool = False, fmt: str = "jsonl",
+                 sync: bool = False,
                  sync_window: int = 1,
                  sync_interval_ms: float | None = None,
                  checkpoint_every: int = 0):
@@ -240,17 +241,19 @@ class AdmissionService:
         #: ``server_stats`` so every transport's ``stats`` op carries
         #: the same ``server`` section; ``None`` yields the null shape.
         self.server_stats_provider = None
+        #: Whether :meth:`resume` rewrote a JSON-lines journal as binary.
+        self.upgraded = False
         self.journal: JournalWriter | None = None
         if journal_path is not None:
             self.journal = JournalWriter(
-                journal_path, self._header(), sync=sync, fmt=fmt,
+                journal_path, self._header(), sync=sync,
                 sync_window=sync_window, sync_interval_ms=sync_interval_ms,
             )
 
     def _header(self) -> dict:
         """The self-contained journal header (rebuilds this service);
-        the trace goes in as NumPy columns, which the binary codec
-        writes as raw arrays."""
+        the trace goes in as NumPy columns, which the journal writes as
+        raw arrays."""
         return {
             "policy": self.policy_name,
             "params": dict(self.params),
@@ -578,8 +581,7 @@ class AdmissionService:
     # ------------------------------------------------------------------
 
     @classmethod
-    def _rebuild(cls, journal_path: str, *,
-                 checkpoint_every: int | None = None):
+    def _rebuild(cls, journal_path: str):
         """Reconstruct a (journal-less) service from a journal.
 
         One streaming scan finds the last checkpoint and the event tail
@@ -597,11 +599,8 @@ class AdmissionService:
         except ValueError as exc:
             raise ValueError(f"corrupt journal {journal_path!r}: bad header "
                              f"record: {exc}") from None
-        svc = cls(
-            trace, policy, params, journal_path=None,
-            checkpoint_every=(every if checkpoint_every is None
-                              else checkpoint_every),
-        )
+        svc = cls(trace, policy, params, journal_path=None,
+                  checkpoint_every=every)
         if ckpt is not None:
             svc._restore_state(ckpt)
         # The tail goes through the same checks as live requests, so a
@@ -624,15 +623,23 @@ class AdmissionService:
         events after it are re-applied (replay is deterministic, so the
         rebuilt ledger/metrics state is exactly the killed service's); a
         torn final journal record is dropped and the file truncated past
-        it, and new events append to the same journal in its existing
-        codec; a complete tail record that breaks the stream rules
-        raises ``ValueError``.  ``service.position`` tells how far the
-        stream got.
+        it, and new events append to the same journal; a complete tail
+        record that breaks the stream rules raises ``ValueError``.
+        ``service.position`` tells how far the stream got.
+        A JSON-lines journal is first rewritten as a binary header plus
+        one checkpoint, as :meth:`compact` does, since the writer only
+        appends binary; ``service.upgraded`` is then true.
         ``checkpoint_every=None`` keeps the cadence recorded in the
-        journal header.
+        journal header (which an upgrade keeps too).
         """
-        svc, good_bytes, _fmt = cls._rebuild(
-            journal_path, checkpoint_every=checkpoint_every)
+        if checkpoint_every is not None and checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
+        svc, good_bytes, fmt = cls._rebuild(journal_path)
+        if fmt == "jsonl":
+            good_bytes = svc._rewrite(journal_path)
+            svc.upgraded = True
+        if checkpoint_every is not None:
+            svc.checkpoint_every = int(checkpoint_every)
         svc.journal = JournalWriter(
             journal_path, sync=sync, sync_window=sync_window,
             sync_interval_ms=sync_interval_ms,
@@ -642,28 +649,44 @@ class AdmissionService:
         return svc
 
     @classmethod
-    def compact(cls, journal_path: str, *,
-                fmt: str | None = None) -> dict:
+    def compact(cls, journal_path: str) -> dict:
         """Rewrite a journal as header + one checkpoint of its state.
 
         The journal is rebuilt (checkpoint + tail replay), its full
         state is re-serialized as a single checkpoint, and the file is
-        atomically replaced — resumes then restore in O(state) instead
-        of replaying the whole history.  ``fmt`` converts the codec
-        (``None`` keeps the existing one).  Safe on a journal whose
-        writer was killed (the torn tail is dropped, exactly as resume
-        would).  Returns ``{"position", "bytes_before", "bytes_after",
-        "format"}``.
+        atomically replaced (:meth:`_rewrite`) — resumes then restore
+        in O(state) instead of replaying the whole history.  The result
+        is binary, so compacting a JSON-lines journal upgrades it.  Safe
+        on a journal whose writer was killed (the torn tail is dropped,
+        exactly as resume would).  Returns ``{"position",
+        "bytes_before", "bytes_after"}``.
         """
-        svc, _good, cur_fmt = cls._rebuild(journal_path)
-        out_fmt = cur_fmt if fmt is None else fmt
+        svc, _good, _fmt = cls._rebuild(journal_path)
         bytes_before = os.path.getsize(journal_path)
-        directory = os.path.dirname(os.path.abspath(journal_path))
-        tmp = journal_path + ".compact.tmp"
+        return {
+            "position": svc.position,
+            "bytes_before": bytes_before,
+            "bytes_after": svc._rewrite(journal_path),
+        }
+
+    def _rewrite(self, path: str) -> int:
+        """Atomically replace the journal at ``path`` by this service's
+        header and one checkpoint of its state; returns the new size.
+
+        The new journal is written to a fresh temp file beside ``path``
+        and fsynced before :func:`os.replace` moves it into place, then
+        the directory is fsynced: a crash leaves the old journal or the
+        new one, never an empty file.  On failure the temp file goes.
+        """
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(
+            dir=directory, prefix=os.path.basename(path) + ".",
+            suffix=".tmp")
+        os.close(fd)
         try:
-            with JournalWriter(tmp, svc._header(), fmt=out_fmt) as jw:
-                jw.checkpoint(svc.checkpoint_state())
-            os.replace(tmp, journal_path)
+            with JournalWriter(tmp, self._header(), sync=True) as jw:
+                jw.checkpoint(self.checkpoint_state())
+            os.replace(tmp, path)
             _fsync_dir(directory)
         except BaseException:
             try:
@@ -671,12 +694,7 @@ class AdmissionService:
             except OSError:
                 pass
             raise
-        return {
-            "position": svc.position,
-            "bytes_before": bytes_before,
-            "bytes_after": os.path.getsize(journal_path),
-            "format": out_fmt,
-        }
+        return os.path.getsize(path)
 
     def run_remaining(self, *, verify: bool = True) -> ReplayResult:
         """Finish the trace: submit every not-yet-applied trace event.

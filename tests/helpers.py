@@ -494,3 +494,28 @@ def v1_trace_document(trace) -> dict:
             "problem": v1_problem_document(trace.problem),
             "events": [event_to_dict(ev) for ev in trace.events],
             "meta": dict(trace.meta)}
+
+
+# ----------------------------------------------------------------------
+# JSON-lines journals (the codec the writer no longer emits)
+# ----------------------------------------------------------------------
+
+
+def jsonl_copy(src, dst) -> None:
+    """Write the journal at ``src`` to ``dst`` as a JSON-lines journal,
+    record for record, in the encoding the JSON-lines writer used: the
+    header as one compact JSON document (columns as arrays), a
+    checkpoint as ``{"kind":"checkpoint","state":...}``, an event in
+    the trace event schema — kept to feed the JSON-lines reader."""
+    import json
+
+    from repro.io import event_to_dict, iter_journal
+
+    with open(dst, "wb") as fh:
+        for kind, payload, _good in iter_journal(str(src)):
+            if kind == "checkpoint":
+                payload = {"kind": "checkpoint", "state": payload}
+            elif kind == "event":
+                payload = event_to_dict(payload)
+            fh.write(json.dumps(payload, separators=(",", ":"),
+                                default=np.ndarray.tolist).encode() + b"\n")

@@ -1,7 +1,6 @@
 """CI smoke: 8 concurrent clients, ``kill -9`` mid-stream, resume.
 
-The async front door's crash story across real process boundaries, run
-once per journal format (JSON-lines and binary):
+The async front door's crash story across real process boundaries:
 
 1. generate + save a short trace, record the plain ``repro replay``
    metrics for it;
@@ -16,10 +15,14 @@ once per journal format (JSON-lines and binary):
    exactly on the last group-commit boundary, finish the trace, and
    write final metrics;
 4. diff the resumed metrics against the plain replay, ignoring only
-   wall-clock timing fields.
+   wall-clock timing fields;
+5. ``repro resume`` a copy of a committed JSON-lines journal, which must
+   be upgraded to binary and finish with the recorded profit
+   (``smoke_service_restart.resume_legacy_jsonl``).
 
-Exit code 0 iff both formats recover to the exact commit boundary and
-reproduce the uninterrupted replay byte-for-byte.
+Exit code 0 iff the served journal recovers to the exact commit
+boundary and reproduces the uninterrupted replay byte-for-byte, and the
+legacy journal resumes.
 
 Run from the repo root::
 
@@ -51,10 +54,10 @@ FED = BATCHES * FEED_BATCH
 COMMITTED = FED - FED % SYNC_WINDOW
 
 
-def _spawn_server(env, trace_path, journal, fmt):
+def _spawn_server(env, trace_path, journal):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--trace", trace_path,
-         "--policy", POLICY, "--journal", journal, "--format", fmt,
+         "--policy", POLICY, "--journal", journal,
          "--sync-window", str(SYNC_WINDOW), "--port", "0",
          "--max-clients", "16"],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
@@ -75,7 +78,7 @@ def _spawn_server(env, trace_path, journal, fmt):
     return proc, addr
 
 
-def run_format(fmt: str, env: dict, trace, trace_path: str,
+def run_binary(env: dict, trace, trace_path: str,
                plain: dict, tmp: str) -> int:
     from repro.io import event_to_dict
     from repro.online import deterministic_metrics
@@ -85,9 +88,9 @@ def run_format(fmt: str, env: dict, trace, trace_path: str,
         doc.pop("resumed_at", None)
         return doc
 
-    journal = os.path.join(tmp, f"smoke-async-{fmt}.journal")
-    resumed_path = os.path.join(tmp, f"resumed-async-{fmt}.json")
-    server, addr = _spawn_server(env, trace_path, journal, fmt)
+    journal = os.path.join(tmp, "smoke-async.journal")
+    resumed_path = os.path.join(tmp, "resumed-async.json")
+    server, addr = _spawn_server(env, trace_path, journal)
 
     batches = [
         [event_to_dict(ev)
@@ -142,16 +145,16 @@ def run_format(fmt: str, env: dict, trace, trace_path: str,
     stats = json.loads(pf.readline())
     server_block = stats["stats"]["server"]
     if failures:
-        print(f"FAIL({fmt}): {failures[:3]}")
+        print(f"FAIL(binary): {failures[:3]}")
         server.kill()
         return 1
     if server_block["clients"] < CLIENTS + 1:
-        print(f"FAIL({fmt}): expected >= {CLIENTS + 1} connected "
+        print(f"FAIL(binary): expected >= {CLIENTS + 1} connected "
               f"clients, server saw {server_block['clients']}")
         server.kill()
         return 1
     if stats["stats"]["position"] != FED:
-        print(f"FAIL({fmt}): expected position {FED}, got "
+        print(f"FAIL(binary): expected position {FED}, got "
               f"{stats['stats']['position']}")
         server.kill()
         return 1
@@ -162,7 +165,7 @@ def run_format(fmt: str, env: dict, trace, trace_path: str,
     for t in threads:
         t.join(30)
     probe.close()
-    print(f"[{fmt}] {CLIENTS} concurrent clients fed {FED}/"
+    print(f"[binary] {CLIENTS} concurrent clients fed {FED}/"
           f"{len(trace.events)} events ({COMMITTED} committed), killed "
           "the async server with SIGKILL")
 
@@ -174,17 +177,17 @@ def run_format(fmt: str, env: dict, trace, trace_path: str,
     with open(resumed_path) as fh:
         resumed = json.load(fh)
     if resumed.get("resumed_at") != COMMITTED:
-        print(f"FAIL({fmt}): expected resume at the commit boundary "
+        print(f"FAIL(binary): expected resume at the commit boundary "
               f"{COMMITTED}, got {resumed.get('resumed_at')}")
         return 1
     a, b = deterministic(plain), deterministic(resumed)
     if a != b:
         diff = {k for k in set(a) | set(b) if a.get(k) != b.get(k)}
-        print(f"FAIL({fmt}): resumed metrics diverge on {sorted(diff)}")
+        print(f"FAIL(binary): resumed metrics diverge on {sorted(diff)}")
         for k in sorted(diff):
             print(f"  {k}: plain={a.get(k)!r} resumed={b.get(k)!r}")
         return 1
-    print(f"[{fmt}] OK: resume from the torn multi-client journal "
+    print(f"[binary] OK: resume from the torn multi-client journal "
           f"reproduced the uninterrupted replay (profit "
           f"{plain['realized_profit']:.2f}, {plain['accepted']}/"
           f"{plain['arrivals']} accepted)")
@@ -197,6 +200,8 @@ def main() -> int:
         os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     sys.path.insert(0, src)
+    from smoke_service_restart import resume_legacy_jsonl
+
     from repro.io import save_trace
     from repro.online import generate_trace
 
@@ -217,11 +222,8 @@ def main() -> int:
         with open(plain_path) as fh:
             plain = json.load(fh)
 
-        for fmt in ("jsonl", "binary"):
-            rc = run_format(fmt, env, trace, trace_path, plain, tmp)
-            if rc != 0:
-                return rc
-    return 0
+        return (run_binary(env, trace, trace_path, plain, tmp)
+                or resume_legacy_jsonl(env, tmp, "tree-dual-gated-history"))
 
 
 if __name__ == "__main__":

@@ -1,11 +1,10 @@
 """CI smoke: serve a trace, ``kill -9`` mid-stream, resume, diff metrics.
 
-The end-to-end warm-restart story across real process boundaries, run
-once per journal format (JSON-lines and binary):
+The end-to-end warm-restart story across real process boundaries:
 
 1. generate + save a short trace, record the plain ``repro replay``
    metrics for it;
-2. start ``repro serve --journal --format <fmt>`` as a subprocess, feed
+2. start ``repro serve --journal`` as a subprocess, feed
    it the first half of the trace's events as stdin requests (batched
    ``feed`` ops, reading each response), then SIGKILL it — no shutdown
    hooks, exactly the failure the journal exists for;
@@ -14,9 +13,13 @@ once per journal format (JSON-lines and binary):
 4. ``repro resume --journal`` in another fresh process: restore the
    checkpoint, finish the trace, write the final metrics;
 5. diff the resumed metrics (and policy stats) against the plain
-   replay, ignoring only wall-clock timing fields.
+   replay, ignoring only wall-clock timing fields;
+6. ``repro resume`` a copy of a committed JSON-lines journal (the codec
+   earlier writers emitted): it must be upgraded to binary and finish
+   with the profit the writing code recorded.
 
-Exit code 0 iff the metrics match exactly for both formats.
+Exit code 0 iff the metrics match exactly and the legacy journal
+resumes.
 
 Run from the repo root::
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -42,8 +46,45 @@ SYNC_WINDOW = 8
 #: commit boundary — the crash the sync window trades durability for.
 COMMITTED = KILL_AFTER - KILL_AFTER % SYNC_WINDOW
 
+LEGACY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                      "legacy_journals")
 
-def run_format(fmt: str, env: dict, trace, trace_path: str,
+
+def resume_legacy_jsonl(env: dict, tmp: str, case: str) -> int:
+    """``repro resume`` a copy of ``case``'s committed JSON-lines
+    journal: it must report and perform the upgrade to binary and
+    finish with the realized profit recorded in ``expected.json``."""
+    journal = os.path.join(tmp, f"{case}-jsonl.journal")
+    shutil.copyfile(os.path.join(LEGACY, f"{case}-jsonl-tail.journal"),
+                    journal)
+    resumed_path = os.path.join(tmp, f"{case}-resumed.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "resume", "--journal", journal,
+         "-o", resumed_path],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    upgraded = [line for line in proc.stderr.splitlines()
+                if line.startswith(f"upgraded {journal} to binary")]
+    with open(journal, "rb") as fh:
+        magic = fh.read(4)
+    if not upgraded or magic != b"\x89RPJ":
+        print(f"FAIL(legacy jsonl): {case} was not upgraded to binary "
+              f"(stderr: {proc.stderr!r})")
+        return 1
+    with open(os.path.join(LEGACY, "expected.json")) as fh:
+        want = json.load(fh)[case]["realized_profit"]
+    with open(resumed_path) as fh:
+        got = float(json.load(fh)["realized_profit"]).hex()
+    if got != want:
+        print(f"FAIL(legacy jsonl): {case} finished with profit {got}, "
+              f"the writing code recorded {want}")
+        return 1
+    print(f"[legacy jsonl] OK: {upgraded[0]}; {case} finished with the "
+          "recorded profit")
+    return 0
+
+
+def run_binary(env: dict, trace, trace_path: str,
                plain: dict, tmp: str) -> int:
     from repro.io import event_to_dict
     from repro.online import deterministic_metrics
@@ -53,12 +94,12 @@ def run_format(fmt: str, env: dict, trace, trace_path: str,
         doc.pop("resumed_at", None)
         return doc
 
-    journal = os.path.join(tmp, f"smoke-{fmt}.journal")
-    resumed_path = os.path.join(tmp, f"resumed-{fmt}.json")
+    journal = os.path.join(tmp, "smoke.journal")
+    resumed_path = os.path.join(tmp, "resumed.json")
 
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--trace", trace_path,
-         "--policy", POLICY, "--journal", journal, "--format", fmt,
+         "--policy", POLICY, "--journal", journal,
          "--sync-window", str(SYNC_WINDOW)],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL, env=env, text=True,
@@ -71,18 +112,18 @@ def run_format(fmt: str, env: dict, trace, trace_path: str,
         server.stdin.flush()
         resp = json.loads(server.stdout.readline())
         if not resp.get("ok"):
-            print(f"FAIL({fmt}): server refused a batch: {resp}")
+            print(f"FAIL(binary): server refused a batch: {resp}")
             server.kill()
             return 1
     if resp.get("seq") != KILL_AFTER or resp.get("commit_seq") != COMMITTED:
-        print(f"FAIL({fmt}): expected seq {KILL_AFTER} / commit_seq "
+        print(f"FAIL(binary): expected seq {KILL_AFTER} / commit_seq "
               f"{COMMITTED}, got {resp.get('seq')} / "
               f"{resp.get('commit_seq')}")
         server.kill()
         return 1
     server.send_signal(signal.SIGKILL)
     server.wait()
-    print(f"[{fmt}] served {KILL_AFTER}/{len(trace.events)} events "
+    print(f"[binary] served {KILL_AFTER}/{len(trace.events)} events "
           f"in feed batches ({COMMITTED} committed), killed the "
           "service with SIGKILL")
 
@@ -90,7 +131,7 @@ def run_format(fmt: str, env: dict, trace, trace_path: str,
         [sys.executable, "-m", "repro", "compact", "--journal", journal],
         env=env, check=True, capture_output=True, text=True,
     )
-    print(f"[{fmt}] {compacted.stdout.strip()}")
+    print(f"[binary] {compacted.stdout.strip()}")
 
     subprocess.run(
         [sys.executable, "-m", "repro", "resume", "--journal", journal,
@@ -100,17 +141,17 @@ def run_format(fmt: str, env: dict, trace, trace_path: str,
     with open(resumed_path) as fh:
         resumed = json.load(fh)
     if resumed.get("resumed_at") != COMMITTED:
-        print(f"FAIL({fmt}): expected resume at the commit boundary "
+        print(f"FAIL(binary): expected resume at the commit boundary "
               f"{COMMITTED}, got {resumed.get('resumed_at')}")
         return 1
     a, b = deterministic(plain), deterministic(resumed)
     if a != b:
         diff = {k for k in set(a) | set(b) if a.get(k) != b.get(k)}
-        print(f"FAIL({fmt}): resumed metrics diverge on {sorted(diff)}")
+        print(f"FAIL(binary): resumed metrics diverge on {sorted(diff)}")
         for k in sorted(diff):
             print(f"  {k}: plain={a.get(k)!r} resumed={b.get(k)!r}")
         return 1
-    print(f"[{fmt}] OK: warm restart reproduced the uninterrupted "
+    print(f"[binary] OK: warm restart reproduced the uninterrupted "
           f"replay (profit {plain['realized_profit']:.2f}, "
           f"{plain['accepted']}/{plain['arrivals']} accepted)")
     return 0
@@ -140,11 +181,8 @@ def main() -> int:
         with open(plain_path) as fh:
             plain = json.load(fh)
 
-        for fmt in ("jsonl", "binary"):
-            rc = run_format(fmt, env, trace, trace_path, plain, tmp)
-            if rc != 0:
-                return rc
-    return 0
+        return (run_binary(env, trace, trace_path, plain, tmp)
+                or resume_legacy_jsonl(env, tmp, "line-preempt-density"))
 
 
 if __name__ == "__main__":

@@ -233,6 +233,18 @@ class TestFriendlyArgumentErrors:
         with pytest.raises(SystemExit, match="unknown solver"):
             main(["sweep", tree_json, "--solvers", "oracle"])
 
+    def test_journal_codec_options(self, tmp_path, capsys):
+        """``serve --format`` takes only ``binary``; ``compact`` has no
+        ``--format``."""
+        journal = str(tmp_path / "j.journal")
+        with pytest.raises(SystemExit):
+            main(["serve", "--trace", "t.json", "--journal", journal,
+                  "--format", "jsonl"])
+        assert "invalid choice: 'jsonl'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["compact", "--journal", journal, "--format", "binary"])
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
     def test_sweep_still_accepts_valid_seeds(self, tree_json, capsys):
         assert main(["sweep", tree_json, "--solvers", "greedy",
                      "--seeds", "0,1", "--processes", "1"]) == 0
@@ -372,6 +384,40 @@ class TestServeResume:
     def test_resume_missing_journal_friendly(self, tmp_path):
         with pytest.raises(SystemExit, match="resume"):
             main(["resume", "--journal", str(tmp_path / "nope.log")])
+
+    def test_resume_upgrades_a_json_lines_journal(self, tmp_path, capsys):
+        import pathlib
+        import shutil
+
+        from repro.io import scan_journal
+
+        legacy = pathlib.Path(__file__).parent / "data" / "legacy_journals"
+        want = json.loads((legacy / "expected.json").read_text())
+        path = tmp_path / "j.journal"
+        shutil.copyfile(legacy / "line-preempt-density-jsonl-tail.journal",
+                        path)
+        _h, ckpt, tail, _good, fmt = scan_journal(str(path))
+        assert fmt == "jsonl"
+        folded = ckpt["position"] + len(tail)
+        outs = []
+        for run in range(2):
+            out = tmp_path / f"metrics-{run}.json"
+            before = path.read_bytes()
+            assert main(["resume", "--journal", str(path),
+                         "-o", str(out)]) == 0
+            err = capsys.readouterr().err
+            outs.append(json.loads(out.read_text()))
+            assert path.read_bytes()[:4] == b"\x89RPJ"
+            if run == 0:
+                assert (f"upgraded {path} to binary: {folded} events "
+                        "folded into one checkpoint") in err
+            else:  # already binary and finished: nothing to rewrite
+                assert "upgraded" not in err
+                assert path.read_bytes() == before
+        assert outs[0]["resumed_at"] == folded
+        assert (float(outs[0]["realized_profit"]).hex()
+                == want["line-preempt-density"]["realized_profit"])
+        assert outs[1]["realized_profit"] == outs[0]["realized_profit"]
 
     def test_history_certificate_via_policy_arg(self, trace_json, capsys):
         assert main(["replay", trace_json, "--policy", "dual-gated",

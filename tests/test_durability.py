@@ -1,10 +1,13 @@
 """Durability fast-path tests: binary codec, group commit, checkpoints.
 
+The writer emits binary only; a JSON-lines journal here is a binary
+one transcoded by the frozen JSON-lines encoding (``helpers.
+jsonl_copy``), so every reader-side case still runs for both codecs.
 Four families, mirroring the guarantees the journal makes:
 
-* **codec roundtrip** — the binary and JSON-lines codecs encode the
-  same header/event/checkpoint stream and decode back to identical
-  events, over a pinned corpus and randomized traces;
+* **codec roundtrip** — the binary and JSON-lines readers decode the
+  same header/event/checkpoint stream back to identical events, over a
+  pinned corpus and randomized traces;
 * **torn tails** — truncating the final record at *every* byte offset
   (both formats) silently drops only that record — never an exception,
   never a short read of earlier records;
@@ -13,8 +16,9 @@ Four families, mirroring the guarantees the journal makes:
   reader recovers to;
 * **checkpoint/compact equivalence** — warm restarts from a
   checkpointed or compacted journal are byte-identical to the
-  uninterrupted replay, for every policy and both formats, and resume
-  replays only the post-checkpoint tail.
+  uninterrupted replay, for every policy and both formats (a resumed
+  JSON-lines journal is upgraded to binary first), and resume replays
+  only the post-checkpoint tail.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import stat
 import struct
 import subprocess
 import sys
@@ -29,9 +34,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import jsonl_copy
 
 from repro.io import (
-    JOURNAL_FORMATS,
     JournalWriter,
     event_to_dict,
     iter_journal,
@@ -46,6 +51,10 @@ from repro.service import AdmissionService
 HEADER = {"kind": "admission-journal", "format": 1, "policy": "greedy-threshold"}
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: The codecs journals are read in: binary as written, JSON lines as a
+#: transcoded copy (:func:`as_codec`).
+FORMATS = ("jsonl", "binary")
 
 #: Pinned corpus: every event type, extreme and fractional values.
 CORPUS = [
@@ -72,12 +81,27 @@ def small_trace():
                           departure_prob=0.4, tick_every=6.0)
 
 
-def write_journal(path, events, fmt, *, checkpoint_after=None, state=None):
-    with JournalWriter(str(path), header=dict(HEADER), fmt=fmt) as w:
+def as_codec(path, fmt: str):
+    """The binary journal at ``path`` as ``fmt``: itself, or its
+    JSON-lines copy beside it."""
+    if fmt == "binary":
+        return path
+    copy = path.with_name(path.name + ".jsonl")
+    jsonl_copy(path, copy)
+    return copy
+
+
+def write_journal(path, events, fmt, *, checkpoint_after=None, state=None,
+                  header=HEADER):
+    """Write a journal of ``events`` in codec ``fmt`` at ``path``."""
+    binary = path if fmt == "binary" else path.with_name(path.name + ".bin")
+    with JournalWriter(str(binary), header=dict(header)) as w:
         for i, ev in enumerate(events):
             w.append(ev)
             if checkpoint_after is not None and i + 1 == checkpoint_after:
                 w.checkpoint(state or {"position": i + 1})
+    if fmt != "binary":
+        jsonl_copy(binary, path)
 
 
 def deterministic(result):
@@ -89,7 +113,7 @@ def deterministic(result):
 
 
 class TestCodecRoundTrip:
-    @pytest.mark.parametrize("fmt", JOURNAL_FORMATS)
+    @pytest.mark.parametrize("fmt", FORMATS)
     def test_pinned_corpus_roundtrips(self, tmp_path, fmt):
         path = tmp_path / f"corpus.{fmt}"
         write_journal(path, CORPUS, fmt)
@@ -102,7 +126,7 @@ class TestCodecRoundTrip:
     def test_formats_decode_identically(self, tmp_path):
         """Same logical stream, two encodings, one decoded result."""
         paths = {}
-        for fmt in JOURNAL_FORMATS:
+        for fmt in FORMATS:
             paths[fmt] = tmp_path / f"twin.{fmt}"
             write_journal(paths[fmt], CORPUS, fmt, checkpoint_after=3,
                           state={"position": 3})
@@ -114,7 +138,7 @@ class TestCodecRoundTrip:
                             [event_to_dict(ev) for ev in tail])
         assert decoded["jsonl"] == decoded["binary"]
 
-    @pytest.mark.parametrize("fmt", JOURNAL_FORMATS)
+    @pytest.mark.parametrize("fmt", FORMATS)
     def test_randomized_events_roundtrip(self, tmp_path, fmt):
         rng = random.Random(7)
         events = []
@@ -132,15 +156,6 @@ class TestCodecRoundTrip:
         _header, back, _good = read_journal(str(path))
         assert [event_to_dict(ev) for ev in back] == \
             [event_to_dict(ev) for ev in events]
-
-    def test_binary_smaller_than_jsonl(self, tmp_path):
-        trace = small_trace()
-        sizes = {}
-        for fmt in JOURNAL_FORMATS:
-            path = tmp_path / f"size.{fmt}"
-            write_journal(path, trace.events, fmt)
-            sizes[fmt] = path.stat().st_size
-        assert sizes["binary"] < sizes["jsonl"]
 
     def test_binary_rejects_future_version(self, tmp_path):
         path = tmp_path / "future.journal"
@@ -237,21 +252,20 @@ class TestColumnHeader:
 
     @pytest.mark.parametrize("bad", [{1, 2}, np.int64(1)],
                              ids=["set", "np.int64"])
-    @pytest.mark.parametrize("fmt", JOURNAL_FORMATS)
     def test_header_that_fails_to_encode_leaves_no_file(self, tmp_path,
-                                                        fmt, bad):
-        path = tmp_path / f"j.{fmt}"
+                                                        bad):
+        path = tmp_path / "j.journal"
         with pytest.raises(TypeError):
-            JournalWriter(str(path), {"policy": "x", "bad": bad}, fmt=fmt)
+            JournalWriter(str(path), {"policy": "x", "bad": bad})
         assert not path.exists()
-        JournalWriter(str(path), dict(HEADER), fmt=fmt).close()
+        JournalWriter(str(path), dict(HEADER)).close()
         assert read_journal(str(path))[0]["policy"] == "greedy-threshold"
 
     def test_columns_come_back_as_arrays(self, tmp_path):
         trace = small_trace()
         path = tmp_path / "j.bin"
-        AdmissionService(trace, "greedy-threshold", journal_path=str(path),
-                         fmt="binary").close()
+        AdmissionService(trace, "greedy-threshold",
+                         journal_path=str(path)).close()
         header = read_journal(str(path))[0]
         events = header["trace"]["events"]
         for name in ("kind", "time", "demand"):
@@ -265,7 +279,7 @@ class TestColumnHeader:
         trace = small_trace()
         path = tmp_path / "j.bin"
         svc = AdmissionService(trace, "greedy-threshold",
-                               journal_path=str(path), fmt="binary")
+                               journal_path=str(path))
         svc.feed_events(trace.events[:10])
         svc.journal.close()
         doc = dict(HEADER, policy="dual-gated", trace=trace_to_dict(trace))
@@ -276,7 +290,7 @@ class TestColumnHeader:
                 f"^corrupt journal '{path}': bad record 12 .*header")):
             AdmissionService.resume(str(path))
 
-    @pytest.mark.parametrize("fmt", JOURNAL_FORMATS)
+    @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("field, value", BAD_SETTINGS,
                              ids=[f"{f}={'missing' if v is _MISSING else v!r}"
                                   for f, v in BAD_SETTINGS])
@@ -293,9 +307,7 @@ class TestColumnHeader:
             del header[field]
         else:
             header[field] = value
-        with JournalWriter(str(path), header=header, fmt=fmt) as w:
-            for ev in trace.events[:5]:
-                w.append(ev)
+        write_journal(path, trace.events[:5], fmt, header=header)
         with pytest.raises(ValueError, match=(
                 f"^corrupt journal '{path}': bad header record: "
                 f"'{field}' must be")):
@@ -318,7 +330,7 @@ class TestColumnHeader:
         trace = small_trace()
         path = tmp_path / "j.bin"
         svc = AdmissionService(trace, "greedy-threshold",
-                               journal_path=str(path), fmt="binary")
+                               journal_path=str(path))
         svc.feed_events(trace.events[:20])
         svc.journal.close()
         _rewrite_column_header(path, edit)
@@ -328,7 +340,7 @@ class TestColumnHeader:
 
 
 class TestTornTail:
-    @pytest.mark.parametrize("fmt", JOURNAL_FORMATS)
+    @pytest.mark.parametrize("fmt", FORMATS)
     def test_truncation_at_every_byte_of_final_record(self, tmp_path, fmt):
         """Any prefix of the last record is a clean torn tail."""
         full = tmp_path / f"full.{fmt}"
@@ -346,15 +358,23 @@ class TestTornTail:
             assert [event_to_dict(ev) for ev in events] == want, cut
             assert good == start, cut
 
-    @pytest.mark.parametrize("fmt", JOURNAL_FORMATS)
+    @pytest.mark.parametrize("fmt", FORMATS)
     def test_good_bytes_resume_point_reappends(self, tmp_path, fmt):
-        """good_bytes of a torn file is a valid start_at for the writer."""
+        """good_bytes of a torn file is a valid start_at for the writer;
+        a JSON-lines file is refused untouched instead (resume or
+        compact rewrites it as binary first)."""
         path = tmp_path / f"resume.{fmt}"
         write_journal(path, CORPUS, fmt)
         raw = path.read_bytes()
         path.write_bytes(raw[:-3])  # tear the last record
         _h, events, good = read_journal(str(path))
         assert len(events) == len(CORPUS) - 1
+        if fmt == "jsonl":
+            with pytest.raises(ValueError, match=(
+                    f"^journal '{path}' is JSON lines.*resume or compact")):
+                JournalWriter(str(path), start_at=good, seq0=len(events))
+            assert path.read_bytes() == raw[:-3]
+            return
         w = JournalWriter(str(path), start_at=good, seq0=len(events))
         w.append(CORPUS[-1])
         w.close()
@@ -364,11 +384,9 @@ class TestTornTail:
 
 
 class TestGroupCommit:
-    @pytest.mark.parametrize("fmt", JOURNAL_FORMATS)
-    def test_abandon_loses_only_uncommitted_window(self, tmp_path, fmt):
-        path = tmp_path / f"gc.{fmt}"
-        w = JournalWriter(str(path), header=dict(HEADER), fmt=fmt,
-                          sync_window=4)
+    def test_abandon_loses_only_uncommitted_window(self, tmp_path):
+        path = tmp_path / "gc.journal"
+        w = JournalWriter(str(path), header=dict(HEADER), sync_window=4)
         for ev in CORPUS:  # 7 events: commit at 4, three pending
             w.append(ev)
         assert w.seq == 7
@@ -378,10 +396,9 @@ class TestGroupCommit:
         assert [event_to_dict(ev) for ev in events] == \
             [event_to_dict(ev) for ev in CORPUS[:4]]
 
-    @pytest.mark.parametrize("fmt", JOURNAL_FORMATS)
-    def test_close_commits_pending(self, tmp_path, fmt):
-        path = tmp_path / f"close.{fmt}"
-        with JournalWriter(str(path), header=dict(HEADER), fmt=fmt,
+    def test_close_commits_pending(self, tmp_path):
+        path = tmp_path / "close.journal"
+        with JournalWriter(str(path), header=dict(HEADER),
                            sync_window=100) as w:
             for ev in CORPUS:
                 w.append(ev)
@@ -389,11 +406,9 @@ class TestGroupCommit:
         _h, events, _g = read_journal(str(path))
         assert len(events) == len(CORPUS)
 
-    @pytest.mark.parametrize("fmt", JOURNAL_FORMATS)
-    def test_checkpoint_forces_commit(self, tmp_path, fmt):
-        path = tmp_path / f"ckpt.{fmt}"
-        w = JournalWriter(str(path), header=dict(HEADER), fmt=fmt,
-                          sync_window=100)
+    def test_checkpoint_forces_commit(self, tmp_path):
+        path = tmp_path / "ckpt.journal"
+        w = JournalWriter(str(path), header=dict(HEADER), sync_window=100)
         for ev in CORPUS[:3]:
             w.append(ev)
         w.checkpoint({"position": 3})
@@ -407,7 +422,7 @@ class TestGroupCommit:
         trace = small_trace()
         svc = AdmissionService(trace, "greedy-threshold",
                                journal_path=str(tmp_path / "wm.journal"),
-                               fmt="binary", sync_window=10)
+                               sync_window=10)
         resp = svc.handle({"op": "feed", "events": [
             event_to_dict(ev) for ev in trace.events[:5]
         ]})
@@ -475,7 +490,7 @@ class TestBatchedFeed:
 
 
 class TestCheckpointEquivalence:
-    @pytest.mark.parametrize("fmt", JOURNAL_FORMATS)
+    @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("policy", sorted(POLICY_PARAMS))
     def test_kill_resume_with_checkpoints(self, tmp_path, policy, fmt):
         """Killed mid-stream with checkpoints on: resume == straight run."""
@@ -485,13 +500,15 @@ class TestCheckpointEquivalence:
         for kill_at in (0, 7, 25, 41, len(trace.events)):
             path = tmp_path / f"{policy}-{fmt}-{kill_at}.journal"
             svc = AdmissionService(trace, policy, params,
-                                   journal_path=str(path), fmt=fmt,
+                                   journal_path=str(path),
                                    checkpoint_every=10)
             for ev in trace.events[:kill_at]:
                 svc.submit_event(ev)
             del svc  # the kill
+            path = as_codec(path, fmt)
             tail = len(scan_journal(str(path))[2])
             resumed = AdmissionService.resume(str(path))
+            assert resumed.upgraded == (fmt == "jsonl")
             assert resumed.position == kill_at
             fp = resumed.session.fastpath_stats
             if fp["enabled"]:
@@ -505,15 +522,15 @@ class TestCheckpointEquivalence:
             assert result.eviction_log == expected.eviction_log
             assert dict(result.policy_stats) == dict(expected.policy_stats)
 
-    @pytest.mark.parametrize("fmt", JOURNAL_FORMATS)
+    @pytest.mark.parametrize("fmt", FORMATS)
     def test_invalid_tail_record_fails_resume(self, tmp_path, fmt):
         """A tail record the live service would have refused (here a
         duplicate arrival appended behind the writer's back) fails the
         resume loudly instead of rebuilding a different state."""
         trace = small_trace()
-        path = str(tmp_path / f"dup.{fmt}")
+        path = str(tmp_path / "dup.journal")
         svc = AdmissionService(trace, "dual-gated", journal_path=path,
-                               fmt=fmt, checkpoint_every=10)
+                               checkpoint_every=10)
         for ev in trace.events[:25]:
             svc.submit_event(ev)
         svc.journal.close()
@@ -522,21 +539,25 @@ class TestCheckpointEquivalence:
         _h, _ckpt, _tail, good, _fmt = scan_journal(path)
         with JournalWriter(path, start_at=good, seq0=25) as jw:
             jw.append(dup)
+        path = str(as_codec(Path(path), fmt))
+        before = Path(path).read_bytes()
         with pytest.raises(ValueError,
                            match=f"demand {dup.demand_id} already arrived"):
             AdmissionService.resume(path)
+        assert Path(path).read_bytes() == before  # not upgraded either
 
-    @pytest.mark.parametrize("fmt", JOURNAL_FORMATS)
+    @pytest.mark.parametrize("fmt", FORMATS)
     def test_resume_replays_only_the_tail(self, tmp_path, fmt):
         """The rebuild applies post-checkpoint events only."""
         trace = small_trace()
-        path = tmp_path / f"tail.{fmt}"
+        path = tmp_path / "tail.journal"
         svc = AdmissionService(trace, "greedy-threshold",
-                               journal_path=str(path), fmt=fmt,
+                               journal_path=str(path),
                                checkpoint_every=20)
         for i in range(0, 50, 10):
             svc.feed_events(trace.events[i:i + 10])
         svc.journal.close()
+        path = as_codec(path, fmt)
         _h, ckpt, tail, _g, _f = scan_journal(str(path))
         assert ckpt is not None and ckpt["position"] == 40
         assert len(tail) == 10
@@ -544,29 +565,48 @@ class TestCheckpointEquivalence:
         assert resumed.position == 50
         resumed.run_remaining()
 
-    @pytest.mark.parametrize("src_fmt", JOURNAL_FORMATS)
-    @pytest.mark.parametrize("dst_fmt", [None, "jsonl", "binary"])
-    def test_compact_preserves_outcome(self, tmp_path, src_fmt, dst_fmt):
+    @pytest.mark.parametrize("src_fmt", FORMATS)
+    def test_compact_preserves_outcome(self, tmp_path, src_fmt):
         trace = small_trace()
         expected = replay(trace, make_policy("preempt-density", factor=1.2))
-        path = tmp_path / f"compact-{src_fmt}-{dst_fmt}.journal"
+        path = tmp_path / "compact.journal"
         svc = AdmissionService(trace, "preempt-density", {"factor": 1.2},
-                               journal_path=str(path), fmt=src_fmt)
+                               journal_path=str(path))
         svc.feed_events(trace.events[:37])
         svc.journal.close()
+        path = as_codec(path, src_fmt)
         before = path.stat().st_size
-        info = AdmissionService.compact(str(path), fmt=dst_fmt)
+        info = AdmissionService.compact(str(path))
         assert info["position"] == 37
         assert info["bytes_before"] == before
+        assert info["bytes_after"] == path.stat().st_size
         _h, ckpt, tail, _g, detected = scan_journal(str(path))
         assert ckpt is not None and tail == []
-        assert detected == (dst_fmt or src_fmt)
+        assert detected == "binary"
         resumed = AdmissionService.resume(str(path))
         assert resumed.position == 37
         result = resumed.run_remaining()
         assert deterministic(result) == deterministic(expected)
         assert result.admission_log == expected.admission_log
         assert dict(result.policy_stats) == dict(expected.policy_stats)
+
+    def test_stale_temp_file_does_not_block_compaction(self, tmp_path):
+        """A compaction killed before its rename leaves a temp file
+        behind; later compactions (and upgrades) still go through."""
+        trace = small_trace()
+        path = tmp_path / "stale.journal"
+        svc = AdmissionService(trace, "greedy-threshold",
+                               journal_path=str(path))
+        svc.feed_events(trace.events[:20])
+        svc.journal.close()
+        stale = tmp_path / "stale.journal.compact.tmp"
+        stale.write_bytes(b"half a journal")
+        for _ in range(2):
+            assert AdmissionService.compact(str(path))["position"] == 20
+        assert stale.read_bytes() == b"half a journal"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["stale.journal", "stale.journal.compact.tmp"]
+        assert AdmissionService.resume(str(path)).position == 20
 
     def test_compact_empty_journal_is_header_only(self, tmp_path):
         trace = small_trace()
@@ -598,7 +638,7 @@ class TestShardedCheckpoint:
                   "shards": 2, "shard_by": "subtree",
                   "checkpoint_every": 40, "trace": trace_to_dict(trace)}
         path = tmp_path / "sharded.journal"
-        with JournalWriter(str(path), header, fmt="binary") as jw:
+        with JournalWriter(str(path), header) as jw:
             for ev in trace.events[:80]:
                 jw.append(ev)
             jw.checkpoint(live.checkpoint_state())
@@ -673,3 +713,30 @@ class TestDirectoryDurability:
             rio._atomic_dump({"v": 2}, str(path))
         assert json.loads(path.read_text())["v"] == 1
         assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_compact_fsync_failure_preserves_journal(self, tmp_path,
+                                                     monkeypatch):
+        """The compacted journal is fsynced before it replaces the
+        original: if that fsync fails, the original stays byte for byte
+        and the temp file is removed."""
+        import repro.io as rio
+
+        trace = small_trace()
+        path = tmp_path / "j.journal"
+        svc = AdmissionService(trace, "greedy-threshold",
+                               journal_path=str(path), checkpoint_every=8)
+        svc.feed_events(trace.events[:30])
+        svc.journal.close()
+        before = path.read_bytes()
+        real = rio.os.fsync
+
+        def boom(fd):
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                raise OSError("injected file fsync failure")
+            real(fd)  # directories still sync
+
+        monkeypatch.setattr(rio.os, "fsync", boom)
+        with pytest.raises(OSError, match="injected"):
+            AdmissionService.compact(str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["j.journal"]

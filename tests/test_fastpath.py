@@ -147,7 +147,7 @@ class TestByteIdentity:
         for label, force_scalar in (("fast", False), ("scalar", True)):
             path = tmp_path / f"{label}.bin"
             svc = AdmissionService(trace, "greedy-threshold",
-                                   journal_path=str(path), fmt="binary",
+                                   journal_path=str(path),
                                    checkpoint_every=200)
             if force_scalar:
                 svc.session._fast = None
@@ -354,7 +354,7 @@ class TestPreemptDensityIdentity:
             path = tmp_path / f"{label}.bin"
             svc = AdmissionService(trace, "preempt-density",
                                    params={"factor": 1.2},
-                                   journal_path=str(path), fmt="binary",
+                                   journal_path=str(path),
                                    checkpoint_every=200)
             if force_scalar:
                 svc.session._fast = None

@@ -1,12 +1,15 @@
 """The binary journal's column header against what came before it.
 
-* A JSON-lines journal is byte-for-byte what it was before the header
-  columns became NumPy arrays, header included.
+* A JSON-lines journal — a binary one transcoded by the frozen
+  JSON-lines encoding in ``helpers.jsonl_copy`` — is byte-for-byte what
+  the JSON-lines writer wrote before the header columns became NumPy
+  arrays, header included.
 * Compacting a committed legacy binary journal (JSON header record)
   rewrites it with a column header and still resumes to the outcome the
   writing code recorded.
-* Converting a journal's codec both ways keeps the trace exactly: every
-  column, the meta, the restored state and the profit to the last bit.
+* Transcoding a journal to JSON lines and upgrading it back to binary
+  (by resuming it) keeps the trace exactly: every column, the meta,
+  the restored state and the profit to the last bit.
 * ``trace_from_dict`` rejects a malformed array column exactly as it
   rejects the same column as a list.
 """
@@ -21,6 +24,7 @@ import struct
 
 import numpy as np
 import pytest
+from helpers import jsonl_copy
 
 from repro.io import event_to_dict, load_trace, scan_journal, trace_from_dict
 from repro.online import generate_trace, make_policy, replay
@@ -34,7 +38,8 @@ LEGACY_BINARY = sorted(p.name for p in LEGACY.glob("*-binary-*.journal"))
 #: sha256 of the whole JSON-lines journal (header included) of the
 #: corpus tree trace served with dual-gated through ``feed`` requests of
 #: 16 events, sync window 8, a checkpoint every 50 events — recorded
-#: while the service still handed the journal its trace as lists.
+#: while the service still handed the journal its trace as lists and
+#: the writer still emitted JSON lines.
 JSONL_SHA256 = \
     "b69c4fb480ca8df2a9e20c75312ebcdbf760ebdc6ae596761e784397ead709e4"
 
@@ -48,13 +53,14 @@ def _record_type(path) -> int:
 
 def test_jsonl_journal_is_unchanged_header_included(tmp_path):
     trace = load_trace(str(DATA / "trace_poisson_tree.json"))
-    path = tmp_path / "j.jsonl"
-    svc = AdmissionService(trace, "dual-gated", journal_path=str(path),
+    binary, path = tmp_path / "j.journal", tmp_path / "j.jsonl"
+    svc = AdmissionService(trace, "dual-gated", journal_path=str(binary),
                            sync_window=8, checkpoint_every=50)
     records = [event_to_dict(ev) for ev in trace.events]
     for i in range(0, len(records), 16):
         assert svc.handle({"op": "feed", "events": records[i:i + 16]})["ok"]
     svc.close()
+    jsonl_copy(binary, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == JSONL_SHA256
 
 
@@ -92,22 +98,25 @@ def test_codec_conversion_both_ways_keeps_the_trace_exactly(tmp_path):
     trace = generate_trace(kind="tree", events=300, seed=9,
                            workload={"n": 40, "r": 2})
     expected = replay(trace, make_policy("dual-gated", history=True))
-    path = tmp_path / "j.journal"
+    path, copy = tmp_path / "j.journal", tmp_path / "j.jsonl"
     svc = AdmissionService(trace, "dual-gated", {"history": True},
-                           journal_path=str(path), fmt="binary",
+                           journal_path=str(path),
                            sync_window=16, checkpoint_every=64)
     svc.feed_events(trace.events[:170])
     state = json.dumps(svc.checkpoint_state())
     svc.journal.close()
-    for fmt in ("jsonl", "binary"):
-        AdmissionService.compact(str(path), fmt=fmt)
-        header, ckpt, tail, _good, detected = scan_journal(str(path))
+    AdmissionService.compact(str(path))
+    jsonl_copy(path, copy)
+    # The last pass reads the copy as its resume upgraded it.
+    for p, fmt in ((path, "binary"), (copy, "jsonl"), (copy, "binary")):
+        header, ckpt, tail, _good, detected = scan_journal(str(p))
         assert detected == fmt and ckpt is not None and len(tail) == 0
         _assert_same_trace(trace, header)
-        resumed = AdmissionService.resume(str(path))
+        resumed = AdmissionService.resume(str(p))
+        assert resumed.upgraded == (fmt == "jsonl")
         assert json.dumps(resumed.checkpoint_state()) == state
         resumed.journal.close()
-    result = AdmissionService.resume(str(path)).run_remaining()
+    result = AdmissionService.resume(str(copy)).run_remaining()
     assert (float(result.metrics.realized_profit).hex()
             == float(expected.metrics.realized_profit).hex())
     assert result.admission_log == expected.admission_log

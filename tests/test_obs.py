@@ -299,8 +299,7 @@ class TestServiceOps:
     def test_trace_op_covers_every_layer(self, line_trace, tmp_path):
         tracing.enable()
         svc = AdmissionService(line_trace, "greedy-threshold",
-                               journal_path=str(tmp_path / "j.bin"),
-                               fmt="binary")
+                               journal_path=str(tmp_path / "j.bin"))
         _feed_all(svc, line_trace)
         resp = svc.handle({"op": "trace"})
         assert resp["ok"] and resp["spans"] > 0
@@ -520,8 +519,7 @@ class TestDashboard:
 
         tracing.enable()
         svc = AdmissionService(line_trace, "dual-gated",
-                               journal_path=str(tmp_path / "j.bin"),
-                               fmt="binary")
+                               journal_path=str(tmp_path / "j.bin"))
         server, thread, box = _start(svc)
         try:
             host, port = box["addr"][:2]

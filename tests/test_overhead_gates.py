@@ -95,7 +95,7 @@ def test_journaled_feed_overhead(tmp_path):
 
     def served() -> float:
         svc = AdmissionService(
-            trace, "greedy-threshold", fmt="binary", sync_window=64,
+            trace, "greedy-threshold", sync_window=64,
             journal_path=str(tmp_path / f"{next(journals)}.log"))
         t0 = time.perf_counter()
         for req in requests:

@@ -14,12 +14,14 @@ import os
 
 import numpy as np
 import pytest
+from helpers import jsonl_copy
 
 from repro.io import (
     JournalWriter,
     event_to_dict,
     read_journal,
     save_trace,
+    scan_journal,
 )
 from repro.online import (
     POLICY_NAMES,
@@ -53,6 +55,17 @@ def _drain(service, events):
         service.submit_event(ev)
 
 
+def _jsonl_journal(tmp_path, trace, events, policy="greedy-threshold"):
+    """A JSON-lines journal of ``events`` served with ``policy`` (the
+    binary journal transcoded by :func:`helpers.jsonl_copy`)."""
+    binary, path = tmp_path / "j.journal", str(tmp_path / "j.log")
+    svc = AdmissionService(trace, policy, journal_path=str(binary))
+    _drain(svc, events)
+    svc.journal.close()
+    jsonl_copy(binary, path)
+    return path
+
+
 class TestJournalRoundTrip:
     def test_header_and_events_round_trip(self, small_trace, tmp_path):
         path = str(tmp_path / "j.log")
@@ -69,21 +82,19 @@ class TestJournalRoundTrip:
         assert good == os.path.getsize(path)
 
     def test_torn_final_line_dropped(self, small_trace, tmp_path):
-        path = str(tmp_path / "j.log")
-        svc = AdmissionService(small_trace, "greedy-threshold",
-                               journal_path=path)
-        _drain(svc, small_trace.events[:10])
-        svc.journal.close()
+        path = _jsonl_journal(tmp_path, small_trace, small_trace.events[:10])
         with open(path, "a") as fh:
             fh.write('{"type": "arrival", "time": 9')  # torn by a kill
         header, events, good = read_journal(path)
         assert len(events) == 10
-        # Resuming truncates the torn tail and appends cleanly.
+        # Resuming drops the torn tail, upgrades the journal to binary
+        # (a checkpoint of the 10 events) and appends cleanly.
         resumed = AdmissionService.resume(path)
         assert resumed.position == 10
         resumed.submit_event(small_trace.events[10])
-        header2, events2, _ = read_journal(path)
-        assert len(events2) == 11
+        _h, ckpt, tail, _g, fmt = scan_journal(path)
+        assert fmt == "binary" and ckpt["position"] == 10
+        assert tail == small_trace.events[10:11]
 
     def test_newline_less_tail_treated_as_torn(self, small_trace,
                                                tmp_path):
@@ -92,11 +103,7 @@ class TestJournalRoundTrip:
         good_bytes and the recovered events describe the same prefix
         (a glued '}{' line would silently lose two events on the
         *second* restart otherwise)."""
-        path = str(tmp_path / "j.log")
-        svc = AdmissionService(small_trace, "greedy-threshold",
-                               journal_path=path)
-        _drain(svc, small_trace.events[:8])
-        svc.journal.close()
+        path = _jsonl_journal(tmp_path, small_trace, small_trace.events[:8])
         with open(path, "r+") as fh:
             fh.seek(0, os.SEEK_END)
             fh.truncate(fh.tell() - 1)  # shave exactly the final '\n'
@@ -105,17 +112,15 @@ class TestJournalRoundTrip:
         resumed = AdmissionService.resume(path)
         assert resumed.position == 7
         resumed.submit_event(small_trace.events[7])
-        # The journal stayed line-clean: a further restart sees 8 events.
-        _, events2, _ = read_journal(path)
-        assert len(events2) == 8
-        assert events2 == small_trace.events[:8]
+        # The upgraded journal holds exactly the 8 events: 7 in its
+        # checkpoint, the 8th after it.
+        _h, ckpt, tail, _g, _fmt = scan_journal(path)
+        assert ckpt["position"] == 7
+        assert tail == small_trace.events[7:8]
+        assert AdmissionService.resume(path).position == 8
 
     def test_mid_file_corruption_rejected(self, small_trace, tmp_path):
-        path = str(tmp_path / "j.log")
-        svc = AdmissionService(small_trace, "greedy-threshold",
-                               journal_path=path)
-        _drain(svc, small_trace.events[:5])
-        svc.journal.close()
+        path = _jsonl_journal(tmp_path, small_trace, small_trace.events[:5])
         lines = open(path).read().splitlines()
         lines[2] = '{"type": "arr'  # torn *before* later records
         with open(path, "w") as fh:
@@ -356,7 +361,7 @@ class TestRequestAPI:
         tr = poisson_trace("line", events=40, seed=7, departure_prob=0.0)
         path = tmp_path / "j.bin"
         svc = AdmissionService(tr, "greedy-threshold",
-                               journal_path=str(path), fmt="binary")
+                               journal_path=str(path))
         size = path.stat().st_size
         batch = list(tr.events[:5]) + ["arrival"] + list(tr.events[5:10])
         with pytest.raises(TypeError,
@@ -384,15 +389,23 @@ class TestRequestAPI:
         def forbidden(*args, **kwargs):
             raise AssertionError("an event object was built")
 
-        monkeypatch.setattr(repro.online.events, "_event", forbidden)
-        monkeypatch.setattr(repro.io, "event_from_dict", forbidden)
-        path = str(tmp_path / f"j.{fmt}")
-        svc = AdmissionService(tr, "dual-gated", journal_path=path, fmt=fmt,
+        def forbid():
+            monkeypatch.setattr(repro.online.events, "_event", forbidden)
+            monkeypatch.setattr(repro.io, "event_from_dict", forbidden)
+
+        forbid()
+        path = str(tmp_path / "j.journal")
+        svc = AdmissionService(tr, "dual-gated", journal_path=path,
                                sync_window=16, checkpoint_every=150)
         for i in range(0, len(records), 64):
             assert svc.handle({"op": "feed",
                                "events": records[i:i + 64]})["ok"]
         svc.journal.close()
+        if fmt == "jsonl":  # the transcoding itself builds event objects
+            monkeypatch.undo()
+            jsonl_copy(path, path + ".jsonl")
+            path += ".jsonl"
+            forbid()
         resumed = AdmissionService.resume(path)
         assert resumed.position == 400
         got = resumed.run_remaining()
@@ -408,10 +421,7 @@ class TestRequestAPI:
     ])
     def test_jsonl_replay_rejects_coercible_records(self, tmp_path, record):
         tr = poisson_trace("line", events=40, seed=7, departure_prob=0.0)
-        path = str(tmp_path / "j.log")
-        svc = AdmissionService(tr, "greedy-threshold", journal_path=path)
-        _drain(svc, tr.events[:3])
-        svc.journal.close()
+        path = _jsonl_journal(tmp_path, tr, tr.events[:3])
         with open(path, "a") as fh:
             fh.write(record + "\n")
         with pytest.raises(ValueError):

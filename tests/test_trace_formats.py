@@ -233,12 +233,24 @@ def test_malformed_envelope(doc, message):
 #: sha256 of every journal byte after the header record: the corpus tree
 #: trace served with dual-gated through ``feed`` requests of 16 events,
 #: sync window 8, a checkpoint every 50 events — recorded while the
-#: header still embedded a format-1 trace.
+#: header still embedded a format-1 trace.  The ``jsonl`` journal is the
+#: binary one transcoded by ``helpers.jsonl_copy``.
 RECORDS_SHA256 = {
     "jsonl": "0b653054f5ca5b6bd401f8722d4e99a21995a1d49b56a45499889c67312a396c",
     "binary":
         "045bf25e55ddd94873eac67cfa924e449769f6ee525f431d6c168123e8d56753",
 }
+
+
+def _as_codec(path, fmt: str):
+    """The binary journal at ``path``, or its JSON-lines copy."""
+    if fmt == "binary":
+        return path
+    from helpers import jsonl_copy
+
+    copy = path.with_suffix(f".{fmt}")
+    jsonl_copy(path, copy)
+    return copy
 
 
 @pytest.mark.parametrize("fmt", sorted(RECORDS_SHA256))
@@ -249,13 +261,14 @@ def test_journal_records_after_the_header_are_unchanged(fmt, tmp_path):
     from repro.service import AdmissionService
 
     trace = load_trace(str(DATA / "trace_poisson_tree.json"))
-    path = tmp_path / f"j.{fmt}"
+    path = tmp_path / "j.binary"
     svc = AdmissionService(trace, "dual-gated", journal_path=str(path),
-                           fmt=fmt, sync_window=8, checkpoint_every=50)
+                           sync_window=8, checkpoint_every=50)
     records = [event_to_dict(ev) for ev in trace.events]
     for i in range(0, len(records), 16):
         assert svc.handle({"op": "feed", "events": records[i:i + 16]})["ok"]
     svc.close()
+    path = _as_codec(path, fmt)
     kind, header, cut = next(iter_journal(str(path)))
     assert kind == "header" and header["trace"]["format"] == 2
     embedded = trace_from_dict(header["trace"])
@@ -271,7 +284,8 @@ def test_journal_records_after_the_header_are_unchanged(fmt, tmp_path):
 #: event a ``submit``, the others ``admit``/``release``/``tick``, some
 #: arrivals followed by a refused duplicate ``admit`` — sync window 8, a
 #: checkpoint every 50 events; recorded while every journal record was
-#: still packed one event object at a time.
+#: still packed one event object at a time.  The ``jsonl`` journal is
+#: the binary one transcoded by ``helpers.jsonl_copy``.
 SINGLE_OP_RECORDS_SHA256 = {
     "jsonl": "069f9249ff6b9222203ecef46ff3d2a7767b4a728643cbb4f166eabd322d2930",
     "binary":
@@ -287,9 +301,9 @@ def test_single_event_op_journal_records_are_unchanged(fmt, tmp_path):
     from repro.service import AdmissionService
 
     trace = load_trace(str(DATA / "trace_poisson_tree.json"))
-    path = tmp_path / f"j.{fmt}"
+    path = tmp_path / "j.binary"
     svc = AdmissionService(trace, "dual-gated", journal_path=str(path),
-                           fmt=fmt, sync_window=8, checkpoint_every=50)
+                           sync_window=8, checkpoint_every=50)
     for i, ev in enumerate(trace.events):
         doc = event_to_dict(ev)
         if i % 3 == 0:
@@ -304,6 +318,7 @@ def test_single_event_op_journal_records_are_unchanged(fmt, tmp_path):
             assert not svc.handle({"op": "admit", "demand": doc["demand"],
                                    "time": doc["time"]})["ok"]
     svc.close()
+    path = _as_codec(path, fmt)
     _kind, _header, cut = next(iter_journal(str(path)))
     body = path.read_bytes()[cut:]
     assert hashlib.sha256(body).hexdigest() == SINGLE_OP_RECORDS_SHA256[fmt]
