@@ -1,4 +1,4 @@
-"""Columnar batch-decision fast path: bulk verdicts over mutation-aware
+"""Columnar batch-decision fast path: bulk verdicts over conflict-closure
 windows.
 
 The scalar event loop (``session.feed`` → ``policy.on_arrival`` →
@@ -20,9 +20,9 @@ changing a single decision bit:
 * the batch kernels (:data:`BATCH_KERNELS`) — each split into an
   *evaluate* half, a gather/segment-reduce replica of the scalar
   decision path that computes every verdict of a window against the
-  ledger as it stands, and *commit*/*tally* halves that apply a prefix
-  of those verdicts through ``admit_many`` and the policy counters, bit
-  for bit (see the float notes below);
+  ledger as it stands, and *commit*/*tally* halves that apply the
+  committed verdicts through ``admit_many`` (and ``evict_many``) and
+  the policy counters, bit for bit (see the float notes below);
 * :class:`FastFeeder` — the executor ``AdmissionSession.feed_many``
   engages when the policy advertises a batch kernel.
 
@@ -30,24 +30,35 @@ A *footprint* is the union of every candidate route of a demand plus a
 per-demand sentinel pseudo-edge, so two events of the same demand
 always meet.  An event's verdict reads nothing outside its footprint.
 A rejected arrival changes nothing — no load, no holder, no log entry
-— and neither does a departure of a demand not in the system, so only
-*mutators* (an arrival whose verdict admits, a departure of an
-admitted demand) can make a later verdict stale, and only one whose
-footprint meets theirs.  The executor evaluates a window of events
-against the run-entry state, then cuts it at the first event whose
-footprint meets an earlier mutator's (:meth:`FastFeeder._segment`).
-Every verdict before the cut equals the scalar one, and the prefix's
-admits and releases are footprint-disjoint, so one ``admit_many`` and
-one ``release_many`` commit them.  A *hard* arrival — a
-``preempt-density`` arrival that no candidate fits and whose plan
-reaches the eviction walk — is planned in the kernel too: one
-closed-form walk per window over every hard arrival before the cut
-(:func:`_kernel_preempt_walk`), against the same run-entry state.  In
-event order, a hard arrival that rejects changes nothing and the window
-goes on past it; one that preempts commits through ``evict_many`` +
-``admit_many`` and cuts the window at the first later event meeting a
-route or demand it changed.  Events past the cut are evaluated again in
-the next window, which spans twice the last run.
+— and neither does a departure of a demand not in the system.
+
+The executor keeps each stretch's undecided events pending and
+evaluates a window of the first pending events against the ledger as
+it stands (:meth:`FastFeeder._closure`).  Walking the window in event
+order with a set of dirty edges, an event whose read set meets the set
+is *deferred*, and one whose read set does not is *committed*.  The
+read set is the footprint, plus the victims' routes and sentinels of a
+preempting arrival.  A committed event dirties what it writes (its
+route and sentinel; a preempting arrival also its victims' routes and
+sentinels); a deferred event dirties its footprint, and a deferred
+``preempt-density`` arrival also the routes and sentinels of the
+holders of its footprint edges it could evict once evaluated again
+(those whose profit times the gate is below one of its candidates').
+So no committed event touches anything an earlier deferred event may
+read or write, each committed verdict is the scalar loop's, and the
+committed writes are pairwise edge-disjoint: one ``release_many``, one
+``evict_many`` and one ``admit_many`` apply a window.  The paper's
+distributed rounds have the same shape — each settles every demand
+without an unresolved conflict and defers the rest.  A *hard* arrival
+(a ``preempt-density`` arrival that no candidate fits and whose plan
+reaches the eviction walk) is planned in the kernel too: one
+closed-form walk per window (:func:`_kernel_preempt_walk`) over the
+hard arrivals whose footprint meets no earlier write.  The ledger's
+effects are applied at commit; the log entries and the float profit
+adds are staged and flushed in event order once every earlier event is
+decided, and every pending event is decided before a chunk returns.
+Deferred events are evaluated again in the next window, which spans
+twice the last window's committed count.
 
 Bit-exactness ground rules (each empirically verified against this
 container's NumPy):
@@ -64,7 +75,7 @@ container's NumPy):
 * ``max``/``min`` reductions are order-independent, so
   ``maximum.reduceat`` feasibility probes, the planner's cost bound and
   first-min selection keys are exact;
-* within a window's committed prefix, routes are edge-disjoint, so
+* within a window's committed events, writes are edge-disjoint, so
   batched scatter-adds touch every load position exactly once — the
   same single float add the scalar loop performs.
 
@@ -79,7 +90,6 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
 from itertools import chain
 from typing import Any, Callable, NamedTuple
 
@@ -104,17 +114,20 @@ __all__ = [
 #: MiB however long the batch.
 CHUNK = 4096
 
-#: Stretches of batchable events shorter than this go through the
-#: scalar dispatcher: a window evaluation pays ~a dozen NumPy-call
-#: overheads, which only amortize over several events.  Either
-#: execution is bit-identical, so this is purely a throughput knob.
+#: When fewer pending events than this are left in a stretch they go
+#: through the scalar dispatcher: a window evaluation pays dozens of
+#: NumPy-call overheads, which only amortize over several events.
+#: Either execution is bit-identical, so this is purely a throughput
+#: knob.
 MIN_VECTOR_RUN = 2
 
-#: Window bounds, in events.  Each window spans twice the previous
-#: window's run, clamped to ``[MIN_WINDOW, MAX_WINDOW]``: events past a
-#: cut are evaluated again, so a window much longer than the run wastes
-#: work, and one much shorter pays more window overheads.
-MIN_WINDOW = 8
+#: Window bounds, in pending events.  Each window spans twice the
+#: previous window's committed count, clamped to ``[MIN_WINDOW,
+#: MAX_WINDOW]``: deferred events are evaluated again, so a window much
+#: longer than what commits wastes work, and one much shorter pays more
+#: window overheads.  ``MIN_WINDOW`` covers a typical service request
+#: whole.
+MIN_WINDOW = 64
 MAX_WINDOW = 512
 
 _INT_MAX = np.iinfo(np.int64).max
@@ -263,7 +276,7 @@ class TraceArrays:
     """
 
     __slots__ = ("kinds", "times", "demand", "batchable", "fp_indptr",
-                 "fp_edges", "fp_owner")
+                 "fp_edges")
 
     def __init__(self, kinds, times, demand, batchable, fp_indptr,
                  fp_edges) -> None:
@@ -273,9 +286,6 @@ class TraceArrays:
         self.batchable = batchable
         self.fp_indptr = fp_indptr
         self.fp_edges = fp_edges
-        #: The event each ``fp_edges`` entry belongs to (nondecreasing).
-        self.fp_owner = np.repeat(np.arange(len(kinds), dtype=np.int64),
-                                  np.diff(fp_indptr))
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -361,7 +371,7 @@ def _prepare(feeder: "FastFeeder", demands: np.ndarray,
     p = _ChunkPlan()
     p.demands = demands
     p.dlist = demands.tolist()
-    p.event = event
+    p.event = np.asarray(event)
     iid, ccnt = gather_rows(geom.cand_indptr, index._cand_iids, demands)
     cstart = np.zeros(len(demands) + 1, dtype=np.int64)
     np.cumsum(ccnt, out=cstart[1:])
@@ -397,7 +407,7 @@ def _prepare(feeder: "FastFeeder", demands: np.ndarray,
 
 
 class _Window:
-    """One window's route columns: the run-entry loads on every route
+    """One window's route columns: the window-entry loads on every route
     edge of arrivals ``[i0, i1)`` and the segment layout over them."""
 
     __slots__ = ("c0", "c1", "e0", "e1", "loads", "rel", "relc",
@@ -431,7 +441,7 @@ class _Window:
 
 def _fit_keys(plan: _ChunkPlan, w: _Window) -> np.ndarray:
     """First-fit selection per arrival: the smallest ``plan.gkey`` over
-    candidates that fit the run-entry loads (``_INT_MAX`` = none fits).
+    candidates that fit the window-entry loads (``_INT_MAX`` = none fits).
 
     The feasibility probe is a per-candidate route peak via one segment
     max (empty segments read 0.0, exactly as the scalar probe sees
@@ -449,7 +459,7 @@ def _fit_keys(plan: _ChunkPlan, w: _Window) -> np.ndarray:
 def _kernel_greedy_evaluate(feeder: "FastFeeder", plan: _ChunkPlan,
                             i0: int, i1: int):
     """Vectorized ``GreedyThreshold.on_arrival`` verdicts for arrivals
-    ``[i0, i1)`` against the run-entry ledger.
+    ``[i0, i1)`` against the window-entry ledger.
 
     The density floor is pre-folded into ``plan.gkey`` (below-threshold
     candidates carry ``_INT_MAX``), and the already-admitted early
@@ -468,19 +478,27 @@ def _kernel_greedy_evaluate(feeder: "FastFeeder", plan: _ChunkPlan,
     return admits, None, best
 
 
+def _kernel_greedy_pick(feeder: "FastFeeder", plan: _ChunkPlan,
+                        best) -> np.ndarray:
+    """The instance each evaluated arrival admits (where it admits)."""
+    return best % feeder.num_instances
+
+
 def _kernel_greedy_commit(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
-                          sel: np.ndarray, best) -> None:
+                          sel: np.ndarray, best, moves: list) -> None:
     """Admit the selections of evaluated arrivals ``i0 + sel`` (offsets
-    whose verdict admits, in event order) in one ``admit_many``."""
+    whose verdict admits, in event order) in one unlogged
+    ``admit_many``."""
     feeder.ledger.admit_many(best[sel] % feeder.num_instances,
                              _prechecked=True,
-                             _demands=plan.demands[i0 + sel].tolist())
+                             _demands=plan.demands[i0 + sel].tolist(),
+                             _log=False)
 
 
 def _kernel_dual_evaluate(feeder: "FastFeeder", plan: _ChunkPlan,
                           i0: int, i1: int):
     """Vectorized ``DualGated.on_arrival`` verdicts for arrivals
-    ``[i0, i1)`` against the run-entry ledger.
+    ``[i0, i1)`` against the window-entry ledger.
 
     Same candidate ranking (first strict price minimum in candidate
     order), same gate (``profit <= eta * price``) as the scalar path.
@@ -521,10 +539,16 @@ def _kernel_dual_evaluate(feeder: "FastFeeder", plan: _ChunkPlan,
     return has_any & ~gated, None, (best_price, has_any, gated, first)
 
 
+def _kernel_dual_pick(feeder: "FastFeeder", plan: _ChunkPlan,
+                      state) -> np.ndarray:
+    """The instance each evaluated arrival admits (where it admits)."""
+    return plan.iid[state[3]]
+
+
 def _kernel_dual_commit(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
-                        sel: np.ndarray, state) -> None:
-    """Admit evaluated arrivals ``i0 + sel`` in one ``admit_many`` and
-    fold their routes into the price peaks."""
+                        sel: np.ndarray, state, moves: list) -> None:
+    """Admit evaluated arrivals ``i0 + sel`` in one unlogged
+    ``admit_many`` and fold their routes into the price peaks."""
     first_sel = state[3][sel]
     # One route-edge gather serves the load scatter-add, the holder
     # bookkeeping inputs, and the peak notes.
@@ -541,7 +565,8 @@ def _kernel_dual_commit(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
         edges = adds = None
     feeder.ledger.admit_many(
         plan.iid[first_sel], _prechecked=True,
-        _demands=plan.demands[i0 + sel].tolist(), _edges=edges, _adds=adds)
+        _demands=plan.demands[i0 + sel].tolist(), _edges=edges, _adds=adds,
+        _log=False)
     if total:
         # Batched ``_note_peak``: each admitted route's post-admission
         # loads equal its post-batch loads (disjointness), so one
@@ -549,26 +574,28 @@ def _kernel_dual_commit(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
         # as the per-admission scalar notes.  History snapshots are
         # never taken here: the policy only advertises its batch
         # kernel with ``history=False``.
-        peak = feeder.policy._peak
+        policy = feeder.policy
         load = feeder.ledger.active._load
-        peak[edges] = np.maximum(peak[edges], load[edges])
+        policy._peak[edges] = np.maximum(policy._peak[edges], load[edges])
+        policy._peak_version += 1
 
 
-def _kernel_dual_tally(feeder: "FastFeeder", state, k: int,
+def _kernel_dual_tally(feeder: "FastFeeder", state, done: np.ndarray,
                        n_admit: int) -> None:
-    """The gate counters and ``max_gate`` trajectory of the first ``k``
-    evaluated arrivals."""
+    """The gate counters and ``max_gate`` trajectory of the evaluated
+    arrivals ``done`` (a mask)."""
     best_price, has_any, gated, _ = state
     stats = feeder.policy.stats
-    n_any = int(np.count_nonzero(has_any[:k]))
-    stats["capacity_blocked"] += k - n_any
+    has_any = has_any & done
+    n_any = int(np.count_nonzero(has_any))
+    stats["capacity_blocked"] += int(np.count_nonzero(done)) - n_any
     if n_any:
         # max_gate folds in every best price seen, gated or not (max is
         # order-independent; cast keeps the stats JSON-safe floats).
-        mg = float(best_price[:k][has_any[:k]].max())
+        mg = float(best_price[has_any].max())
         if mg > stats["max_gate"]:
             stats["max_gate"] = mg
-        stats["gated"] += int(np.count_nonzero(gated[:k]))
+        stats["gated"] += int(np.count_nonzero(gated & done))
 
 
 class _PreemptState:
@@ -589,7 +616,7 @@ class _PreemptState:
 def _kernel_preempt_evaluate(feeder: "FastFeeder", plan: _ChunkPlan,
                              i0: int, i1: int):
     """Vectorized ``PreemptDensity`` verdicts for arrivals ``[i0, i1)``
-    against the run-entry ledger, up to the eviction walk.
+    against the window-entry ledger, up to the eviction walk.
 
     *Fit half*: the greedy selection with the density floor folded into
     ``plan.gkey``.  *Blocked half*: stage 1 of
@@ -655,7 +682,7 @@ def _kernel_preempt_evaluate(feeder: "FastFeeder", plan: _ChunkPlan,
 def _kernel_preempt_plans(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
                           k: int, state: _PreemptState):
     """The eviction walk of every walking candidate of the arrivals
-    ``[i0, i0 + k)`` against the run-entry ledger; changes nothing.
+    ``[i0, i0 + k)`` against the window-entry ledger; changes nothing.
 
     Returns ``(walks, short, cut_off, v_cand, v_iid)``: over those
     arrivals' candidates (offsets from the window's first), which ones
@@ -690,15 +717,18 @@ def _kernel_preempt_plans(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
     # (Small arrays: the method forms skip NumPy's dispatch wrappers.)
     seg_e = (hot[:ec] & cmask[ecand - c0]).nonzero()[0]
     seg_cand = ecand[seg_e] - c0
-    sets = list(map(ledger._holders_by_edge.__getitem__,
-                    plan.edges[e0:e0 + ec][seg_e].tolist()))
-    lens = list(map(len, sets))
-    n = sum(lens)
-    S = len(lens)
-    cnt = np.fromiter(lens, dtype=np.int64, count=S)
-    held = np.fromiter(map(ledger._admitted.__getitem__,
-                           chain.from_iterable(sets)),
-                       dtype=np.int64, count=n)
+    # The holders of each distinct edge, looked up once, then of each
+    # segment.
+    uniq, inv = np.unique(plan.edges[e0:e0 + ec][seg_e], return_inverse=True)
+    sets = list(map(ledger._holders_by_edge.__getitem__, uniq.tolist()))
+    indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)),
+              out=indptr[1:])
+    held, cnt = gather_rows(indptr, np.fromiter(
+        map(ledger._admitted.__getitem__, chain.from_iterable(sets)),
+        dtype=np.int64, count=int(indptr[-1])), inv)
+    n = len(held)
+    S = len(cnt)
     # Each segment's holders in walk order: one sort of (segment, walk
     # rank) keys, which leaves the segment column as it was.
     seg = np.arange(S, dtype=np.int64).repeat(cnt)
@@ -713,7 +743,7 @@ def _kernel_preempt_plans(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
     # major position, ``rank * S + seg``.
     cell = seg + S * (np.arange(n, dtype=np.int64)
                       - (cnt.cumsum() - cnt).repeat(cnt))
-    steps = np.zeros((max(lens) + 1) * S)
+    steps = np.zeros((int(cnt.max()) + 1) * S)
     steps[:S] = deficit[seg_e]
     steps[S:][cell] = walk_height[order]
     rows = steps.reshape(-1, S)
@@ -744,9 +774,10 @@ def _kernel_preempt_plans(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
 def _kernel_preempt_walk(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
                          k: int, state: _PreemptState) -> dict:
     """The eviction plans of the hard arrivals among ``[i0, i0 + k)``
-    against the run-entry ledger: ``{offset: (iid, victims, victim
-    profits)}`` for each arrival that preempts into candidate ``iid``
-    (the others reject).  Walk prunes are added to ``state.pruned``.
+    against the window-entry ledger: ``{offset: (iid, victims, victim
+    profits, victim instances)}`` for each arrival that preempts into
+    candidate ``iid`` (the others reject).  Walk prunes are added to
+    ``state.pruned``.
 
     The walks come from :func:`_kernel_preempt_plans`; the viable plans
     are then costed and ranked as ``PreemptDensity`` ranks them:
@@ -768,6 +799,7 @@ def _kernel_preempt_walk(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
     v_hi = v_cand.searchsorted(viable, side="right").tolist()
     v_dem = index._dem[v_iid].tolist()
     v_prof = index._profits[v_iid].tolist()
+    v_iids = v_iid.tolist()
     route_len = feeder.ledger._route_len
     gate = feeder.gate
     pv = c0 + viable
@@ -781,63 +813,81 @@ def _kernel_preempt_walk(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
         rank_key = (cost, route_len[c_iid], c_iid)
         have = chosen.get(a)
         if have is None or rank_key < have[0]:
-            chosen[a] = (rank_key, c_iid, v_dem[lo:hi], prof)
+            chosen[a] = (rank_key, c_iid, v_dem[lo:hi], prof, v_iids[lo:hi])
     return {a: have[1:] for a, have in chosen.items()}
 
 
-def _kernel_preempt_evict(feeder: "FastFeeder", plan: _ChunkPlan, a: int,
-                          move) -> list:
-    """Execute arrival ``a``'s eviction plan ``move`` from
-    :func:`_kernel_preempt_walk`: the victims go in one ``evict_many``
-    (their penalties and forfeits in walk order), then the arrival is
-    admitted; returns the ``(demand, instance)`` pairs it changed."""
-    ledger = feeder.ledger
-    policy = feeder.policy
-    iid, victims, profits = move
-    penalty = policy.penalty
-    v_iids = ledger.evict_many(victims, [penalty * p for p in profits])
-    policy.stats["evictions"] += len(victims)
-    policy.stats["preempt_admits"] += 1
-    demand = plan.dlist[a]
-    # The walk's deficits and the loads after the evictions round
-    # differently, so the route is probed as the scalar admission
-    # probes it; should it not fit, the validating admit_many raises
-    # the scalar path's error.
-    route = ledger._edge_ids(iid)
-    height = feeder.geom.index._heights[iid]
-    fits = (not len(route)
-            or np.maximum.reduce(ledger.active._load[route]) + height <= _CAP)
-    ledger.admit_many([iid], _prechecked=fits, _demands=[demand],
-                      _edges=route, _adds=np.full(len(route), height))
-    changed = list(zip(victims, v_iids))
-    changed.append((demand, iid))
-    return changed
+def _kernel_preempt_pick(feeder: "FastFeeder", plan: _ChunkPlan,
+                         state: _PreemptState) -> np.ndarray:
+    """The instance each evaluated arrival admits by fit (where it
+    does)."""
+    return state.best % feeder.num_instances
 
 
 def _kernel_preempt_commit(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
-                           sel: np.ndarray, state: _PreemptState) -> None:
-    """Admit the fits among evaluated arrivals ``i0 + sel``."""
-    _kernel_greedy_commit(feeder, plan, i0, sel, state.best)
-
-
-def _kernel_preempt_tally(feeder: "FastFeeder", state: _PreemptState, k: int,
-                          n_admit: int) -> None:
-    """``preempt_rejected`` / ``preempt_pruned`` for the first ``k``
-    evaluated arrivals (the walk and the commit count the rest)."""
+                           sel: np.ndarray, state: _PreemptState,
+                           moves: list) -> None:
+    """Admit the fits among evaluated arrivals ``i0 + sel`` and execute the
+    eviction plans ``moves`` (``(offset, move)`` from
+    :func:`_kernel_preempt_walk`, in event order), all unlogged: every
+    move's victims in one ``evict_many``, then every admission in one
+    ``admit_many`` in event order.  The moves' routes and victims are
+    pairwise edge-disjoint and disjoint from the fits, so each edge sees
+    exactly the scalar loop's float operations."""
+    if not moves:
+        _kernel_greedy_commit(feeder, plan, i0, sel, state.best, moves)
+        return
+    ledger = feeder.ledger
     stats = feeder.policy.stats
-    stats["preempt_rejected"] += k - n_admit
+    penalty = feeder.policy.penalty
+    victims: list = []
+    paid: list = []
+    for _, move in moves:
+        victims += move[1]
+        paid += [penalty * p for p in move[2]]
+    ledger.evict_many(victims, paid, _log=False)
+    stats["evictions"] += len(victims)
+    stats["preempt_admits"] += len(moves)
+    offs = np.fromiter((a for a, _ in moves), dtype=np.int64,
+                       count=len(moves))
+    m_iid = np.fromiter((move[0] for _, move in moves), dtype=np.int64,
+                        count=len(moves))
+    # The walk's deficits and the loads after the evictions round
+    # differently, so each preempting route is probed as the scalar
+    # admission probes it; should one not fit, the validating
+    # admit_many raises the scalar path's error.
+    load = ledger.active._load
+    heights = feeder.geom.index._heights
+    fits = all(not len(route)
+               or np.maximum.reduce(load[route]) + heights[iid] <= _CAP
+               for iid, route in zip(m_iid.tolist(),
+                                     map(ledger._edge_ids, m_iid.tolist())))
+    order = np.concatenate((sel, offs))
+    iids = np.concatenate((state.best[sel] % feeder.num_instances, m_iid))
+    k = order.argsort(kind="stable")
+    ledger.admit_many(iids[k], _prechecked=fits,
+                      _demands=plan.demands[i0 + order[k]].tolist(),
+                      _log=False)
+
+
+def _kernel_preempt_tally(feeder: "FastFeeder", state: _PreemptState,
+                          done: np.ndarray, n_admit: int) -> None:
+    """``preempt_rejected`` / ``preempt_pruned`` for the evaluated
+    arrivals ``done`` (a mask; the commit counts the preemptions)."""
+    stats = feeder.policy.stats
+    stats["preempt_rejected"] += int(np.count_nonzero(done)) - n_admit
     if state.pruned is not None:
-        stats["preempt_pruned"] += int(state.pruned[:k].sum())
+        stats["preempt_pruned"] += int(state.pruned[done].sum())
 
 
 class _Kernel(NamedTuple):
     """One policy's batch kernel (see :data:`BATCH_KERNELS`)."""
 
     evaluate: Callable
+    pick: Callable
     commit: Callable
     tally: Callable | None = None
     walk: Callable | None = None
-    preempt: Callable | None = None
 
 
 #: Kernel registry: the names policies advertise via ``batch_kernel()``.
@@ -846,23 +896,23 @@ class _Kernel(NamedTuple):
 #:   state)`` for arrivals ``[i0, i1)`` of a :class:`_ChunkPlan`
 #:   without touching any state (``hard`` is ``None`` for kernels whose
 #:   verdicts need no eviction walk);
-#: * ``commit(feeder, plan, i0, sel, state)`` applies the admits of
-#:   arrivals ``i0 + sel``;
-#: * ``tally(feeder, state, k, n_admit)`` adds the policy counters of
-#:   the first ``k`` evaluated arrivals, ``n_admit`` of which admitted
-#:   (``None`` when the policy keeps no per-arrival counters);
+#: * ``pick(feeder, plan, state)`` is the instance each arrival that
+#:   admits (by fit) takes;
+#: * ``commit(feeder, plan, i0, sel, state, moves)`` applies the admits
+#:   of arrivals ``i0 + sel`` and the eviction plans ``moves``, unlogged;
+#: * ``tally(feeder, state, done, n_admit)`` adds the policy counters of
+#:   the evaluated arrivals ``done`` (a mask), ``n_admit`` of which
+#:   admitted (``None`` when the policy keeps no per-arrival counters);
 #: * ``walk(feeder, plan, i0, k, state)`` plans the hard arrivals among
-#:   ``[i0, i0 + k)`` (``{offset: move}`` for those that preempt) and
-#:   ``preempt(feeder, plan, a, move)`` executes one move, returning the
-#:   ``(demand, instance)`` pairs it changed.
+#:   ``[i0, i0 + k)``: ``{offset: move}`` for those that preempt.
 BATCH_KERNELS = {
-    "greedy-threshold": _Kernel(_kernel_greedy_evaluate,
+    "greedy-threshold": _Kernel(_kernel_greedy_evaluate, _kernel_greedy_pick,
                                 _kernel_greedy_commit),
-    "dual-gated": _Kernel(_kernel_dual_evaluate, _kernel_dual_commit,
-                          _kernel_dual_tally),
-    "preempt-density": _Kernel(_kernel_preempt_evaluate,
+    "dual-gated": _Kernel(_kernel_dual_evaluate, _kernel_dual_pick,
+                          _kernel_dual_commit, _kernel_dual_tally),
+    "preempt-density": _Kernel(_kernel_preempt_evaluate, _kernel_preempt_pick,
                                _kernel_preempt_commit, _kernel_preempt_tally,
-                               _kernel_preempt_walk, _kernel_preempt_evict),
+                               _kernel_preempt_walk),
 }
 
 
@@ -883,24 +933,29 @@ class _ChunkCounts:
         self.t_first = self.dur = 0.0
 
 
-class _Segment(NamedTuple):
-    """One evaluated, cut window (:meth:`FastFeeder._segment`): the
-    kernel ``state`` of the arrivals from ``i0``, the offsets ``sel`` of
-    those that admit (and their chunk events ``adm_events``), the hard
-    arrivals before the cut (their events, and ``(event, move)`` for
-    each that preempts), the releasing departures (``rel``,
-    indices into the chunk's departures, the first of the window being
-    ``d0``) and the ``cut``."""
+class _Closure(NamedTuple):
+    """One evaluated window split by the conflict closure
+    (:meth:`FastFeeder._closure`): the chunk events it defers
+    (``later``, in event order) and how many it commits (``n_done``);
+    the arrivals' evaluation (kernel ``state`` and ``pick`` of the
+    arrivals of ``plan`` from ``i0``); and what the commits are: the
+    committed arrivals (``c_arr``, a mask from ``i0``), the offsets of
+    those that admit by fit (``c_fit``), ``(offset, move)`` for those
+    that preempt (``c_mov``), and the demands the committed departures
+    release (``c_rel``, in event order) out of ``n_dep`` committed
+    departures."""
 
+    later: np.ndarray
+    n_done: int
+    plan: Any
     i0: int
-    d0: int
     state: Any
-    sel: np.ndarray
-    adm_events: list
-    hard_events: list
-    moves: list
-    rel: list
-    cut: int
+    pick: Any
+    c_arr: Any
+    c_fit: np.ndarray
+    c_mov: list
+    c_rel: list
+    n_dep: int
 
 
 class FastFeeder:
@@ -910,7 +965,8 @@ class FastFeeder:
     the policy advertises a batch kernel (and keeps the base no-op
     departure/tick hooks).  Each batch is columnarized per
     :data:`CHUNK`; each maximal stretch of batchable events is then
-    consumed window by window (:meth:`_window`).  A stretch's lone last
+    decided window by window (:meth:`_stretch`), every window over the
+    first pending events of the stretch.  A stretch's lone last pending
     event goes to the session's scalar dispatcher directly (a window
     costs more than one scalar decision), as does every unbatchable
     event.
@@ -924,9 +980,9 @@ class FastFeeder:
         self.policy = session.policy
         self.kernel_name = kernel_name
         kernel = BATCH_KERNELS[kernel_name]
-        self.evaluate, self.commit, self.tally = (kernel.evaluate,
-                                                  kernel.commit, kernel.tally)
-        self.walk, self.preempt = kernel.walk, kernel.preempt
+        self.evaluate, self.pick, self.commit = (kernel.evaluate, kernel.pick,
+                                                 kernel.commit)
+        self.tally, self.walk = kernel.tally, kernel.walk
         self.geom = geometry_of(session.ledger)
         self.num_instances = self.geom.num_instances
         # The density floor is static per session: fold it into the
@@ -939,14 +995,16 @@ class FastFeeder:
             )
         else:
             self.gkey = None
+        stamps = self.geom.num_edges + self.geom.num_demands
         if kernel_name == "preempt-density":
             # The very gate PreemptDensity passes the planner.
             self.gate = self.policy.factor + self.policy.penalty
-        # Earliest mutator per footprint edge during one :meth:`_cut`
-        # (``_INT_MAX`` between calls).
-        self._first_mutator = np.full(
-            self.geom.num_edges + self.geom.num_demands, _INT_MAX,
-            dtype=np.int64)
+            # The cheapest-holder column, extended by an ``inf`` per
+            # sentinel so footprints index it directly.
+            self._cheapest = np.full(stamps, math.inf)
+        #: Per footprint edge, the first window position that dirties
+        #: it during one :meth:`_closure` (``_INT_MAX`` between calls).
+        self._dirty = np.full(stamps, _INT_MAX, dtype=np.int64)
         self.window = MIN_WINDOW
 
     def feed(self, events: EventView) -> None:
@@ -960,8 +1018,9 @@ class FastFeeder:
 
     def _load_chunk(self, ta: TraceArrays) -> None:
         """Chunk-wide pregather: candidate/route columns for every
-        batchable arrival, plus event → arrival/departure prefix maps so
-        each window's slice bounds are O(1) lookups."""
+        batchable arrival, event → arrival/departure prefix maps so each
+        window's span bounds are O(1) lookups, and an empty staging area
+        for the log entries of the chunk's committed verdicts."""
         n = len(ta)
         barr = ta.batchable & (ta.kinds == ARRIVAL)
         bdep = ta.batchable & (ta.kinds == DEPARTURE)
@@ -976,6 +1035,15 @@ class FastFeeder:
         self._arr_ofs = arr_ofs.tolist()
         self._dep_ofs = dep_ofs.tolist()
         self._fp_indptr = ta.fp_indptr.tolist()
+        #: The event each ``fp_edges`` entry belongs to (nondecreasing).
+        self._fp_owner = np.arange(n, dtype=np.int64).repeat(
+            np.diff(ta.fp_indptr))
+        #: Per chunk event, the log entries of its committed verdict
+        #: (``(demand, instance, evictions)``) until every earlier
+        #: event is decided; ``_logged`` is the first event not yet
+        #: flushed.
+        self._staged: list = [None] * n
+        self._logged = 0
         # The scalar decision of one chunk event, from its column values.
         kl, tl, dl = ta.kinds.tolist(), ta.times.tolist(), ta.demand.tolist()
         decide = self.session._decide
@@ -1002,15 +1070,12 @@ class FastFeeder:
                 hi = lo
                 while hi < n and bl[hi]:
                     hi += 1
-                while hi - lo >= MIN_VECTOR_RUN:
-                    lo = self._window(lo, min(hi, lo + self.window))
-                if lo < hi:
-                    stats["scalar_fallbacks"] += hi - lo
-                    for i in range(lo, hi):
-                        self._scalar(i)
+                self._stretch(lo, hi)
                 lo = hi
         finally:
-            self._ta = self._plan = self._scalar = None
+            # After an error, log what was committed (in event order).
+            self._flush(n)
+            self._ta = self._plan = self._scalar = self._staged = None
             stats["discarded"] += acc.discarded
             if acc.runs:
                 session.events += acc.events
@@ -1032,166 +1097,379 @@ class FastFeeder:
                          "admitted": acc.admitted, "runs": acc.runs},
                     )
 
-    def _segment(self, lo: int, b: int) -> _Segment:
-        """Evaluate events ``[lo, b)`` of the loaded chunk against the
-        current ledger and cut them (:meth:`_cut`); changes nothing.
+    def _stretch(self, lo: int, hi: int) -> None:
+        """Decide the batchable chunk events ``[lo, hi)``: each window
+        takes the first :attr:`window` pending events — the ones earlier
+        windows deferred, then fresh ones — and leaves its deferred
+        events pending.  Returns with all of them decided and logged."""
+        head = _NO_ROWS  # deferred events, in order
+        nxt = lo  # first fresh event
+        while len(head) + hi - nxt >= MIN_VECTOR_RUN:
+            w = self.window
+            if len(head) >= w:
+                head = np.concatenate((self._window(head[:w]), head[w:]))
+            else:
+                take = min(hi, nxt + w - len(head))
+                head = self._window(np.concatenate(
+                    (head, np.arange(nxt, take, dtype=np.int64))))
+                nxt = take
+            self._flush(int(head[0]) if len(head) else nxt)
+        if len(head) or nxt < hi:
+            i = int(head[0]) if len(head) else nxt
+            self.session.fastpath_stats["scalar_fallbacks"] += 1
+            self._flush(i)
+            self._scalar(i)
+            self._logged = i + 1
+        self._flush(hi)
 
-        Mutators are the arrivals whose verdict admits and the
-        departures of demands in the system.  A departure of a demand
-        the window admits meets that admission's footprint, so it falls
-        past the cut.  Hard arrivals do not cut here: the kernel walks
-        the eviction plans of those before the cut, and :meth:`_window`
-        executes them as it reaches them.
+    def _flush(self, upto: int) -> None:
+        """Log the staged verdicts of the events before ``upto`` (every
+        one of which is decided), in event order."""
+        staged = self._staged
+        adm: list = []
+        evicted: list = []
+        for i in range(self._logged, upto):
+            entry = staged[i]
+            if entry is not None:
+                d, iid, ev = entry
+                if ev:
+                    evicted += ev
+                adm.append((d, iid))
+        if upto > self._logged:
+            self._logged = upto
+        if evicted:
+            self.ledger._log_evicted(evicted)
+        if adm:
+            self.ledger._log_admitted(adm)
+
+    def _closure(self, win: np.ndarray) -> _Closure:
+        """Evaluate the chunk events ``win`` (ascending) against the
+        current ledger and split them into the events to commit and the
+        events to defer; changes nothing.
+
+        Walking the window in event order with a set of *dirty* edges
+        (footprint edges and sentinels), an event is deferred iff its
+        read set meets the dirty set, and committed otherwise.  The read
+        set is the footprint, plus the victims' routes and sentinels of
+        a preempting arrival.  A committed event dirties what it writes:
+        its route and sentinel, and a preempting arrival also its
+        victims' routes and sentinels.  A deferred event dirties its
+        footprint, and a deferred ``preempt-density`` arrival also the
+        routes and sentinels of the holders of its footprint edges it
+        could evict once evaluated again (:meth:`_stamp_victims`).
+
+        So no committed event reads or writes anything an earlier
+        deferred event may touch, and committed writes are pairwise
+        disjoint: each committed verdict is the one the scalar loop
+        reaches, and one ``release_many``, ``evict_many`` and
+        ``admit_many`` apply them.
+
+        The walk runs in bulk, as rounds over the window's positions in
+        its span of the chunk.  Every event's writes are stamped up
+        front with its position, committed or not: a deferred event
+        dirties a superset of them anyway.  Each round defers every
+        event whose reads meet an earlier stamp, then stamps the extra
+        edges of the newly deferred events; statuses before the first
+        new deferral are final, and the rounds stop when none is new —
+        the event-order walk's result.  Preemption plans are walked only
+        for the hard arrivals whose footprint meets no earlier write.
         """
+        ledger = self.ledger
+        ta = self._ta
+        s0 = int(win[0])
+        s1 = int(win[-1]) + 1
+        n = s1 - s0
+        # Events of the span that earlier windows decided are holes.
+        holes = len(win) < n
+        if holes:
+            inwin = np.zeros(n, dtype=bool)
+            inwin[win - s0] = True
         plan = self._plan
-        i0, i1 = self._arr_ofs[lo], self._arr_ofs[b]
-        d0, d1 = self._dep_ofs[lo], self._dep_ofs[b]
-        hard = state = None
-        sel = _NO_ROWS
+        i0, i1 = self._arr_ofs[s0], self._arr_ofs[s1]
+        d0, d1 = self._dep_ofs[s0], self._dep_ofs[s1]
+        if holes and n > 2 * len(win) and i1 > i0:
+            # A sparse window: evaluate its own arrivals, not the span.
+            arrivals = plan.event[i0:i1]
+            arrivals = arrivals[inwin[arrivals - s0]]
+            plan = _prepare(self, ta.demand[arrivals], arrivals)
+            i0, i1 = 0, len(arrivals)
+        sentinel = self.geom.num_edges
+        index = self.geom.index
+        state = hard = pick = a_pos = fit = None
+        w_iid = w_pos = _NO_ROWS
         if i1 > i0:
-            admits, hard, state = self.evaluate(self, plan, i0, i1)
-            sel = np.flatnonzero(admits)
-        adm_events = plan.event[i0 + sel]
-        adm_events_l = adm_events.tolist()
-        admitted_map = self.ledger._admitted
-        dep_demands = self._dep_demands
-        rel = [j for j in range(d0, d1) if dep_demands[j] in admitted_map]
-        if len(sel) or rel:
-            cut = self._cut(lo, b, adm_events, self._dep_event[rel])
+            a_pos = plan.event[i0:i1] - s0
+            fit, hard, state = self.evaluate(self, plan, i0, i1)
+            if holes:
+                a_in = inwin[a_pos]
+                fit &= a_in
+                if hard is not None:
+                    hard &= a_in
+            pick = np.where(fit, self.pick(self, plan, state), -1)
+            w_iid = pick[fit]
+            w_pos = a_pos[fit]
+            if hard is not None and not hard.any():
+                hard = None
+        dep_pos = rel_pos = _NO_ROWS
+        rel_dem: list = []
+        if d1 > d0:
+            dep_pos = self._dep_event[d0:d1] - s0
+            demands = self._dep_demands[d0:d1]
+            if holes:
+                keep = inwin[dep_pos]
+                dep_pos = dep_pos[keep]
+                demands = [d for d, k in zip(demands, keep.tolist()) if k]
+            admitted = ledger._admitted
+            held: list = []
+            at: list = []
+            for p, d in zip(dep_pos.tolist(), demands):
+                if d in admitted:
+                    held.append(admitted[d])
+                    at.append(p)
+                    rel_dem.append(d)
+            if held:
+                rel_pos = np.array(at, dtype=np.int64)
+                w_iid = np.concatenate((w_iid, held))
+                w_pos = np.concatenate((w_pos, rel_pos))
+        # Read entries: each window event's footprint, as a CSR over
+        # span positions.
+        if holes:
+            r_edge, counts = gather_rows(ta.fp_indptr, ta.fp_edges, win)
+            r_pos = (win - s0).repeat(counts)
         else:
-            cut = b
-        hard_events = moves = []
-        if hard is not None:
-            k = self._arr_ofs[cut] - i0
-            offs = np.flatnonzero(hard[:k])
-            if len(offs):
-                hard_events = plan.event[i0 + offs].tolist()
-                moves = [(int(plan.event[i0 + a]), move) for a, move
-                         in self.walk(self, plan, i0, k, state).items()]
-        return _Segment(i0, d0, state, sel, adm_events_l, hard_events, moves,
-                        rel, cut)
+            f0, f1 = self._fp_indptr[s0], self._fp_indptr[s1]
+            r_edge = ta.fp_edges[f0:f1]
+            r_pos = self._fp_owner[f0:f1] - s0
+        dirty = self._dirty
+        moves = None
+        m_pos = m_edge = _NO_ROWS
+        try:
+            if len(w_iid):
+                edges, counts = gather_rows(index._indptr, index._flat_edges,
+                                            w_iid)
+                np.minimum.at(dirty, edges, w_pos.repeat(counts))
+                np.minimum.at(dirty, sentinel + index._dem[w_iid], w_pos)
+            if hard is not None:
+                # A hard arrival whose footprint meets an earlier write
+                # is deferred whatever the plans are: walk the others,
+                # then stamp their writes and add their victims' routes
+                # and sentinels to their reads.
+                base = np.zeros(n, dtype=bool)
+                base[r_pos[dirty[r_edge] < r_pos]] = True
+                moves = self._walk(plan, i0, i1, state, np.flatnonzero(
+                    hard & ~base[a_pos]))
+                if moves:
+                    m_pos, m_edge = self._stamp_moves(moves, a_pos)
+            closing = self.walk is not None and i1 > i0
+            limits = r_start = None
+            victim_pos: dict = {}
+            # ``alive``: the window events not deferred so far.
+            alive = inwin.copy() if holes else np.ones(n, dtype=bool)
+            new = np.empty(n, dtype=bool)
+            e0 = 0  # read entries before ``e0`` have final statuses
+            while True:
+                pos = r_pos[e0:]
+                hit = pos[dirty[r_edge[e0:]] < pos]
+                if len(m_pos):
+                    hit = np.concatenate((hit, m_pos[dirty[m_edge] < m_pos]))
+                if not len(hit):
+                    break
+                new.fill(False)
+                new[hit] = True
+                new &= alive
+                rows = np.flatnonzero(new)
+                if not len(rows):
+                    break
+                alive[rows] = False
+                first = int(rows[0])
+                if not alive[first:].any():
+                    break  # everything after the first is deferred
+                if r_start is None:
+                    r_start = np.searchsorted(r_pos, np.arange(n + 1))
+                e0 = int(r_start[first + 1])
+                e1 = int(r_start[first])
+                sel = new[r_pos[e1:]]
+                np.minimum.at(dirty, r_edge[e1:][sel], r_pos[e1:][sel])
+                if closing:
+                    offs = np.flatnonzero(new[a_pos])
+                    if len(offs):
+                        if limits is None:
+                            limits = self._victim_limits(plan, i0, i1)
+                        self._stamp_victims(plan, i0, offs, a_pos, limits,
+                                            victim_pos)
+            deferred = ~alive
+            if holes:
+                deferred &= inwin
+        finally:
+            dirty.fill(_INT_MAX)
+        later = np.flatnonzero(deferred) + s0
+        c_arr = c_fit = _NO_ROWS
+        c_mov: list = []
+        if a_pos is not None:
+            c_arr = ~deferred[a_pos]
+            if holes:
+                c_arr &= inwin[a_pos]
+            c_fit = np.flatnonzero(fit & c_arr)
+            if moves:
+                c_mov = [(a, m) for a, m in moves.items() if c_arr[a]]
+        c_rel = ([d for d, x in zip(rel_dem, deferred[rel_pos].tolist())
+                  if not x] if rel_dem else [])
+        n_dep = len(dep_pos) - int(np.count_nonzero(deferred[dep_pos]))
+        return _Closure(later, len(win) - len(later), plan, i0, state, pick,
+                        c_arr, c_fit, c_mov, c_rel, n_dep)
 
-    def _window(self, lo: int, b: int) -> int:
-        """Decide events ``[lo, b)`` of the loaded chunk from one
-        evaluation (:meth:`_segment`); returns where the next window
-        starts.
+    def _walk(self, plan: _ChunkPlan, i0: int, i1: int, state,
+              offs: np.ndarray) -> dict:
+        """The kernel's eviction walk over the hard arrivals ``i0 +
+        offs`` only (see :func:`_kernel_preempt_walk`)."""
+        if not len(offs):
+            return {}
+        w, hot, deficit, bound, walks = state.walk
+        keep = np.zeros(i1 - i0, dtype=bool)
+        keep[offs] = True
+        c0, c1 = plan.cstart_l[i0], plan.cstart_l[i1]
+        state.walk = (w, hot, deficit, bound,
+                      walks & keep[plan.aidx[c0:c1] - i0])
+        return self.walk(self, plan, i0, i1 - i0, state)
 
-        The events before the cut are committed in bulk, and each hard
-        arrival's eviction plan in event order against the state
-        committed before it.  A hard arrival that rejects changes
-        nothing, so every later verdict stays valid and the window goes
-        on past it; one that preempts is a mutator whose footprint is
-        what it changed — its route, its victims' routes and their
-        sentinels — and cuts the window at the first later event that
-        meets it (:meth:`_touched`).
-        """
+    def _stamp_moves(self, moves: dict, a_pos: np.ndarray):
+        """Stamp the writes of the eviction plans ``moves`` — the route
+        and sentinel of the arrival, the routes and sentinels of its
+        victims — as dirty from the arrival's span position; returns
+        the victims' routes and sentinels as extra read entries
+        ``(positions, edges)``."""
+        route_of = self.ledger._route_edge_list
+        sentinel = self.geom.num_edges
+        demand_of = self.ledger._demand
+        reads: list = []
+        owner: list = []
+        writes: list = []
+        w_owner: list = []
+        for a, (iid, victims, _, v_iids) in moves.items():
+            p = int(a_pos[a])
+            extra = [sentinel + v for v in victims]
+            for v_iid in v_iids:
+                extra += route_of(v_iid)
+            reads += extra
+            owner += [p] * len(extra)
+            own = route_of(iid) + [sentinel + demand_of[iid]]
+            writes += extra
+            writes += own
+            w_owner += [p] * (len(extra) + len(own))
+        np.minimum.at(self._dirty, np.array(writes, dtype=np.int64),
+                      np.array(w_owner, dtype=np.int64))
+        return (np.array(owner, dtype=np.int64),
+                np.array(reads, dtype=np.int64))
+
+    def _stamp_victims(self, plan: _ChunkPlan, i0: int, offs: np.ndarray,
+                       a_pos: np.ndarray, limits: list,
+                       victim_pos: dict) -> None:
+        """Stamp, for each newly deferred arrival ``i0 + offs``, the
+        routes and sentinels of the holders of its footprint edges it
+        could evict once evaluated again, as dirty from its span
+        position; ``victim_pos`` keeps each holder's earliest stamp."""
+        ledger = self.ledger
+        holders = ledger._holders_by_edge
+        admitted = ledger._admitted
+        profit_of = ledger._profit
+        ever = ledger._ever_admitted
+        gate = self.gate
+        geom = self.geom
+        fpi, fpe = geom.fp_indptr, geom.fp_edges
+        dlist = plan.dlist
+        held: list = []
+        owner: list = []
+        for a, p in zip(offs.tolist(), a_pos[offs].tolist()):
+            lim = limits[a]
+            d = dlist[i0 + a]
+            if lim is None or d in ever:
+                continue
+            edges = fpe[fpi[d] + 1:fpi[d + 1]].tolist()
+            for h in set().union(*map(holders.__getitem__, edges)):
+                if victim_pos.get(h, _INT_MAX) > p:
+                    j = admitted[h]
+                    if gate * profit_of[j] < lim:
+                        victim_pos[h] = p
+                        held.append(j)
+                        owner.append(p)
+        if not held:
+            return
+        owner_a = np.array(owner, dtype=np.int64)
+        held_a = np.array(held, dtype=np.int64)
+        edges, counts = gather_rows(geom.index._indptr,
+                                    geom.index._flat_edges, held_a)
+        dirty = self._dirty
+        np.minimum.at(dirty, edges, owner_a.repeat(counts))
+        np.minimum.at(dirty, geom.num_edges + geom.index._dem[held_a],
+                      owner_a)
+
+    def _victim_limits(self, plan: _ChunkPlan, i0: int, i1: int) -> list:
+        """Per evaluated arrival ``[i0, i1)``, the largest profit of a
+        candidate above the density floor — a holder can only be its
+        victim if the gate times the holder's profit is below it (a plan
+        costs at least each victim's profit) — or None where no holder
+        of its footprint edges is that cheap (by the cheapest-holder
+        column)."""
+        geom = self.geom
+        c0, c1 = plan.cstart_l[i0], plan.cstart_l[i1]
+        top = np.maximum.reduceat(
+            np.where(plan.elig[c0:c1], plan.profit[c0:c1], -np.inf),
+            plan.cstart[i0:i1] - c0)
+        edges, counts = gather_rows(geom.fp_indptr, geom.fp_edges,
+                                    plan.demands[i0:i1])
+        cheap = self._cheapest
+        cheap[:geom.num_edges] = self.ledger._cheapest
+        starts = np.zeros(len(counts), dtype=np.int64)
+        np.cumsum(counts[:-1], out=starts[1:])
+        low = np.minimum.reduceat(cheap[edges], starts)
+        return np.where(self.gate * low < top, top, None).tolist()
+
+    def _window(self, win: np.ndarray) -> np.ndarray:
+        """Decide the chunk events ``win`` from one evaluation
+        (:meth:`_closure`): commit the events it clears — their ledger
+        effects now, their log entries staged until every earlier event
+        is decided — and return the deferred events."""
         t0 = time.perf_counter()
         session = self.session
         ledger = self.ledger
-        plan = self._plan
-        dep_ofs = self._dep_ofs
-        i0, d0, state, sel, adm_events_l, hard_events, moves, rel, cut = \
-            self._segment(lo, b)
-        dep_demands = self._dep_demands
-        # Commit the pieces between the preempting arrivals in event
-        # order; within a piece the admits and releases are pairwise
-        # footprint-disjoint, so one admit_many and one release_many
-        # apply them.
-        a_done = r_done = n_pre = 0
-        for q, move in moves + [(cut, None)]:
-            if q > cut:
-                q = cut
-            a_next = bisect_left(adm_events_l, q, a_done)
-            if a_next > a_done:
-                self.commit(self, plan, i0, sel[a_done:a_next], state)
-                a_done = a_next
-            r_next = r_done
-            while r_next < len(rel) and dep_ofs[q] > rel[r_next]:
-                r_next += 1
-            if r_next > r_done:
-                ledger.release_many([dep_demands[j]
-                                     for j in rel[r_done:r_next]],
-                                    _disjoint=True)
-                r_done = r_next
-            if q == cut:
-                break
-            n_pre += 1
-            cut = self._touched(q + 1, cut, self.preempt(
-                self, plan, self._arr_ofs[q], move))
-        nxt = cut
-        k = self._arr_ofs[nxt] - i0
-        if self.tally is not None and k:
-            self.tally(self, state, k, a_done + n_pre)
-        stats = session.fastpath_stats
-        rn = nxt - lo
+        cl = self._closure(win)
+        if cl.c_rel:
+            ledger.release_many(cl.c_rel, _disjoint=True)
+        n_admit = len(cl.c_fit) + len(cl.c_mov)
+        i0 = cl.i0
+        if n_admit:
+            plan = cl.plan
+            self.commit(self, plan, i0, cl.c_fit, cl.state, cl.c_mov)
+            staged = self._staged
+            dlist = plan.dlist
+            sel = cl.c_fit
+            for i, a, iid in zip(plan.event[i0 + sel].tolist(),
+                                 sel.tolist(), cl.pick[sel].tolist()):
+                staged[i] = (dlist[i0 + a], iid, None)
+            if cl.c_mov:
+                penalty = self.policy.penalty
+                for a, (iid, victims, profits, v_iids) in cl.c_mov:
+                    staged[int(plan.event[i0 + a])] = (dlist[i0 + a], iid, [
+                        (v, v_iid, penalty * p)
+                        for v, v_iid, p in zip(victims, v_iids, profits)])
+        n_arr = int(np.count_nonzero(cl.c_arr))
+        if self.tally is not None and n_arr:
+            self.tally(self, cl.state, cl.c_arr, n_admit)
+        rn = cl.n_done
+        dur = time.perf_counter() - t0
+        session.latency.observe(dur * 1e6, rn)
         acc = self._acc
-        acc.discarded += b - nxt
-        if rn:
-            dur = time.perf_counter() - t0
-            session.latency.observe(dur * 1e6, rn)
-            acc.events += rn
-            acc.arrivals += k
-            acc.departures += dep_ofs[nxt] - d0
-            acc.admitted += a_done + n_pre
-            if not acc.runs:
-                acc.t_first = t0
-            acc.runs += 1
-            acc.dur += dur
-            if rn > stats["max_run_len"]:
-                stats["max_run_len"] = rn
-        self.window = min(MAX_WINDOW, max(MIN_WINDOW, 2 * (nxt - lo)))
-        return nxt
-
-    def _cut(self, lo: int, b: int, adm_events: np.ndarray,
-             rel_events: np.ndarray) -> int:
-        """The first event of ``[lo, b)`` whose footprint meets the
-        footprint of an earlier mutator — an admitting arrival (chunk
-        event indices ``adm_events``) or a release of an admitted demand
-        (``rel_events``) — else ``b``.
-
-        Every verdict before the cut read exactly the state it would
-        have read one event at a time: rejections and no-op departures
-        change nothing, and no earlier mutation touched its footprint.
-        One scatter-min stamps each mutated footprint edge with its
-        earliest mutator; an entry conflicts iff its edge's stamp is an
-        earlier event.
-        """
-        ta = self._ta
-        mut = np.zeros(b - lo, dtype=bool)
-        mut[adm_events - lo] = True
-        mut[rel_events - lo] = True
-        f0 = self._fp_indptr[lo]
-        f1 = self._fp_indptr[b]
-        owner = ta.fp_owner[f0:f1]
-        edges = ta.fp_edges[f0:f1]
-        m = mut[owner - lo]
-        me = edges[m]
-        first = self._first_mutator
-        np.minimum.at(first, me, owner[m])
-        conflict = first[edges] < owner
-        first[me] = _INT_MAX
-        if conflict.any():
-            return int(owner[int(conflict.argmax())])
-        return b
-
-    def _touched(self, lo: int, b: int, changed: list) -> int:
-        """The first event of ``[lo, b)`` whose footprint meets a
-        ``(demand, instance)`` pair in ``changed`` — the instance's route
-        or the demand's sentinel — else ``b``."""
-        if lo >= b:
-            return b
-        sentinel = self.geom.num_edges
-        route_of = self.ledger._route_edge_list
-        me: list = []
-        for d, iid in changed:
-            me += route_of(iid)
-            me.append(sentinel + d)
-        mark = self._first_mutator
-        mark[me] = lo
-        f0 = self._fp_indptr[lo]
-        f1 = self._fp_indptr[b]
-        hit = mark[self._ta.fp_edges[f0:f1]] == lo
-        mark[me] = _INT_MAX
-        if hit.any():
-            return int(self._ta.fp_owner[f0 + int(hit.argmax())])
-        return b
+        acc.discarded += len(cl.later)
+        acc.events += rn
+        acc.arrivals += n_arr
+        acc.departures += cl.n_dep
+        acc.admitted += n_admit
+        if not acc.runs:
+            acc.t_first = t0
+        acc.runs += 1
+        acc.dur += dur
+        stats = session.fastpath_stats
+        if rn > stats["max_run_len"]:
+            stats["max_run_len"] = rn
+        self.window = min(MAX_WINDOW, max(MIN_WINDOW, 2 * rn))
+        return cl.later

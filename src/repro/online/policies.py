@@ -223,6 +223,13 @@ class DualGated(AdmissionPolicy):
         self._snap_stride = 1
         self._snap_seen = 0
         self.stats = {"gated": 0, "capacity_blocked": 0, "max_gate": 0.0}
+        # The certificate is cached until its inputs change: the peaks
+        # and snapshots (``_peak_version``, bumped by every fold into
+        # them) and, with history, the live loads (the ledger's
+        # ``_version``).
+        self._peak_version = 0
+        self._cert_key: tuple | None = None
+        self._cert: dict = {}
 
     def batch_kernel(self) -> str | None:
         # History snapshots are taken per admission along the exact
@@ -284,6 +291,7 @@ class DualGated(AdmissionPolicy):
         eids = self.ledger._edge_ids(iid)
         load = self.ledger.active._load
         self._peak[eids] = np.maximum(self._peak[eids], load[eids])
+        self._peak_version += 1
         if self.history:
             self._snap_seen += 1
             if self._snap_seen % self._snap_stride == 0:
@@ -335,7 +343,19 @@ class DualGated(AdmissionPolicy):
         ``upper_bound`` is the *minimum* over the whole family, with the
         peak-based bound echoed as ``peak_upper_bound`` for the
         side-by-side report column.
+
+        The document is computed once per state of its inputs (see
+        ``bind``) and handed out as a copy.
         """
+        key = (self._peak_version,
+               self.ledger._version if self.history else None)
+        if key != self._cert_key:
+            self._cert = self._certify()
+            self._cert_key = key
+        return dict(self._cert)
+
+    def _certify(self) -> dict:
+        """:meth:`price_certificate`, computed afresh."""
         beta_total, z_total = self._dual_bound_at(self._peak)
         peak_bound = beta_total + z_total
         doc = {
@@ -375,6 +395,7 @@ class DualGated(AdmissionPolicy):
                            for s in state["snapshots"]]
         self._snap_stride = int(state["snap_stride"])
         self._snap_seen = int(state["snap_seen"])
+        self._peak_version += 1
 
 
 class BatchResolve(AdmissionPolicy):

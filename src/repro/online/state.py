@@ -142,6 +142,9 @@ class CapacityLedger:
         self._profit: list[float] = idx._profits.tolist()
         self._route_edges_cache: dict[int, list[int]] = {}
         self._route_pos_cache: dict[int, dict[int, int]] = {}
+        #: Bumped by every mutation, so readers can cache what they
+        #: derive from the live state (the dual certificate does).
+        self._version = 0
 
     @property
     def instances(self) -> list:
@@ -398,7 +401,9 @@ class CapacityLedger:
                 f"instance {iid} no longer fits the residual capacity"
             )
         self.active.add(iid)
+        self._version += 1
         self._hold(iid, demand_id, self._route_edge_list(iid))
+        self._log_admitted(((demand_id, iid),))
         eids = self._edge_ids(iid)
         self._cheapest[eids] = np.minimum(self._cheapest[eids],
                                           self._profit[iid])
@@ -407,18 +412,40 @@ class CapacityLedger:
                         {"demand": demand_id, "instance": iid})
 
     def _hold(self, iid: int, demand_id: int, route: list[int]) -> None:
-        """The admitted-set bookkeeping of one admission, in admission
-        order: maps, log, profit counter and the holder sets of
-        ``route`` (the instance's cached route list)."""
+        """The admitted-set bookkeeping of one admission: maps and the
+        holder sets of ``route`` (the instance's cached route list).
+        The log entry and profit add are :meth:`_log_admitted`'s."""
         self._admitted[demand_id] = iid
         self._ever_admitted.add(demand_id)
-        self.admission_log.append((demand_id, iid))
-        # repro: noqa[CERT001] -- deliberate += in admission order: a
-        # batch must bit-match the scalar loop's per-event accumulation,
-        # which fsum's exact rounding would not.
-        self._profit_admitted += self._profit[iid]
         for eid in route:
             self._holders_by_edge[eid].add(demand_id)
+
+    def _log_admitted(self, pairs) -> None:
+        """Append ``(demand, instance)`` admissions to the admission log
+        and the gross profit counter, in the order given — which must be
+        event order (the fast path stages them until it is)."""
+        log = self.admission_log
+        profit_of = self._profit
+        for pair in pairs:
+            log.append(pair)
+            # repro: noqa[CERT001] -- deliberate += in admission order: a
+            # batch must bit-match the scalar loop's per-event
+            # accumulation, which fsum's exact rounding would not.
+            self._profit_admitted += profit_of[pair[1]]
+
+    def _log_evicted(self, entries) -> None:
+        """Append ``(demand, instance, penalty)`` evictions to the
+        eviction log and the forfeit and penalty counters, in the order
+        given (event order, as :meth:`_log_admitted`)."""
+        log = self.eviction_log
+        profit_of = self._profit
+        for d, iid, p in entries:
+            log.append((d, iid))
+            # repro: noqa[CERT001] -- deliberate += in eviction order: a
+            # batch must bit-match the scalar evict loop's accumulation.
+            self._profit_forfeited += profit_of[iid]
+            # repro: noqa[CERT001] -- same, for the penalty account.
+            self._penalty_paid += p
 
     def try_admit(self, demand_id: int,
                   min_density: float = 0.0) -> int | None:
@@ -451,7 +478,7 @@ class CapacityLedger:
 
     def admit_many(self, iids, *, _prechecked: bool = False,
                    _demands: list | None = None,
-                   _edges=None, _adds=None) -> None:
+                   _edges=None, _adds=None, _log: bool = True) -> None:
         """Admit a batch of instances with *pairwise edge-disjoint*
         routes (the fast path's committed-window contract), atomically.
 
@@ -470,7 +497,10 @@ class CapacityLedger:
         feasibility mask the validation would recompute.  ``_demands``,
         ``_edges`` and ``_adds`` likewise let those kernels hand over
         the demand ids and pre-gathered route edges/heights they
-        already hold.  External callers get the validating default.
+        already hold, and ``_log=False`` leaves the log entries and
+        profit adds to a later :meth:`_log_admitted` (the fast path
+        commits out of event order and logs in it).  External callers
+        get the validating, logging default.
 
         Raises
         ------
@@ -508,17 +538,21 @@ class CapacityLedger:
         # operations as the scalar admit loop.
         idx = self.index
         iid_list = arr.tolist()
-        routes = [self._route_edge_list(iid) for iid in iid_list]
-        counts = [len(route) for route in routes]
         if _edges is None:
-            _edges = np.concatenate([self._edge_ids(iid) for iid in iid_list])
-            _adds = np.repeat(idx._heights[arr], counts)
+            _edges, counts = gather_rows(idx._indptr, idx._flat_edges, arr)
+            _adds = idx._heights[arr].repeat(counts)
+        else:
+            counts = idx._indptr[arr + 1] - idx._indptr[arr]
         self.active.add_all(arr, _edges=_edges, _adds=_adds)
+        self._version += 1
         cheapest = self._cheapest
         cheapest[_edges] = np.minimum(cheapest[_edges],
-                                      np.repeat(idx._profits[arr], counts))
-        for iid, d, route in zip(iid_list, demands, routes):
-            self._hold(iid, d, route)
+                                      idx._profits[arr].repeat(counts))
+        route_of = self._route_edge_list
+        for iid, d in zip(iid_list, demands):
+            self._hold(iid, d, route_of(iid))
+        if _log:
+            self._log_admitted(zip(demands, iid_list))
         if t0:
             _REC.record("ledger.admit_many", t0,
                         time.perf_counter_ns() - t0,
@@ -560,7 +594,8 @@ class CapacityLedger:
                         {"released": len(dlist)})
         return iids
 
-    def evict_many(self, demand_ids, penalties) -> list[int]:
+    def evict_many(self, demand_ids, penalties, *,
+                   _log: bool = True) -> list[int]:
         """Preemptively evict a batch of admitted demands, in order;
         returns their instances.
 
@@ -572,7 +607,8 @@ class CapacityLedger:
         they free, so the load subtraction is one ``np.subtract.at`` in
         batch order — the scalar loop's float sequence per edge — and
         the forfeit and penalty counters take one add per eviction, in
-        order.
+        order (``_log=False``, fast-path internal: later, through
+        :meth:`_log_evicted`).
 
         Raises
         ------
@@ -602,15 +638,9 @@ class CapacityLedger:
             raise ValueError("a demand appears twice in the eviction batch")
         t0 = time.perf_counter_ns() if _REC.enabled else 0
         self._drop_many(dlist, iids, disjoint=False)
-        profit_of = self._profit
-        for d, iid, p in zip(dlist, iids, paid):
-            self._evicted.add(d)
-            self.eviction_log.append((d, iid))
-            # repro: noqa[CERT001] -- deliberate += in eviction order: a
-            # batch must bit-match the scalar evict loop's accumulation.
-            self._profit_forfeited += profit_of[iid]
-            # repro: noqa[CERT001] -- same, for the penalty account.
-            self._penalty_paid += p
+        self._evicted.update(dlist)
+        if _log:
+            self._log_evicted(zip(dlist, iids, paid))
         if t0:
             _REC.record("ledger.evict_many", t0, time.perf_counter_ns() - t0,
                         {"evicted": len(dlist)})
@@ -630,13 +660,13 @@ class CapacityLedger:
         scatter touches each position once and a plain fancy subtract
         performs the identical single float subtraction per edge.
         """
+        self._version += 1
         idx = self.index
         arr = np.asarray(iids, dtype=np.int64)
         routes = [self._route_edge_list(iid) for iid in iids]
-        counts = [len(route) for route in routes]
-        edges = np.concatenate([self._edge_ids(iid) for iid in iids])
+        edges, counts = gather_rows(idx._indptr, idx._flat_edges, arr)
         if len(edges):
-            subs = np.repeat(idx._heights[arr], counts)
+            subs = idx._heights[arr].repeat(counts)
             if disjoint:
                 self.active._load[edges] -= subs
             else:
@@ -649,8 +679,7 @@ class CapacityLedger:
                 self._holders_by_edge[eid].discard(d)
         if len(edges):
             self._refresh_cheapest(
-                edges[self._cheapest[edges]
-                      == np.repeat(idx._profits[arr], counts)])
+                edges[self._cheapest[edges] == idx._profits[arr].repeat(counts)])
 
     def _remove(self, demand_id: int) -> int:
         """Drop a demand from the admitted set and the holder map."""
@@ -658,6 +687,7 @@ class CapacityLedger:
             iid = self._admitted.pop(demand_id)
         except KeyError:
             raise KeyError(f"demand {demand_id} is not admitted") from None
+        self._version += 1
         self.active.remove(iid)
         for eid in self._route_edge_list(iid):
             self._holders_by_edge[eid].discard(demand_id)
@@ -736,9 +766,7 @@ class CapacityLedger:
         t0 = time.perf_counter_ns() if _REC.enabled else 0
         iid = self._remove(demand_id)
         self._evicted.add(demand_id)
-        self.eviction_log.append((demand_id, iid))
-        self._profit_forfeited += self._profit[iid]
-        self._penalty_paid += float(penalty)
+        self._log_evicted(((demand_id, iid, float(penalty)),))
         if t0:
             _REC.record("ledger.evict", t0, time.perf_counter_ns() - t0,
                         {"demand": demand_id, "instance": iid})
@@ -786,6 +814,7 @@ class CapacityLedger:
                 f"checkpoint carries {load.size} edge loads, the ledger "
                 f"has {self.active._load.size} edges")
         self.active._load[:] = load
+        self._version += 1
         self._admitted = {int(d): int(i) for d, i in state["admitted"]}
         self._ever_admitted = {int(d) for d in state["ever_admitted"]}
         self._evicted = {int(d) for d in state["evicted"]}

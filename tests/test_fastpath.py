@@ -8,12 +8,11 @@ Three contracts, each pinned property-style:
   trajectory and the preemption ``preempt_pruned`` count), final
   loads, dual certificates, journal bytes — across seeds, policies,
   batch splits, mid-stream checkpoints and shard-sliced views.
-* **Mutation-aware segmentation** — a window must cut exactly at the
-  first event whose footprint meets an earlier *mutator*'s (an
-  admitting arrival or a release), checked against a brute-force
-  reference over explicit footprint sets and mutators read off the
-  scalar loop: any later cut would let a verdict read stale state, any
-  earlier one wastes batching.
+* **Conflict-closure windows** — a window must commit exactly the
+  events its conflict closure clears, checked against a brute-force
+  reference over explicit read, write and holder-route sets read off
+  the scalar loop, for every kernel: committing more would let a
+  verdict read stale state, committing less wastes batching.
 * **Batched ledger ops** — ``admit_many`` / ``release_many`` must be
   whole-batch atomic (a failing entry leaves no half-applied load) and
   leave the ledger in a state its own ``verify()`` accepts.
@@ -23,7 +22,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
+import numpy as np
 import pytest
 
 from repro import Demand, TreeNetwork, TreeProblem
@@ -404,7 +405,7 @@ class TestPreemptDensityIdentity:
 
 
 # ----------------------------------------------------------------------
-# Mutation-aware segmentation
+# Conflict-closure windows
 # ----------------------------------------------------------------------
 
 
@@ -437,67 +438,108 @@ def _feed_events(problem, name, events, fastpath=True, **params):
     return session
 
 
-def _segment(session, events):
-    """The fast path's segmentation of ``events`` against the session's
-    current ledger (nothing is committed)."""
+def _closure(session, events, lo=0, hi=None):
+    """The fast path's split of ``events[lo:hi]``, evaluated as one
+    window against the session's current ledger (nothing is
+    committed): the offsets it commits, from ``lo``."""
     feeder = session._fast
     feeder._load_chunk(TraceArrays.from_events(EventView.of(events),
                                                feeder.geom))
-    return feeder._segment(0, len(events))
+    hi = len(events) if hi is None else hi
+    win = np.arange(lo, hi, dtype=np.int64)
+    later = set(feeder._closure(win).later.tolist())
+    return [i - lo for i in win.tolist() if i not in later]
 
 
-def _reference_cut(ta, mutator):
-    """Brute-force cut over explicit footprint sets: the first event
-    whose footprint meets an earlier mutator's.  ``mutator`` holds
-    per-event flags read off the scalar loop."""
-    seen: set = set()
-    for i in range(len(ta)):
-        fp = set(ta.fp_edges[ta.fp_indptr[i]:ta.fp_indptr[i + 1]].tolist())
-        if fp & seen:
-            return i
-        if mutator[i]:
-            seen |= fp
-    return len(ta)
+def _routes(led, iid, demand):
+    """An admitted instance's route edges plus its demand's sentinel."""
+    return set(led._route_edge_list(iid)) | {led.index.num_edges + demand}
 
 
-def _scalar_mutators(session, events):
-    """Dispatch ``events`` one at a time; flag each event that changed
-    the ledger (an admission or a release)."""
-    led = session.ledger
-    mutator = []
-    for ev in events:
-        n_adm = len(led.admission_log)
-        releases = (isinstance(ev, Departure)
-                    and led.is_admitted(ev.demand_id))
-        session.feed(ev)
-        mutator.append(releases or len(led.admission_log) > n_adm)
-    return mutator
+def _reference_closure(scalar, events, geom, params):
+    """Brute-force closure over explicit sets, the events dispatched one
+    at a time through ``scalar`` (a scalar session at the window's entry
+    state).  Each event's read set is its footprint (plus its victims'
+    routes and sentinels), its write set what the scalar loop changed.
+    In event order, an event meeting the dirty set is deferred and
+    dirties its footprint — and a ``preempt-density`` arrival the routes
+    and sentinels of the entry-time holders of its footprint edges whose
+    profit times the gate is below one of its candidates' (above the
+    density floor) — else it is committed and dirties its writes.
+    Returns the committed offsets."""
+    led = scalar.ledger
+    E = geom.num_edges
+    holders = [set(h) for h in led._holders_by_edge]
+    admitted = dict(led._admitted)
+    ever = set(led._ever_admitted)
+    policy = scalar.policy
+    ta = TraceArrays.from_events(EventView.of(events), geom)
+    dirty: set = set()
+    committed = []
+    for i, ev in enumerate(events):
+        footprint = set(ta.fp_edges[ta.fp_indptr[i]:ta.fp_indptr[i + 1]]
+                        .tolist())
+        adm0, ev0 = len(led.admission_log), len(led.eviction_log)
+        gone = None
+        if isinstance(ev, Departure):
+            iid = led.admitted_instance(ev.demand_id)
+            if iid is not None:
+                gone = (ev.demand_id, iid)
+        scalar.feed(ev)
+        writes: set = set()
+        victims: set = set()
+        for d, iid in led.eviction_log[ev0:]:
+            victims |= _routes(led, iid, d)
+        for d, iid in led.admission_log[adm0:]:
+            writes |= _routes(led, iid, d)
+        if gone:
+            writes |= _routes(led, gone[1], gone[0])
+        writes |= victims
+        if (footprint | victims) & dirty:
+            dirty |= footprint
+            if policy.name == "preempt-density" and isinstance(
+                    ev, Arrival) and ev.demand_id not in ever:
+                gate = policy.factor + policy.penalty
+                top = max((led._profit[c] for c in
+                           led.candidates(ev.demand_id).tolist()
+                           if led._profit[c] / led.route_length(c)
+                           >= policy.threshold), default=-math.inf)
+                for e in footprint:
+                    for h in (holders[e] if e < E else ()):
+                        if gate * led._profit[admitted[h]] < top:
+                            dirty |= _routes(led, admitted[h], h)
+        else:
+            committed.append(i)
+            dirty |= writes
+    return committed
 
 
-def _check_windows(problem, events, name, windows, start=0):
-    """Cut every window ``[lo, lo + w)`` of ``events`` against the
-    scalar-determined reference; returns the number of cuts checked
-    that fell strictly inside their window."""
-    fast = AdmissionSession(problem, make_policy(name))
-    scalar = AdmissionSession(problem, make_policy(name), fastpath=False)
+def _check_windows(problem, events, name, windows, start=0, params=None):
+    """Split every window ``[lo, lo + w)`` of ``events`` and compare the
+    committed set with the brute-force closure; returns how many events
+    the windows deferred."""
+    params = params or {}
+    fast = AdmissionSession(problem, make_policy(name, **params))
+    scalar = AdmissionSession(problem, make_policy(name, **params),
+                              fastpath=False)
     fast.feed_many(events[:start])
     scalar.feed_many(events[:start])
+    geom = fast._fast.geom
     lo = start
-    inner = 0
+    deferred = 0
     for w in itertools.cycle(windows):
         if lo >= len(events):
             break
         chunk = events[lo:lo + w]
-        seg = _segment(fast, chunk)
-        mutator = _scalar_mutators(scalar, chunk)
-        ta = TraceArrays.from_events(EventView.of(chunk), fast._fast.geom)
-        assert seg.cut == _reference_cut(ta, mutator), (lo, w)
-        assert not seg.hard_events
-        inner += seg.cut < len(chunk)
+        got = _closure(fast, chunk)
+        assert got == _reference_closure(scalar, chunk, geom, params), \
+            (lo, w)
+        deferred += len(chunk) - len(got)
         fast.feed_many(chunk)
         lo += w
     assert fast.ledger.admission_log == scalar.ledger.admission_log
-    return inner
+    assert fast.ledger.eviction_log == scalar.ledger.eviction_log
+    return deferred
 
 
 class TestRunSegmenter:
@@ -505,33 +547,35 @@ class TestRunSegmenter:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_exactly_maximal(self, topology, seed):
         trace = _trace(topology, seed=seed)
-        for name in ("greedy-threshold", "dual-gated"):
-            inner = _check_windows(trace.problem, trace.events, name,
-                                   [64, 17, 128])
-            assert inner > 0  # the traces do make cuts
+        for name, params in (("greedy-threshold", {}), ("dual-gated", {}),
+                             ("preempt-density", {"factor": 1.2}),
+                             ("preempt-density", {"factor": 0.8,
+                                                  "penalty": 0.5,
+                                                  "threshold": 0.5})):
+            deferred = _check_windows(trace.problem, trace.events, name,
+                                      [64, 17, 128], params=params)
+            assert deferred > 0  # the traces do defer events
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_exactly_maximal_on_stretches(self, seed):
-        """Windows that start inside a loaded chunk: the segmenter's
+        """Windows that start inside a loaded chunk: the closure's
         offsets into the chunk columns must line up."""
         trace = _trace("line", events=400, seed=seed)
         events = trace.events
         session = AdmissionSession(trace.problem,
-                                   make_policy("greedy-threshold"))
+                                   make_policy("preempt-density"))
         scalar = AdmissionSession(trace.problem,
-                                  make_policy("greedy-threshold"),
+                                  make_policy("preempt-density"),
                                   fastpath=False)
-        feeder = session._fast
+        geom = session._fast.geom
         base = 100
         session.feed_many(events[:base])
         scalar.feed_many(events[:base])
         chunk = events[base:base + 200]
         for lo, hi in [(0, 200), (5, 37), (37, 101), (101, 200)]:
-            feeder._load_chunk(TraceArrays.from_events(chunk, feeder.geom))
-            seg = feeder._segment(lo, hi)
-            mutator = _scalar_mutators(scalar, chunk[lo:hi])
-            ta = TraceArrays.from_events(chunk[lo:hi], feeder.geom)
-            assert seg.cut - lo == _reference_cut(ta, mutator)
+            got = _closure(session, chunk, lo, hi)
+            ref = _reference_closure(scalar, chunk[lo:hi], geom, {})
+            assert got == ref, (lo, hi)
             session.feed_many(chunk[lo:hi])
 
     def test_shard_sliced_views(self):
@@ -544,21 +588,21 @@ class TestRunSegmenter:
                                [64, 9])
 
     def test_single_edge_degenerate_routes(self):
-        """Every route is the same single edge: each admission cuts the
-        next event, while a window of rejections runs through."""
+        """Every route is the same single edge: an admission defers
+        every later event, while rejections commit."""
         problem = _one_edge([(1.0, 0.3)] * 4)
         events = [Arrival(float(t), t % 4) for t in range(8)]
         _check_windows(problem, events, "greedy-threshold", [8])
         session = AdmissionSession(problem, make_policy("greedy-threshold"))
-        assert _segment(session, events).cut == 1
+        assert _closure(session, events) == [0]
         session.feed_many(events[:3])  # three admits fill 0.9 of 1.0
-        # Demand 3 no longer fits, 0-2 are repeats: four rejections.
-        assert _segment(session, events[3:]).cut == 5
+        # Demand 3 no longer fits, 0-2 are repeats: five rejections.
+        assert _closure(session, events[3:]) == [0, 1, 2, 3, 4]
 
     def test_same_demand_always_conflicts(self):
         """The sentinel pseudo-edge: two events of one demand always
         have meeting footprints, so the departure of a demand the window
-        admits cuts, as does a repeated arrival after an admission."""
+        admits is deferred, as is a repeated arrival after it."""
         trace = _trace("line", events=50, seed=3)
         geom = geometry_of(CapacityLedger(trace.problem))
         events = [Arrival(0.0, 0), Departure(1.0, 0),
@@ -569,28 +613,27 @@ class TestRunSegmenter:
         assert all(a & b for a, b in itertools.combinations(fps, 2))
         session = AdmissionSession(trace.problem,
                                    make_policy("greedy-threshold"))
-        seg = _segment(session, events)
-        assert seg.cut == 1
+        assert _closure(session, events) == [0]
         _check_windows(trace.problem, events, "greedy-threshold", [4])
 
     def test_disjoint_stream_is_one_run(self):
-        """Arrivals of pairwise route-disjoint demands batch into one
+        """Arrivals of pairwise route-disjoint demands all commit in one
         window (a finer split would be sound but is a regression)."""
         problem = _path([(0, 1, 1.0, 0.3), (1, 2, 1.0, 0.3),
                          (2, 3, 1.0, 0.3), (3, 4, 1.0, 0.3)])
         session = AdmissionSession(problem, make_policy("greedy-threshold"))
         events = [Arrival(float(d), d) for d in range(4)]
-        assert _segment(session, events).cut == 4
+        assert _closure(session, events) == [0, 1, 2, 3]
 
     def test_non_mutator_before_a_later_mutator_stays(self):
-        """A rejection read the run-entry state, which a *later*
-        overlapping release does not change: no cut.  The scalar loop
-        agrees (the arrival is rejected before the edge frees)."""
+        """A rejection read the entry state, which a *later* overlapping
+        release does not change: both commit.  The scalar loop agrees
+        (the arrival is rejected before the edge frees)."""
         problem = _one_edge([(1.0, 0.8), (1.0, 0.5)])
         events = [Arrival(0.0, 0), Arrival(1.0, 1), Departure(2.0, 0)]
         fast = AdmissionSession(problem, make_policy("greedy-threshold"))
         fast.feed_many(events[:1])
-        assert _segment(fast, events[1:]).cut == 2
+        assert _closure(fast, events[1:]) == [0, 1]
         _check_windows(problem, events, "greedy-threshold", [3])
         fast.feed_many(events[1:])
         scalar = _feed_events(problem, "greedy-threshold", events,
@@ -599,25 +642,40 @@ class TestRunSegmenter:
         assert fast.ledger.num_admitted == 0
 
     def test_mutator_then_overlapping_event_cuts(self):
+        """Demand 1 shares edge (1, 2) with the admitted demand 0 and is
+        deferred; demand 2 meets neither demand 0's route nor demand 1's
+        footprint, so it commits past the deferred event."""
         problem = _path([(0, 2, 1.0, 0.6), (1, 3, 1.0, 0.6),
                          (3, 4, 1.0, 0.6)])
         session = AdmissionSession(problem, make_policy("greedy-threshold"))
         events = [Arrival(0.0, 0), Arrival(1.0, 1), Arrival(2.0, 2)]
-        seg = _segment(session, events)
-        assert seg.cut == 1  # demand 1 shares edge (1, 2) with demand 0
+        assert _closure(session, events) == [0, 2]
+        _check_windows(problem, events, "greedy-threshold", [3])
+
+    def test_deferred_event_defers_what_meets_its_footprint(self):
+        """A deferred event dirties its whole footprint: demand 2 meets
+        only the deferred demand 1, and is deferred too."""
+        problem = _path([(0, 2, 1.0, 0.6), (1, 3, 1.0, 0.6),
+                         (2, 4, 1.0, 0.3)])
+        session = AdmissionSession(problem, make_policy("greedy-threshold"))
+        events = [Arrival(0.0, 0), Arrival(1.0, 1), Arrival(2.0, 2)]
+        assert _closure(session, events) == [0]
         _check_windows(problem, events, "greedy-threshold", [3])
 
     def test_arrival_and_departure_of_one_demand(self):
         """The departure of a demand the window admits meets the
-        admission (the sentinel edge): it cuts, and the next window,
-        evaluated after the admit is committed, releases it."""
+        admission (the sentinel edge): it is deferred, and the next
+        window, evaluated after the admit is committed, releases it."""
         problem = _path([(0, 2, 1.0, 0.6), (2, 4, 1.0, 0.6)])
         events = [Arrival(0.0, 0), Departure(1.0, 0), Arrival(2.0, 1)]
         session = AdmissionSession(problem, make_policy("greedy-threshold"))
-        seg = _segment(session, events)
-        assert seg.cut == 1 and not seg.rel
+        assert _closure(session, events) == [0, 2]
         session.feed_many(events)
-        assert session.fastpath_stats["runs"] == 2
+        # One window, then the lone deferred event goes to the scalar
+        # dispatcher.
+        assert session.fastpath_stats["runs"] == 1
+        assert session.fastpath_stats["discarded"] == 1
+        assert session.fastpath_stats["scalar_fallbacks"] == 1
         assert session.ledger.admission_log == [
             (0, int(session.ledger.candidates(0)[0])),
             (1, int(session.ledger.candidates(1)[0]))]
@@ -625,30 +683,28 @@ class TestRunSegmenter:
         session.ledger.verify()
 
     def test_departure_of_never_admitted_demand(self):
-        """A departure of a demand never in the system changes nothing:
-        not a mutator, so a later overlapping admission stays in the
-        run."""
+        """A departure of a demand never in the system changes nothing,
+        so a later overlapping admission commits with it."""
         problem = _one_edge([(1.0, 0.5), (1.0, 0.5)])
         events = [Departure(0.0, 1), Arrival(1.0, 0), Arrival(2.0, 1)]
         session = AdmissionSession(problem, make_policy("greedy-threshold"))
-        seg = _segment(session, events)
-        assert seg.cut == 2 and not seg.rel
+        assert _closure(session, events) == [0, 1]
         _check_windows(problem, events, "greedy-threshold", [3])
 
     @pytest.mark.parametrize("profit,preempts", [(2.0, False), (5.0, True)])
     def test_hard_arrival(self, profit, preempts):
         """An arrival whose plan reaches the eviction walk is hard: the
         kernel walks and commits it.  Rejected after the walk, it
-        changed nothing and the window runs on past it; preempting, it
-        cuts the window at the next event that meets what it changed."""
+        changed nothing; preempting, it defers the later event that
+        meets what it changed, and the events past it still commit."""
         problem = _path([(0, 1, 1.0, 0.3), (0, 1, 1.0, 0.3),
                          (0, 1, profit, 0.9), (2, 3, 1.0, 0.3),
                          (0, 1, 1.0, 0.1), (3, 4, 1.0, 0.3)])
         events = [Arrival(float(d), d) for d in range(6)]
         fast = AdmissionSession(problem, make_policy("preempt-density"))
         fast.feed_many(events[:2])
-        seg = _segment(fast, events[2:])
-        assert seg.hard_events == [0]
+        assert _closure(fast, events[2:]) == ([0, 1, 3] if preempts
+                                              else [0, 1, 2, 3])
         before = dict(fast.fastpath_stats)
         fast.feed_many(events[2:])
         scalar = _feed_events(problem, "preempt-density", events,
@@ -656,11 +712,36 @@ class TestRunSegmenter:
         assert _preempt_sig(fast) == _preempt_sig(scalar)
         assert (fast.ledger.num_evicted == 2) == preempts
         after = fast.fastpath_stats
-        assert after["scalar_fallbacks"] - before["scalar_fallbacks"] == 0
-        assert after["batched_events"] - before["batched_events"] == 4
-        # Rejected: one window decides every later event; preempting:
-        # demand 4 meets the route it took, so a second window starts.
-        assert after["runs"] - before["runs"] == (2 if preempts else 1)
+        assert after["scalar_fallbacks"] - before["scalar_fallbacks"] == (
+            1 if preempts else 0)
+        assert after["batched_events"] - before["batched_events"] == (
+            3 if preempts else 4)
+        assert after["runs"] - before["runs"] == 1
+
+    def test_deferred_arrival_dirties_the_routes_it_may_evict(self):
+        """A deferred ``preempt-density`` arrival may evict any holder of
+        its footprint once evaluated again, so it dirties their routes.
+
+        V (demand 0, on (0, 2)) holds edges (0, 1) and (1, 2) before the
+        window.  Demand 1 fits on (2, 3) and dirties it; demand 2, worth
+        far more, meets that and is deferred — evaluated again, it
+        evicts V and demand 1.  Demand 3 on (0, 1) is blocked by V at
+        window entry (and its plan pruned), but the scalar loop admits
+        it once V is gone: it must be deferred, though its footprint
+        meets neither demand 1's write nor demand 2's footprint."""
+        problem = _path([(0, 2, 1.0, 0.6), (2, 3, 1.0, 0.5),
+                         (1, 3, 5.0, 0.6), (0, 1, 0.5, 0.6)])
+        events = [Arrival(float(d), d) for d in range(4)]
+        fast = AdmissionSession(problem, make_policy("preempt-density"))
+        fast.feed_many(events[:1])
+        assert _closure(fast, events[1:]) == [0]
+        fast.feed_many(events[1:])
+        scalar = _feed_events(problem, "preempt-density", events,
+                              fastpath=False)
+        assert _preempt_sig(fast) == _preempt_sig(scalar)
+        assert [d for d, _ in fast.ledger.eviction_log] == [0, 1]
+        assert fast.ledger.is_admitted(3)
+        _check_windows(problem, events, "preempt-density", [1, 3])
 
 
 # ----------------------------------------------------------------------
@@ -776,3 +857,54 @@ class TestBatchedLedgerOps:
             ledger.release_many(bogus)
         assert _ledger_state(ledger) == before
         ledger.verify()
+
+
+# ----------------------------------------------------------------------
+# The dual certificate cache
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("history", [False, True])
+def test_certificate_cache_tracks_every_input(history, monkeypatch):
+    """``price_certificate`` recomputes only when the peaks, snapshots
+    or (with history) live loads moved, and its ``upper_bound`` is
+    bit-identical to a fresh computation after feeds, releases and a
+    restore."""
+    from repro.online.policies import DualGated
+
+    trace = _trace("tree", events=600, seed=4)
+    events = trace.events
+    session = AdmissionSession(trace.problem,
+                               make_policy("dual-gated", history=history))
+    policy = session.policy
+    calls = []
+    certify = DualGated._certify
+    monkeypatch.setattr(DualGated, "_certify",
+                        lambda self: calls.append(1) or certify(self))
+
+    def fresh(pol):
+        return certify(pol)["upper_bound"].hex()
+
+    session.feed_many(events[:300])
+    first = policy.price_certificate()
+    assert policy.price_certificate() == first
+    assert len(calls) == 1  # served from the cache
+    assert first["upper_bound"].hex() == fresh(policy)
+    # A release moves only the live loads: the peak bound stands, the
+    # history bound is recomputed.
+    held = next(iter(session.ledger._admitted))
+    session.ledger.release(held)
+    assert policy.price_certificate()["upper_bound"].hex() == fresh(policy)
+    assert len(calls) == (2 if history else 1)
+    session.feed_many(events[300:])
+    cert = policy.price_certificate()
+    assert cert["upper_bound"].hex() == fresh(policy)
+    restored = AdmissionSession(trace.problem,
+                                make_policy("dual-gated", history=history))
+    restored.ledger.restore_state(json.loads(json.dumps(
+        session.ledger.export_state())))
+    restored.policy.restore_state(json.loads(json.dumps(
+        policy.export_state())))
+    again = restored.policy.price_certificate()
+    assert again == cert
+    assert again["upper_bound"].hex() == fresh(restored.policy)

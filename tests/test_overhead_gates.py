@@ -21,6 +21,7 @@ from repro.io import event_to_dict
 from repro.obs import tracing
 from repro.online import generate_trace, make_policy, replay
 from repro.service import AdmissionService
+from repro.session.kernel import AdmissionSession
 from repro.workloads import random_line_problem, random_tree_problem
 
 import helpers
@@ -186,3 +187,20 @@ def test_hot_path_beats_scalar_reference():
         f"combined x{speedup:.1f} (line "
         f"x{line['scalar'] / line['vectorized']:.1f}, tree "
         f"x{tree['scalar'] / tree['vectorized']:.1f})")
+
+
+def test_closure_windows_decide_line_preempt_in_few_windows():
+    """Counters, not time: the benchmark's ``line-preempt`` trace shape
+    under ``preempt-density``.  Closure windows commit every verdict no
+    conflict invalidated, so the replay needs few windows and evaluates
+    few events twice (at the contiguous-cut parent: 1,099 windows and
+    23,669 events evaluated again)."""
+    trace = generate_trace(kind="line", events=24_000, process="poisson",
+                           seed=1, departure_prob=0.35,
+                           workload={"n_slots": 3000})
+    session = AdmissionSession(trace.problem,
+                               make_policy("preempt-density", factor=1.2))
+    session.feed_many(trace.events)
+    fp = session.fastpath_stats
+    assert fp["runs"] <= 300, fp
+    assert fp["discarded"] <= 18_000, fp
