@@ -61,13 +61,14 @@ def gather_rows(indptr: np.ndarray, flat: np.ndarray,
     """
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
-    total = int(counts.sum())
+    ends = counts.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
     if not total:
         return flat[:0], counts
-    ofs = np.zeros(len(rows), dtype=np.int64)
-    np.cumsum(counts[:-1], out=ofs[1:])
+    # Entry j of row k sits at ``starts[k] + j``, and its output offset
+    # is ``ends[k] - counts[k] + j``.
     return flat[np.arange(total, dtype=np.int64)
-                + np.repeat(starts - ofs, counts)], counts
+                + (starts - ends + counts).repeat(counts)], counts
 
 
 def _csr_indptr(counts: np.ndarray) -> np.ndarray:

@@ -38,27 +38,30 @@ it stands (:meth:`FastFeeder._closure`).  Walking the window in event
 order with a set of dirty edges, an event whose read set meets the set
 is *deferred*, and one whose read set does not is *committed*.  The
 read set is the footprint, plus the victims' routes and sentinels of a
-preempting arrival.  A committed event dirties what it writes (its
-route and sentinel; a preempting arrival also its victims' routes and
-sentinels); a deferred event dirties its footprint, and a deferred
-``preempt-density`` arrival also the routes and sentinels of the
-holders of its footprint edges it could evict once evaluated again
-(those whose profit times the gate is below one of its candidates').
-So no committed event touches anything an earlier deferred event may
-read or write, each committed verdict is the scalar loop's, and the
-committed writes are pairwise edge-disjoint: one ``release_many``, one
-``evict_many`` and one ``admit_many`` apply a window.  The paper's
-distributed rounds have the same shape — each settles every demand
-without an unresolved conflict and defers the rest.  A *hard* arrival
-(a ``preempt-density`` arrival that no candidate fits and whose plan
-reaches the eviction walk) is planned in the kernel too: one
-closed-form walk per window (:func:`_kernel_preempt_walk`) over the
-hard arrivals whose footprint meets no earlier write.  The ledger's
-effects are applied at commit; the log entries and the float profit
-adds are staged and flushed in event order once every earlier event is
-decided, and every pending event is decided before a chunk returns.
-Deferred events are evaluated again in the next window, which spans
-twice the last window's committed count.
+preempting arrival.  A committed event that changes the ledger dirties
+its footprint (which holds its route and sentinel; a preempting
+arrival also dirties its victims' routes and sentinels), and so does a
+deferred event; a deferred ``preempt-density`` arrival also dirties
+the routes and sentinels of the holders of its footprint edges it
+could evict once evaluated again (those whose profit times the gate is
+below one of its candidates').  So no committed event touches anything
+an earlier deferred event may read or write, each committed verdict is
+the scalar loop's, and the committed writes are pairwise
+edge-disjoint: one ``release_many``, one ``evict_many`` and one
+``admit_many`` apply a window.  The paper's distributed rounds have
+the same shape — each settles every demand without an unresolved
+conflict and defers the rest.  The walk runs as at most
+:data:`MAX_ROUNDS` vectorized rounds; the last one cuts the window at
+its first deferral.  A *hard* arrival (a ``preempt-density`` arrival
+that no candidate fits and whose plan reaches the eviction walk) is
+planned in the kernel too: one closed-form walk per window
+(:func:`_kernel_preempt_walk`) over the hard arrivals whose footprint
+meets no earlier write.  The ledger's effects are applied at commit;
+the log entries and the float profit adds are staged and flushed in
+event order once every earlier event is decided, and every pending
+event is decided before a stretch returns.  Deferred events are
+evaluated again in the next window, which takes a quarter more events
+than the last window committed.
 
 Bit-exactness ground rules (each empirically verified against this
 container's NumPy):
@@ -121,14 +124,21 @@ CHUNK = 4096
 #: knob.
 MIN_VECTOR_RUN = 2
 
-#: Window bounds, in pending events.  Each window spans twice the
-#: previous window's committed count, clamped to ``[MIN_WINDOW,
-#: MAX_WINDOW]``: deferred events are evaluated again, so a window much
-#: longer than what commits wastes work, and one much shorter pays more
-#: window overheads.  ``MIN_WINDOW`` covers a typical service request
-#: whole.
+#: Window bounds, in pending events.  Each window takes a quarter more
+#: events than the previous window committed, clamped to
+#: ``[MIN_WINDOW, MAX_WINDOW]``: deferred events are evaluated again,
+#: and the rounds rescan every footprint, so a window much longer than
+#: what commits wastes work, and one much shorter pays more window
+#: overheads.  ``MIN_WINDOW`` covers a typical service request whole.
 MIN_WINDOW = 64
 MAX_WINDOW = 512
+
+#: Closure rounds per window (:meth:`FastFeeder._closure`).  Each round
+#: rescans the footprints past the last final status, so the last one
+#: defers everything from its first new deferral on — a contiguous cut —
+#: rather than let deferrals that spread through overlapping footprints
+#: buy rounds that commit little.
+MAX_ROUNDS = 4
 
 _INT_MAX = np.iinfo(np.int64).max
 _NO_ROWS = np.zeros(0, dtype=np.int64)
@@ -340,8 +350,9 @@ class _ChunkPlan:
     work is one load gather plus a handful of segment reductions.  All
     arrays are flat in *chunk arrival order*:
 
-    * ``demands``/``dlist``/``event`` — per arrival (``event`` is the
-      arrival's index in the chunk);
+    * ``demands``/``dlist``/``event`` (+ ``top`` for the preemption
+      kernel) — per arrival (``event`` is the arrival's index in the
+      chunk);
     * ``cstart`` (+ ``cstart_l``, the same as a list) — arrival →
       candidate-range prefix (length n+1);
     * ``height``/``pos``/``iid``/``profit``/``aidx`` (+ ``gkey``/
@@ -360,7 +371,7 @@ class _ChunkPlan:
     __slots__ = ("demands", "dlist", "event", "cstart", "cstart_l",
                  "height", "pos", "aidx", "estart", "estart_l", "edges",
                  "earange", "has_empty", "apply", "gkey", "elig", "profit",
-                 "iid", "eheight", "ecand")
+                 "iid", "eheight", "ecand", "top")
 
 
 def _prepare(feeder: "FastFeeder", demands: np.ndarray,
@@ -401,8 +412,12 @@ def _prepare(feeder: "FastFeeder", demands: np.ndarray,
     if feeder.kernel_name == "preempt-density":
         p.ecand = np.repeat(p.pos, r_cnt)
         p.eheight = p.height[p.ecand]
+        # Per arrival, the best candidate profit above the density floor
+        # (-inf: none) — what bounds the holders it may evict.
+        p.top = np.maximum.reduceat(np.where(p.elig, p.profit, -math.inf),
+                                    cstart[:-1]) if C else p.profit
     else:
-        p.ecand = p.eheight = None
+        p.ecand = p.eheight = p.top = None
     return p
 
 
@@ -471,7 +486,7 @@ def _kernel_greedy_evaluate(feeder: "FastFeeder", plan: _ChunkPlan,
     best = _fit_keys(plan, _Window(feeder, plan, i0, i1))
     admits = best != _INT_MAX
     ever = feeder.ledger._ever_admitted
-    if ever:
+    if not ever.isdisjoint(plan.dlist[i0:i1]):
         for k in np.flatnonzero(admits).tolist():
             if plan.dlist[i0 + k] in ever:
                 admits[k] = False
@@ -817,23 +832,17 @@ def _kernel_preempt_walk(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
     return {a: have[1:] for a, have in chosen.items()}
 
 
-def _kernel_preempt_pick(feeder: "FastFeeder", plan: _ChunkPlan,
-                         state: _PreemptState) -> np.ndarray:
-    """The instance each evaluated arrival admits by fit (where it
-    does)."""
-    return state.best % feeder.num_instances
-
-
 def _kernel_preempt_commit(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
                            sel: np.ndarray, state: _PreemptState,
                            moves: list) -> None:
     """Admit the fits among evaluated arrivals ``i0 + sel`` and execute the
     eviction plans ``moves`` (``(offset, move)`` from
-    :func:`_kernel_preempt_walk`, in event order), all unlogged: every
-    move's victims in one ``evict_many``, then every admission in one
-    ``admit_many`` in event order.  The moves' routes and victims are
-    pairwise edge-disjoint and disjoint from the fits, so each edge sees
-    exactly the scalar loop's float operations."""
+    :func:`_kernel_preempt_walk`, in event order, each route probed to
+    fit after its evictions by :meth:`FastFeeder._misfit`), all
+    unlogged: every move's victims in one ``evict_many``, then every
+    admission in one ``admit_many`` in event order.  The moves' routes
+    and victims are pairwise edge-disjoint and disjoint from the fits,
+    so each edge sees exactly the scalar loop's float operations."""
     if not moves:
         _kernel_greedy_commit(feeder, plan, i0, sel, state.best, moves)
         return
@@ -852,20 +861,10 @@ def _kernel_preempt_commit(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
                        count=len(moves))
     m_iid = np.fromiter((move[0] for _, move in moves), dtype=np.int64,
                         count=len(moves))
-    # The walk's deficits and the loads after the evictions round
-    # differently, so each preempting route is probed as the scalar
-    # admission probes it; should one not fit, the validating
-    # admit_many raises the scalar path's error.
-    load = ledger.active._load
-    heights = feeder.geom.index._heights
-    fits = all(not len(route)
-               or np.maximum.reduce(load[route]) + heights[iid] <= _CAP
-               for iid, route in zip(m_iid.tolist(),
-                                     map(ledger._edge_ids, m_iid.tolist())))
     order = np.concatenate((sel, offs))
     iids = np.concatenate((state.best[sel] % feeder.num_instances, m_iid))
     k = order.argsort(kind="stable")
-    ledger.admit_many(iids[k], _prechecked=fits,
+    ledger.admit_many(iids[k], _prechecked=True,
                       _demands=plan.demands[i0 + order[k]].tolist(),
                       _log=False)
 
@@ -910,7 +909,9 @@ BATCH_KERNELS = {
                                 _kernel_greedy_commit),
     "dual-gated": _Kernel(_kernel_dual_evaluate, _kernel_dual_pick,
                           _kernel_dual_commit, _kernel_dual_tally),
-    "preempt-density": _Kernel(_kernel_preempt_evaluate, _kernel_preempt_pick,
+    "preempt-density": _Kernel(_kernel_preempt_evaluate,
+                               lambda f, p, s: _kernel_greedy_pick(f, p,
+                                                                   s.best),
                                _kernel_preempt_commit, _kernel_preempt_tally,
                                _kernel_preempt_walk),
 }
@@ -995,16 +996,13 @@ class FastFeeder:
             )
         else:
             self.gkey = None
-        stamps = self.geom.num_edges + self.geom.num_demands
         if kernel_name == "preempt-density":
             # The very gate PreemptDensity passes the planner.
             self.gate = self.policy.factor + self.policy.penalty
-            # The cheapest-holder column, extended by an ``inf`` per
-            # sentinel so footprints index it directly.
-            self._cheapest = np.full(stamps, math.inf)
         #: Per footprint edge, the first window position that dirties
         #: it during one :meth:`_closure` (``_INT_MAX`` between calls).
-        self._dirty = np.full(stamps, _INT_MAX, dtype=np.int64)
+        self._dirty = np.full(self.geom.num_edges + self.geom.num_demands,
+                              _INT_MAX, dtype=np.int64)
         self.window = MIN_WINDOW
 
     def feed(self, events: EventView) -> None:
@@ -1031,21 +1029,23 @@ class FastFeeder:
         self._ta = ta
         self._plan = _prepare(self, ta.demand[barr], np.flatnonzero(barr))
         self._dep_event = np.flatnonzero(bdep)
-        self._dep_demands = ta.demand[bdep].tolist()
         self._arr_ofs = arr_ofs.tolist()
         self._dep_ofs = dep_ofs.tolist()
         self._fp_indptr = ta.fp_indptr.tolist()
         #: The event each ``fp_edges`` entry belongs to (nondecreasing).
         self._fp_owner = np.arange(n, dtype=np.int64).repeat(
             np.diff(ta.fp_indptr))
-        #: Per chunk event, the log entries of its committed verdict
-        #: (``(demand, instance, evictions)``) until every earlier
-        #: event is decided; ``_logged`` is the first event not yet
-        #: flushed.
-        self._staged: list = [None] * n
+        #: The log entries of committed verdicts, kept until every
+        #: earlier event is decided: per chunk event, the instance it
+        #: admitted (-1: none), and the evictions of each preempting
+        #: event (``(demand, instance, penalty)``); ``_logged`` is the
+        #: first event not yet flushed.
+        self._admits = np.full(n, -1, dtype=np.int64)
+        self._evictions: dict = {}
         self._logged = 0
         # The scalar decision of one chunk event, from its column values.
         kl, tl, dl = ta.kinds.tolist(), ta.times.tolist(), ta.demand.tolist()
+        self._demands = dl
         decide = self.session._decide
         self._scalar = lambda i: decide(kl[i], tl[i], dl[i])
 
@@ -1075,7 +1075,8 @@ class FastFeeder:
         finally:
             # After an error, log what was committed (in event order).
             self._flush(n)
-            self._ta = self._plan = self._scalar = self._staged = None
+            self._ta = self._plan = self._scalar = self._admits = None
+            self._demands = None
             stats["discarded"] += acc.discarded
             if acc.runs:
                 session.events += acc.events
@@ -1113,34 +1114,35 @@ class FastFeeder:
                 head = self._window(np.concatenate(
                     (head, np.arange(nxt, take, dtype=np.int64))))
                 nxt = take
-            self._flush(int(head[0]) if len(head) else nxt)
         if len(head) or nxt < hi:
-            i = int(head[0]) if len(head) else nxt
-            self.session.fastpath_stats["scalar_fallbacks"] += 1
-            self._flush(i)
-            self._scalar(i)
-            self._logged = i + 1
+            self._decide_scalar(int(head[0]) if len(head) else nxt)
         self._flush(hi)
+
+    def _decide_scalar(self, i: int) -> None:
+        """Decide chunk event ``i`` — the first undecided one — through
+        the session's scalar dispatcher."""
+        self.session.fastpath_stats["scalar_fallbacks"] += 1
+        self._flush(i)
+        self._scalar(i)
 
     def _flush(self, upto: int) -> None:
         """Log the staged verdicts of the events before ``upto`` (every
         one of which is decided), in event order."""
-        staged = self._staged
-        adm: list = []
-        evicted: list = []
-        for i in range(self._logged, upto):
-            entry = staged[i]
-            if entry is not None:
-                d, iid, ev = entry
-                if ev:
-                    evicted += ev
-                adm.append((d, iid))
-        if upto > self._logged:
-            self._logged = upto
-        if evicted:
-            self.ledger._log_evicted(evicted)
-        if adm:
-            self.ledger._log_admitted(adm)
+        lo = self._logged
+        if upto <= lo:
+            return
+        self._logged = upto
+        # The two logs and their accumulators are independent, so each
+        # only needs its own entries in event order.
+        evictions = self._evictions
+        if evictions:
+            for i in sorted(i for i in evictions if i < upto):
+                self.ledger._log_evicted(evictions.pop(i))
+        iids = self._admits[lo:upto]
+        at = (iids >= 0).nonzero()[0]
+        if len(at):
+            self.ledger._log_admitted(zip(
+                self._ta.demand[lo + at].tolist(), iids[at].tolist()))
 
     def _closure(self, win: np.ndarray) -> _Closure:
         """Evaluate the chunk events ``win`` (ascending) against the
@@ -1151,12 +1153,15 @@ class FastFeeder:
         (footprint edges and sentinels), an event is deferred iff its
         read set meets the dirty set, and committed otherwise.  The read
         set is the footprint, plus the victims' routes and sentinels of
-        a preempting arrival.  A committed event dirties what it writes:
-        its route and sentinel, and a preempting arrival also its
-        victims' routes and sentinels.  A deferred event dirties its
-        footprint, and a deferred ``preempt-density`` arrival also the
-        routes and sentinels of the holders of its footprint edges it
-        could evict once evaluated again (:meth:`_stamp_victims`).
+        a preempting arrival.  An event that changes the ledger — an
+        admission, a release, a preemption — dirties its footprint,
+        which holds its route and sentinel, and a preempting arrival
+        also its victims' routes and sentinels; so does a deferred event
+        (it may change the ledger once evaluated again), and a deferred
+        ``preempt-density`` arrival also dirties the routes and
+        sentinels of the holders of its footprint edges it could evict
+        (:meth:`_stamp_victims`).  A committed rejection or no-op
+        departure dirties nothing.
 
         So no committed event reads or writes anything an earlier
         deferred event may touch, and committed writes are pairwise
@@ -1165,90 +1170,66 @@ class FastFeeder:
         ``admit_many`` apply them.
 
         The walk runs in bulk, as rounds over the window's positions in
-        its span of the chunk.  Every event's writes are stamped up
-        front with its position, committed or not: a deferred event
-        dirties a superset of them anyway.  Each round defers every
-        event whose reads meet an earlier stamp, then stamps the extra
-        edges of the newly deferred events; statuses before the first
-        new deferral are final, and the rounds stop when none is new —
-        the event-order walk's result.  Preemption plans are walked only
-        for the hard arrivals whose footprint meets no earlier write.
+        its span of the chunk.  The writes are stamped up front with
+        their event's position, committed or not: a deferred event
+        dirties them anyway.  Each round defers every event whose reads
+        meet an earlier stamp, then stamps the extra edges of the newly
+        deferred events; statuses before the first new deferral are
+        final, and the rounds stop when none is new — the event-order
+        walk's result.  Round :data:`MAX_ROUNDS` defers everything from
+        its first new deferral on instead: a contiguous cut, which is
+        sound anywhere.  Preemption plans are walked only for the hard
+        arrivals whose footprint meets no earlier write.
         """
         ledger = self.ledger
-        ta = self._ta
         s0 = int(win[0])
         s1 = int(win[-1]) + 1
         n = s1 - s0
-        # Events of the span that earlier windows decided are holes.
-        holes = len(win) < n
-        if holes:
+        # Events of the span that earlier windows decided are masked out.
+        inwin = None
+        if len(win) < n:
             inwin = np.zeros(n, dtype=bool)
             inwin[win - s0] = True
         plan = self._plan
         i0, i1 = self._arr_ofs[s0], self._arr_ofs[s1]
         d0, d1 = self._dep_ofs[s0], self._dep_ofs[s1]
-        if holes and n > 2 * len(win) and i1 > i0:
-            # A sparse window: evaluate its own arrivals, not the span.
-            arrivals = plan.event[i0:i1]
-            arrivals = arrivals[inwin[arrivals - s0]]
-            plan = _prepare(self, ta.demand[arrivals], arrivals)
-            i0, i1 = 0, len(arrivals)
-        sentinel = self.geom.num_edges
-        index = self.geom.index
+        # The span positions of the events that write if committed.
+        writes = np.zeros(n, dtype=bool)
         state = hard = pick = a_pos = fit = None
-        w_iid = w_pos = _NO_ROWS
         if i1 > i0:
             a_pos = plan.event[i0:i1] - s0
             fit, hard, state = self.evaluate(self, plan, i0, i1)
-            if holes:
+            if inwin is not None:
                 a_in = inwin[a_pos]
                 fit &= a_in
                 if hard is not None:
                     hard &= a_in
-            pick = np.where(fit, self.pick(self, plan, state), -1)
-            w_iid = pick[fit]
-            w_pos = a_pos[fit]
+            writes[a_pos[fit]] = True
+            pick = self.pick(self, plan, state)
             if hard is not None and not hard.any():
                 hard = None
-        dep_pos = rel_pos = _NO_ROWS
-        rel_dem: list = []
+        dep_pos = _NO_ROWS
+        rel: list = []  # the span positions of the releasing departures
         if d1 > d0:
             dep_pos = self._dep_event[d0:d1] - s0
-            demands = self._dep_demands[d0:d1]
-            if holes:
-                keep = inwin[dep_pos]
-                dep_pos = dep_pos[keep]
-                demands = [d for d, k in zip(demands, keep.tolist()) if k]
+            if inwin is not None:
+                dep_pos = dep_pos[inwin[dep_pos]]
             admitted = ledger._admitted
-            held: list = []
-            at: list = []
-            for p, d in zip(dep_pos.tolist(), demands):
-                if d in admitted:
-                    held.append(admitted[d])
-                    at.append(p)
-                    rel_dem.append(d)
-            if held:
-                rel_pos = np.array(at, dtype=np.int64)
-                w_iid = np.concatenate((w_iid, held))
-                w_pos = np.concatenate((w_pos, rel_pos))
-        # Read entries: each window event's footprint, as a CSR over
-        # span positions.
-        if holes:
-            r_edge, counts = gather_rows(ta.fp_indptr, ta.fp_edges, win)
-            r_pos = (win - s0).repeat(counts)
-        else:
-            f0, f1 = self._fp_indptr[s0], self._fp_indptr[s1]
-            r_edge = ta.fp_edges[f0:f1]
-            r_pos = self._fp_owner[f0:f1] - s0
+            demand = self._demands
+            rel = [p for p in dep_pos.tolist() if demand[s0 + p] in admitted]
+            writes[rel] = True
+        # Read entries: the span's footprints, with their span positions
+        # (chunk event ``i``'s entries start at ``r_at[i] - f0``).
+        r_at = self._fp_indptr
+        f0, f1 = r_at[s0], r_at[s1]
+        r_edge = self._ta.fp_edges[f0:f1]
+        r_pos = self._fp_owner[f0:f1] - s0
         dirty = self._dirty
+        stamped: list = []  # every index array stamped into ``dirty``
         moves = None
         m_pos = m_edge = _NO_ROWS
         try:
-            if len(w_iid):
-                edges, counts = gather_rows(index._indptr, index._flat_edges,
-                                            w_iid)
-                np.minimum.at(dirty, edges, w_pos.repeat(counts))
-                np.minimum.at(dirty, sentinel + index._dem[w_iid], w_pos)
+            self._stamp(writes, r_edge, r_pos, stamped)
             if hard is not None:
                 # A hard arrival whose footprint meets an earlier write
                 # is deferred whatever the plans are: walk the others,
@@ -1256,67 +1237,84 @@ class FastFeeder:
                 # and sentinels to their reads.
                 base = np.zeros(n, dtype=bool)
                 base[r_pos[dirty[r_edge] < r_pos]] = True
-                moves = self._walk(plan, i0, i1, state, np.flatnonzero(
-                    hard & ~base[a_pos]))
+                moves = self._walk(plan, i0, i1, state, (
+                    hard & ~base[a_pos]).nonzero()[0])
                 if moves:
-                    m_pos, m_edge = self._stamp_moves(moves, a_pos)
+                    m_pos, m_edge = self._stamp_moves(moves, a_pos, stamped)
+                    preempts = np.zeros(n, dtype=bool)
+                    preempts[a_pos[list(moves)]] = True
+                    self._stamp(preempts, r_edge, r_pos, stamped)
             closing = self.walk is not None and i1 > i0
-            limits = r_start = None
-            victim_pos: dict = {}
-            # ``alive``: the window events not deferred so far.
-            alive = inwin.copy() if holes else np.ones(n, dtype=bool)
-            new = np.empty(n, dtype=bool)
+            alive = None  # the window events not deferred so far
             e0 = 0  # read entries before ``e0`` have final statuses
-            while True:
+            for rounds in range(1, MAX_ROUNDS + 1):
                 pos = r_pos[e0:]
                 hit = pos[dirty[r_edge[e0:]] < pos]
                 if len(m_pos):
                     hit = np.concatenate((hit, m_pos[dirty[m_edge] < m_pos]))
                 if not len(hit):
                     break
-                new.fill(False)
+                if alive is None:
+                    alive = (inwin.copy() if inwin is not None
+                             else np.ones(n, dtype=bool))
+                new = np.zeros(n, dtype=bool)
                 new[hit] = True
                 new &= alive
-                rows = np.flatnonzero(new)
+                rows = new.nonzero()[0]
                 if not len(rows):
                     break
-                alive[rows] = False
                 first = int(rows[0])
+                alive[rows] = False
                 if not alive[first:].any():
                     break  # everything after the first is deferred
-                if r_start is None:
-                    r_start = np.searchsorted(r_pos, np.arange(n + 1))
-                e0 = int(r_start[first + 1])
-                e1 = int(r_start[first])
-                sel = new[r_pos[e1:]]
-                np.minimum.at(dirty, r_edge[e1:][sel], r_pos[e1:][sel])
+                if rounds == MAX_ROUNDS:
+                    alive[first:] = False
+                    break
+                e1 = r_at[s0 + first] - f0
+                e0 = r_at[s0 + first + 1] - f0
+                self._stamp(new, r_edge[e1:], r_pos[e1:], stamped)
                 if closing:
-                    offs = np.flatnonzero(new[a_pos])
+                    offs = new[a_pos].nonzero()[0]
                     if len(offs):
-                        if limits is None:
-                            limits = self._victim_limits(plan, i0, i1)
-                        self._stamp_victims(plan, i0, offs, a_pos, limits,
-                                            victim_pos)
-            deferred = ~alive
-            if holes:
-                deferred &= inwin
+                        self._stamp_victims(plan, i0, offs, a_pos, stamped)
         finally:
-            dirty.fill(_INT_MAX)
-        later = np.flatnonzero(deferred) + s0
-        c_arr = c_fit = _NO_ROWS
+            for idx in stamped:
+                dirty[idx] = _INT_MAX
+        later = c_arr = c_fit = _NO_ROWS
         c_mov: list = []
+        n_dep = len(dep_pos)
+        if alive is None:  # nothing deferred
+            if a_pos is not None:
+                c_arr = (inwin[a_pos] if inwin is not None
+                         else np.ones(len(a_pos), dtype=bool))
+        else:
+            deferred = ~alive
+            if inwin is not None:
+                deferred &= inwin
+            later = deferred.nonzero()[0] + s0
+            if a_pos is not None:
+                c_arr = alive[a_pos]
+            if rel:
+                rel = [p for p, x in zip(rel, alive[rel].tolist()) if x]
+            n_dep -= int(np.count_nonzero(deferred[dep_pos]))
         if a_pos is not None:
-            c_arr = ~deferred[a_pos]
-            if holes:
-                c_arr &= inwin[a_pos]
-            c_fit = np.flatnonzero(fit & c_arr)
+            c_fit = (fit & c_arr).nonzero()[0]
             if moves:
                 c_mov = [(a, m) for a, m in moves.items() if c_arr[a]]
-        c_rel = ([d for d, x in zip(rel_dem, deferred[rel_pos].tolist())
-                  if not x] if rel_dem else [])
-        n_dep = len(dep_pos) - int(np.count_nonzero(deferred[dep_pos]))
+        demand = self._demands
         return _Closure(later, len(win) - len(later), plan, i0, state, pick,
-                        c_arr, c_fit, c_mov, c_rel, n_dep)
+                        c_arr, c_fit, c_mov,
+                        [demand[s0 + p] for p in rel], n_dep)
+
+    def _stamp(self, rows: np.ndarray, r_edge: np.ndarray,
+               r_pos: np.ndarray, stamped: list) -> None:
+        """Stamp the read entries ``(r_edge, r_pos)`` of the span
+        positions ``rows`` (a mask) as dirty from their positions,
+        listing them in ``stamped``."""
+        sel = rows[r_pos]
+        edges = r_edge[sel]
+        stamped.append(edges)
+        np.minimum.at(self._dirty, edges, r_pos[sel])
 
     def _walk(self, plan: _ChunkPlan, i0: int, i1: int, state,
               offs: np.ndarray) -> dict:
@@ -1332,97 +1330,77 @@ class FastFeeder:
                       walks & keep[plan.aidx[c0:c1] - i0])
         return self.walk(self, plan, i0, i1 - i0, state)
 
-    def _stamp_moves(self, moves: dict, a_pos: np.ndarray):
-        """Stamp the writes of the eviction plans ``moves`` — the route
-        and sentinel of the arrival, the routes and sentinels of its
-        victims — as dirty from the arrival's span position; returns
-        the victims' routes and sentinels as extra read entries
-        ``(positions, edges)``."""
+    def _stamp_moves(self, moves: dict, a_pos: np.ndarray, stamped: list):
+        """Stamp the victims' routes and sentinels of the eviction plans
+        ``moves`` as dirty from their arrival's span position, listing
+        them in ``stamped``; returns them as the arrivals' extra read
+        entries ``(positions, edges)``."""
         route_of = self.ledger._route_edge_list
         sentinel = self.geom.num_edges
-        demand_of = self.ledger._demand
-        reads: list = []
+        edges: list = []
         owner: list = []
-        writes: list = []
-        w_owner: list = []
-        for a, (iid, victims, _, v_iids) in moves.items():
-            p = int(a_pos[a])
+        for a, (_, victims, _, v_iids) in moves.items():
             extra = [sentinel + v for v in victims]
             for v_iid in v_iids:
                 extra += route_of(v_iid)
-            reads += extra
-            owner += [p] * len(extra)
-            own = route_of(iid) + [sentinel + demand_of[iid]]
-            writes += extra
-            writes += own
-            w_owner += [p] * (len(extra) + len(own))
-        np.minimum.at(self._dirty, np.array(writes, dtype=np.int64),
-                      np.array(w_owner, dtype=np.int64))
-        return (np.array(owner, dtype=np.int64),
-                np.array(reads, dtype=np.int64))
+            edges += extra
+            owner += [int(a_pos[a])] * len(extra)
+        m_edge = np.array(edges, dtype=np.int64)
+        m_pos = np.array(owner, dtype=np.int64)
+        stamped.append(m_edge)
+        np.minimum.at(self._dirty, m_edge, m_pos)
+        return m_pos, m_edge
 
     def _stamp_victims(self, plan: _ChunkPlan, i0: int, offs: np.ndarray,
-                       a_pos: np.ndarray, limits: list,
-                       victim_pos: dict) -> None:
+                       a_pos: np.ndarray, stamped: list) -> None:
         """Stamp, for each newly deferred arrival ``i0 + offs``, the
         routes and sentinels of the holders of its footprint edges it
         could evict once evaluated again, as dirty from its span
-        position; ``victim_pos`` keeps each holder's earliest stamp."""
-        ledger = self.ledger
-        holders = ledger._holders_by_edge
-        admitted = ledger._admitted
-        profit_of = ledger._profit
-        ever = ledger._ever_admitted
-        gate = self.gate
-        geom = self.geom
-        fpi, fpe = geom.fp_indptr, geom.fp_edges
-        dlist = plan.dlist
-        held: list = []
-        owner: list = []
-        for a, p in zip(offs.tolist(), a_pos[offs].tolist()):
-            lim = limits[a]
-            d = dlist[i0 + a]
-            if lim is None or d in ever:
-                continue
-            edges = fpe[fpi[d] + 1:fpi[d + 1]].tolist()
-            for h in set().union(*map(holders.__getitem__, edges)):
-                if victim_pos.get(h, _INT_MAX) > p:
-                    j = admitted[h]
-                    if gate * profit_of[j] < lim:
-                        victim_pos[h] = p
-                        held.append(j)
-                        owner.append(p)
-        if not held:
-            return
-        owner_a = np.array(owner, dtype=np.int64)
-        held_a = np.array(held, dtype=np.int64)
-        edges, counts = gather_rows(geom.index._indptr,
-                                    geom.index._flat_edges, held_a)
-        dirty = self._dirty
-        np.minimum.at(dirty, edges, owner_a.repeat(counts))
-        np.minimum.at(dirty, geom.num_edges + geom.index._dem[held_a],
-                      owner_a)
+        position, listing them in ``stamped``.
 
-    def _victim_limits(self, plan: _ChunkPlan, i0: int, i1: int) -> list:
-        """Per evaluated arrival ``[i0, i1)``, the largest profit of a
-        candidate above the density floor — a holder can only be its
-        victim if the gate times the holder's profit is below it (a plan
-        costs at least each victim's profit) — or None where no holder
-        of its footprint edges is that cheap (by the cheapest-holder
-        column)."""
+        A plan costs at least each of its victims' profits, so a holder
+        can only be a victim if the gate times its profit is below the
+        arrival's best candidate profit above the density floor
+        (``plan.top``); an edge whose cheapest holder fails that has
+        none.  A repeated arrival evicts nothing."""
+        ledger = self.ledger
         geom = self.geom
-        c0, c1 = plan.cstart_l[i0], plan.cstart_l[i1]
-        top = np.maximum.reduceat(
-            np.where(plan.elig[c0:c1], plan.profit[c0:c1], -np.inf),
-            plan.cstart[i0:i1] - c0)
+        index = geom.index
+        dem = plan.demands[i0 + offs]
+        keep = plan.top[i0 + offs] > -math.inf
+        ever = ledger._ever_admitted
+        if not ever.isdisjoint(dem.tolist()):
+            keep &= ~np.fromiter(map(ever.__contains__, dem.tolist()),
+                                 dtype=bool, count=len(dem))
+        # Every (arrival, footprint edge) pair, sentinels left out.
         edges, counts = gather_rows(geom.fp_indptr, geom.fp_edges,
-                                    plan.demands[i0:i1])
-        cheap = self._cheapest
-        cheap[:geom.num_edges] = self.ledger._cheapest
-        starts = np.zeros(len(counts), dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        low = np.minimum.reduceat(cheap[edges], starts)
-        return np.where(self.gate * low < top, top, None).tolist()
+                                    dem[keep])
+        lim = plan.top[i0 + offs[keep]].repeat(counts)
+        pos = a_pos[offs[keep]].repeat(counts)
+        sel = edges < geom.num_edges
+        sel[sel] = self.gate * ledger._cheapest[edges[sel]] < lim[sel]
+        if not sel.any():
+            return
+        edges, lim, pos = edges[sel], lim[sel], pos[sel]
+        # The holders of each distinct edge, looked up once, then of each
+        # pair.
+        uniq, inv = np.unique(edges, return_inverse=True)
+        sets = list(map(ledger._holders_by_edge.__getitem__, uniq.tolist()))
+        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)),
+                  out=indptr[1:])
+        held, cnt = gather_rows(indptr, np.fromiter(
+            map(ledger._admitted.__getitem__, chain.from_iterable(sets)),
+            dtype=np.int64, count=int(indptr[-1])), inv)
+        pos = pos.repeat(cnt)
+        ok = self.gate * index._profits[held] < lim.repeat(cnt)
+        held, pos = held[ok], pos[ok]
+        routes, r_cnt = gather_rows(index._indptr, index._flat_edges, held)
+        sentinels = geom.num_edges + index._dem[held]
+        stamped += (routes, sentinels)
+        dirty = self._dirty
+        np.minimum.at(dirty, routes, pos.repeat(r_cnt))
+        np.minimum.at(dirty, sentinels, pos)
 
     def _window(self, win: np.ndarray) -> np.ndarray:
         """Decide the chunk events ``win`` from one evaluation
@@ -1433,6 +1411,19 @@ class FastFeeder:
         session = self.session
         ledger = self.ledger
         cl = self._closure(win)
+        tail = _NO_ROWS
+        bad = self._misfit(cl) if cl.c_mov else None
+        if bad is not None:
+            # A preempting route that would not fit after its evictions:
+            # commit only the events before it, and decide it through
+            # the scalar dispatcher (which raises the scalar loop's
+            # error) once it is the first pending event.
+            if bad == win[0]:
+                self._decide_scalar(bad)
+                return win[1:]
+            tail = win[win >= bad]
+            cl = self._closure(win[win < bad])
+        later = np.concatenate((cl.later, tail)) if len(tail) else cl.later
         if cl.c_rel:
             ledger.release_many(cl.c_rel, _disjoint=True)
         n_admit = len(cl.c_fit) + len(cl.c_mov)
@@ -1440,18 +1431,16 @@ class FastFeeder:
         if n_admit:
             plan = cl.plan
             self.commit(self, plan, i0, cl.c_fit, cl.state, cl.c_mov)
-            staged = self._staged
-            dlist = plan.dlist
             sel = cl.c_fit
-            for i, a, iid in zip(plan.event[i0 + sel].tolist(),
-                                 sel.tolist(), cl.pick[sel].tolist()):
-                staged[i] = (dlist[i0 + a], iid, None)
+            self._admits[plan.event[i0 + sel]] = cl.pick[sel]
             if cl.c_mov:
                 penalty = self.policy.penalty
                 for a, (iid, victims, profits, v_iids) in cl.c_mov:
-                    staged[int(plan.event[i0 + a])] = (dlist[i0 + a], iid, [
+                    i = int(plan.event[i0 + a])
+                    self._admits[i] = iid
+                    self._evictions[i] = [
                         (v, v_iid, penalty * p)
-                        for v, v_iid, p in zip(victims, v_iids, profits)])
+                        for v, v_iid, p in zip(victims, v_iids, profits)]
         n_arr = int(np.count_nonzero(cl.c_arr))
         if self.tally is not None and n_arr:
             self.tally(self, cl.state, cl.c_arr, n_admit)
@@ -1459,7 +1448,7 @@ class FastFeeder:
         dur = time.perf_counter() - t0
         session.latency.observe(dur * 1e6, rn)
         acc = self._acc
-        acc.discarded += len(cl.later)
+        acc.discarded += len(later)
         acc.events += rn
         acc.arrivals += n_arr
         acc.departures += cl.n_dep
@@ -1471,5 +1460,29 @@ class FastFeeder:
         stats = session.fastpath_stats
         if rn > stats["max_run_len"]:
             stats["max_run_len"] = rn
-        self.window = min(MAX_WINDOW, max(MIN_WINDOW, 2 * rn))
-        return cl.later
+        self.window = min(MAX_WINDOW, max(MIN_WINDOW, rn + rn // 4))
+        return later
+
+    def _misfit(self, cl: _Closure) -> int | None:
+        """The first chunk event among ``cl``'s preempting arrivals
+        whose route would not fit once the window's evictions are done,
+        else None.  The walk's deficits and the loads after the
+        evictions round differently, so each route is probed as the
+        scalar admission probes it, on a copy of the loads with the
+        victims subtracted as ``evict_many`` subtracts them."""
+        index = self.geom.index
+        heights = index._heights
+        v_iid = np.array([v for _, move in cl.c_mov for v in move[3]],
+                         dtype=np.int64)
+        load = self.ledger.active._load.copy()
+        edges, counts = gather_rows(index._indptr, index._flat_edges, v_iid)
+        np.subtract.at(load, edges, heights[v_iid].repeat(counts))
+        # A preempting route holds the hot edges its victims free, so it
+        # is never empty.
+        m_iid = np.array([move[0] for _, move in cl.c_mov], dtype=np.int64)
+        edges, counts = gather_rows(index._indptr, index._flat_edges, m_iid)
+        peaks = np.maximum.reduceat(load[edges], counts.cumsum() - counts)
+        bad = (peaks + heights[m_iid] > _CAP).nonzero()[0]
+        if not len(bad):
+            return None
+        return int(cl.plan.event[cl.i0 + cl.c_mov[int(bad[0])][0]])

@@ -23,11 +23,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import Demand, TreeNetwork, TreeProblem
+from repro.core.conflict import ActiveConflictSet
 from repro.online import (
     Arrival,
     CapacityLedger,
@@ -38,6 +40,7 @@ from repro.online import (
     geometry_of,
     make_policy,
 )
+from repro.online import fastpath as fastpath_module
 from repro.online.events import ARRIVAL
 from repro.session.kernel import AdmissionSession, certificate_of
 from repro.sharding.planner import ShardPlanner
@@ -438,16 +441,18 @@ def _feed_events(problem, name, events, fastpath=True, **params):
     return session
 
 
-def _closure(session, events, lo=0, hi=None):
+def _closure(session, events, lo=0, hi=None, rounds=None):
     """The fast path's split of ``events[lo:hi]``, evaluated as one
     window against the session's current ledger (nothing is
-    committed): the offsets it commits, from ``lo``."""
+    committed): the offsets it commits, from ``lo``.  The closure runs
+    at most ``rounds`` rounds (default: as many as it needs)."""
     feeder = session._fast
     feeder._load_chunk(TraceArrays.from_events(EventView.of(events),
                                                feeder.geom))
     hi = len(events) if hi is None else hi
     win = np.arange(lo, hi, dtype=np.int64)
-    later = set(feeder._closure(win).later.tolist())
+    with mock.patch.object(fastpath_module, "MAX_ROUNDS", rounds or len(win) + 1):
+        later = set(feeder._closure(win).later.tolist())
     return [i - lo for i in win.tolist() if i not in later]
 
 
@@ -460,9 +465,10 @@ def _reference_closure(scalar, events, geom, params):
     """Brute-force closure over explicit sets, the events dispatched one
     at a time through ``scalar`` (a scalar session at the window's entry
     state).  Each event's read set is its footprint (plus its victims'
-    routes and sentinels), its write set what the scalar loop changed.
-    In event order, an event meeting the dirty set is deferred and
-    dirties its footprint — and a ``preempt-density`` arrival the routes
+    routes and sentinels); its write set, where the scalar loop changed
+    the ledger (an admission, a release, a preemption), its footprint
+    plus its victims' routes and sentinels.  In event order, an event
+    meeting the dirty set is deferred and dirties its footprint — and a ``preempt-density`` arrival the routes
     and sentinels of the entry-time holders of its footprint edges whose
     profit times the gate is below one of its candidates' (above the
     density floor) — else it is committed and dirties its writes.
@@ -480,21 +486,14 @@ def _reference_closure(scalar, events, geom, params):
         footprint = set(ta.fp_edges[ta.fp_indptr[i]:ta.fp_indptr[i + 1]]
                         .tolist())
         adm0, ev0 = len(led.admission_log), len(led.eviction_log)
-        gone = None
-        if isinstance(ev, Departure):
-            iid = led.admitted_instance(ev.demand_id)
-            if iid is not None:
-                gone = (ev.demand_id, iid)
+        gone = (isinstance(ev, Departure)
+                and led.admitted_instance(ev.demand_id) is not None)
         scalar.feed(ev)
-        writes: set = set()
         victims: set = set()
         for d, iid in led.eviction_log[ev0:]:
             victims |= _routes(led, iid, d)
-        for d, iid in led.admission_log[adm0:]:
-            writes |= _routes(led, iid, d)
-        if gone:
-            writes |= _routes(led, gone[1], gone[0])
-        writes |= victims
+        writes = (footprint | victims
+                  if gone or len(led.admission_log) > adm0 else set())
         if (footprint | victims) & dirty:
             dirty |= footprint
             if policy.name == "preempt-density" and isinstance(
@@ -514,10 +513,16 @@ def _reference_closure(scalar, events, geom, params):
     return committed
 
 
-def _check_windows(problem, events, name, windows, start=0, params=None):
+def _check_windows(problem, events, name, windows, start=0, params=None,
+                   rounds=None):
     """Split every window ``[lo, lo + w)`` of ``events`` and compare the
     committed set with the brute-force closure; returns how many events
-    the windows deferred."""
+    the windows deferred.
+
+    With ``rounds=None`` the closure runs every round it needs and must
+    commit exactly the brute-force set.  With a round cap, the last
+    round cuts the window at its first deferral: the committed set is
+    the brute-force set up to its last member."""
     params = params or {}
     fast = AdmissionSession(problem, make_policy(name, **params))
     scalar = AdmissionSession(problem, make_policy(name, **params),
@@ -531,9 +536,12 @@ def _check_windows(problem, events, name, windows, start=0, params=None):
         if lo >= len(events):
             break
         chunk = events[lo:lo + w]
-        got = _closure(fast, chunk)
-        assert got == _reference_closure(scalar, chunk, geom, params), \
-            (lo, w)
+        got = _closure(fast, chunk, rounds=rounds)
+        ref = _reference_closure(scalar, chunk, geom, params)
+        if rounds is None:
+            assert got == ref, (lo, w)
+        else:
+            assert got and got == [i for i in ref if i <= got[-1]], (lo, w)
         deferred += len(chunk) - len(got)
         fast.feed_many(chunk)
         lo += w
@@ -555,6 +563,17 @@ class TestRunSegmenter:
             deferred = _check_windows(trace.problem, trace.events, name,
                                       [64, 17, 128], params=params)
             assert deferred > 0  # the traces do defer events
+
+    @pytest.mark.parametrize("rounds", [1, 2, fastpath_module.MAX_ROUNDS])
+    @pytest.mark.parametrize("topology", ["line", "tree"])
+    def test_round_cap_cuts_at_its_first_deferral(self, topology, rounds):
+        """A capped closure commits the exact closure up to the cut, and
+        the windows still decide every event as the scalar loop does."""
+        trace = _trace(topology, seed=4)
+        for name, params in (("greedy-threshold", {}), ("dual-gated", {}),
+                             ("preempt-density", {"factor": 1.2})):
+            _check_windows(trace.problem, trace.events, name, [128, 33],
+                           params=params, rounds=rounds)
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_exactly_maximal_on_stretches(self, seed):
@@ -717,6 +736,48 @@ class TestRunSegmenter:
         assert after["batched_events"] - before["batched_events"] == (
             3 if preempts else 4)
         assert after["runs"] - before["runs"] == 1
+
+    @pytest.mark.parametrize("order", [[2, 3, 4, 5], [3, 2, 5, 4]])
+    def test_failed_preemption_probe_stops_where_the_scalar_loop_does(
+            self, order, monkeypatch):
+        """Should a preempting route not fit once its victims are gone
+        (the walk's deficits and the post-eviction loads round
+        differently), the scalar loop evicts the victims and its
+        admission raises.  The fast path commits the events before the
+        arrival and hands it to the scalar dispatcher, so at the error
+        the ledger, its logs and its profits are the scalar loop's.
+        Demand 2 preempts demands 0 and 1; demand 3 commits before it
+        in the second order, and demands 4 and 5 come after it."""
+        problem = _path([(0, 1, 1.0, 0.3), (0, 1, 1.0, 0.3),
+                         (0, 1, 5.0, 0.9), (2, 3, 1.0, 0.3),
+                         (0, 1, 1.0, 0.1), (3, 4, 1.0, 0.3)])
+        events = [Arrival(float(t), d)
+                  for t, d in enumerate([0, 1] + order)]
+        target = int(CapacityLedger(problem).candidates(2)[0])
+        blocked = ActiveConflictSet.blocked
+        monkeypatch.setattr(ActiveConflictSet, "blocked",
+                            lambda self, iid: iid == target
+                            or blocked(self, iid))
+        monkeypatch.setattr(
+            fastpath_module.FastFeeder, "_misfit",
+            lambda self, cl: next((int(cl.plan.event[cl.i0 + a])
+                                   for a, move in cl.c_mov
+                                   if move[0] == target), None))
+        sessions = []
+        for fast in (True, False):
+            session = AdmissionSession(problem,
+                                       make_policy("preempt-density"),
+                                       fastpath=fast)
+            session.feed_many(events[:2])
+            with pytest.raises(ValueError, match="no longer fits"):
+                session.feed_many(events[2:])
+            sessions.append(session)
+        fast, scalar = sessions
+        assert _preempt_sig(fast) == _preempt_sig(scalar)
+        assert fast.ledger._evicted == scalar.ledger._evicted == {0, 1}
+        assert not fast.ledger.is_admitted(2)
+        assert fast.ledger.is_admitted(3) == (order[0] == 3)
+        fast.ledger.verify()
 
     def test_deferred_arrival_dirties_the_routes_it_may_evict(self):
         """A deferred ``preempt-density`` arrival may evict any holder of
