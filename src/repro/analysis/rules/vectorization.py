@@ -13,8 +13,9 @@ scalar calls *are* the reference semantics).  The regression is
 invisible to correctness checks and only shows up as a benchmark
 collapse, so the contract is enforced statically: inside a batch
 kernel, decisions and ledger mutations go through the batched entry
-points (``admit_many`` / ``release_many`` / ``evict_many`` / the kernel
-registry), never the per-event scalar API.
+points (``admit_many`` / ``release_many`` / ``evict_many``, the batch
+routines they are built from, the kernel registry), never the per-event
+scalar API.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class VectorizationRule(Rule):
             good=(
                 "def _kernel_greedy(feeder, plan, i0, i1):\n"
                 "    best = plan.best[i0:i1]\n"
-                "    feeder.ledger.admit_many(best, _prechecked=True)\n"
+                "    feeder.ledger.admit_many(best)\n"
                 "    return best\n"
             ),
             note="the bad kernel admits one demand at a time through "

@@ -32,10 +32,13 @@ interns by the same rule, so one population always gets one numbering.
 
 Single-instance queries (:meth:`~ConflictIndex.edges_of`,
 :meth:`~ConflictIndex.neighbors`, ...) read the CSR rows; population
-queries (:meth:`~ConflictIndex.adjacency`) and active-set queries
-(:class:`ActiveConflictSet`) run as array operations instead of
-per-pair Python loops.  The online ledger, its fast path and sharded
-shard views all read this one structure.
+queries (:meth:`~ConflictIndex.adjacency`) and the second phase's
+active-set probe (:class:`ActiveConflictSet`) run as array operations
+instead of per-pair Python loops.  The online
+:class:`~repro.online.state.CapacityLedger` keeps its own live loads
+over this one structure and probes them with the same
+:func:`route_peaks`; its fast path and sharded shard views read the
+structure too.
 """
 
 from __future__ import annotations
@@ -44,12 +47,8 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["ConflictIndex", "ActiveConflictSet", "gather_rows"]
-
-#: Candidate sets up to this size are probed row by row in
-#: :meth:`ActiveConflictSet.blocked_mask`; a few per-row maxima cost less
-#: than the batched gather/segment machinery's fixed NumPy overhead.
-_PROBE_MAX = 8
+__all__ = ["ConflictIndex", "ActiveConflictSet", "gather_rows",
+           "route_peaks"]
 
 
 def gather_rows(indptr: np.ndarray, flat: np.ndarray,
@@ -69,6 +68,19 @@ def gather_rows(indptr: np.ndarray, flat: np.ndarray,
     # is ``ends[k] - counts[k] + j``.
     return flat[np.arange(total, dtype=np.int64)
                 + (starts - ends + counts).repeat(counts)], counts
+
+
+def route_peaks(load: np.ndarray, edges: np.ndarray,
+                counts: np.ndarray) -> np.ndarray:
+    """Each route's heaviest edge load (0.0 for an empty route): one
+    segment maximum of ``load`` over the routes ``edges``, concatenated
+    with lengths ``counts`` as :func:`gather_rows` returns them."""
+    peaks = np.zeros(len(counts), dtype=np.float64)
+    if len(edges):
+        nonempty = counts > 0
+        peaks[nonempty] = np.maximum.reduceat(
+            load[edges], (counts.cumsum() - counts)[nonempty])
+    return peaks
 
 
 def _csr_indptr(counts: np.ndarray) -> np.ndarray:
@@ -533,12 +545,14 @@ class ConflictIndex:
 
 
 class ActiveConflictSet:
-    """Incremental membership structure for the second-phase greedy unwind.
+    """The second phase's active set (Section 3.2): per-edge load and
+    per-demand usage of the instances inserted so far.
 
-    Maintains per-edge load (or occupancy) and per-demand usage for a
-    growing/shrinking *active set* of instances, so "which of these
-    candidates conflict with the active set" is a batched gather/segment
-    reduction instead of a from-scratch rebuild per step.
+    :class:`~repro.algorithms.engine.PhaseTwoGreedy` pops the raise
+    stack and inserts each step's members while edge-disjointness (or
+    height capacity) permits, so "which of these candidates conflict
+    with the active set" is one batched gather/segment maximum per step
+    (:meth:`blocked_mask`) instead of a from-scratch rebuild.
 
     Parameters
     ----------
@@ -556,147 +570,34 @@ class ActiveConflictSet:
         self.capacities = capacities
         self._load = np.zeros(index.num_edges, dtype=np.float64)
         self._demand_used = np.zeros(index.num_demands, dtype=bool)
-        self._members: set[int] = set()
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, iid: int) -> bool:
-        return iid in self._members
-
-    def _edges(self, iid: int) -> np.ndarray:
-        idx = self._index
-        return idx._flat_edges[idx._indptr[iid]:idx._indptr[iid + 1]]
 
     def blocked_mask(self, iids: Sequence[int]) -> np.ndarray:
         """Boolean array: which candidates conflict with the active set.
 
         The candidates are assumed pairwise non-conflicting (they come
-        from one MIS step), so the answers are independent of each other.
+        from one MIS step), so the answers are independent of each
+        other: a candidate is blocked when its demand is already used or
+        its route's peak load (:func:`route_peaks`) rules it out.
         """
         idx = self._index
         arr = np.asarray(iids, dtype=np.int64)
-        if len(arr) == 0:
-            return np.zeros(0, dtype=bool)
-        if len(arr) == 1:
-            # Scalar fast path: single-candidate probes dominate the
-            # online replay (one instance per demand is the common
-            # population shape), and the batched gather/segment machinery
-            # below costs ~10x the work for them.  Same comparisons, same
-            # answer, bit for bit.
-            iid = int(arr[0])
-            hit = bool(self._demand_used[idx._dix[iid]])
-            if not hit:
-                row = idx._flat_edges[idx._indptr[iid]:idx._indptr[iid + 1]]
-                if len(row):
-                    top = self._load[row].max()
-                    if self.capacities:
-                        hit = bool(top + idx._heights[iid] > 1.0 + 1e-9)
-                    else:
-                        hit = bool(top > 0.0)
-            return np.asarray([hit], dtype=bool)
-        if len(arr) <= _PROBE_MAX:
-            # The batched answer row by row: an empty route's peak load
-            # reads 0.0, as its zero-filled segment maximum does below.
-            flat, indptr, heights = idx._flat_edges, idx._indptr, idx._heights
-            out = self._demand_used[idx._dix[arr]]
-            for j, iid in enumerate(arr.tolist()):
-                if out[j]:
-                    continue
-                row = flat[indptr[iid]:indptr[iid + 1]]
-                top = self._load[row].max() if len(row) else 0.0
-                if self.capacities:
-                    out[j] = top + heights[iid] > 1.0 + 1e-9
-                else:
-                    out[j] = top > 0.0
-            return out
-        blocked = self._demand_used[idx._dix[arr]].copy()
-        peaks, counts = self.route_peaks(arr)
-        if counts.any():  # an all-empty batch skips the load test
-            if self.capacities:
-                blocked |= peaks + idx._heights[arr] > 1.0 + 1e-9
-            else:
-                blocked |= peaks > 0.0
+        blocked = self._demand_used[idx._dix[arr]]
+        peaks = route_peaks(self._load,
+                            *gather_rows(idx._indptr, idx._flat_edges, arr))
+        if self.capacities:
+            blocked |= peaks + idx._heights[arr] > 1.0 + 1e-9
+        else:
+            blocked |= peaks > 0.0
         return blocked
 
-    def route_peaks(self, iids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(peaks, counts)``: each instance's heaviest route-edge load
-        (0.0 for an empty route) and its route length, from one gather
-        and one segment maximum over the concatenated routes."""
-        idx = self._index
-        edges, counts = gather_rows(idx._indptr, idx._flat_edges, iids)
-        peaks = np.zeros(len(iids), dtype=np.float64)
-        if len(edges):
-            seg_starts = np.zeros(len(iids), dtype=np.int64)
-            np.cumsum(counts[:-1], out=seg_starts[1:])
-            nonempty = counts > 0
-            peaks[nonempty] = np.maximum.reduceat(
-                self._load[edges], seg_starts[nonempty]
-            )
-        return peaks, counts
-
-    def blocked(self, iid: int) -> bool:
-        """Whether one candidate conflicts with the active set."""
-        return bool(self.blocked_mask(np.asarray([iid]))[0])
-
-    def edge_loads(self, iid: int) -> np.ndarray:
-        """Current load on each edge of instance ``iid``'s route.
-
-        In the CSR row's order — ascending edge id, i.e. sorted edge
-        key, not the route's path sequence — so the result is meant for
-        aggregation (sums, maxima, the online price functions), not for
-        zipping against ``path_edges``.
-        """
-        return self._load[self._edges(iid)]
-
-    def max_load(self) -> float:
-        """The heaviest edge load in the active set (0.0 when empty)."""
-        return float(self._load.max()) if len(self._load) else 0.0
-
-    def add(self, iid: int) -> None:
-        """Insert an instance into the active set (no feasibility check)."""
-        idx = self._index
-        h = idx._heights[iid] if self.capacities else 1.0
-        self._load[self._edges(iid)] += h
-        self._demand_used[idx._dix[iid]] = True
-        self._members.add(iid)
-
-    def add_all(self, iids: Sequence[int], *,
-                _edges: np.ndarray | None = None,
-                _adds: np.ndarray | None = None) -> None:
-        """Batch-insert pairwise non-conflicting instances.
-
-        ``_edges``/``_adds`` let a caller that has already gathered the
-        instances' concatenated route edges (and the matching repeated
-        heights) pass them in instead of re-gathering — the batch
-        decision kernels' hot path.  The values must equal what the
-        gather here would produce; the load update is the identical
-        fancy-indexed add either way.
-        """
+    def add_all(self, iids: Sequence[int]) -> None:
+        """Insert pairwise non-conflicting instances (no feasibility
+        check)."""
         idx = self._index
         arr = np.asarray(iids, dtype=np.int64)
-        if len(arr) == 0:
-            return
-        if _edges is None:
-            _edges, counts = gather_rows(idx._indptr, idx._flat_edges, arr)
-            if self.capacities:
-                _adds = np.repeat(idx._heights[arr], counts)
-        if _edges is not None and len(_edges):
-            if self.capacities:
-                # Candidates are edge-disjoint, so the fancy-indexed add
-                # touches each position at most once.
-                self._load[_edges] += _adds
-            else:
-                self._load[_edges] += 1.0
+        edges, counts = gather_rows(idx._indptr, idx._flat_edges, arr)
+        # Candidates are edge-disjoint, so the fancy-indexed add touches
+        # each position at most once.
+        self._load[edges] += (np.repeat(idx._heights[arr], counts)
+                              if self.capacities else 1.0)
         self._demand_used[idx._dix[arr]] = True
-        self._members.update(arr.tolist())
-
-    def remove(self, iid: int) -> None:
-        """Remove an instance from the active set."""
-        if iid not in self._members:
-            raise KeyError(f"instance {iid} is not in the active set")
-        idx = self._index
-        h = idx._heights[iid] if self.capacities else 1.0
-        self._load[self._edges(iid)] -= h
-        self._demand_used[idx._dix[iid]] = False
-        self._members.discard(iid)

@@ -21,7 +21,8 @@ changing a single decision bit:
   *evaluate* half, a gather/segment-reduce replica of the scalar
   decision path that computes every verdict of a window against the
   ledger as it stands, and *commit*/*tally* halves that apply the
-  committed verdicts through ``admit_many`` (and ``evict_many``) and
+  committed verdicts through the ledger's batch-write routines (the
+  apply and removal halves of ``admit_many`` and ``evict_many``) and
   the policy counters, bit for bit (see the float notes below);
 * :class:`FastFeeder` — the executor ``AdmissionSession.feed_many``
   engages when the policy advertises a batch kernel.
@@ -47,8 +48,8 @@ could evict once evaluated again (those whose profit times the gate is
 below one of its candidates').  So no committed event touches anything
 an earlier deferred event may read or write, each committed verdict is
 the scalar loop's, and the committed writes are pairwise
-edge-disjoint: one ``release_many``, one ``evict_many`` and one
-``admit_many`` apply a window.  The paper's distributed rounds have
+edge-disjoint: one batched release, one batched eviction and one
+batched admission apply a window.  The paper's distributed rounds have
 the same shape — each settles every demand without an unresolved
 conflict and defers the rest.  The walk runs as at most
 :data:`MAX_ROUNDS` vectorized rounds; the last one cuts the window at
@@ -57,11 +58,11 @@ that no candidate fits and whose plan reaches the eviction walk) is
 planned in the kernel too: one closed-form walk per window
 (:func:`_kernel_preempt_walk`) over the hard arrivals whose footprint
 meets no earlier write.  The ledger's effects are applied at commit;
-the log entries and the float profit adds are staged and flushed in
-event order once every earlier event is decided, and every pending
-event is decided before a stretch returns.  Deferred events are
-evaluated again in the next window, which takes a quarter more events
-than the last window committed.
+the log entries, the evicted set and the float profit adds are staged
+and flushed in event order once every earlier event is decided, and
+every pending event is decided before a stretch returns.  Deferred
+events are evaluated again in the next window, which takes a quarter
+more events than the last window committed.
 
 Bit-exactness ground rules (each empirically verified against this
 container's NumPy):
@@ -101,7 +102,7 @@ import numpy as np
 from ..core.conflict import gather_rows
 from ..obs import tracing as _tracing
 from .events import ARRIVAL, DEPARTURE, TICK, EventView
-from .state import _EPS
+from .state import _CAP, _EPS
 
 __all__ = [
     "DemandGeometry",
@@ -143,11 +144,6 @@ MAX_ROUNDS = 4
 _INT_MAX = np.iinfo(np.int64).max
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 
-#: The ledger's capacity bound: an admission is blocked when the route's
-#: peak load plus the instance height exceeds this (the exact comparison
-#: :meth:`ActiveConflictSet.blocked_mask` performs).
-_CAP = 1.0 + 1e-9
-
 
 # ----------------------------------------------------------------------
 # Static per-demand geometry
@@ -160,9 +156,9 @@ class DemandGeometry:
     Routes, heights, profits, interned demands and the demand →
     candidate CSR are read straight from the ledger's shared
     :class:`~repro.core.conflict.ConflictIndex`; this class adds only
-    what the batch kernels derive from them, indexed by instance id:
-    the greedy density and selection key, the feasibility-test mask,
-    and the per-demand conflict-footprint CSR.  Everything here is
+    what the batch kernels derive from them: the greedy density and
+    selection key per instance, and the per-demand conflict-footprint
+    CSR.  Everything here is
     static (routes, profits, densities never change), built once per
     ledger and reused by every batch.  Demand ids index the CSRs
     directly (the trace contract: ``0 .. num_demands-1``; shard-sliced
@@ -196,11 +192,6 @@ class DemandGeometry:
         # Greedy's (route_length, iid) ranking as one sortable int64.
         self.cand_selkey = route_len * np.int64(I) + np.arange(
             I, dtype=np.int64)
-        # blocked_mask's single- vs multi-candidate asymmetry: the
-        # single-candidate probe skips the load test on an empty route,
-        # the batched probe applies it.  True where the load test
-        # applies (nonempty route, or demand with several candidates).
-        self.cand_apply = (route_counts > 0) | (counts > 1)[owner]
 
         # --- per-demand conflict footprints ---------------------------
         # Union of every candidate route of the demand, deduped in one
@@ -362,16 +353,15 @@ class _ChunkPlan:
     * ``edges`` (+ ``eheight``/``ecand`` for the preemption kernel) —
       per route edge of every candidate.
 
-    ``has_empty`` flags chunks containing empty-route candidates; only
-    those pay the masked reductions (and the ``apply`` exemption mask
-    replicating ``blocked_mask``'s single- vs multi-candidate
-    asymmetry).
+    Every route has at least one edge (a validated problem rejects
+    ``u == v`` and empty placements), so every candidate's segment is
+    nonempty and plain ``reduceat`` calls reduce them.
     """
 
     __slots__ = ("demands", "dlist", "event", "cstart", "cstart_l",
                  "height", "pos", "aidx", "estart", "estart_l", "edges",
-                 "earange", "has_empty", "apply", "gkey", "elig", "profit",
-                 "iid", "eheight", "ecand", "top")
+                 "earange", "gkey", "elig", "profit", "iid", "eheight",
+                 "ecand", "top")
 
 
 def _prepare(feeder: "FastFeeder", demands: np.ndarray,
@@ -397,8 +387,6 @@ def _prepare(feeder: "FastFeeder", demands: np.ndarray,
     p.height = index._heights[iid]
     p.pos = np.arange(C, dtype=np.int64)
     p.earange = np.arange(len(p.edges), dtype=np.int64)
-    p.has_empty = bool((r_cnt == 0).any())
-    p.apply = geom.cand_apply[iid] if p.has_empty else None
     p.iid = iid
     p.profit = index._profits[iid]
     # Per-candidate arrival index: expands a per-arrival column to
@@ -425,8 +413,7 @@ class _Window:
     """One window's route columns: the window-entry loads on every route
     edge of arrivals ``[i0, i1)`` and the segment layout over them."""
 
-    __slots__ = ("c0", "c1", "e0", "e1", "loads", "rel", "relc",
-                 "nonempty")
+    __slots__ = ("c0", "c1", "e0", "e1", "loads", "rel", "relc")
 
     def __init__(self, feeder: "FastFeeder", plan: _ChunkPlan,
                  i0: int, i1: int) -> None:
@@ -434,24 +421,9 @@ class _Window:
         self.c1 = c1 = plan.cstart_l[i1]
         self.e0 = e0 = plan.estart_l[c0]
         self.e1 = e1 = plan.estart_l[c1]
-        self.loads = feeder.ledger.active._load[plan.edges[e0:e1]]
+        self.loads = feeder.ledger.load[plan.edges[e0:e1]]
         self.rel = plan.estart[c0:c1] - e0
         self.relc = plan.cstart[i0:i1] - c0
-        # Empty routes make empty segments, which ``reduceat`` cannot
-        # express; only chunks that contain one pay the masked shape.
-        self.nonempty = ((plan.estart[c0 + 1:c1 + 1] > plan.estart[c0:c1])
-                         if plan.has_empty else None)
-
-    def reduce(self, ufunc, values: np.ndarray, fill) -> np.ndarray:
-        """Per-candidate ``ufunc`` reduction of per-route-edge
-        ``values``; an empty route reduces to ``fill``."""
-        if self.nonempty is None:
-            return ufunc.reduceat(values, self.rel)
-        out = np.full(self.c1 - self.c0, fill, dtype=values.dtype)
-        if values.size:
-            out[self.nonempty] = ufunc.reduceat(values,
-                                                self.rel[self.nonempty])
-        return out
 
 
 def _fit_keys(plan: _ChunkPlan, w: _Window) -> np.ndarray:
@@ -459,14 +431,11 @@ def _fit_keys(plan: _ChunkPlan, w: _Window) -> np.ndarray:
     candidates that fit the window-entry loads (``_INT_MAX`` = none fits).
 
     The feasibility probe is a per-candidate route peak via one segment
-    max (empty segments read 0.0, exactly as the scalar probe sees
-    them, and the ``apply`` mask exempts the empty routes the scalar
-    single-candidate probe does not test).
+    max, the comparison :meth:`CapacityLedger.feasible` makes.
     """
     c0, c1 = w.c0, w.c1
-    blocked = w.reduce(np.maximum, w.loads, 0.0) + plan.height[c0:c1] > _CAP
-    if plan.has_empty:
-        blocked &= plan.apply[c0:c1]
+    blocked = (np.maximum.reduceat(w.loads, w.rel) + plan.height[c0:c1]
+               > _CAP)
     return np.minimum.reduceat(
         np.where(blocked, _INT_MAX, plan.gkey[c0:c1]), w.relc)
 
@@ -499,15 +468,25 @@ def _kernel_greedy_pick(feeder: "FastFeeder", plan: _ChunkPlan,
     return best % feeder.num_instances
 
 
+def _commit_admits(feeder: "FastFeeder", iids: np.ndarray,
+                   demands: list) -> np.ndarray:
+    """Apply the admissions of ``iids`` (of ``demands``), in order and
+    unlogged, through the apply half of ``admit_many``
+    (:meth:`~repro.online.state.CapacityLedger._add_many`): the kernel
+    has just computed the feasibility ``admit_many`` would check.
+    Returns the routes' concatenated edges."""
+    index = feeder.geom.index
+    edges, counts = gather_rows(index._indptr, index._flat_edges, iids)
+    feeder.ledger._add_many(iids, demands, edges, counts)
+    return edges
+
+
 def _kernel_greedy_commit(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
                           sel: np.ndarray, best, moves: list) -> None:
     """Admit the selections of evaluated arrivals ``i0 + sel`` (offsets
-    whose verdict admits, in event order) in one unlogged
-    ``admit_many``."""
-    feeder.ledger.admit_many(best[sel] % feeder.num_instances,
-                             _prechecked=True,
-                             _demands=plan.demands[i0 + sel].tolist(),
-                             _log=False)
+    whose verdict admits, in event order), unlogged."""
+    _commit_admits(feeder, best[sel] % feeder.num_instances,
+                   plan.demands[i0 + sel].tolist())
 
 
 def _kernel_dual_evaluate(feeder: "FastFeeder", plan: _ChunkPlan,
@@ -525,14 +504,11 @@ def _kernel_dual_evaluate(feeder: "FastFeeder", plan: _ChunkPlan,
     w = _Window(feeder, plan, i0, i1)
     c0, c1 = w.c0, w.c1
     h = plan.height[c0:c1]
-    feasible = w.reduce(np.maximum, w.loads, 0.0) + h <= _CAP
-    if plan.has_empty:
-        # ~blocked with blocked = (load test) & apply.
-        feasible |= ~plan.apply[c0:c1]
+    feasible = np.maximum.reduceat(w.loads, w.rel) + h <= _CAP
     # Price every gathered route edge in one ufunc call (elementwise,
     # position-invariant); the per-candidate sums are one multi-segment
     # reduceat — the very reduction the scalar price function performs.
-    sums = w.reduce(np.add, np.power(policy.mu, w.loads) - 1.0, 0.0)
+    sums = np.add.reduceat(np.power(policy.mu, w.loads) - 1.0, w.rel)
     priced = np.where(feasible, h * (policy._scale * sums), np.inf)
     best_price = np.minimum.reduceat(priced, w.relc)
     # An arrival has a feasible candidate iff its best price is finite
@@ -540,8 +516,11 @@ def _kernel_dual_evaluate(feeder: "FastFeeder", plan: _ChunkPlan,
     # system blocks every candidate in the scalar probe, so it counts
     # as capacity-blocked the same way.
     has_any = best_price < np.inf
-    has_any &= ~feeder.ledger.active._demand_used[
-        feeder.geom.index._dix[plan.iid[plan.cstart[i0:i1]]]]
+    admitted = feeder.ledger._admitted
+    if not admitted.keys().isdisjoint(plan.dlist[i0:i1]):
+        for k in np.flatnonzero(has_any).tolist():
+            if plan.dlist[i0 + k] in admitted:
+                has_any[k] = False
     # First strict minimum in candidate order — the scalar loop keeps
     # the first candidate attaining the minimum.  Infeasible candidates
     # carry +inf, which only ties a +inf best price — and those
@@ -562,37 +541,20 @@ def _kernel_dual_pick(feeder: "FastFeeder", plan: _ChunkPlan,
 
 def _kernel_dual_commit(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
                         sel: np.ndarray, state, moves: list) -> None:
-    """Admit evaluated arrivals ``i0 + sel`` in one unlogged
-    ``admit_many`` and fold their routes into the price peaks."""
-    first_sel = state[3][sel]
-    # One route-edge gather serves the load scatter-add, the holder
-    # bookkeeping inputs, and the peak notes.
-    estart = plan.estart
-    r0 = estart[first_sel]
-    r_cnt = estart[first_sel + 1] - r0
-    total = int(r_cnt.sum())
-    if total:
-        csum = np.zeros(len(first_sel), dtype=np.int64)
-        np.cumsum(r_cnt[:-1], out=csum[1:])
-        edges = plan.edges[plan.earange[:total] + (r0 - csum).repeat(r_cnt)]
-        adds = plan.height[first_sel].repeat(r_cnt)
-    else:
-        edges = adds = None
-    feeder.ledger.admit_many(
-        plan.iid[first_sel], _prechecked=True,
-        _demands=plan.demands[i0 + sel].tolist(), _edges=edges, _adds=adds,
-        _log=False)
-    if total:
-        # Batched ``_note_peak``: each admitted route's post-admission
-        # loads equal its post-batch loads (disjointness), so one
-        # gather after admit_many folds the same values into the peaks
-        # as the per-admission scalar notes.  History snapshots are
-        # never taken here: the policy only advertises its batch
-        # kernel with ``history=False``.
-        policy = feeder.policy
-        load = feeder.ledger.active._load
-        policy._peak[edges] = np.maximum(policy._peak[edges], load[edges])
-        policy._peak_version += 1
+    """Admit evaluated arrivals ``i0 + sel``, unlogged, and fold their
+    routes into the price peaks."""
+    edges = _commit_admits(feeder, plan.iid[state[3][sel]],
+                           plan.demands[i0 + sel].tolist())
+    # Batched ``_note_peak``: each admitted route's post-admission loads
+    # equal its post-batch loads (disjointness), so one gather after the
+    # admissions folds the same values into the peaks as the
+    # per-admission scalar notes.  History snapshots are never taken
+    # here: the policy only advertises its batch kernel with
+    # ``history=False``.
+    policy = feeder.policy
+    load = feeder.ledger.load
+    policy._peak[edges] = np.maximum(policy._peak[edges], load[edges])
+    policy._peak_version += 1
 
 
 def _kernel_dual_tally(feeder: "FastFeeder", state, done: np.ndarray,
@@ -669,17 +631,17 @@ def _kernel_preempt_evaluate(feeder: "FastFeeder", plan: _ChunkPlan,
         deficit = (w.loads + plan.eheight[e0:e1]) - 1.0
         hot = deficit > _EPS
         held = np.where(hot, ledger._cheapest[plan.edges[e0:e1]], 0.0)
-        bound = w.reduce(np.maximum, held, 0.0)
+        bound = np.maximum.reduceat(held, w.rel)
         lost = None
         if bound.max() == np.inf:
             # Some hot edge has no holder: the bound only runs up to
             # the first one.
             pos = plan.earange[:e1 - e0]
-            lost = w.reduce(np.minimum,
-                            np.where(held == np.inf, pos, _INT_MAX), _INT_MAX)
-            bound = w.reduce(
-                np.maximum,
-                np.where(pos < lost[plan.ecand[e0:e1] - c0], held, 0.0), 0.0)
+            lost = np.minimum.reduceat(
+                np.where(held == np.inf, pos, _INT_MAX), w.rel)
+            bound = np.maximum.reduceat(
+                np.where(pos < lost[plan.ecand[e0:e1] - c0], held, 0.0),
+                w.rel)
         le = plan.profit[c0:c1] <= feeder.gate * bound
         live = (bound > 0.0) & plan.elig[c0:c1]
         live &= planning[plan.aidx[c0:c1] - i0]
@@ -839,22 +801,22 @@ def _kernel_preempt_commit(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
     eviction plans ``moves`` (``(offset, move)`` from
     :func:`_kernel_preempt_walk`, in event order, each route probed to
     fit after its evictions by :meth:`FastFeeder._misfit`), all
-    unlogged: every move's victims in one ``evict_many``, then every
-    admission in one ``admit_many`` in event order.  The moves' routes
+    unlogged: every move's victims dropped in one batch (the removal
+    half of ``evict_many``,
+    :meth:`~repro.online.state.CapacityLedger._drop_many`), then every
+    admission applied in one batch in event order.  The moves' routes
     and victims are pairwise edge-disjoint and disjoint from the fits,
     so each edge sees exactly the scalar loop's float operations."""
     if not moves:
         _kernel_greedy_commit(feeder, plan, i0, sel, state.best, moves)
         return
-    ledger = feeder.ledger
     stats = feeder.policy.stats
-    penalty = feeder.policy.penalty
     victims: list = []
-    paid: list = []
+    v_iids: list = []
     for _, move in moves:
         victims += move[1]
-        paid += [penalty * p for p in move[2]]
-    ledger.evict_many(victims, paid, _log=False)
+        v_iids += move[3]
+    feeder.ledger._drop_many(victims, v_iids)
     stats["evictions"] += len(victims)
     stats["preempt_admits"] += len(moves)
     offs = np.fromiter((a for a, _ in moves), dtype=np.int64,
@@ -864,9 +826,7 @@ def _kernel_preempt_commit(feeder: "FastFeeder", plan: _ChunkPlan, i0: int,
     order = np.concatenate((sel, offs))
     iids = np.concatenate((state.best[sel] % feeder.num_instances, m_iid))
     k = order.argsort(kind="stable")
-    ledger.admit_many(iids[k], _prechecked=True,
-                      _demands=plan.demands[i0 + order[k]].tolist(),
-                      _log=False)
+    _commit_admits(feeder, iids[k], plan.demands[i0 + order[k]].tolist())
 
 
 def _kernel_preempt_tally(feeder: "FastFeeder", state: _PreemptState,
@@ -1166,8 +1126,8 @@ class FastFeeder:
         So no committed event reads or writes anything an earlier
         deferred event may touch, and committed writes are pairwise
         disjoint: each committed verdict is the one the scalar loop
-        reaches, and one ``release_many``, ``evict_many`` and
-        ``admit_many`` apply them.
+        reaches, and one batched release, eviction and admission
+        apply them.
 
         The walk runs in bulk, as rounds over the window's positions in
         its span of the chunk.  The writes are stamped up front with
@@ -1425,7 +1385,7 @@ class FastFeeder:
             cl = self._closure(win[win < bad])
         later = np.concatenate((cl.later, tail)) if len(tail) else cl.later
         if cl.c_rel:
-            ledger.release_many(cl.c_rel, _disjoint=True)
+            ledger.release_many(cl.c_rel)
         n_admit = len(cl.c_fit) + len(cl.c_mov)
         i0 = cl.i0
         if n_admit:
@@ -1469,12 +1429,12 @@ class FastFeeder:
         else None.  The walk's deficits and the loads after the
         evictions round differently, so each route is probed as the
         scalar admission probes it, on a copy of the loads with the
-        victims subtracted as ``evict_many`` subtracts them."""
+        victims subtracted as the eviction commit subtracts them."""
         index = self.geom.index
         heights = index._heights
         v_iid = np.array([v for _, move in cl.c_mov for v in move[3]],
                          dtype=np.int64)
-        load = self.ledger.active._load.copy()
+        load = self.ledger.load.copy()
         edges, counts = gather_rows(index._indptr, index._flat_edges, v_iid)
         np.subtract.at(load, edges, heights[v_iid].repeat(counts))
         # A preempting route holds the hot edges its victims free, so it

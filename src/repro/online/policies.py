@@ -215,7 +215,7 @@ class DualGated(AdmissionPolicy):
         # pre-admitted state before handing the ledger over).  Loads only
         # set new peaks immediately after an admission, so noting peaks
         # there captures the whole trajectory.
-        self._peak = ledger.active._load.copy()
+        self._peak = ledger.load.copy()
         # Price-history snapshots (opt-in): load vectors along the
         # admission trajectory, geometrically thinned so memory stays
         # bounded on long streams.
@@ -289,7 +289,7 @@ class DualGated(AdmissionPolicy):
     def _note_peak(self, iid: int) -> None:
         """Fold the post-admission loads of ``iid``'s route into the peaks."""
         eids = self.ledger._edge_ids(iid)
-        load = self.ledger.active._load
+        load = self.ledger.load
         self._peak[eids] = np.maximum(self._peak[eids], load[eids])
         self._peak_version += 1
         if self.history:
@@ -368,7 +368,7 @@ class DualGated(AdmissionPolicy):
         }
         if self.history:
             best = peak_bound
-            candidates = self._snapshots + [self.ledger.active._load]
+            candidates = self._snapshots + [self.ledger.load]
             for loads in candidates:
                 b, z = self._dual_bound_at(loads)
                 best = min(best, b + z)
@@ -645,8 +645,8 @@ class PreemptDensity(_PreemptiveAdmission):
     def batch_kernel(self) -> str | None:
         # Every arrival decides in bulk: the fit, stage 1 of the
         # planner, the eviction walk (in closed form) and the plan
-        # ranking of _best_plan, committed through evict_many and
-        # admit_many.
+        # ranking of _best_plan, committed through the ledger's batched
+        # eviction and admission.
         return "preempt-density"
 
     def _best_plan(self, demand_id: int):

@@ -4,11 +4,13 @@
 subsystem maintains.  It builds the vectorized
 :class:`~repro.core.conflict.ConflictIndex` over the trace's instance
 population **once** — interval geometry on lines, Euler-tour geometry on
-trees — and then serves every event with O(path)-amortized operations on
-the incremental :class:`~repro.core.conflict.ActiveConflictSet`:
+trees — and owns the live state over it: the per-edge ``load`` column
+and the admitted set.  Every event is served with O(path)-amortized
+operations on that state:
 
 * ``feasible`` — which of a demand's instances fit the residual
-  capacity right now (one batched gather/segment-max probe);
+  capacity right now (a per-row probe for a few candidates, one
+  batched gather/segment maximum for more);
 * ``admit`` / ``release`` / ``evict`` — scatter-add / scatter-subtract
   of the instance's height along its route (and ``admit_many`` /
   ``release_many`` / ``evict_many``, their batch forms, bit for bit);
@@ -20,8 +22,10 @@ the incremental :class:`~repro.core.conflict.ActiveConflictSet`:
   the per-edge holder sets and the per-edge cheapest-holder profit
   column the mutations keep current.
 
-Nothing is ever rebuilt per event; the conflict probes are exactly the
-ones the phase-2 engine uses offline, shared through the same index.
+Nothing is ever rebuilt per event.  The batched probe is the same
+route-peak reduction (:func:`~repro.core.conflict.route_peaks`) the
+offline phase-2 engine's :class:`~repro.core.conflict.ActiveConflictSet`
+runs, over the same index; the ledger's state is its own.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import time
 
 import numpy as np
 
-from ..core.conflict import ConflictIndex, gather_rows
+from ..core.conflict import ConflictIndex, gather_rows, route_peaks
 from ..obs.tracing import RECORDER as _REC
 from ..core.instance import TreeProblem
 from ..core.solution import (
@@ -44,6 +48,15 @@ __all__ = ["CapacityLedger", "PRUNED"]
 
 #: Load-comparison slack, matching the conflict index's blocked test.
 _EPS = 1e-9
+
+#: The capacity bound: an instance fits when its route's peak load plus
+#: its height does not exceed this.
+_CAP = 1.0 + _EPS
+
+#: Candidate sets up to this size are probed row by row in
+#: :meth:`CapacityLedger.feasible`; a few per-row maxima cost less than
+#: the batched gather/segment machinery's fixed NumPy overhead.
+_PROBE_MAX = 8
 
 
 class _Pruned:
@@ -105,7 +118,11 @@ class CapacityLedger:
                 f"{problem.num_instances}"
             )
         self.index = index
-        self.active = self.index.active_set(capacities=True)
+        #: Per-edge load, by edge id: the summed heights of the admitted
+        #: routes that cross each edge.  Read by the price functions and
+        #: the fast path; written only by the ledger's mutations.
+        self.load = np.zeros(index.num_edges, dtype=np.float64)
+        #: ``demand id -> instance id`` of every demand in the system.
         self._admitted: dict[int, int] = {}
         self._ever_admitted: set[int] = set()
         self._evicted: set[int] = set()
@@ -163,12 +180,42 @@ class CapacityLedger:
         return self.index.candidates(demand_id)
 
     def feasible(self, iids) -> np.ndarray:
-        """Boolean mask: which instances fit the residual capacity now."""
-        return ~self.active.blocked_mask(np.asarray(iids, dtype=np.int64))
+        """Boolean mask: which instances fit the residual capacity now.
+
+        An instance fits when its demand is not in the system and its
+        route's peak load plus its height stays within capacity.  Up to
+        :data:`_PROBE_MAX` candidates (one per demand is the common
+        population shape) are probed row by row, more with one batched
+        gather/segment maximum; both compute the same comparisons, so
+        the answer is the same bit for bit.
+        """
+        arr = np.asarray(iids, dtype=np.int64)
+        admitted, demand_of = self._admitted, self._demand
+        if len(arr) <= _PROBE_MAX:
+            load, height = self.load, self._height
+            flat, indptr = self.index._flat_edges, self.index._indptr
+            return np.array([
+                demand_of[iid] not in admitted
+                and load[flat[indptr[iid]:indptr[iid + 1]]].max()
+                + height[iid] <= _CAP
+                for iid in arr.tolist()], dtype=bool)
+        idx = self.index
+        peaks = route_peaks(self.load,
+                            *gather_rows(idx._indptr, idx._flat_edges, arr))
+        fits = peaks + idx._heights[arr] <= _CAP
+        for j, iid in enumerate(arr.tolist()):
+            if demand_of[iid] in admitted:
+                fits[j] = False
+        return fits
 
     def route_loads(self, iid: int) -> np.ndarray:
-        """Current load on each edge of instance ``iid``'s route."""
-        return self.active.edge_loads(iid)
+        """Current load on each edge of instance ``iid``'s route.
+
+        In the CSR row's order — ascending edge id, not the route's
+        path sequence — so the result is meant for aggregation (sums,
+        maxima, the online price functions).
+        """
+        return self.load[self._edge_ids(iid)]
 
     def route_length(self, iid: int) -> int:
         """Number of edges on instance ``iid``'s route (at least 1)."""
@@ -237,7 +284,7 @@ class CapacityLedger:
 
     def utilization(self) -> float:
         """Heaviest current edge load (1.0 = some edge fully booked)."""
-        return self.active.max_load()
+        return float(self.load.max()) if len(self.load) else 0.0
 
     # ------------------------------------------------------------------
     # Preemption geometry
@@ -245,7 +292,7 @@ class CapacityLedger:
 
     def _edge_ids(self, iid: int) -> np.ndarray:
         """Internal edge ids of instance ``iid``'s route (CSR order)."""
-        return self.active._edges(iid)
+        return self.index.edge_ids(iid)
 
     def _route_edge_list(self, iid: int) -> list[int]:
         """``_edge_ids(iid)`` as a cached Python list (static geometry)."""
@@ -300,7 +347,7 @@ class CapacityLedger:
         """
         height = self._height[iid]
         eids = self._edge_ids(iid)
-        deficit = [x + height - 1.0 for x in self.active._load[eids].tolist()]
+        deficit = [x + height - 1.0 for x in self.load[eids].tolist()]
         hot = [k for k, x in enumerate(deficit) if x > _EPS]
         if not hot:
             return []
@@ -367,7 +414,7 @@ class CapacityLedger:
         against float dust from the subtraction.
         """
         eids = self._edge_ids(iid)
-        loads = self.active._load[eids].copy()
+        loads = self.load[eids]
         pos_of = self._route_pos(iid)
         for d in victims:
             v_iid = self._admitted[d]
@@ -396,15 +443,16 @@ class CapacityLedger:
         demand_id = self._demand[iid]
         if demand_id in self._ever_admitted:
             raise ValueError(f"demand {demand_id} was already admitted")
-        if self.active.blocked(iid):
+        eids = self._edge_ids(iid)
+        height = self._height[iid]
+        if self.load[eids].max() + height > _CAP:
             raise ValueError(
                 f"instance {iid} no longer fits the residual capacity"
             )
-        self.active.add(iid)
+        self.load[eids] += height
         self._version += 1
         self._hold(iid, demand_id, self._route_edge_list(iid))
         self._log_admitted(((demand_id, iid),))
-        eids = self._edge_ids(iid)
         self._cheapest[eids] = np.minimum(self._cheapest[eids],
                                           self._profit[iid])
         if t0:
@@ -434,12 +482,14 @@ class CapacityLedger:
             self._profit_admitted += profit_of[pair[1]]
 
     def _log_evicted(self, entries) -> None:
-        """Append ``(demand, instance, penalty)`` evictions to the
-        eviction log and the forfeit and penalty counters, in the order
-        given (event order, as :meth:`_log_admitted`)."""
+        """Record ``(demand, instance, penalty)`` evictions — the
+        evicted set, the eviction log and the forfeit and penalty
+        counters — in the order given (event order, as
+        :meth:`_log_admitted`)."""
         log = self.eviction_log
         profit_of = self._profit
         for d, iid, p in entries:
+            self._evicted.add(d)
             log.append((d, iid))
             # repro: noqa[CERT001] -- deliberate += in eviction order: a
             # batch must bit-match the scalar evict loop's accumulation.
@@ -476,31 +526,17 @@ class CapacityLedger:
         self.admit(best)
         return best
 
-    def admit_many(self, iids, *, _prechecked: bool = False,
-                   _demands: list | None = None,
-                   _edges=None, _adds=None, _log: bool = True) -> None:
+    def admit_many(self, iids) -> None:
         """Admit a batch of instances with *pairwise edge-disjoint*
-        routes (the fast path's committed-window contract), atomically.
+        routes, atomically.
 
         The whole batch is validated before any state changes — every
         demand new, no demand twice, every route still feasible — so a
         failed admit leaves no half-applied load (the mirror of the
         service ``feed`` op's whole-batch validation contract).  The
-        per-admission effects are then applied in batch order: the load
-        scatter-add touches each edge position exactly once
-        (disjointness), and the profit counter accumulates one add per
-        admission in order, exactly the float sequence the scalar
-        :meth:`admit` loop performs.
-
-        ``_prechecked`` skips the validation pass; it is reserved for
-        the batch decision kernels, which have just computed the same
-        feasibility mask the validation would recompute.  ``_demands``,
-        ``_edges`` and ``_adds`` likewise let those kernels hand over
-        the demand ids and pre-gathered route edges/heights they
-        already hold, and ``_log=False`` leaves the log entries and
-        profit adds to a later :meth:`_log_admitted` (the fast path
-        commits out of event order and logs in it).  External callers
-        get the validating, logging default.
+        admissions are then applied (:meth:`_add_many`) and logged
+        (:meth:`_log_admitted`) in batch order: exactly the float
+        operations the scalar :meth:`admit` loop performs.
 
         Raises
         ------
@@ -512,61 +548,57 @@ class CapacityLedger:
         arr = np.asarray(iids, dtype=np.int64)
         if len(arr) == 0:
             return
-        t0 = time.perf_counter_ns() if _REC.enabled else 0
-        demands = (_demands if _demands is not None else
-                   [self._demand[iid] for iid in arr.tolist()])
-        if not _prechecked:
-            seen: set[int] = set()
-            for d in demands:
-                if d in self._ever_admitted or d in seen:
-                    raise ValueError(f"demand {d} was already admitted")
-                seen.add(d)
-            peaks, counts = self.active.route_peaks(arr)
-            # Empty routes are exempt, matching the single-instance
-            # probe :meth:`admit` itself performs.
-            bad = ((peaks + self.index._heights[arr] > 1.0 + 1e-9)
-                   & (counts > 0))
-            if bad.any():
-                culprit = int(arr[bad][0])
-                raise ValueError(
-                    f"instance {culprit} no longer fits the residual "
-                    f"capacity"
-                )
-        # Validation passed — apply, in batch order.  The routes are
-        # disjoint, so the fancy-indexed load add (add_all) and
-        # cheapest-column minimum touch each edge once: the same float
-        # operations as the scalar admit loop.
-        idx = self.index
         iid_list = arr.tolist()
-        if _edges is None:
-            _edges, counts = gather_rows(idx._indptr, idx._flat_edges, arr)
-            _adds = idx._heights[arr].repeat(counts)
-        else:
-            counts = idx._indptr[arr + 1] - idx._indptr[arr]
-        self.active.add_all(arr, _edges=_edges, _adds=_adds)
+        demands = [self._demand[iid] for iid in iid_list]
+        seen: set[int] = set()
+        for d in demands:
+            if d in self._ever_admitted or d in seen:
+                raise ValueError(f"demand {d} was already admitted")
+            seen.add(d)
+        idx = self.index
+        edges, counts = gather_rows(idx._indptr, idx._flat_edges, arr)
+        bad = route_peaks(self.load, edges, counts) + idx._heights[arr] > _CAP
+        if bad.any():
+            raise ValueError(f"instance {int(arr[bad][0])} no longer fits "
+                             f"the residual capacity")
+        self._add_many(arr, demands, edges, counts)
+        self._log_admitted(zip(demands, iid_list))
+
+    def _add_many(self, arr: np.ndarray, demands: list[int],
+                  edges: np.ndarray, counts: np.ndarray) -> None:
+        """Apply validated admissions of the instances ``arr`` (their
+        ``demands``, their routes concatenated in ``edges`` with lengths
+        ``counts``), in batch order: loads, holder sets and the
+        cheapest-holder column.  The log entries and profit adds are
+        :meth:`_log_admitted`'s (the fast path stages them until every
+        earlier event is decided).
+
+        The routes are pairwise edge-disjoint, so the fancy-indexed load
+        add and cheapest-column minimum touch each edge once: the same
+        float operations as the scalar :meth:`admit` loop.
+        """
+        t0 = time.perf_counter_ns() if _REC.enabled else 0
+        idx = self.index
+        self.load[edges] += idx._heights[arr].repeat(counts)
         self._version += 1
         cheapest = self._cheapest
-        cheapest[_edges] = np.minimum(cheapest[_edges],
-                                      idx._profits[arr].repeat(counts))
+        cheapest[edges] = np.minimum(cheapest[edges],
+                                     idx._profits[arr].repeat(counts))
         route_of = self._route_edge_list
-        for iid, d in zip(iid_list, demands):
+        for iid, d in zip(arr.tolist(), demands):
             self._hold(iid, d, route_of(iid))
-        if _log:
-            self._log_admitted(zip(demands, iid_list))
         if t0:
             _REC.record("ledger.admit_many", t0,
                         time.perf_counter_ns() - t0,
                         {"admitted": len(arr)})
 
-    def release_many(self, demand_ids, *, _disjoint: bool = False) -> list[int]:
+    def release_many(self, demand_ids) -> list[int]:
         """Release a batch of departed demands; returns their instances.
 
         The whole batch is validated first (every demand currently
         admitted, none named twice), so a bad entry leaves the ledger
         untouched.  The loads drop in batch order, the scalar loop's
-        float sequence per edge (:meth:`_drop_many`); ``_disjoint``
-        (fast-path internal) promises the released routes are pairwise
-        edge-disjoint, which lets one fancy subtract do it.
+        float sequence per edge (:meth:`_drop_many`).
 
         Raises
         ------
@@ -587,15 +619,14 @@ class CapacityLedger:
         if len(set(dlist)) != len(dlist):
             raise ValueError("a demand appears twice in the release batch")
         t0 = time.perf_counter_ns() if _REC.enabled else 0
-        self._drop_many(dlist, iids, disjoint=_disjoint)
+        self._drop_many(dlist, iids)
         if t0:
             _REC.record("ledger.release_many", t0,
                         time.perf_counter_ns() - t0,
                         {"released": len(dlist)})
         return iids
 
-    def evict_many(self, demand_ids, penalties, *,
-                   _log: bool = True) -> list[int]:
+    def evict_many(self, demand_ids, penalties) -> list[int]:
         """Preemptively evict a batch of admitted demands, in order;
         returns their instances.
 
@@ -603,12 +634,9 @@ class CapacityLedger:
         penalty)`` pair in turn, bit for bit.  The whole batch is
         validated first (every penalty non-negative, every demand
         currently admitted, none named twice), so a bad entry leaves the
-        ledger untouched.  An eviction plan's victims share the edges
-        they free, so the load subtraction is one ``np.subtract.at`` in
-        batch order — the scalar loop's float sequence per edge — and
-        the forfeit and penalty counters take one add per eviction, in
-        order (``_log=False``, fast-path internal: later, through
-        :meth:`_log_evicted`).
+        ledger untouched.  The loads drop in batch order
+        (:meth:`_drop_many`), and :meth:`_log_evicted` records the
+        evictions and takes one forfeit and penalty add each, in order.
 
         Raises
         ------
@@ -637,49 +665,36 @@ class CapacityLedger:
         if len(set(dlist)) != len(dlist):
             raise ValueError("a demand appears twice in the eviction batch")
         t0 = time.perf_counter_ns() if _REC.enabled else 0
-        self._drop_many(dlist, iids, disjoint=False)
-        self._evicted.update(dlist)
-        if _log:
-            self._log_evicted(zip(dlist, iids, paid))
+        self._drop_many(dlist, iids)
+        self._log_evicted(zip(dlist, iids, paid))
         if t0:
             _REC.record("ledger.evict_many", t0, time.perf_counter_ns() - t0,
                         {"evicted": len(dlist)})
         return iids
 
-    def _drop_many(self, dlist: list[int], iids: list[int], *,
-                   disjoint: bool) -> None:
-        """Remove validated admitted demands ``dlist`` (holding
-        ``iids``) in order: loads, active set, holder sets and the
-        cheapest-holder column.
+    def _drop_many(self, dlist: list[int], iids: list[int]) -> None:
+        """Remove admitted demands ``dlist`` (holding ``iids``) in
+        order: loads, admitted set, holder sets and the cheapest-holder
+        column.  The eviction record of an evicted demand is
+        :meth:`_log_evicted`'s.
 
         The load subtraction runs as one ``np.subtract.at`` over the
         concatenated routes — the index array is in batch order, and
         ``ufunc.at`` applies updates in index order, so the float
         sequence per edge is exactly the scalar per-demand loop's.
-        ``disjoint`` promises pairwise edge-disjoint routes, so the
-        scatter touches each position once and a plain fancy subtract
-        performs the identical single float subtraction per edge.
         """
         self._version += 1
         idx = self.index
         arr = np.asarray(iids, dtype=np.int64)
-        routes = [self._route_edge_list(iid) for iid in iids]
         edges, counts = gather_rows(idx._indptr, idx._flat_edges, arr)
-        if len(edges):
-            subs = idx._heights[arr].repeat(counts)
-            if disjoint:
-                self.active._load[edges] -= subs
-            else:
-                np.subtract.at(self.active._load, edges, subs)
-        self.active._demand_used[idx._dix[arr]] = False
-        for d, iid, route in zip(dlist, iids, routes):
+        np.subtract.at(self.load, edges, idx._heights[arr].repeat(counts))
+        route_of = self._route_edge_list
+        for d, iid in zip(dlist, iids):
             del self._admitted[d]
-            self.active._members.discard(iid)
-            for eid in route:
+            for eid in route_of(iid):
                 self._holders_by_edge[eid].discard(d)
-        if len(edges):
-            self._refresh_cheapest(
-                edges[self._cheapest[edges] == idx._profits[arr].repeat(counts)])
+        self._refresh_cheapest(
+            edges[self._cheapest[edges] == idx._profits[arr].repeat(counts)])
 
     def _remove(self, demand_id: int) -> int:
         """Drop a demand from the admitted set and the holder map."""
@@ -688,10 +703,10 @@ class CapacityLedger:
         except KeyError:
             raise KeyError(f"demand {demand_id} is not admitted") from None
         self._version += 1
-        self.active.remove(iid)
+        eids = self._edge_ids(iid)
+        self.load[eids] -= self._height[iid]
         for eid in self._route_edge_list(iid):
             self._holders_by_edge[eid].discard(demand_id)
-        eids = self._edge_ids(iid)
         self._refresh_cheapest(eids[self._cheapest[eids] == self._profit[iid]])
         return iid
 
@@ -730,7 +745,7 @@ class CapacityLedger:
         expect = np.bincount(edges, weights=np.repeat(idx._heights[held],
                                                       counts),
                              minlength=idx.num_edges)
-        load = self.active._load
+        load = self.load
         if len(load):
             drift = float(np.abs(load - expect).max())
             if drift > _EPS or float(load.min()) < -_EPS:
@@ -765,7 +780,6 @@ class CapacityLedger:
             raise ValueError(f"penalty must be >= 0, got {penalty}")
         t0 = time.perf_counter_ns() if _REC.enabled else 0
         iid = self._remove(demand_id)
-        self._evicted.add(demand_id)
         self._log_evicted(((demand_id, iid, float(penalty)),))
         if t0:
             _REC.record("ledger.evict", t0, time.perf_counter_ns() - t0,
@@ -788,7 +802,7 @@ class CapacityLedger:
         lossless.
         """
         return {
-            "load": self.active._load.tolist(),
+            "load": self.load.tolist(),
             "admitted": [[d, i] for d, i in sorted(self._admitted.items())],
             "ever_admitted": sorted(self._ever_admitted),
             "evicted": sorted(self._evicted),
@@ -809,11 +823,11 @@ class CapacityLedger:
         instead of resuming into a wrong ledger.
         """
         load = np.asarray(state["load"], dtype=np.float64)
-        if load.shape != self.active._load.shape:
+        if load.shape != self.load.shape:
             raise ValueError(
                 f"checkpoint carries {load.size} edge loads, the ledger "
-                f"has {self.active._load.size} edges")
-        self.active._load[:] = load
+                f"has {self.load.size} edges")
+        self.load[:] = load
         self._version += 1
         self._admitted = {int(d): int(i) for d, i in state["admitted"]}
         self._ever_admitted = {int(d) for d in state["ever_admitted"]}
@@ -834,11 +848,6 @@ class CapacityLedger:
             # so a warm restart is byte-identical to the original run.
             self._profit_forfeited += self._profit[iid]
         self._penalty_paid = float(state["penalty_paid"])
-        members = set(self._admitted.values())
-        self.active._members = members
-        self.active._demand_used[:] = False
-        for iid in members:
-            self.active._demand_used[self.index._dix[iid]] = True
         for holders in self._holders_by_edge:
             holders.clear()
         for d, iid in self._admitted.items():
@@ -868,10 +877,10 @@ class CapacityLedger:
 
         Beyond the feasibility re-verification, the profit counters are
         checked against the logs (realized profit must equal the
-        admission-log sum minus the eviction-log sum), the active set's
-        members against the admitted set, and every edge's live load
-        against the heights of the admitted routes that cross it, and
-        the cheapest-holder column against the admitted routes' profits.
+        admission-log sum minus the eviction-log sum), every edge's live
+        load against the heights of the admitted routes that cross it,
+        and the cheapest-holder column against the admitted routes'
+        profits.
         """
         sol = self.snapshot()
         if isinstance(self.problem, TreeProblem):
@@ -887,10 +896,6 @@ class CapacityLedger:
                 "profit counters drifted from the admission/eviction logs: "
                 f"{log_sum} - {evict_sum} != {self.realized_profit}"
             )
-        active = self.active
-        if active._members != set(self._admitted.values()):
-            raise AssertionError(
-                "active-set members differ from the admitted instances")
         self._check_loads()
         if not np.array_equal(self._cheapest, self._cheapest_of_admitted()):
             raise AssertionError(

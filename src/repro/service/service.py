@@ -487,8 +487,10 @@ class AdmissionService:
             self.trace.problem, self.session.ledger, self.session.policy,
             demand_id, arrived=self._arrived, departed=self._departed)
 
-    def _sync_metrics(self) -> None:
-        """Derive the registry's gauges from the live session state.
+    def _sync_metrics(self, snap: dict | None = None) -> None:
+        """Derive the registry's gauges from the live session state
+        (``snap``, a :meth:`AdmissionSession.snapshot` of it, when the
+        caller already holds one).
 
         Gauges are *recomputed* from the ledger/session counters rather
         than incremented on the hot path, so they cost nothing per
@@ -496,7 +498,8 @@ class AdmissionService:
         restored session state carries the pre-kill cumulative counts,
         and the first sync after :meth:`resume` republishes them.
         """
-        snap = self.session.snapshot()
+        if snap is None:
+            snap = self.session.snapshot()
         reg = self.registry
         for key, name in (
             ("events", "repro_events_total"),
@@ -565,7 +568,7 @@ class AdmissionService:
         # mid-stream at every poll.
         cert = certificate_of(self.session.policy)
         doc["dual_upper_bound"] = cert["upper_bound"] if cert else None
-        self._sync_metrics()
+        self._sync_metrics(doc)
         doc["metrics"] = self.registry.export()
         return doc
 

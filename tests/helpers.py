@@ -295,8 +295,8 @@ def reference_preemption_plan(ledger, iid: int):
     off the conflict index, exactly as the planner computed them before
     it learned to prune on a cost bound.
     """
-    eids = ledger.active._edges(iid)
-    deficit = ledger.active._load[eids] + ledger.index._heights[iid] - 1.0
+    eids = ledger.index.edge_ids(iid)
+    deficit = ledger.load[eids] + ledger.index._heights[iid] - 1.0
     if (deficit <= 1e-9).all():
         return []
     route = eids.tolist()
@@ -316,7 +316,7 @@ def reference_preemption_plan(ledger, iid: int):
         if (deficit <= 1e-9).all():
             break
         v_iid = admitted[d]
-        shared = [pos_of[eid] for eid in ledger.active._edges(v_iid).tolist()
+        shared = [pos_of[eid] for eid in ledger.index.edge_ids(v_iid).tolist()
                   if eid in pos_of]
         if not any(deficit[k] > 1e-9 for k in shared):
             continue

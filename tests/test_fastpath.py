@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 from repro import Demand, TreeNetwork, TreeProblem
-from repro.core.conflict import ActiveConflictSet
 from repro.online import (
     Arrival,
     CapacityLedger,
@@ -67,7 +66,7 @@ def _signature(session, policy_name):
         "profit": led._profit_admitted.hex(),
         "stats": dict(session.policy.stats),
         "admitted": sorted(led._admitted.items()),
-        "load": led.active._load.tobytes(),
+        "load": led.load.tobytes(),
         "ever": sorted(led._ever_admitted),
     }
     if policy_name == "dual-gated":
@@ -260,7 +259,7 @@ def _preempt_sig(session):
         "forfeited": led._profit_forfeited.hex(),
         "penalty": led._penalty_paid.hex(),
         "stats": dict(session.policy.stats),
-        "load": led.active._load.tobytes(),
+        "load": led.load.tobytes(),
         "cheapest": led._cheapest.tobytes(),
     }
 
@@ -754,10 +753,15 @@ class TestRunSegmenter:
         events = [Arrival(float(t), d)
                   for t, d in enumerate([0, 1] + order)]
         target = int(CapacityLedger(problem).candidates(2)[0])
-        blocked = ActiveConflictSet.blocked
-        monkeypatch.setattr(ActiveConflictSet, "blocked",
-                            lambda self, iid: iid == target
-                            or blocked(self, iid))
+        admit = CapacityLedger.admit
+
+        def admit_but_target(self, iid):
+            if iid == target:
+                raise ValueError(f"instance {iid} no longer fits the "
+                                 f"residual capacity")
+            admit(self, iid)
+
+        monkeypatch.setattr(CapacityLedger, "admit", admit_but_target)
         monkeypatch.setattr(
             fastpath_module.FastFeeder, "_misfit",
             lambda self, cl: next((int(cl.plan.event[cl.i0 + a])
@@ -811,7 +815,7 @@ class TestRunSegmenter:
 
 
 def _ledger_state(led):
-    return (led.active._load.tobytes(), sorted(led._admitted.items()),
+    return (led.load.tobytes(), sorted(led._admitted.items()),
             list(led.admission_log), led._profit_admitted.hex())
 
 
@@ -831,7 +835,7 @@ class TestBatchedLedgerOps:
             route = set(ledger.index.edge_ids(iid).tolist())
             if route & taken or not route:
                 continue
-            if ledger.active.blocked(iid):
+            if not ledger.feasible([iid])[0]:
                 continue
             taken |= route
             batch.append((d, iid))

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.demand import Demand, WindowDemand
@@ -25,7 +26,8 @@ from repro.network.tree import TreeNetwork
 from repro.online import generate_trace
 from repro.workloads import random_line_problem, random_tree_problem
 
-from helpers import reference_instances, v1_trace_document
+from helpers import (reference_instances, v1_problem_document,
+                     v1_trace_document)
 
 PROBLEMS = {
     "line-multi-resource": lambda: random_line_problem(
@@ -54,6 +56,35 @@ def test_instances_match_reference_expansion(name):
         assert problem.num_instances == len(ref)
         if isinstance(problem, TreeProblem):
             assert [i.path_edges for i in got] == [i.path_edges for i in ref]
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_every_instance_route_has_an_edge(name):
+    """Validation rejects ``u == v`` and ``proc_time <= 0``, so every
+    instance route has at least one edge, however the problem is built
+    — from demand objects, from columns, from a format-1 or format-2
+    document — and in a sliced shard view of its index.  The ledger's
+    capacity probe and the fast path's segment reductions rely on it."""
+    built = PROBLEMS[name]()
+    tree = isinstance(built, TreeProblem)
+    span = built.n if tree else built.n_slots
+    nets = built.networks if tree else built.resources
+    cls = type(built)
+    problems = [
+        cls(span, nets, built.demands, access=built.access),
+        cls.from_columns(span, nets, dict(built.columns),
+                         access=built.access),
+        *(problem_from_dict(json.loads(json.dumps(doc)))
+          for doc in (v1_problem_document(built), problem_to_dict(built))),
+    ]
+    for problem in problems:
+        index = problem.conflict_index()
+        assert len(index) == problem.num_instances > 0
+        assert (np.diff(index._indptr) >= 1).all()
+    gids = np.arange(0, len(index), 3)
+    view = index.sliced(gids, index._dem[gids])
+    assert len(view) == len(gids)
+    assert (np.diff(view._indptr) >= 1).all()
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))

@@ -54,7 +54,7 @@ def test_legacy_journal_resumes_exactly(name, tmp_path):
     assert (float(result.metrics.realized_profit).hex()
             == want["realized_profit"])
     ledger = svc.session.ledger
-    assert _keyed(ledger.index, ledger.active._load) == want["load"]
+    assert _keyed(ledger.index, ledger.load) == want["load"]
     policy = svc.session.policy
     if "peak" in want:
         assert _keyed(ledger.index, policy._peak) == want["peak"]
@@ -105,7 +105,7 @@ def test_unpermuted_checkpoint_restores(tmp_path):
     state = svc.checkpoint_state()
     fresh = AdmissionService(trace, "dual-gated", {"history": True})
     fresh._restore_state(json.loads(json.dumps(state)))
-    assert np.array_equal(fresh.session.ledger.active._load,
-                          svc.session.ledger.active._load)
+    assert np.array_equal(fresh.session.ledger.load,
+                          svc.session.ledger.load)
     assert np.array_equal(fresh.session.policy._peak,
                           svc.session.policy._peak)

@@ -299,7 +299,7 @@ class TestDualPriceCertificate:
         res = replay(tr, policy)
         assert res.metrics.accepted > 0
         assert float(np.max(policy._peak)) >= \
-            policy.ledger.active.max_load() - 1e-12
+            policy.ledger.utilization() - 1e-12
 
 
 class TestHistoryCertificate:

@@ -367,12 +367,12 @@ def test_repeated_arrival_never_evicts(name, fastpath):
     for ev in events:
         session.feed(ev)
     before = (list(ledger.admission_log), dict(ledger._admitted),
-              ledger.active._load.tobytes(), ledger._cheapest.tobytes())
+              ledger.load.tobytes(), ledger._cheapest.tobytes())
     # With a tick alongside, the fast path decides the arrival in a
     # window rather than through the scalar fallback.
     session.feed_many([Arrival(3.0, 1), Tick(4.0)])
     assert (list(ledger.admission_log), dict(ledger._admitted),
-            ledger.active._load.tobytes(),
+            ledger.load.tobytes(),
             ledger._cheapest.tobytes()) == before
     assert ledger.eviction_log == []
     stats = session.policy.stats

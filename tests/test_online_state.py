@@ -106,7 +106,7 @@ class TestLedgerConsistency:
             cands = ledger.candidates(d)
             feas = ledger.feasible(cands)
             for iid, ok in zip(cands.tolist(), feas.tolist()):
-                assert ok == (not ledger.active.blocked(iid))
+                assert ok == bool(ledger.feasible([iid])[0])
 
     def test_route_loads_reflect_admissions(self):
         from repro import Demand, TreeNetwork, TreeProblem
@@ -168,9 +168,7 @@ class TestLedgerIntegrity:
 
     @staticmethod
     def _state(ledger):
-        return (ledger.active._load.tobytes(), dict(ledger._admitted),
-                set(ledger.active._members),
-                ledger.active._demand_used.tobytes(),
+        return (ledger.load.tobytes(), dict(ledger._admitted),
                 [set(h) for h in ledger._holders_by_edge])
 
     def test_release_many_rejects_a_repeated_demand_untouched(self):
@@ -188,26 +186,17 @@ class TestLedgerIntegrity:
     def test_verify_checks_the_load_vector(self):
         ledger = self._busy_ledger()
         ledger.verify()
-        eid = int(np.argmax(ledger.active._load))
-        ledger.active._load[eid] += 1e-6
+        eid = int(np.argmax(ledger.load))
+        ledger.load[eid] += 1e-6
         with pytest.raises(AssertionError, match="edge loads"):
             ledger.verify()
 
     def test_verify_rejects_a_negative_load(self):
         ledger = self._busy_ledger()
-        free = np.flatnonzero(ledger.active._load == 0.0)
+        free = np.flatnonzero(ledger.load == 0.0)
         assert len(free)
-        ledger.active._load[free[0]] = -1e-6
+        ledger.load[free[0]] = -1e-6
         with pytest.raises(AssertionError, match="edge loads"):
-            ledger.verify()
-
-    def test_verify_checks_active_members(self):
-        ledger = self._busy_ledger()
-        held = set(ledger._admitted.values())
-        spare = next(i for i in range(len(ledger.instances))
-                     if i not in held)
-        ledger.active._members.add(spare)
-        with pytest.raises(AssertionError, match="members"):
             ledger.verify()
 
     def test_verify_checks_the_cheapest_holder_column(self):
@@ -231,3 +220,104 @@ class TestLedgerIntegrity:
         fresh.restore_state(live.export_state())
         assert fresh._cheapest.tobytes() == live._cheapest.tobytes()
         fresh.verify()
+
+
+class TestFeasibleProbe:
+    """The ledger's capacity probe against a brute-force recomputation
+    from the admitted routes, after every kind of write and after a
+    checkpoint restore, on the row-by-row and the batched branch."""
+
+    PROBLEMS = {
+        "line": lambda s: random_line_problem(
+            40, 30, r=3, seed=s, access_prob=0.6, height_regime="mixed",
+            window_slack=1.5),
+        # Unit heights fill edges exactly, at the capacity bound.
+        "tree": lambda s: random_tree_problem(
+            24, 30, r=3, seed=s, access_prob=0.6),
+    }
+
+    @staticmethod
+    def _brute(ledger, iids):
+        """Fit of each instance, recomputed from the admitted routes."""
+        index = ledger.index
+        load: dict = {}
+        for iid in ledger._admitted.values():
+            for e in index.edge_ids(iid).tolist():
+                load[e] = load.get(e, 0.0) + float(index._heights[iid])
+        return [int(index._dem[iid]) not in ledger._admitted
+                and all(load.get(e, 0.0) + float(index._heights[iid])
+                        <= 1.0 + 1e-9 for e in index.edge_ids(iid).tolist())
+                for iid in iids]
+
+    def _check(self, ledger, monkeypatch):
+        import repro.online.state as state
+
+        for d in range(ledger.problem.num_demands):
+            cands = ledger.candidates(d)
+            want = self._brute(ledger, cands.tolist())
+            assert ledger.feasible(cands).tolist() == want, d
+            assert [bool(ledger.feasible([i])[0])
+                    for i in cands.tolist()] == want, d
+            with monkeypatch.context() as m:
+                m.setattr(state, "_PROBE_MAX", 0)
+                assert ledger.feasible(cands).tolist() == want, d
+
+    @staticmethod
+    def _disjoint_fits(ledger, rng, k):
+        """Up to ``k`` fitting instances of distinct new demands with
+        pairwise edge-disjoint routes (the ``admit_many`` contract)."""
+        taken: set = set()
+        out = []
+        for d in rng.permutation(ledger.problem.num_demands).tolist():
+            if len(out) == k:
+                break
+            if ledger.was_admitted(d):
+                continue
+            cands = ledger.candidates(d)
+            for iid in cands[ledger.feasible(cands)].tolist():
+                route = set(ledger.index.edge_ids(iid).tolist())
+                if not route & taken:
+                    taken |= route
+                    out.append(iid)
+                    break
+        return out
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", sorted(PROBLEMS))
+    def test_feasible_matches_brute_force(self, kind, seed, monkeypatch):
+        import repro.online.state as state
+
+        problem = self.PROBLEMS[kind](seed)
+        ledger = CapacityLedger(problem)
+        widths = [len(ledger.candidates(d))
+                  for d in range(problem.num_demands)]
+        assert min(widths) == 1
+        if kind == "line":
+            assert max(widths) > state._PROBE_MAX
+        rng = np.random.default_rng(seed)
+        ops = ["admit", "admit_many", "release", "release_many", "evict",
+               "evict_many"]
+        for step in range(36):
+            op = ops[step % len(ops)] if step < 12 else str(rng.choice(ops))
+            held = sorted(ledger._admitted)
+            if op == "admit":
+                for iid in self._disjoint_fits(ledger, rng, 1):
+                    ledger.admit(iid)
+            elif op == "admit_many":
+                ledger.admit_many(self._disjoint_fits(ledger, rng, 4))
+            elif held and op == "release":
+                ledger.release(int(rng.choice(held)))
+            elif held and op == "release_many":
+                ledger.release_many(rng.permutation(held)[:3].tolist())
+            elif held and op == "evict":
+                ledger.evict(int(rng.choice(held)), penalty=0.5)
+            elif held and op == "evict_many":
+                victims = rng.permutation(held)[:2].tolist()
+                ledger.evict_many(victims, [0.25] * len(victims))
+            self._check(ledger, monkeypatch)
+        assert ledger.num_admitted and ledger.num_evicted
+        ledger.verify()
+        fresh = CapacityLedger(problem)
+        fresh.restore_state(ledger.export_state())
+        assert fresh.load.tobytes() == ledger.load.tobytes()
+        self._check(fresh, monkeypatch)

@@ -190,7 +190,7 @@ def test_tie_prone_replay_is_byte_identical(kind):
                          led._profit_admitted.hex(),
                          led._profit_forfeited.hex(),
                          led._penalty_paid.hex(), dict(session.policy.stats),
-                         led.active._load.tobytes(), led._cheapest.tobytes()))
+                         led.load.tobytes(), led._cheapest.tobytes()))
             session.close(verify=True)
         assert sigs[0] == sigs[1], params
         evictions += len(sigs[0][1])
@@ -236,7 +236,7 @@ def test_deficit_landing_exactly_on_eps_cools_the_edge(params):
     session.ledger.admit(0)
     session.ledger.admit(1)
     eid = int(session.ledger._edge_ids(2)[0])
-    deficit = (session.ledger.active._load[eid] + h) - 1.0
+    deficit = (session.ledger.load[eid] + h) - 1.0
     assert deficit > _EPS and deficit - a == _EPS
     assert session.ledger.preemption_plan(2) == [1]
     seen = _check_walk(session, [2])
@@ -269,7 +269,7 @@ def test_walk_ending_exactly_on_eps_completes():
     ledger = session.ledger
     ledger.admit(0)
     ledger.admit(1)
-    ledger.active._load[ledger._edge_ids(2)] = load
+    ledger.load[ledger._edge_ids(2)] = load
     assert ledger.preemption_plan(2) == [0, 1]
     seen = _check_walk(session, [2])
     assert seen["victims"] == 1 and seen["preempts"] == 1
@@ -305,7 +305,7 @@ def test_holderless_hot_edge(prunable, holderless_first):
     first, second = ledger._edge_ids(2).tolist()
     held, bare = (second, first) if holderless_first else (first, second)
     ledger.admit(0 if held == int(ledger._edge_ids(0)[0]) else 1)
-    ledger.active._load[bare] = 0.6
+    ledger.load[bare] = 0.6
     expect = "PRUNED" if prunable and not holderless_first else None
     assert _outcome(ledger.preemption_plan(2, session._fast.gate)) == expect
     _check_walk(session, [2])
@@ -323,7 +323,7 @@ def test_walk_that_runs_out_of_holders(factor):
     ledger = session.ledger
     ledger.admit(0)
     ledger.admit(1)
-    ledger.active._load[ledger._edge_ids(2)] = 1.0
+    ledger.load[ledger._edge_ids(2)] = 1.0
     expect = "PRUNED" if factor == 2.5 else None
     assert _outcome(ledger.preemption_plan(2, session._fast.gate)) == expect
     seen = _check_walk(session, [2])
@@ -360,12 +360,11 @@ def _ledger_with_overlaps(kind: str, seed: int) -> CapacityLedger:
 
 
 def _full_state(led: CapacityLedger):
-    return (led.active._load.tobytes(), led._cheapest.tobytes(),
+    return (led.load.tobytes(), led._cheapest.tobytes(),
             sorted(led._admitted.items()), sorted(led._evicted),
             list(led.eviction_log), list(led.admission_log),
             led._profit_forfeited.hex(), led._penalty_paid.hex(),
-            led.realized_profit.hex(), sorted(led.active._members),
-            led.active._demand_used.tobytes(),
+            led.realized_profit.hex(),
             [sorted(h) for h in led._holders_by_edge])
 
 
@@ -378,7 +377,7 @@ def test_evict_many_matches_evict_loop(kind, seed):
     assert _full_state(loop) == _full_state(batch)
     for _ in range(4):
         # Victims that share edges: every holder of a few loaded edges.
-        edges = rng.choice(np.flatnonzero(loop.active._load > 0), 3,
+        edges = rng.choice(np.flatnonzero(loop.load > 0), 3,
                            replace=False).tolist()
         victims = sorted({d for e in edges for d in loop._holders_by_edge[e]},
                          key=lambda d: (rng.random(), d))

