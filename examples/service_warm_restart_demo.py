@@ -17,7 +17,7 @@ A tour of the service layer on one bursty line trace:
 
 The same flow works across real processes via the CLI::
 
-    python -m repro serve  --trace trace.json --policy dual-gated --journal j.log
+    python -m repro serve  --trace trace.bin --policy dual-gated --journal j.log
     python -m repro resume --journal j.log
 
 Run from the repo root::

@@ -6,11 +6,11 @@ python -m repro solve     problem.json --algorithm tree-unit --epsilon 0.1
 python -m repro compare   problem.json
 python -m repro sweep     a.json b.json --solvers tree-unit,sequential --seeds 0,1,2
 python -m repro replay    --policy dual-gated --events 10000
-python -m repro replay    trace.json --shards 4 --shard-by subtree
-python -m repro serve     --trace trace.json --policy dual-gated --journal j.log
-python -m repro serve     --trace trace.json --journal j.log \
+python -m repro replay    trace.bin --shards 4 --shard-by subtree
+python -m repro serve     --trace trace.bin --policy dual-gated --journal j.log
+python -m repro serve     --trace trace.bin --journal j.log \
                           --sync-window 64 --checkpoint-every 5000
-python -m repro serve     --trace trace.json --port 7777 \
+python -m repro serve     --trace trace.bin --port 7777 \
                           --obs --metrics-port 9100
 python -m repro resume    --journal j.log -o metrics.json
 python -m repro compact   --journal j.log
@@ -332,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     rep.add_argument("trace", nargs="?", default=None,
-                     help="trace JSON (from --save-trace); omit to "
-                          "generate one")
+                     help="trace file (from --save-trace; JSON traces "
+                          "still read); omit to generate one")
     rep.add_argument("--policy", default="dual-gated", choices=POLICY_NAMES)
     rep.add_argument("--events", type=_int_arg("events", minimum=1),
                      default=10000,
@@ -397,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="shard worker processes (default: min(shards, "
                           "CPU count); 0 or 1 = inline)")
     rep.add_argument("--save-trace", default=None,
-                     help="write the (generated) trace JSON here")
+                     help="write the (generated) trace here, as a binary "
+                          "trace file")
     rep.add_argument("-o", "--output", default=None,
                      help="write the metrics JSON here")
 
@@ -412,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                "response per line on stdout",
     )
     srv.add_argument("--trace", required=True,
-                     help="trace JSON holding the frozen demand "
+                     help="trace file holding the frozen demand "
                           "population (repro replay --save-trace "
                           "writes one)")
     srv.add_argument("--policy", default="greedy-threshold",
@@ -563,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
                "(relative to the working directory) is used",
     )
     swp_p.add_argument("traces", nargs="*",
-                       help="trace JSON files (default: the pinned "
+                       help="trace files (default: the pinned "
                             "tests/data corpus)")
     swp_p.add_argument("--policy", default="preempt-density",
                        choices=["preempt-density", "preempt-dual-gated"])
@@ -1033,7 +1034,7 @@ def _sweep_preemption(args) -> int:
         if not traces:
             raise SystemExit(
                 "sweep-preemption: no traces given and no pinned corpus "
-                "found under tests/data/ — pass trace JSON files "
+                "found under tests/data/ — pass trace files "
                 "(repro replay --save-trace writes them)"
             )
     factors = args.factors if args.policy == "preempt-density" else [None]

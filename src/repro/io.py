@@ -1,22 +1,29 @@
-"""JSON serialization for problems, solutions, event traces and journals.
+"""Serialization for problems, solutions, event traces and journals.
 
 Lets workloads be pinned to disk (regression corpora, cross-machine
 benchmark runs), solutions be archived next to the dual certificates
 that justify them, and online event traces be replayed bit-identically
-on other machines.  The formats are stable, versioned, human-readable
-JSON documents; round-trips are exact (vertex ids, profits, heights,
-access sets, selected instances, event times).
+on other machines.  The formats are stable and versioned; round-trips
+are exact (vertex ids, profits, heights, access sets, selected
+instances, event times).
 
-Problems and traces are written in **format 2**: each demand field and
-each event field is one JSON array (one line of the file), and access
-is one CSR, so a document decodes straight into NumPy columns.  Their
-**format 1** — one object per demand and per event — is still read,
-into the same columns.
+Problems are written as JSON in **format 2**: each demand field is one
+JSON array (one line of the file), and access is one CSR, so a
+document decodes straight into NumPy columns.  Their **format 1** — one
+object per demand — is still read, into the same columns.
 
-All ``save_*`` writers are **atomic**: the document is written to a
+Traces are written **binary**: a magic+version preamble, the format-2
+trace document in the raw-column codec that heads a binary journal
+(a JSON envelope plus one little-endian array per column, read back
+with ``np.frombuffer``), and a CRC-32 trailer.  JSON trace files —
+format 2 (one array per event field) and format 1 (one object per
+event) — are still read, into the same columns, but never written;
+:func:`trace_to_dict` is the JSON view of a trace.
+
+All ``save_*`` writers are **atomic**: the file is written to a
 temporary file in the destination directory and moved into place with
 :func:`os.replace`, so a process killed mid-write never leaves a
-truncated JSON artifact behind.
+truncated artifact behind.
 
 The **admission journal** is the service layer's durability log: an
 append-only file whose first record is a self-contained header (policy,
@@ -58,6 +65,7 @@ import os
 import struct
 import tempfile
 import time
+import zlib
 from typing import Any, Iterator
 
 import numpy as np
@@ -87,6 +95,7 @@ __all__ = [
     "load_solution",
     "save_trace",
     "load_trace",
+    "load_trace_document",
     "JournalWriter",
     "read_journal",
     "iter_journal",
@@ -103,6 +112,10 @@ SOLUTION_FORMAT_VERSION = 1
 #: Version of the event-trace document :func:`trace_to_dict` writes
 #: (independent of the problem format); version 1 is still read.
 TRACE_FORMAT_VERSION = 2
+
+#: Version of the binary trace container :func:`save_trace` writes
+#: around the format-2 document.
+TRACE_CONTAINER_VERSION = 1
 
 #: Version of the admission-journal envelope.
 JOURNAL_FORMAT_VERSION = 1
@@ -581,9 +594,9 @@ class _ColumnLayout(json.JSONEncoder):
             yield json.dumps(o, separators=(",", ":"))
 
 
-def _atomic_dump(doc: dict, path: str) -> None:
-    """Write ``doc`` as JSON (:class:`_ColumnLayout`) via temp-file +
-    :func:`os.replace`.
+def _atomic_dump(doc: dict | bytes, path: str) -> None:
+    """Write ``doc`` via temp-file + :func:`os.replace`: ``bytes`` as
+    they are, anything else as JSON (:class:`_ColumnLayout`).
 
     The temp file lives in the destination directory (same filesystem,
     so the replace is atomic) and is removed on any failure — a killed
@@ -596,9 +609,13 @@ def _atomic_dump(doc: dict, path: str) -> None:
     fd, tmp = tempfile.mkstemp(
         dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
     )
+    raw = isinstance(doc, bytes)
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, cls=_ColumnLayout)
+        with os.fdopen(fd, "wb" if raw else "w") as fh:
+            if raw:
+                fh.write(doc)
+            else:
+                json.dump(doc, fh, cls=_ColumnLayout)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -633,15 +650,72 @@ def load_solution(path: str, problem) -> Solution:
         return solution_from_dict(json.load(fh), problem)
 
 
+#: Binary trace-file preamble: magic (first byte deliberately non-ASCII,
+#: so no JSON text starts with it) + one container-version byte.
+_TRACE_MAGIC = b"\x89RPT"
+_TRACE_PREAMBLE = _TRACE_MAGIC + bytes([TRACE_CONTAINER_VERSION])
+_CRC_STRUCT = struct.Struct("<I")
+
+
 def save_trace(trace, path: str) -> None:
-    """Write an event trace as JSON (atomically)."""
-    _atomic_dump(trace_to_dict(trace), path)
+    """Write an event trace as a binary trace file (atomically).
+
+    Layout: :data:`_TRACE_PREAMBLE`; the format-2 document as a column
+    header — :func:`_column_header_payload` of :func:`trace_to_columns`,
+    the codec that heads a binary journal; then the CRC-32 of that
+    payload (u32, little-endian).  :func:`trace_to_dict` is the JSON
+    view of the same document.
+    """
+    payload = _column_header_payload(trace_to_columns(trace))
+    _atomic_dump(b"".join([_TRACE_PREAMBLE, payload,
+                           _CRC_STRUCT.pack(zlib.crc32(payload))]), path)
+
+
+def _trace_document(data: bytes) -> dict:
+    """The document in a trace file's bytes: a binary file's columns as
+    ``np.frombuffer`` arrays over ``data``, a JSON file parsed."""
+    if not data.startswith(_TRACE_MAGIC):
+        try:
+            return json.loads(data)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"neither a binary trace nor JSON ({exc})") \
+                from None
+    if len(data) < len(_TRACE_PREAMBLE) + _CRC_STRUCT.size:
+        raise ValueError(f"truncated binary trace ({len(data)} bytes)")
+    version = data[len(_TRACE_MAGIC)]
+    if version != TRACE_CONTAINER_VERSION:
+        raise ValueError(f"unsupported binary trace version {version}")
+    payload = memoryview(data)[len(_TRACE_PREAMBLE):-_CRC_STRUCT.size]
+    (crc,) = _CRC_STRUCT.unpack_from(data, len(data) - _CRC_STRUCT.size)
+    if zlib.crc32(payload) != crc:
+        raise ValueError("binary trace checksum mismatch (the file is "
+                         "damaged or truncated)")
+    return _column_header(payload)
+
+
+def load_trace_document(path: str) -> dict:
+    """A trace file's document, not yet decoded into a trace: a binary
+    file's (:func:`save_trace`) with NumPy columns over the file's
+    bytes, a JSON file's (format 1 or 2) as parsed.  A damaged file
+    raises ``ValueError`` naming ``path``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return _trace_document(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_trace(path: str):
-    """Read a trace file (format 1 or 2)."""
-    with open(path) as fh:
-        return trace_from_dict(json.load(fh))
+    """Read a trace file: binary (what :func:`save_trace` writes) or a
+    format-1 or format-2 JSON document.  JSON trace files are read
+    only; a malformed file raises ``ValueError`` naming ``path`` and
+    the field (and index) at fault."""
+    doc = load_trace_document(path)
+    try:
+        return trace_from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -740,8 +814,9 @@ def _split_columns(doc: dict, path: list, found: list) -> dict:
 
 
 def _column_header_payload(doc: dict) -> bytes:
-    """A binary journal's column header: the header ``doc`` as a JSON
-    envelope, each of its NumPy columns a raw little-endian blob.
+    """A column header — a binary journal's first record, and the body
+    of a binary trace file: ``doc`` as a JSON envelope, each of its
+    NumPy columns a raw little-endian blob.
 
     Layout: u32 envelope length, the envelope (UTF-8 JSON
     ``{"header": doc with each column null, "columns": [[key path,

@@ -41,15 +41,20 @@ def _json_safe(value):
     return str(value)
 
 
-def _document_of(job, source) -> dict:
-    """A job's JSON document: dicts pass through, paths are loaded once
-    (memoised on the frozen dataclass via ``object.__setattr__``)."""
+def _load_json(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _document_of(job, source, load=_load_json) -> dict:
+    """A job's document: dicts pass through, paths are read once with
+    ``load`` (memoised on the frozen dataclass via
+    ``object.__setattr__``)."""
     if isinstance(source, dict):
         return source
     cached = getattr(job, "_doc", None)
     if cached is None:
-        with open(source) as fh:
-            cached = json.load(fh)
+        cached = load(source)
         object.__setattr__(job, "_doc", cached)
     return cached
 

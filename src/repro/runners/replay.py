@@ -46,8 +46,9 @@ class ReplayJob:
     Attributes
     ----------
     trace:
-        Path to a trace JSON file (``repro.io.save_trace``), or the
-        in-memory trace document (``repro.io.trace_to_dict`` form).
+        Path to a trace file (binary, as ``repro.io.save_trace`` writes
+        it, or a JSON trace document), or the in-memory trace document
+        (``repro.io.trace_to_dict`` form).
     policy:
         Any :data:`~repro.online.policies.POLICY_NAMES` entry —
         ``"greedy-threshold"``, ``"dual-gated"``, ``"batch-resolve"``,
@@ -73,8 +74,12 @@ class ReplayJob:
     label: str = ""
 
     def document(self) -> dict:
-        """The trace as a JSON document (loaded from disk at most once)."""
-        return _document_of(self, self.trace)
+        """The trace document (read from disk at most once, by
+        :func:`repro.io.load_trace_document`; a binary file's columns
+        are NumPy arrays)."""
+        from ..io import load_trace_document
+
+        return _document_of(self, self.trace, load_trace_document)
 
     def effective_params(self) -> dict:
         return _params_with_seed(self.params, self.seed)
@@ -86,11 +91,16 @@ class ReplayJob:
         """Content hash of the trace alone (offline-benchmark memo key).
 
         Memoised on the job — traces can be multi-MB documents, and the
-        runner consults this key several times per job.
+        runner consults this key several times per job.  The document is
+        hashed with its columns as lists, so a format-2 JSON file and
+        its binary re-save share a key.
         """
         cached = getattr(self, "_trace_key", None)
         if cached is None:
-            blob = json.dumps(self.document(), sort_keys=True)
+            from ..io import _array_as_list
+
+            blob = json.dumps(self.document(), sort_keys=True,
+                              default=_array_as_list)
             cached = hashlib.sha256(blob.encode()).hexdigest()
             object.__setattr__(self, "_trace_key", cached)
         return cached

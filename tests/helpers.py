@@ -496,6 +496,32 @@ def v1_trace_document(trace) -> dict:
             "meta": dict(trace.meta)}
 
 
+def v2_trace_text(trace) -> str:
+    """``trace`` as a format-2 JSON text, laid out as ``save_trace``
+    wrote it before it wrote binary: ``trace_to_dict`` with one object
+    member per line and every array on one line — kept to feed the
+    JSON reader."""
+    import json
+
+    from repro.io import trace_to_dict
+
+    def layout(o, level: int) -> str:
+        if isinstance(o, dict) and o:
+            pad = "\n" + " " * (level + 1)
+            return "{" + ",".join(
+                f"{pad}{json.dumps(str(key))}: {layout(value, level + 1)}"
+                for key, value in o.items()) + "\n" + " " * level + "}"
+        return json.dumps(o, separators=(",", ":"))
+
+    return layout(trace_to_dict(trace), 0)
+
+
+def write_v2_trace(trace, path) -> None:
+    """Write :func:`v2_trace_text` of ``trace`` to ``path``."""
+    with open(path, "w") as fh:
+        fh.write(v2_trace_text(trace))
+
+
 # ----------------------------------------------------------------------
 # JSON-lines journals (the codec the writer no longer emits)
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Regenerate the pinned replay-regression corpus under ``tests/data/``.
 
 The corpus pins three small saved traces (bursty line, poisson tree,
-diurnal line) plus the exact replay outcome of every admission policy on
-each of them (``corpus_expected.json``).  ``test_trace_corpus.py``
+diurnal line), written as format-1 JSON (one object per event: the
+format-1 reader's fixtures, see ``test_trace_formats.py``), plus the
+exact replay outcome of every admission policy on each of them
+(``corpus_expected.json``).  ``test_trace_corpus.py``
 replays the saved traces in CI and compares against the pinned numbers,
 so any change to policy profit/eviction behaviour is change-detected
 rather than silently absorbed.
@@ -19,8 +21,10 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.io import save_trace
+from repro.io import _atomic_dump
 from repro.online import generate_trace, make_policy, replay
+
+from helpers import v1_trace_document
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -48,12 +52,14 @@ POLICIES = [
 
 
 def build_corpus() -> dict:
-    """(Re)write the trace JSONs; return the expected-outcome document."""
+    """(Re)write the format-1 trace JSONs (atomically); return the
+    expected-outcome document."""
     DATA_DIR.mkdir(exist_ok=True)
     expected: dict = {}
     for stem, kwargs in TRACES:
         trace = generate_trace(**kwargs)
-        save_trace(trace, str(DATA_DIR / f"{stem}.json"))
+        text = json.dumps(v1_trace_document(trace), indent=1)
+        _atomic_dump(text.encode(), str(DATA_DIR / f"{stem}.json"))
         expected[stem] = {}
         for name, params in POLICIES:
             result = replay(trace, make_policy(name, **params))

@@ -450,6 +450,37 @@ class TestSweepPreemption:
         # One baseline + 1 factor × 2 penalties.
         assert len(rows) == 3
 
+    def test_binary_and_json_traces_give_the_same_rows(self, trace_json,
+                                                        capsys, tmp_path):
+        from repro.io import load_trace
+        from repro.online import deterministic_metrics
+        from repro.runners.replay import ReplayJob
+
+        from helpers import write_v2_trace
+
+        assert open(trace_json, "rb").read(4) == b"\x89RPT"
+        (tmp_path / "v2").mkdir()
+        copy = tmp_path / "v2" / "burst.json"  # same stem, same labels
+        write_v2_trace(load_trace(trace_json), copy)
+        assert (ReplayJob(trace=trace_json, policy="dual-gated").trace_key()
+                == ReplayJob(trace=str(copy),
+                             policy="dual-gated").trace_key())
+
+        def rows(path):
+            out = tmp_path / "rows.json"
+            assert main(["sweep-preemption", path, "--factors", "1.2",
+                         "--penalties", "0,0.25", "--processes", "0",
+                         "-o", str(out)]) == 0
+            got = json.loads(out.read_text())
+            for row in got:
+                assert row.pop("error") is None
+                del row["elapsed"]
+                row["stats"] = deterministic_metrics(row["stats"])
+            return got
+
+        assert rows(trace_json) == rows(str(copy))
+        capsys.readouterr()
+
     def test_dual_gated_variant_ignores_factors(self, trace_json, capsys):
         rc = main(["sweep-preemption", trace_json,
                    "--policy", "preempt-dual-gated",

@@ -19,15 +19,14 @@ import pytest
 
 from repro.core.demand import Demand, WindowDemand
 from repro.core.instance import LineProblem, TreeProblem, subproblem_of
-from repro.io import (load_trace, problem_from_dict, problem_to_dict,
-                      save_trace)
+from repro.io import load_trace, problem_from_dict, problem_to_dict
 from repro.network.line import LineNetwork
 from repro.network.tree import TreeNetwork
 from repro.online import generate_trace
 from repro.workloads import random_line_problem, random_tree_problem
 
 from helpers import (reference_instances, v1_problem_document,
-                     v1_trace_document)
+                     v1_trace_document, write_v2_trace)
 
 PROBLEMS = {
     "line-multi-resource": lambda: random_line_problem(
@@ -211,7 +210,7 @@ def test_load_trace_rejects_non_finite_profit(token, tmp_path):
 def test_load_trace_v2_rejects_non_finite_profit(token, tmp_path):
     trace = generate_trace(kind="line", events=20, seed=1)
     path = tmp_path / "t.json"
-    save_trace(trace, str(path))
+    write_v2_trace(trace, path)
     doc = json.loads(path.read_text())
     assert doc["format"] == 2
     doc["problem"]["demands"]["profit"][2] = float(token.replace(

@@ -256,6 +256,31 @@ def test_replay_bad_trace_is_a_friendly_error(tmp_path, content, reason):
         main(["replay", str(path)])
 
 
+def _damaged(data: bytes, how: str) -> bytes:
+    if how == "truncated":
+        return data[:len(data) // 2]
+    flipped = bytearray(data)
+    flipped[{"magic": 0, "version": 4, "payload": len(data) // 2}[how]] ^= 4
+    return bytes(flipped)
+
+
+@pytest.mark.parametrize("command", ["serve", "replay"])
+@pytest.mark.parametrize("how", ["truncated", "magic", "version", "payload"])
+def test_damaged_binary_trace_is_a_one_line_error(tmp_path, command, how):
+    from repro.io import load_trace, save_trace
+
+    path = tmp_path / "trace.bin"
+    save_trace(load_trace(str(TRACE)), str(path))
+    path.write_bytes(_damaged(path.read_bytes(), how))
+    argv = ["serve", "--trace", str(path)] if command == "serve" \
+        else ["replay", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = str(exc.value.code)
+    assert message.startswith(f"{command}: {path}: ")
+    assert "\n" not in message
+
+
 @pytest.mark.parametrize("name", sorted(repro._SUBMODULES))
 def test_each_submodule_imports_alone(name):
     """Every subpackage imports first in a fresh interpreter (no import

@@ -1,11 +1,13 @@
-"""Trace files in both formats: format 2 (columns) and format 1 (records).
+"""Trace files in every format: binary, format 2 (JSON columns) and
+format 1 (JSON records).
 
 The committed ``tests/data/trace_*.json`` files are format 1 — the
-format-1 reader's fixtures.  Each must decode, and its format-2 re-save
-must decode, to equal problem and event columns, and both must replay
-to identical decisions under every policy with a batch kernel.  A
-malformed document of either format raises ``ValueError`` naming the
-field and the index.
+format-1 reader's fixtures.  Each must decode, and so must its format-2
+JSON copy (``helpers.write_v2_trace``, the layout the JSON writer used)
+and its binary re-save (``save_trace``), to equal problem and event
+columns, and all three must replay to identical decisions under every
+policy with a batch kernel.  A malformed document of either JSON format
+raises ``ValueError`` naming the field and the index.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.io import load_trace, save_trace, trace_from_dict, trace_to_dict
 from repro.online import generate_trace, make_policy
 from repro.session.kernel import AdmissionSession
 
-from helpers import v1_trace_document
+from helpers import v1_trace_document, v2_trace_text, write_v2_trace
 
 DATA = Path(__file__).resolve().parent / "data"
 CORPUS = sorted(DATA.glob("trace_*.json"))
@@ -45,54 +47,93 @@ def _outcome(trace, name, params):
 
 
 @pytest.fixture(scope="module", params=[p.name for p in CORPUS])
-def both_formats(request, tmp_path_factory):
-    """A committed format-1 trace and its format-2 re-save, decoded."""
+def formats(request, tmp_path_factory):
+    """A committed format-1 trace, its format-2 JSON copy and its binary
+    re-save, decoded, plus the paths of the two copies."""
     v1_path = DATA / request.param
     assert json.loads(v1_path.read_text())["format"] == 1
     v1 = load_trace(str(v1_path))
-    v2_path = tmp_path_factory.mktemp("v2") / request.param
-    save_trace(v1, str(v2_path))
+    tmp = tmp_path_factory.mktemp("formats")
+    v2_path = tmp / request.param
+    write_v2_trace(v1, v2_path)
     assert json.loads(v2_path.read_text())["format"] == 2
-    return v1, load_trace(str(v2_path)), v2_path
+    bin_path = tmp / "trace.bin"
+    save_trace(v1, str(bin_path))
+    assert bin_path.read_bytes().startswith(b"\x89RPT\x01")
+    return (v1, load_trace(str(v2_path)), load_trace(str(bin_path)),
+            v2_path, bin_path)
 
 
 def test_corpus_is_present():
     assert len(CORPUS) == 3
 
 
-def test_formats_decode_to_equal_columns(both_formats):
-    v1, v2, _ = both_formats
-    assert type(v1.problem) is type(v2.problem)
-    if isinstance(v1.problem, TreeProblem):
-        assert v1.problem.n == v2.problem.n
-        assert ([net.edges for net in v1.problem.networks]
-                == [net.edges for net in v2.problem.networks])
-    else:
-        assert v1.problem.n_slots == v2.problem.n_slots
-        assert v1.problem.num_networks == v2.problem.num_networks
-    a, b = _problem_columns(v1.problem), _problem_columns(v2.problem)
-    assert a.keys() == b.keys()
-    for field in a:
-        assert a[field].dtype == b[field].dtype, field
-        assert np.array_equal(a[field], b[field]), field
-    for col in ("kind", "time", "demand"):
-        x, y = getattr(v1.events, col), getattr(v2.events, col)
-        assert x.dtype == y.dtype and np.array_equal(x, y), col
-    assert v1.events == v2.events
-    assert v1.meta == v2.meta
+def test_formats_decode_to_equal_columns(formats):
+    v1, *copies, _, _ = formats
+    for other in copies:
+        assert type(v1.problem) is type(other.problem)
+        if isinstance(v1.problem, TreeProblem):
+            assert v1.problem.n == other.problem.n
+            assert ([net.edges for net in v1.problem.networks]
+                    == [net.edges for net in other.problem.networks])
+        else:
+            assert v1.problem.n_slots == other.problem.n_slots
+            assert v1.problem.num_networks == other.problem.num_networks
+        a, b = _problem_columns(v1.problem), _problem_columns(other.problem)
+        assert a.keys() == b.keys()
+        for field in a:
+            assert a[field].dtype == b[field].dtype, field
+            assert np.array_equal(a[field], b[field]), field
+        for col in ("kind", "time", "demand"):
+            x, y = getattr(v1.events, col), getattr(other.events, col)
+            assert x.dtype == y.dtype and np.array_equal(x, y), col
+        assert v1.events == other.events
+        assert v1.meta == other.meta
 
 
 @pytest.mark.parametrize("name,params", POLICIES)
-def test_formats_replay_identically(both_formats, name, params):
-    v1, v2, _ = both_formats
-    assert _outcome(v1, name, params) == _outcome(v2, name, params)
+def test_formats_replay_identically(formats, name, params):
+    v1, v2, binary, _, _ = formats
+    assert (_outcome(v1, name, params) == _outcome(v2, name, params)
+            == _outcome(binary, name, params))
 
 
-def test_format_2_resave_is_byte_stable(both_formats, tmp_path):
-    _, v2, v2_path = both_formats
-    again = tmp_path / "again.json"
-    save_trace(v2, str(again))
-    assert again.read_bytes() == v2_path.read_bytes()
+def test_format_2_resave_is_byte_stable(formats, tmp_path):
+    _, v2, binary, v2_path, bin_path = formats
+    assert v2_trace_text(v2) == v2_path.read_text()
+    for source in (v2, binary):
+        again = tmp_path / "again.bin"
+        save_trace(source, str(again))
+        assert again.read_bytes() == bin_path.read_bytes()
+
+
+def test_serve_journal_is_the_same_from_every_format(tmp_path, monkeypatch):
+    """``repro serve`` over each format of one trace writes the same
+    journal, byte for byte (the header embeds the decoded columns)."""
+    import hashlib
+    import io
+
+    from repro.cli import main
+    from repro.io import event_to_dict
+
+    v1_path = DATA / "trace_poisson_tree.json"
+    trace = load_trace(str(v1_path))
+    v2_path = tmp_path / "trace.json"
+    write_v2_trace(trace, v2_path)
+    bin_path = tmp_path / "trace.bin"
+    save_trace(trace, str(bin_path))
+    events = [event_to_dict(ev) for ev in trace.events]
+    requests = "".join(json.dumps({"op": "feed", "events": events[i:i + 16]})
+                       + "\n" for i in range(0, len(events), 16))
+    digests = set()
+    for path in (v1_path, v2_path, bin_path):
+        journal = tmp_path / f"{path.name}.journal"
+        monkeypatch.setattr("sys.stdin", io.StringIO(requests))
+        assert main(["serve", "--trace", str(path), "--policy",
+                     "dual-gated", "--journal", str(journal),
+                     "--sync-window", "8", "--checkpoint-every", "50"]) == 0
+        digests.add(hashlib.sha256(journal.read_bytes()).hexdigest())
+    assert len(digests) == 1
 
 
 # ----------------------------------------------------------------------
